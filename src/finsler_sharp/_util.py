@@ -1,10 +1,13 @@
-"""Shared small helpers: thread resolution, seeded RNG spawning, graded grids."""
+"""Shared small helpers: thread resolution, seeded RNG spawning, graded grids,
+panel quadrature."""
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
+from scipy import integrate
 
 ENV_THREADS = "FINSLER_SHARP_THREADS"
 
@@ -40,19 +43,30 @@ def chunk_sizes(total: int, parts: int):
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-def split_quad(fn, a, b, points=(), epsabs=1e-12, epsrel=1e-10, limit=300) -> float:
+def split_quad(fn, a, b, points=(), epsabs=1e-12, epsrel=1e-10, limit=300):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
     scipy's QAGS handles integrable endpoint singularities on each panel;
     splitting keeps kinks at panel endpoints where the extrapolation works.
+    Returns (value, summed error estimate, whether every panel converged).
+    QUADPACK's complaints come back in the flag rather than as warnings, so
+    no caller has to touch the process-wide warning filters.
     """
-    from scipy import integrate
-
     pts = sorted(float(p) for p in points if a < p < b)
-    total = 0.0
+    total, error, converged = 0.0, 0.0, True
     for lo, hi in zip([a] + pts, pts + [b]):
         if hi <= lo:
             continue
-        val, _ = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
-        total += val
-    return total
+        # with full_output a complaint arrives as a fourth entry, not a warning
+        val, err, _, *complaint = integrate.quad(
+            fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1
+        )
+        total, error, converged = total + val, error + err, converged and not complaint
+    return total, error, converged
+
+
+def warn_unconverged(converged: bool, what: str) -> None:
+    """One IntegrationWarning for a quadrature whose panels did not all converge."""
+    if not converged:
+        msg = f"{what}: quadrature did not converge on every panel"
+        warnings.warn(msg, integrate.IntegrationWarning, stacklevel=3)

@@ -144,7 +144,8 @@ def _instance_from_config(spec):
 
 def _profile_from_config(spec, dim=None):
     d = parse_descriptor(spec)
-    if dim is not None:
+    # only the extremal families are parametrized by the dimension
+    if dim is not None and d.get("kind") in ("morrey_extremal", "talenti_l1_extremal", "u_R"):
         d.setdefault("n", dim)
     try:
         return profile_from_descriptor(d)

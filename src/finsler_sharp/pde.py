@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, linalg, optimize
 
-from ._util import graded_grid, split_quad
+from ._util import graded_grid, split_quad, warn_unconverged
 from .constants import bpv_constant, omega_n
 
 
@@ -431,18 +431,19 @@ def eigen_quotient(bvp: RadialBvp):
     def flux(r):
         return float(sol.sol(r)[1])
 
-    dir_tail = split_quad(lambda r: flux(r) ** 2 * r ** (1 - n), eps, bvp.radius)
-    l2_tail = split_quad(lambda r: val(r) ** 2 * r ** (n - 1), eps, bvp.radius)
+    dir_tail, _, ok_dir = split_quad(lambda r: flux(r) ** 2 * r ** (1 - n), eps, bvp.radius)
+    l2_tail, _, ok_l2 = split_quad(lambda r: val(r) ** 2 * r ** (n - 1), eps, bvp.radius)
     # series head u ~ rho^s: analytic leading-order integrals
     dir_head = s * s * eps ** (2 * s + n - 2) / (2 * s + n - 2) if s != 0.0 else 0.0
     l2_head = eps ** (2 * s + n) / (2 * s + n)
     won = omega_n(n)
     dirichlet = n * won * (dir_tail + dir_head)
     l2 = n * won * (l2_tail + l2_head)
-    hardy = 0.0
+    hardy, ok_hardy = 0.0, True
     if bvp.mu != 0.0:
-        hardy_tail = split_quad(lambda r: val(r) ** 2 * r ** (n - 3), eps, bvp.radius)
+        hardy_tail, _, ok_hardy = split_quad(lambda r: val(r) ** 2 * r ** (n - 3), eps, bvp.radius)
         hardy = n * won * (hardy_tail + eps ** (2 * s + n - 2) / (2 * s + n - 2))
+    warn_unconverged(ok_dir and ok_l2 and ok_hardy, "eigenprofile tail integrals")
     quotient = (dirichlet - bvp.mu * hardy) / l2
     return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2}
 

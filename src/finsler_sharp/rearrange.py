@@ -15,7 +15,6 @@ norm, which is the identity the verification layer leans on.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -23,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from ._util import graded_grid, split_quad
+from ._util import graded_grid, split_quad, warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, bh_density
 from .norms import MinkowskiNorm
@@ -385,21 +384,14 @@ def _radial_level_radii(u: RadialTestFunction, levels: np.ndarray) -> np.ndarray
     gv = np.asarray(u.profile(rho), dtype=float)
     if np.any(np.diff(gv) > 1e-9 * max(1.0, u.sup())):
         raise ValueError("radial profile is not nonincreasing")
-    gv_rev = gv[::-1]
     n_pts = len(gv)
-    below_or_eq = np.searchsorted(gv_rev, levels, side="right")
-    k = n_pts - below_or_eq - 1  # last index with gv > t, -1 if none
-    radii = np.empty_like(levels, dtype=float)
-    for i, (t, kk) in enumerate(zip(levels, k)):
-        if kk < 0:
-            radii[i] = 0.0
-        elif kk >= n_pts - 1:
-            radii[i] = u.support_radius
-        else:
-            g0, g1 = gv[kk], gv[kk + 1]
-            frac = (g0 - t) / (g0 - g1) if g0 > g1 else 1.0
-            radii[i] = rho[kk] + (rho[kk + 1] - rho[kk]) * min(max(frac, 0.0), 1.0)
-    return radii
+    k = n_pts - np.searchsorted(gv[::-1], levels, side="right") - 1  # last index with gv > t, -1 if none
+    j = np.clip(k, 0, n_pts - 2)
+    g0, g1 = gv[j], gv[j + 1]
+    drop = g0 > g1
+    frac = np.where(drop, (g0 - levels) / np.where(drop, g0 - g1, 1.0), 1.0)
+    radii = rho[j] + (rho[j + 1] - rho[j]) * np.clip(frac, 0.0, 1.0)
+    return np.where(k < 0, 0.0, np.where(k >= n_pts - 1, u.support_radius, radii))
 
 
 def distribution(u, m: FinslerInstance, levels=None) -> DistributionFunction:
@@ -466,19 +458,20 @@ def rearrange(u, m: FinslerInstance, h: MinkowskiNorm) -> DecreasingProfile:
 
 
 def equimeasurability_gap(u, m: FinslerInstance, star: DecreasingProfile, levels=None) -> float:
-    """max over the level grid of |Vol{u > t} - Vol{u* > t}|."""
+    """max over the level grid of |Vol{u > t} - Vol{u* > t}|.
+
+    Every level is answered from one profile table: a smooth u* inverts its
+    tabulated profile once for the whole level grid, and a staircase u*
+    counts its steps above all levels with one sorted search.
+    """
     mu = distribution(u, m, levels=levels)
-    gaps = []
-    for t, target in zip(mu.levels, mu.values):
-        if star.smooth is not None:
-            radii = _radial_level_radii(star.smooth, np.array([t]))
-            vol = omega_n(star.norm.dim) * radii[0] ** star.norm.dim
-        else:
-            # staircase: measure where v > t
-            above = star.tvals > t
-            vol = star.svals[1:][above][-1] if np.any(above) else 0.0
-        gaps.append(abs(vol - target))
-    return float(max(gaps))
+    if star.smooth is not None:
+        vol = omega_n(star.norm.dim) * _radial_level_radii(star.smooth, mu.levels) ** star.norm.dim
+    else:
+        # staircase: v > t exactly on [0, svals[count]) with count = #{tvals > t}
+        count = len(star.tvals) - np.searchsorted(star.tvals[::-1], mu.levels, side="right")
+        vol = np.where(count > 0, star.svals[count], 0.0)
+    return float(np.max(np.abs(vol - mu.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +484,12 @@ def lq_norm_radial(u: RadialTestFunction, q: float, n: int) -> float:
         return u.sup()
     # tabulated profiles are piecewise linear, so quad reports roundoff on
     # their interior kinks; the panel splitting already contains the error
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val = split_quad(
-            lambda r: float(u.profile(np.asarray(r))) ** q * r ** (n - 1),
-            0.0,
-            u.support_radius,
-            points=u.kinks,
-        )
+    val, _, _ = split_quad(
+        lambda r: float(u.profile(np.asarray(r))) ** q * r ** (n - 1),
+        0.0,
+        u.support_radius,
+        points=u.kinks,
+    )
     return (n * omega_n(n) * val) ** (1.0 / q)
 
 
@@ -552,13 +543,8 @@ def radial_dirichlet_energy(prof, h: MinkowskiNorm, p: float, grid_size: int = 8
     if isinstance(prof, RadialTestFunction):
         if prof.derivative is not None:
             fn = lambda r: abs(float(prof.derivative(np.asarray(r)))) ** p * r ** (n - 1)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", integrate.IntegrationWarning)
-                    val = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
-            except integrate.IntegrationWarning:
-                return math.inf
-            if not math.isfinite(val) or val > 1e15:
+            val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
+            if not converged or not math.isfinite(val) or val > 1e15:
                 return math.inf
             return n * omega_n(n) * val
         # no analytic derivative: graded central differences
@@ -602,14 +588,13 @@ def layer_cake_integral(m: FinslerInstance, x0, f, r_max: float, fprime=None, po
     """
     n = m.dim
     won = omega_n(n)
-    lhs = n * won * split_quad(lambda r: f(r) * r ** (n - 1), 0.0, r_max, points=points)
+    direct, _, ok_direct = split_quad(lambda r: f(r) * r ** (n - 1), 0.0, r_max, points=points)
     if fprime is None:
         h = 1e-7 * r_max
         fprime = lambda r: (f(r + h) - f(r - h)) / (2.0 * h)
-    rhs = f(r_max) * won * r_max**n - won * split_quad(
-        lambda r: fprime(r) * r**n, 0.0, r_max, points=points
-    )
-    return lhs, rhs
+    layers, _, ok_layers = split_quad(lambda r: fprime(r) * r**n, 0.0, r_max, points=points)
+    warn_unconverged(ok_direct and ok_layers, "layer-cake integral")
+    return n * won * direct, f(r_max) * won * r_max**n - won * layers
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +702,9 @@ def hlp_check(
     def rhs_fn(rho):
         return float(star.profile(np.asarray(rho))) ** p * f(rho) * rho ** (n - 1)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        rhs_val = split_quad(
-            rhs_fn, 0.0, star.support_radius(), points=tuple(f_points) + tuple(u.kinks)
-        )
+    rhs_val, _, _ = split_quad(
+        rhs_fn, 0.0, star.support_radius(), points=tuple(f_points) + tuple(u.kinks)
+    )
     rhs = n * omega_n(n) * rhs_val
     if not math.isfinite(rhs) or rhs > 1e15:
         return make_report(
@@ -730,14 +713,12 @@ def hlp_check(
         )
 
     if shift == 0.0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            lhs_val = split_quad(
-                lambda r: float(u.profile(np.asarray(r))) ** p * f(r) * r ** (n - 1),
-                0.0,
-                u.support_radius,
-                points=tuple(f_points) + tuple(u.kinks),
-            )
+        lhs_val, _, _ = split_quad(
+            lambda r: float(u.profile(np.asarray(r))) ** p * f(r) * r ** (n - 1),
+            0.0,
+            u.support_radius,
+            points=tuple(f_points) + tuple(u.kinks),
+        )
         lhs = n * omega_n(n) * lhs_val
         diag = {"path": "centered"}
     else:
@@ -779,4 +760,6 @@ def _shifted_weighted_lp(u, f, p, n, shift, f_points):
 
     lo = max(shift - u.support_radius, 0.0)
     hi = shift + u.support_radius
-    return split_quad(ring, lo, hi, points=tuple(f_points) + (shift,), epsrel=1e-9)
+    val, _, converged = split_quad(ring, lo, hi, points=tuple(f_points) + (shift,), epsrel=1e-9)
+    warn_unconverged(converged, "shifted weighted L^p integral")
+    return val

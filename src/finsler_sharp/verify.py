@@ -15,12 +15,10 @@ validation.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from ._util import resolve_workers, spawn_rngs, split_quad
 from .constants import (
@@ -348,11 +346,8 @@ def verify_hardy(
     def integrand(r):
         return float(u.profile(np.asarray(r))) ** p * r ** (n - 1 - p)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        weighted = n * omega_n(n) * split_quad(
-            integrand, 0.0, u.support_radius, points=u.kinks
-        )
+    val, _, _ = split_quad(integrand, 0.0, u.support_radius, points=u.kinks)
+    weighted = n * omega_n(n) * val
     diag = {"profile": u.label, "weighted_lp": weighted}
     if not math.isfinite(weighted) or weighted > 1e15:
         diag["divergent_weighted_term"] = True
@@ -407,18 +402,16 @@ def verify_bpv(
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     won = omega_n(n)
     dirichlet = _radial_energy(u, m, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        l2sq = n * won * split_quad(
-            lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 1),
+    l2sq = n * won * split_quad(
+        lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 1),
+        0.0, u.support_radius, points=u.kinks,
+    )[0]
+    hardy_term = 0.0
+    if mu != 0.0:
+        hardy_term = n * won * split_quad(
+            lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 3),
             0.0, u.support_radius, points=u.kinks,
-        )
-        hardy_term = 0.0
-        if mu != 0.0:
-            hardy_term = n * won * split_quad(
-                lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 3),
-                0.0, u.support_radius, points=u.kinks,
-            )
+        )[0]
     lhs = dirichlet - mu * hardy_term
     rhs = s_const * l2sq
     return make_report(

@@ -287,3 +287,38 @@ def test_out_dir_places_default_names(tmp_path, capsys):
     assert doc["passed"] is True
     # status line moves to stdout once the JSON goes to a file
     assert "PASS" in capsys.readouterr().out
+
+
+# -- profile descriptors on an instance ---------------------------------------
+
+
+@pytest.mark.parametrize("profile", [
+    "cone:R=1,height=2",
+    "plateau:inner=0.4,R=1.5,height=3",
+    "talenti_l1_extremal:p=4",
+])
+def test_profile_descriptors_on_an_instance(profile, capsys):
+    rc = run_cli(["verify", "--instance", "euclidean:n=2",
+                  "--inequality", "morrey-support", "--p", "4",
+                  "--profile", profile])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_table_profile_from_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "task": "verify", "instance": "lp:n=2,p=4", "inequality": "morrey-l1", "p": 5,
+        "profile": {"kind": "table", "rhos": [0.0, 0.5, 1.0], "values": [2.0, 1.0, 0.0]},
+    }))
+    assert run_cli(["verify", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert doc["config"]["profile"]["kind"] == "table"
+
+
+def test_extremal_profiles_take_the_instance_dimension(capsys):
+    rc = run_cli(["verify", "--instance", "euclidean:n=3",
+                  "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["report"]["ratio"] == pytest.approx(1.0, rel=1e-8)

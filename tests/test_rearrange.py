@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from finsler_sharp import rearrange as R
+from finsler_sharp._util import split_quad
 from finsler_sharp.constants import (
     l1_energy_limit,
     l1_extremal_height,
@@ -11,6 +14,7 @@ from finsler_sharp.constants import (
     omega_n,
     support_energy_limit,
 )
+from finsler_sharp.manifold import bh_density
 from finsler_sharp.norms import euclidean_norm, lp_norm, normalize
 
 
@@ -235,3 +239,153 @@ def test_random_decreasing_profile_properties(rng):
         assert vals[-1] == pytest.approx(0.0, abs=1e-12)
         assert u(u.support_radius * 1.5) == 0.0
         assert u.sup() > 0
+
+
+# -- level inversion and the equimeasurability gap ----------------------------
+
+
+def _bisect_level_radius(u, t):
+    """sup {rho : g(rho) > t} by bisection on the profile itself."""
+    g = lambda r: float(u.profile(np.asarray(r)))
+    if not g(0.0) > t:
+        return 0.0
+    if g(u.support_radius) > t:
+        return u.support_radius
+    lo, hi = 0.0, u.support_radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _loop_level_radii(u, levels):
+    """The per-level loop the table inversion replaced, kept as a reference:
+    the same arithmetic per level, so results must agree bit for bit."""
+    rho = R.graded_grid(0.0, u.support_radius, R.PROFILE_GRID + 1, exponent=1.6)
+    gv = np.asarray(u.profile(rho), dtype=float)
+    k = len(gv) - np.searchsorted(gv[::-1], levels, side="right") - 1
+    radii = np.empty(len(levels))
+    for i, (t, kk) in enumerate(zip(levels, k)):
+        if kk < 0:
+            radii[i] = 0.0
+        elif kk >= len(gv) - 1:
+            radii[i] = u.support_radius
+        else:
+            g0, g1 = gv[kk], gv[kk + 1]
+            frac = (g0 - t) / (g0 - g1) if g0 > g1 else 1.0
+            radii[i] = rho[kk] + (rho[kk + 1] - rho[kk]) * min(max(frac, 0.0), 1.0)
+    return radii
+
+
+def _probe_levels(u, rng):
+    sup = u.sup()
+    return np.concatenate(([-0.3, 0.0], rng.uniform(0.0, sup, 40), [sup, 1.5 * sup]))
+
+
+def _check_level_radii(u, levels):
+    with np.errstate(all="raise"):  # the flat-top cells must not divide by zero
+        radii = R._radial_level_radii(u, levels)
+    assert np.array_equal(radii, _loop_level_radii(u, levels))
+    ref = np.array([_bisect_level_radius(u, t) for t in levels])
+    # both radii lie in the table cell that brackets the level
+    rho = R.graded_grid(0.0, u.support_radius, R.PROFILE_GRID + 1, exponent=1.6)
+    cell = np.clip(np.searchsorted(rho, ref), 1, len(rho) - 1)
+    width = rho[cell] - rho[cell - 1]
+    assert np.all(np.abs(radii - ref) <= width + 1e-12)
+    return radii, ref
+
+
+def test_level_radii_match_bisection_on_random_profiles(rng):
+    for _ in range(12):
+        u = R.random_decreasing_profile(rng)
+        levels = _probe_levels(u, rng)
+        radii, _ = _check_level_radii(u, levels)
+        assert radii[0] == u.support_radius  # t < 0: every point is above
+        assert radii[1] == u.support_radius  # t = 0: the open support
+        assert radii[-2] == 0.0 and radii[-1] == 0.0  # t >= sup: empty
+
+
+def test_level_radii_exact_on_cone(rng):
+    u = R.cone_profile(radius=1.3, height=2.0)
+    levels = _probe_levels(u, rng)
+    radii, ref = _check_level_radii(u, levels)
+    # a linear profile is inverted exactly by the linear interpolation
+    assert radii == pytest.approx(ref, abs=1e-12)
+
+
+def test_level_radii_on_plateau_flat_top(rng):
+    u = R.plateau_profile(inner=0.5, radius=1.0, height=1.0)
+    levels = np.concatenate((_probe_levels(u, rng), [1.0 - 1e-12, 0.5]))
+    radii, _ = _check_level_radii(u, levels)
+    assert radii[-1] == pytest.approx(0.75, abs=1e-12)  # on the linear ramp
+    assert 0.5 <= radii[-2] <= 0.5 + 1e-3  # just below the plateau height
+
+
+def _off_centre_bumps(e2, shift):
+    def bumps(pts):
+        d1 = np.linalg.norm(pts - np.array([0.8, 0.0]), axis=1)
+        d2 = np.linalg.norm(pts + np.array([0.6, shift]), axis=1)
+        return np.maximum(1.0 - d1 / 0.6, 0.0) + 0.7 * np.maximum(1.0 - d2 / 0.5, 0.0)
+
+    return R.grid_function_from_callable(bumps, box_half=(2.0, 2.0), shape=(64, 64))
+
+
+def test_staircase_gap_matches_direct_count(e2, rng):
+    g = _off_centre_bumps(e2, 0.1)
+    other = _off_centre_bumps(e2, 0.3)  # same cells, different values
+    h = euclidean_norm(2)
+    weight = bh_density(e2) * g.cell_volume()
+    vals = g.values.ravel()
+    levels = np.concatenate(([0.0], rng.uniform(0.0, vals.max(), 60), [vals.max()]))
+    for star_src in (g, other):
+        star = R.rearrange(star_src, e2, h)
+        direct = max(
+            abs(weight * np.sum(star_src.values.ravel() > t) - weight * np.sum(vals > t))
+            for t in levels
+        )
+        assert R.equimeasurability_gap(g, e2, star, levels=levels) == pytest.approx(direct, rel=1e-12, abs=0)
+    assert direct > 0.0  # the foreign staircase really is a different distribution
+
+
+def test_equimeasurability_gap_rejects_non_monotone_profile(e2):
+    ramp = R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
+                                support_radius=2.0, label="ramp")
+    good = R.rearrange(R.cone_profile(), e2, euclidean_norm(2))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        R.equimeasurability_gap(ramp, e2, good)
+    bad_star = R.DecreasingProfile(svals=good.svals, tvals=good.tvals, norm=good.norm, smooth=ramp)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        R.equimeasurability_gap(R.cone_profile(), e2, bad_star)
+
+
+def test_equimeasurability_gap_sees_a_scaled_profile(e2, rng):
+    # planted defect: a 1% taller rearrangement is not equimeasurable
+    h = euclidean_norm(2)
+    for _ in range(5):
+        u = R.random_decreasing_profile(rng)
+        star = R.rearrange(R.scale_profile(u, 1.01), e2, h)
+        tolerance = 1e-9 * max(1.0, omega_n(2) * u.support_radius**2)
+        assert R.equimeasurability_gap(u, e2, star) > 1e3 * tolerance
+
+
+# -- quadrature convergence flags ----------------------------------------------
+
+
+def test_split_quad_reports_divergence_without_warning_filters():
+    before = list(warnings.filters)
+    val, err, converged = split_quad(lambda r: r**-1.5, 0.0, 1.0, points=(0.5,))
+    assert not converged
+    val, err, converged = split_quad(lambda r: math.exp(-r), 0.0, 2.0, points=(1.0,))
+    assert converged and err < 1e-12
+    assert val == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
+    assert warnings.filters == before
+
+
+def test_layer_cake_warns_once_on_divergence(e2):
+    with pytest.warns(IntegrationWarning) as record:
+        R.layer_cake_integral(e2, np.zeros(2), lambda r: r**-3.0, 1.0,
+                              fprime=lambda r: -3.0 * r**-4.0)
+    assert sum(issubclass(w.category, IntegrationWarning) for w in record) == 1

@@ -1,6 +1,8 @@
 """Inequality verification layer: equality cases, sweeps, suites."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +276,27 @@ def test_suite_is_deterministic_across_workers(e2):
     b = V.randomized_suite(e2, "morrey_support", n_draws=8, seed=5, workers=2)
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.rhs for r in a] == [r.rhs for r in b]
+
+
+def test_divergent_energy_draws_are_thread_safe(e2):
+    # seed 23 draws three profiles whose energy quadrature does not
+    # converge, so both sides read inf; the flag comes back from
+    # split_quad without touching the process-wide warning filters
+    before = list(warnings.filters)
+    a = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23, workers=1)
+    b = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23, workers=2)
+    assert warnings.filters == before
+    assert sum(math.isinf(r.lhs) and math.isinf(r.rhs) for r in a) == 3
+
+    def plain(reports):
+        out = []
+        for r in reports:
+            d = r.as_dict()
+            d["diagnostics"].pop("workers")
+            out.append(json.dumps(d, sort_keys=True))
+        return out
+
+    assert plain(a) == plain(b)
 
 
 def test_suite_rejects_unsupported(e2):
