@@ -1,10 +1,11 @@
 """Shared small helpers: thread resolution, seeded RNG spawning, graded grids,
-panel quadrature."""
+the Monte-Carlo box sampler, panel quadrature."""
 
 from __future__ import annotations
 
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import integrate
@@ -41,6 +42,34 @@ def chunk_sizes(total: int, parts: int):
     """Split total into parts near-equal chunks, deterministically."""
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
+
+
+def box_hits(inside, half, n_samples: int, seed, workers: int) -> int:
+    """Count the points of a uniform sample of the box [-half, half] for which
+    inside(points) holds.
+
+    The sample is split into one seeded stream per worker, drawn in blocks
+    of at most 262144 points, so a fixed seed and worker count give the
+    same count.
+    """
+    half = np.asarray(half, dtype=float)
+
+    def count(rng, size):
+        hits = 0
+        done = 0
+        while done < size:
+            m = min(size - done, 262144)
+            pts = rng.uniform(-1.0, 1.0, size=(m, len(half))) * half
+            hits += int(np.count_nonzero(inside(pts)))
+            done += m
+        return hits
+
+    sizes = chunk_sizes(n_samples, workers)
+    rngs = spawn_rngs(seed, workers)
+    if workers == 1:
+        return count(rngs[0], sizes[0])
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return sum(ex.map(count, rngs, sizes))
 
 
 def split_quad(fn, a, b, points=(), epsabs=1e-12, epsrel=1e-10, limit=300):

@@ -12,13 +12,12 @@ g <= F_eps <= sqrt(1 + eps) g.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._util import chunk_sizes, resolve_workers, spawn_rngs
+from ._util import box_hits, resolve_workers
 from .constants import omega_n
 from .norms import (
     MinkowskiNorm,
@@ -140,6 +139,13 @@ def fiber_volume(m: FinslerInstance, **kw) -> VolumeEstimate:
     return m._cache[key]
 
 
+def _box_half_widths(m: FinslerInstance) -> np.ndarray:
+    """Half-widths F*(e_j) of the box around the unit ball, cached per instance."""
+    if "box_half_widths" not in m._cache:
+        m._cache["box_half_widths"] = dual_norm(m.norm, np.eye(m.dim))
+    return m._cache["box_half_widths"]
+
+
 def bh_density(m: FinslerInstance, x=None, **kw) -> float:
     """Busemann-Hausdorff density omega_n / Vol(tangent unit ball).
 
@@ -214,28 +220,9 @@ def ball_volume_mc(
     workers = resolve_workers(workers)
     x0 = np.asarray(x0, dtype=float)
     sigma = bh_density(m)
-    half = r * np.array([dual_norm(m.norm, e) for e in np.eye(m.dim)]) * (1.0 + 1e-9)
+    half = r * _box_half_widths(m) * (1.0 + 1e-9)
     box_vol = float(np.prod(2.0 * half))
-    sizes = chunk_sizes(n_samples, workers)
-    rngs = spawn_rngs(seed, workers)
-
-    def count_hits(args):
-        rng, size = args
-        hits = 0
-        done = 0
-        while done < size:
-            mm = min(size - done, 262144)
-            pts = rng.uniform(-1.0, 1.0, size=(mm, m.dim)) * half
-            hits += int(np.count_nonzero(m.norm(pts) < r))
-            done += mm
-        return hits
-
-    if workers == 1:
-        totals = [count_hits((rngs[0], sizes[0]))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            totals = list(ex.map(count_hits, zip(rngs, sizes)))
-    phat = sum(totals) / n_samples
+    phat = box_hits(lambda pts: m.norm(pts) < r, half, n_samples, seed, workers) / n_samples
     value = sigma * box_vol * phat
     stderr = sigma * box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
     return VolumeEstimate(value, stderr, "mc", n_samples, seed, workers)
@@ -327,11 +314,6 @@ def finsler_gradient(m: FinslerInstance, x, du) -> np.ndarray:
     if not np.any(du):
         return np.zeros(m.dim)
     h = 1e-6 * max(1.0, float(np.linalg.norm(du)))
-    out = np.empty(m.dim)
-    for j in range(m.dim):
-        e = np.zeros(m.dim)
-        e[j] = h
-        fp = dual_norm(m.norm, du + e)
-        fm = dual_norm(m.norm, du - e)
-        out[j] = (fp**2 - fm**2) / (4.0 * h)
-    return out
+    # the 2n shifted covectors du +- h e_j in one batch
+    vals = dual_norm(m.norm, du + h * np.concatenate([np.eye(m.dim), -np.eye(m.dim)]))
+    return (vals[: m.dim] ** 2 - vals[m.dim :] ** 2) / (4.0 * h)

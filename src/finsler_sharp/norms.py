@@ -8,22 +8,25 @@ return shape (...).
 The dual (polar) norm is computed analytically when a closed form is
 attached, and otherwise by multi-start projected gradient ascent on the
 Euclidean unit sphere followed by golden-section refinement along the
-best great-circle direction.  Unit-ball volumes come from a closed form
-when known, adaptive radial-angular quadrature in dimensions 2 and 3,
-or Monte-Carlo over the dual bounding box.
+best great-circle direction.  dual_norm takes one covector, shape (dim,),
+or a batch, shape (K, dim), and runs the ascent on all rows at once; a
+row is frozen once it settles, so its value does not depend on the
+batch, and the call raises if any row fails to settle.  Unit-ball
+volumes come from a closed form when known, adaptive radial-angular
+quadrature in dimensions 2 and 3, or Monte-Carlo over the dual bounding
+box.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
 
-from ._util import chunk_sizes, resolve_workers, spawn_rngs
+from ._util import box_hits, resolve_workers
 from .constants import omega_n
 
 
@@ -63,17 +66,19 @@ class MinkowskiNorm:
         return dual_norm(self, alpha)
 
     def gradient(self, y):
-        """Gradient of H at y, analytic when available else central differences."""
+        """Gradient of H at y, shape (dim,) or (K, dim), row by row.
+
+        Analytic when available, else central differences with step
+        1e-6 * max(1, |y|) per row.
+        """
         y = np.asarray(y, dtype=float)
         if self.analytic_gradient is not None:
             return self.scale * np.asarray(self.analytic_gradient(y), dtype=float)
-        h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-        g = np.empty(self.dim)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = h
-            g[j] = (self(y + e) - self(y - e)) / (2.0 * h)
-        return g
+        # |y| by the same dot product per row as np.linalg.norm of one vector
+        size = np.sqrt(np.matmul(y[..., None, :], y[..., :, None]))[..., 0]
+        h = 1e-6 * np.maximum(1.0, size)
+        shift = h[..., None] * np.eye(self.dim)
+        return (self(y[..., None, :] + shift) - self(y[..., None, :] - shift)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def euclidean_norm(n: int) -> MinkowskiNorm:
         dim=n,
         base=lambda y: np.sqrt(np.sum(np.square(y), axis=-1)),
         analytic_dual=lambda a: np.sqrt(np.sum(np.square(a), axis=-1)),
-        analytic_gradient=lambda y: y / np.linalg.norm(y),
+        analytic_gradient=lambda y: y / np.linalg.norm(y, axis=-1, keepdims=True),
         analytic_volume=omega_n(n),
         label="euclidean",
         normalized=True,
@@ -138,7 +143,7 @@ def lp_norm(n: int, p: float) -> MinkowskiNorm:
         dual = lambda a: np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
 
         def grad(y, _p=p):
-            r = np.sum(np.abs(y) ** _p) ** (1.0 / _p)
+            r = np.sum(np.abs(y) ** _p, axis=-1, keepdims=True) ** (1.0 / _p)
             return np.sign(y) * np.abs(y) ** (_p - 1.0) / r ** (_p - 1.0)
 
     return MinkowskiNorm(
@@ -218,43 +223,149 @@ def norm_from_descriptor(desc: dict) -> MinkowskiNorm:
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
-    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+    # the arithmetic of np.linalg.norm(y, axis=-1), without its call overhead
+    return y / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True))
 
 
-def _ratio(h: MinkowskiNorm, alpha: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (y @ alpha) / h(y)
+def _pair(y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """alpha_k . y_kj for points y (K, m, n) and covectors alpha (K, n) -> (K, m).
+
+    matmul runs the same BLAS kernel per row as the one-covector product
+    y @ alpha, so a row's values do not depend on the batch it sits in.
+    """
+    return np.matmul(y, alpha[:, :, None])[..., 0]
 
 
-def _ratio_gradient(h: MinkowskiNorm, alpha, y, fy, hy, fd_step=1e-7):
-    # gradient of y -> alpha.y / H(y):  alpha/H - f * DH / H, DH by central differences
-    m, n = y.shape
-    shift = np.zeros((n, 1, 1, n))
-    for j in range(n):
-        shift[j, 0, 0, j] = fd_step
-    pts = y[None, None, :, :] + np.concatenate([shift, -shift], axis=1)
-    vals = h(pts.reshape(-1, n)).reshape(n, 2, m)
-    dh = (vals[:, 0, :] - vals[:, 1, :]).T / (2.0 * fd_step)
-    return alpha[None, :] / hy[:, None] - (fy / hy)[:, None] * dh
+def _norm_rows(h: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
+    """H at points y (..., n); h is handed a 2-D array of rows, as custom norms expect."""
+    return h(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-11, max_iter: int = 200):
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+def _probe_offsets(n: int, fd_step: float) -> np.ndarray:
+    """0 and +-fd_step e_j, shaped (2n+1, 1, 1, n) to broadcast against (K, m, n)."""
+    offsets = np.zeros((2 * n + 1, 1, 1, n))
+    offsets[1 + np.arange(n), 0, 0, np.arange(n)] = fd_step
+    offsets[1 + n + np.arange(n), 0, 0, np.arange(n)] = -fd_step
+    return offsets
+
+
+def _norm_and_slope(h: MinkowskiNorm, y, offsets, fd_step):
+    """H at points y (K, m, n) and its central-difference gradient, one call of h."""
+    n = y.shape[-1]
+    vals = _norm_rows(h, y + offsets)
+    dh = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * fd_step)
+    return vals[0], dh.transpose(1, 2, 0)
+
+
+def _ratio_gradient(alpha, fy, hy, dh):
+    # gradient of y -> alpha.y / H(y):  alpha/H - f * DH / H
+    return alpha[:, None, :] / hy[..., None] - (fy / hy)[..., None] * dh
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden polish bracket [-_GOLDEN_HALF, _GOLDEN_HALF] in radians; each step
+# shrinks it by _INVPHI whichever side a row keeps, so every row takes the
+# steps that bring the width below 1e-11
+_GOLDEN_HALF = 1e-2
+_GOLDEN_STEPS = math.ceil(math.log(1e-11 / (2.0 * _GOLDEN_HALF)) / math.log(_INVPHI))
+
+
+def _golden_polish(h: MinkowskiNorm, alpha, y, offsets, fd_step):
+    """Refine ascent winners y (K, 1, n) by up to three golden-section line
+    searches along the projected ratio gradient; y is updated in place.
+
+    A row whose projected gradient falls below 1e-13 drops out for good.
+    """
+    live, y0, a = np.arange(len(y)), y, alpha
+    for _ in range(3):
+        hy, dh = _norm_and_slope(h, y0, offsets, fd_step)
+        g = _ratio_gradient(a, _pair(y0, a) / hy, hy, dh)
+        g -= _pair(g, y0[:, 0])[..., None] * y0
+        gn = np.sqrt(_pair(g, g[:, 0]))
+        moving = ~(gn[:, 0] < 1e-13)
+        if not moving.all():
+            live, y0, a, g, gn = live[moving], y0[moving], a[moving], g[moving], gn[moving]
+            if not len(live):
+                break
+        d = g / gn[..., None]
+
+        def along(t, _y=y0, _d=d, _a=a):
+            z = np.cos(t)[..., None] * _y + np.sin(t)[..., None] * _d
+            return _pair(z, _a) / _norm_rows(h, z)
+
+        # golden section in survivor form: the bracket has ends p and q, the
+        # better interior point s lies nearer p and the next point t nearer q
+        c0 = _GOLDEN_HALF - _INVPHI * (2.0 * _GOLDEN_HALF)
+        e0 = -_GOLDEN_HALF + _INVPHI * (2.0 * _GOLDEN_HALF)
+        fc, fe = along(np.array([c0, e0])[:, None, None])
+        left = fc > fe  # the first step keeps [lo, e] around c, else [c, hi] around e
+        p = np.where(left, e0, c0)
+        q = np.where(left, -_GOLDEN_HALF, _GOLDEN_HALF)
+        s, fs = np.where(left, c0, e0), np.maximum(fc, fe)
+        for _ in range(_GOLDEN_STEPS - 1):
+            t = p + _INVPHI * (q - p)
+            ft = along(t)
+            # t wins a tie only when it is the right-hand point, as c > e is strict
+            twin = (ft > fs) | ((ft == fs) & (q > p))
+            np.copyto(q, p, where=~twin)
+            p = np.where(twin, s, t)
+            np.copyto(s, t, where=twin)
+            fs = np.maximum(fs, ft)
+        t = 0.5 * (p + q)
+        y0 = _unit_rows(np.cos(t)[..., None] * y0 + np.sin(t)[..., None] * d)
+        y[live] = y0
+    return y
+
+
+def _dual_ascent(h: MinkowskiNorm, alpha, seed, n_random, max_iter, fd_step):
+    """H* of nonzero covectors alpha (K, n): batched multi-start ascent and polish."""
+    k, n = alpha.shape
+    offsets = _probe_offsets(n, fd_step)
+    rng = np.random.default_rng(seed)
+    starts = [np.eye(n), -np.eye(n), np.zeros((1, n)), _unit_rows(rng.standard_normal((n_random, n)))]
+    y = np.repeat(np.concatenate(starts)[None], k, axis=0)
+    y[:, 2 * n] = alpha / np.sqrt(_pair(alpha[:, None, :], alpha))
+    y = _unit_rows(y)
+    hy, dh = _norm_and_slope(h, y, offsets, fd_step)
+    fy = _pair(y, alpha) / hy
+    step = np.full(fy.shape, 0.25)
+    last_best = np.full(k, -np.inf)
+    stalled = np.zeros(k, dtype=int)
+    # the rows still climbing; a settled row leaves the batch and stops changing
+    rows, a = np.arange(k), alpha
+    winners = np.empty((k, 1, n))
     for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+        g = _ratio_gradient(a, fy, hy, dh)
+        g -= np.add.reduce(g * y, axis=-1, keepdims=True) * y
+        cand = _unit_rows(y + step[..., None] * g)
+        # the slope at cand is the next gradient for every start that moves
+        hc, dhc = _norm_and_slope(h, cand, offsets, fd_step)
+        fc = _pair(cand, a) / hc
+        up = fc > fy
+        np.copyto(y, cand, where=up[..., None])
+        np.copyto(dh, dhc, where=up[..., None])
+        np.copyto(fy, fc, where=up)
+        np.copyto(hy, hc, where=up)
+        step *= np.where(up, 1.3, 0.5)
+        best = fy.max(axis=1)
+        flat = best - last_best < 1e-14 * np.maximum(1.0, np.abs(best))
+        stalled = (stalled + 1) * flat
+        last_best = best
+        settled = stalled >= 8
+        if settled.any():
+            winners[rows[settled], 0] = y[settled, fy[settled].argmax(axis=1)]
+            if settled.all():
+                break
+            keep = ~settled
+            rows, a, y, dh, fy, hy = rows[keep], a[keep], y[keep], dh[keep], fy[keep], hy[keep]
+            step, last_best, stalled = step[keep], last_best[keep], stalled[keep]
+    else:
+        raise DualMaximizerError(
+            f"dual-norm ascent did not settle in {max_iter} iterations",
+            best_value=float(fy[0].max()),
+        )
+    y0 = _golden_polish(h, alpha, winners, offsets, fd_step)
+    return (_pair(y0, alpha) / _norm_rows(h, y0))[:, 0]
 
 
 def dual_norm(
@@ -264,81 +375,36 @@ def dual_norm(
     n_random: int = 8,
     max_iter: int = 400,
     fd_step: float = 1e-7,
-) -> float:
+) -> float | np.ndarray:
     """Dual (polar) norm H*(alpha) = sup {alpha.y : H(y) <= 1}.
 
-    Uses the attached closed form when present.  Otherwise maximizes the
-    0-homogeneous ratio alpha.y / H(y) on the unit sphere from 2*dim
-    coordinate starts plus the direction of alpha plus n_random seeded
-    random starts, by projected gradient ascent with per-start adaptive
-    steps, then refines the winner by golden-section search along its
-    final great-circle ascent direction.
+    alpha is one covector, shape (dim,), giving a float, or a batch of K
+    covectors, shape (K, dim), giving an array of K values; a single
+    covector is run as a batch of one.  Uses the attached closed form when
+    present.  Otherwise maximizes the 0-homogeneous ratio alpha.y / H(y)
+    on the unit sphere from 2*dim coordinate starts plus the direction of
+    alpha plus n_random seeded random starts (the same for every row), by
+    projected gradient ascent with per-start adaptive steps, then refines
+    each row's winner by golden-section search along its final
+    great-circle ascent direction.  A row is frozen once its best value
+    has stalled 8 times, so its result does not depend on the rest of the
+    batch.  Zero rows give 0.  If any row has not settled within max_iter
+    iterations, DualMaximizerError is raised with that row's best value.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (h.dim,):
-        raise ValueError(f"covector must have shape ({h.dim},), got {alpha.shape}")
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != h.dim:
+        raise ValueError(f"covector must have shape ({h.dim},) or (K, {h.dim}), got {alpha.shape}")
     if not np.all(np.isfinite(alpha)):
         raise ValueError("covector must be finite")
+    rows = np.atleast_2d(alpha)
     if h.analytic_dual is not None:
-        return float(h.analytic_dual(alpha)) / h.scale
-    norm_a = float(np.linalg.norm(alpha))
-    if norm_a == 0.0:
-        return 0.0
-
-    rng = np.random.default_rng(seed)
-    starts = [np.eye(h.dim), -np.eye(h.dim), (alpha / norm_a)[None, :]]
-    starts.append(_unit_rows(rng.standard_normal((n_random, h.dim))))
-    y = _unit_rows(np.concatenate(starts, axis=0))
-    m = y.shape[0]
-    step = np.full(m, 0.25)
-    hy = h(y)
-    fy = (y @ alpha) / hy
-    last_best = -np.inf
-    stalled = 0
-    for _ in range(max_iter):
-        g = _ratio_gradient(h, alpha, y, fy, hy, fd_step)
-        g -= np.sum(g * y, axis=1, keepdims=True) * y
-        cand = _unit_rows(y + step[:, None] * g)
-        hc = h(cand)
-        fc = (cand @ alpha) / hc
-        up = fc > fy
-        y[up], fy[up], hy[up] = cand[up], fc[up], hc[up]
-        step[up] *= 1.3
-        step[~up] *= 0.5
-        best = float(fy.max())
-        if best - last_best < 1e-14 * max(1.0, abs(best)):
-            stalled += 1
-            if stalled >= 8:
-                break
-        else:
-            stalled = 0
-        last_best = best
+        vals = np.asarray(h.analytic_dual(rows), dtype=float) / h.scale
     else:
-        if stalled < 8:
-            raise DualMaximizerError(
-                f"dual-norm ascent did not settle in {max_iter} iterations",
-                best_value=float(fy.max()),
-            )
-
-    y0 = y[int(np.argmax(fy))]
-    # golden-section polish along the projected-gradient great circle
-    for _ in range(3):
-        hy0 = h(y0[None, :])
-        fy0 = np.array([float(y0 @ alpha)]) / hy0
-        g = _ratio_gradient(h, alpha, y0[None, :], fy0, hy0, fd_step)[0]
-        g -= float(g @ y0) * y0
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-13:
-            break
-        d = g / gn
-
-        def along(t, _y=y0, _d=d):
-            z = math.cos(t) * _y + math.sin(t) * _d
-            return float(z @ alpha) / float(h(z))
-
-        t_star, _ = _golden_max(along, -1e-2, 1e-2)
-        y0 = _unit_rows((math.cos(t_star) * y0 + math.sin(t_star) * d)[None, :])[0]
-    return float(y0 @ alpha) / float(h(y0))
+        vals = np.zeros(len(rows))
+        nonzero = np.any(rows != 0.0, axis=1)
+        if nonzero.any():
+            vals[nonzero] = _dual_ascent(h, rows[nonzero], seed, n_random, max_iter, fd_step)
+    return float(vals[0]) if alpha.ndim == 1 else vals
 
 
 def _quadrature_volume(h: MinkowskiNorm, n_theta: int = 4096, n_polar: int = 400) -> float:
@@ -364,31 +430,12 @@ def _quadrature_volume(h: MinkowskiNorm, n_theta: int = 4096, n_polar: int = 400
 
 
 def _mc_volume(h: MinkowskiNorm, n_samples: int, seed, workers: int):
-    half = np.array([dual_norm(h, e) for e in np.eye(h.dim)])
+    half = dual_norm(h, np.eye(h.dim))
     if not np.all(np.isfinite(half)) or np.any(half <= 0):
         raise ValueError("bounding box not found: degenerate norm")
     half = half * (1.0 + 1e-9)
     box_vol = float(np.prod(2.0 * half))
-    sizes = chunk_sizes(n_samples, workers)
-    rngs = spawn_rngs(seed, workers)
-
-    def count_hits(args):
-        rng, size = args
-        hits = 0
-        done = 0
-        while done < size:
-            m = min(size - done, 262144)
-            pts = rng.uniform(-1.0, 1.0, size=(m, h.dim)) * half
-            hits += int(np.count_nonzero(h(pts) < 1.0))
-            done += m
-        return hits
-
-    if workers == 1:
-        totals = [count_hits((rngs[0], sizes[0]))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            totals = list(ex.map(count_hits, zip(rngs, sizes)))
-    phat = sum(totals) / n_samples
+    phat = box_hits(lambda pts: h(pts) < 1.0, half, n_samples, seed, workers) / n_samples
     value = box_vol * phat
     stderr = box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
     return value, stderr, box_vol
@@ -449,12 +496,10 @@ def eikonal_residual(h: MinkowskiNorm, samples) -> float:
     """max over samples of |H*(DH(x)) - 1|.
 
     DH uses the attached gradient when present, else central differences
-    with step 1e-6 * max(1, |x|).
+    with step 1e-6 * max(1, |x|).  One gradient call and one dual call
+    serve all samples.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = 0.0
-    for x in samples:
-        if not np.any(x):
-            raise ValueError("eikonal samples must avoid the origin")
-        worst = max(worst, abs(dual_norm(h, h.gradient(x)) - 1.0))
-    return worst
+    if not np.all(np.any(samples, axis=-1)):
+        raise ValueError("eikonal samples must avoid the origin")
+    return float(np.max(np.abs(dual_norm(h, h.gradient(samples)) - 1.0), initial=0.0))

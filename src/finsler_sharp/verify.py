@@ -436,16 +436,12 @@ def verify_bpv(
 # anisotropic perimeter
 
 
-def _dual_values(h: MinkowskiNorm, vecs: np.ndarray) -> np.ndarray:
-    return np.array([h.dual(v) for v in vecs])
-
-
 def _perimeter_polygon(h: MinkowskiNorm, pts: np.ndarray) -> float:
     # counterclockwise closed polygon; edge (dx,dy) has outward normal (dy,-dx),
     # and 1-homogeneity of the dual absorbs the edge length
     edges = np.roll(pts, -1, axis=0) - pts
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-    return float(np.sum(_dual_values(h, normals)))
+    return float(np.sum(h.dual(normals)))
 
 
 def _perimeter_surface(h: MinkowskiNorm, radial, n_phi: int, n_theta: int) -> float:
@@ -467,7 +463,7 @@ def _perimeter_surface(h: MinkowskiNorm, radial, n_phi: int, n_theta: int) -> fl
     xp = (point(pp + hs, tt) - point(pp - hs, tt)) / (2.0 * hs)
     xt = (point(pp, tt + hs) - point(pp, tt - hs)) / (2.0 * hs)
     cross = np.cross(xp, xt).reshape(-1, 3)
-    vals = _dual_values(h, cross)
+    vals = h.dual(cross)
     return float(np.sum(vals)) * dphi * dtheta
 
 
@@ -521,8 +517,7 @@ def verify_isoperimetric(
                 theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
                 w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
                 if kind == "wulff":
-                    scale = np.array([r / float(h(v)) for v in w])
-                    return scale[:, None] * w
+                    return (r / h(w))[:, None] * w
                 if kind == "ball":
                     return r * w
                 return np.stack([ax * np.cos(theta), bx * np.sin(theta)], axis=1)
@@ -541,7 +536,7 @@ def verify_isoperimetric(
         elif n == 3 and kind in ("wulff", "ball"):
             r = float(spec.get("radius", 1.0))
             if kind == "wulff":
-                radial = lambda w: r / np.array([float(h(v)) for v in w.reshape(-1, 3)]).reshape(w.shape[:-1])
+                radial = lambda w: r / h(w.reshape(-1, 3)).reshape(w.shape[:-1])
                 vol = WulffShape(norm=h, radius=r).volume()
             else:
                 radial = lambda w: np.full(w.shape[:-1], r)

@@ -129,3 +129,35 @@ def test_fiber_volume_cached(l4_2):
     a = M.fiber_volume(l4_2)
     b = M.fiber_volume(l4_2)
     assert a is b
+
+
+def test_finsler_gradient_legendre_identity_by_ascent():
+    # f_eps has no closed-form dual: the 2n shifted covectors go through one ascent batch
+    m = M.f_eps_instance(3, 1.0)
+    du = np.array([0.4, -1.1, 0.8])
+    y = M.finsler_gradient(m, np.zeros(3), du)
+    fstar = M.dual_norm(m.norm, du)
+    assert float(du @ y) == pytest.approx(fstar**2, rel=1e-5)
+    assert float(m.norm(y)) == pytest.approx(fstar, rel=1e-5)
+
+
+@pytest.mark.parametrize("workers,hits,value", [(1, 29498, 9.173411382770889), (2, 29516, 9.179009098035989)])
+def test_ball_volume_mc_hit_counts_pinned(monkeypatch, workers, hits, value):
+    # counts and values of the sampler before the Monte-Carlo hit counters were
+    # merged; an odd sample count gives the two workers streams of unequal length
+    seen = []
+    real = M.box_hits
+    monkeypatch.setattr(M, "box_hits", lambda *a: seen.append(real(*a)) or seen[-1])
+    est = M.ball_volume_mc(M.f_eps_instance(3, 1.0), np.zeros(3), 1.3, n_samples=50_001, seed=9,
+                           workers=workers)
+    assert seen == [hits]
+    assert est.value == value
+
+
+def test_ball_volume_box_computed_once_per_instance(monkeypatch):
+    calls = []
+    real = M.dual_norm
+    monkeypatch.setattr(M, "dual_norm", lambda h, a, **kw: calls.append(np.shape(a)) or real(h, a, **kw))
+    m = M.f_eps_instance(2, 0.5)
+    M.ball_volume_curve(m, np.zeros(2), [1.0, 2.0, 4.0], n_samples=2_000, seed=1)
+    assert calls == [(2, 2)]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from finsler_sharp import norms as N
 from finsler_sharp.norms import (
+    DualMaximizerError,
     WulffShape,
     custom_norm,
     dual_norm,
@@ -205,3 +207,204 @@ def test_bidual_is_original():
     for _ in range(4):
         y = rng.standard_normal(2)
         assert dual_norm(hd, y) == pytest.approx(float(h(y)), rel=1e-6)
+
+
+# batched dual ---------------------------------------------------------------
+
+
+def _reference_ratio_gradient(h, alpha, y, fy, hy, fd_step):
+    m, n = y.shape
+    shift = np.zeros((n, 1, 1, n))
+    for j in range(n):
+        shift[j, 0, 0, j] = fd_step
+    pts = y[None, None, :, :] + np.concatenate([shift, -shift], axis=1)
+    vals = h(pts.reshape(-1, n)).reshape(n, 2, m)
+    dh = (vals[:, 0, :] - vals[:, 1, :]).T / (2.0 * fd_step)
+    return alpha[None, :] / hy[:, None] - (fy / hy)[:, None] * dh
+
+
+def _reference_golden_max(f, a, b, tol=1e-11, max_iter=200):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a < tol:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _reference_dual(h, alpha, seed=0, n_random=8, max_iter=400, fd_step=1e-7):
+    """The one-covector ascent the batched dual_norm replaced, kept as a
+    reference: the same starts, steps, stall rule and golden polish, run
+    on one covector at a time."""
+    norm_a = float(np.linalg.norm(alpha))
+    if norm_a == 0.0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    unit = lambda y: y / np.linalg.norm(y, axis=-1, keepdims=True)
+    starts = [np.eye(h.dim), -np.eye(h.dim), (alpha / norm_a)[None, :]]
+    starts.append(unit(rng.standard_normal((n_random, h.dim))))
+    y = unit(np.concatenate(starts, axis=0))
+    step = np.full(y.shape[0], 0.25)
+    hy = h(y)
+    fy = (y @ alpha) / hy
+    last_best, stalled = -np.inf, 0
+    for _ in range(max_iter):
+        g = _reference_ratio_gradient(h, alpha, y, fy, hy, fd_step)
+        g -= np.sum(g * y, axis=1, keepdims=True) * y
+        cand = unit(y + step[:, None] * g)
+        hc = h(cand)
+        fc = (cand @ alpha) / hc
+        up = fc > fy
+        y[up], fy[up], hy[up] = cand[up], fc[up], hc[up]
+        step[up] *= 1.3
+        step[~up] *= 0.5
+        best = float(fy.max())
+        if best - last_best < 1e-14 * max(1.0, abs(best)):
+            stalled += 1
+            if stalled >= 8:
+                break
+        else:
+            stalled = 0
+        last_best = best
+    else:
+        raise DualMaximizerError("reference ascent did not settle", best_value=float(fy.max()))
+    y0 = y[int(np.argmax(fy))]
+    for _ in range(3):
+        hy0 = h(y0[None, :])
+        fy0 = np.array([float(y0 @ alpha)]) / hy0
+        g = _reference_ratio_gradient(h, alpha, y0[None, :], fy0, hy0, fd_step)[0]
+        g -= float(g @ y0) * y0
+        gn = float(np.linalg.norm(g))
+        if gn < 1e-13:
+            break
+        d = g / gn
+
+        def along(t, _y=y0, _d=d):
+            z = math.cos(t) * _y + math.sin(t) * _d
+            return float(z @ alpha) / float(h(z))
+
+        t_star = _reference_golden_max(along, -1e-2, 1e-2)
+        y0 = unit((math.cos(t_star) * y0 + math.sin(t_star) * d)[None, :])[0]
+    return float(y0 @ alpha) / float(h(y0))
+
+
+def _covectors(n, k, seed):
+    # components bounded away from 0: the 3-D ascent stalls on near-axis
+    # covectors (see test_batch_dual_raises_if_any_row_fails)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.2, 2.0, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+
+
+BATCH_NORMS = [
+    ("f_eps,n=2", lambda: f_eps_fiber_norm(2, 1.0)),
+    ("f_eps,n=3", lambda: f_eps_fiber_norm(3, 0.5)),
+    ("f_eps-normalized,n=2", lambda: normalize(f_eps_fiber_norm(2, 2.0))),
+] + [
+    (f"opaque l{p:g},n={n}", (lambda n=n, p=p: custom_norm(n, lp_norm(n, p).base)))
+    for p in (3.0, 4.0, 6.0) for n in (2, 3)
+]
+
+
+@pytest.mark.parametrize("label,factory", BATCH_NORMS, ids=[b[0] for b in BATCH_NORMS])
+def test_batch_dual_matches_per_covector_reference(label, factory):
+    h = factory()
+    alphas = _covectors(h.dim, 10, seed=len(label))
+    batch = dual_norm(h, alphas)
+    assert isinstance(batch, np.ndarray) and batch.shape == (10,)
+    ref = np.array([_reference_dual(h, a) for a in alphas])
+    if label.startswith("f_eps"):
+        # the same arithmetic row by row: only lp's ** differs between the
+        # one-row arrays here and the numpy scalars of the reference polish
+        assert np.array_equal(batch, ref)
+    np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+    # a row's value does not depend on the batch it sits in
+    single = dual_norm(h, alphas[3])
+    assert isinstance(single, float)
+    assert single == pytest.approx(batch[3], rel=1e-13)
+    np.testing.assert_allclose(dual_norm(h, alphas[::-1])[::-1], batch, rtol=1e-13, atol=0.0)
+
+
+def test_batch_dual_zero_rows_and_empty_batch():
+    opaque = custom_norm(2, lp_norm(2, 4.0).base)
+    alphas = np.array([[0.0, 0.0], [0.7, -1.3], [0.0, 0.0]])
+    vals = dual_norm(opaque, alphas)
+    assert vals[0] == 0.0 and vals[2] == 0.0
+    assert vals[1] == pytest.approx(lp_norm(2, 4.0).dual(alphas[1]), rel=1e-8)
+    assert np.array_equal(dual_norm(opaque, np.zeros((3, 2))), np.zeros(3))
+    assert dual_norm(opaque, np.zeros(2)) == 0.0
+    assert dual_norm(opaque, np.zeros((0, 2))).shape == (0,)
+    assert np.array_equal(dual_norm(lp_norm(2, 4.0), np.zeros((2, 2))), np.zeros(2))
+
+
+@pytest.mark.parametrize("h", [euclidean_norm(2), custom_norm(2, lp_norm(2, 4.0).base)])
+def test_batch_dual_rejects_bad_shapes_and_values(h):
+    for bad in (np.ones(3), np.ones((4, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="shape"):
+            dual_norm(h, bad)
+    for bad in ([[1.0, 0.5], [np.inf, 0.0]], [[1.0, 0.5], [0.0, np.nan]]):
+        with pytest.raises(ValueError, match="finite"):
+            dual_norm(h, np.array(bad))
+
+
+def test_batch_dual_raises_if_any_row_fails():
+    hp = lp_norm(3, 1.5)
+    opaque = custom_norm(3, hp.base)
+    stuck = np.array([-0.001, 0.45, 0.47])
+    batch = np.array([[1.0, 0.5, -0.25], stuck, [0.3, -1.2, 0.7]])
+    with pytest.raises(DualMaximizerError) as err:
+        dual_norm(opaque, batch)
+    # the error carries the stuck row's best value, just short of the Hoelder value
+    assert err.value.best_value == pytest.approx(0.579837, abs=1e-6)
+    assert err.value.best_value < hp.dual(stuck)
+    # the other rows settle on their own
+    np.testing.assert_allclose(dual_norm(opaque, batch[[0, 2]]), hp.dual(batch[[0, 2]]), rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [lp_norm(2, 3.0), euclidean_norm(3), normalize(lp_norm(2, 4.0)), f_eps_fiber_norm(2, 1.0),
+     f_eps_fiber_norm(3, 0.5)],
+    ids=["l3", "euclidean", "l4-normalized", "f_eps,n=2", "f_eps,n=3"],
+)
+def test_gradient_batch_rows_match_single_calls(h):
+    ys = np.random.default_rng(4).standard_normal((6, h.dim)) * 3.0
+    batch = h.gradient(ys)
+    assert batch.shape == ys.shape
+    for y, row in zip(ys, batch):
+        np.testing.assert_allclose(row, h.gradient(y), rtol=1e-12, atol=0.0)
+
+
+def test_lp_gradient_reduces_per_row():
+    g = lp_norm(2, 3.0).gradient([[1.0, 2.0], [0.5, -1.0]])
+    # both rows point the same way up to the sign of the second coordinate
+    np.testing.assert_allclose(g, [[0.2311, 0.9245], [0.2311, -0.9245]], atol=1e-4)
+
+
+def test_eikonal_identity_finite_difference_gradient():
+    h = f_eps_fiber_norm(2, 1.0)
+    samples = np.random.default_rng(9).standard_normal((6, 2))
+    assert eikonal_residual(h, samples) <= 1e-7
+    with pytest.raises(ValueError):
+        eikonal_residual(h, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("workers,hits,value", [(1, 28358, 2.4697330172235064), (2, 28307, 2.4652913646429857)])
+def test_mc_volume_hit_counts_pinned(monkeypatch, workers, hits, value):
+    # counts and values of the sampler before the Monte-Carlo hit counters were
+    # merged; an odd sample count gives the two workers streams of unequal length
+    seen = []
+    real = N.box_hits
+    monkeypatch.setattr(N, "box_hits", lambda *a: seen.append(real(*a)) or seen[-1])
+    est = wulff_volume_estimate(f_eps_fiber_norm(3, 0.5), method="mc", n_samples=50_001, seed=42,
+                                workers=workers)
+    assert seen == [hits]
+    assert est.value == value

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import j0, j1, jn_zeros
 
+from finsler_sharp import norms
 from finsler_sharp import verify as V
 from finsler_sharp.constants import (
     eta,
@@ -219,6 +220,26 @@ def test_isoperimetric_equality_on_own_ball(e2, l4_2, feps2):
         assert rep.diagnostics["equality_with_unit_avr"]
 
 
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_isoperimetric_planted_dual_scaling_turns_check(monkeypatch, feps2, factor):
+    # f_eps has no closed-form dual, so the polygon normals go through the batched ascent
+    real = norms.dual_norm
+    shapes = []
+
+    def scaled(h, alpha, *args, **kw):
+        shapes.append(np.shape(alpha))
+        return factor * real(h, alpha, *args, **kw)
+
+    monkeypatch.setattr(norms, "dual_norm", scaled)
+    rep = V.verify_isoperimetric(feps2, {"kind": "wulff", "radius": 1.0})
+    assert shapes == [(512, 2), (256, 2)]  # fine and coarse polygons, one batch each
+    assert rep.ratio == pytest.approx(factor, rel=1e-4)
+    if factor < 1.0:
+        assert not rep.passed
+    else:
+        assert rep.passed and not rep.diagnostics["equality"]
+
+
 def test_isoperimetric_strict_on_other_shapes(e2):
     rect = V.verify_isoperimetric(e2, {"kind": "rectangle", "a": 2.0, "b": 1.0})
     ell = V.verify_isoperimetric(e2, {"kind": "ellipse", "a": 2.0, "b": 1.0})
@@ -232,6 +253,13 @@ def test_isoperimetric_euclidean_ball_3d(e3):
     rep = V.verify_isoperimetric(e3, {"kind": "ball", "radius": 1.0}, n_quad=2048)
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, abs=1e-3)
+
+
+def test_isoperimetric_wulff_3d(l4_3):
+    rep = V.verify_isoperimetric(l4_3, {"kind": "wulff", "radius": 1.5})
+    assert rep.passed
+    assert rep.ratio == pytest.approx(1.0, abs=1e-3)
+    assert rep.diagnostics["equality"]
 
 
 def test_isoperimetric_needs_normalized_norm():
