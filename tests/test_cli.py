@@ -269,6 +269,32 @@ def test_pde_eigensolver_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pde_mountain_pass_json(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    rc = run_cli(["pde", "--problem", "p-problem", "--n", "3", "--mu", "0.2", "--lam", "-5",
+                  "--p", "4", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "p.json").read_text())["summary"]
+    assert summary["residual"] < 1e-6
+    assert summary["energy_level"] > 0.0
+    capsys.readouterr()
+
+
+def test_pde_multiplicity_finds_three_plateau_sups(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    rc = run_cli(["pde", "--problem", "d-problem", "--n", "2", "--lam", "50", "--p", "4",
+                  "--nodes", "33", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "d.json").read_text())["summary"]
+    sups = [c["sup"] for c in summary["profiles"]]
+    assert summary["distinct"] == 3 and len(set(sups)) == 3
+    windows = [(2.0, 4.0), (16.0, 64.0), (512.0, 4096.0)]  # plateaus 1..3 of 2^(k^2)..2^(k^2+k)
+    for sup, (lo, hi) in zip(sorted(sups), windows):
+        assert lo <= sup <= hi
+    assert all((tmp_path / f"d_k{i}.csv").exists() for i in (1, 2, 3))
+    capsys.readouterr()
+
+
 def test_avr_exact_path(capsys):
     rc = run_cli(["avr", "--instance", "euclidean:n=2", "--method", "exact"])
     assert rc == 0

@@ -161,3 +161,314 @@ def test_multiplicity_needs_exponent():
     bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
     with pytest.raises(ValueError):
         P.multiplicity_explore(bvp, h=nl, lam=50.0, k_max=2)
+
+
+# -- the shared assembly and the projected Newton loop ------------------------
+#
+# The per-family assemblies and Newton solvers that _RadialFunctional and
+# _projected_newton replaced, kept as references.  The replacement keeps
+# their operation order, so gradients, oscillatory energies, ground states
+# and plateau profiles must agree bit for bit.
+
+
+def _ref_grad_quadratic(vals, rho, n, mu, lam, gprime, won):
+    drho, rbar, shell = P._panels(rho, n)
+    du = np.diff(vals)
+    ubar = 0.5 * (vals[1:] + vals[:-1])
+    flux = du / drho * shell
+    mass = lam * ubar * shell * drho
+    if mu != 0.0:
+        mass = mass - mu * ubar * rbar ** (n - 3) * drho
+    if gprime is not None:
+        mass = mass - np.asarray(gprime(ubar), dtype=float) * shell * drho
+    g = np.zeros_like(vals)
+    np.add.at(g, np.arange(len(vals) - 1), -flux + 0.5 * mass)
+    np.add.at(g, np.arange(1, len(vals)), flux + 0.5 * mass)
+    return n * won * g
+
+
+def _ref_grad_plaplace(vals, rho, n, p, lam, hfun, won):
+    drho, rbar, shell = P._panels(rho, n)
+    du = np.diff(vals)
+    ubar = 0.5 * (vals[1:] + vals[:-1])
+    slope = du / drho
+    flux = np.abs(slope) ** (p - 2) * slope * shell
+    hterm = -lam * np.asarray(hfun(ubar), dtype=float) * shell * drho
+    g = np.zeros_like(vals)
+    np.add.at(g, np.arange(len(vals) - 1), -flux + 0.5 * hterm)
+    np.add.at(g, np.arange(1, len(vals)), flux + 0.5 * hterm)
+    return n * won * g
+
+
+def _ref_plateau_energy(u, rho, n, p, lam, h):
+    drho, _, shell = P._panels(rho, n)
+    du = np.diff(u)
+    ubar = 0.5 * (u[1:] + u[:-1])
+    return n * omega_n(n) * (
+        float(np.sum(np.abs(du / drho) ** p * shell * drho)) / p
+        - lam * float(np.sum(np.asarray(h.H(ubar)) * shell * drho))
+    )
+
+
+def _ref_kkt_residual(u, g, hi, scale):
+    kkt = g.copy()
+    kkt[-1] = 0.0
+    at_lo = u <= 1e-14
+    at_hi = u >= hi * (1.0 - 1e-12)
+    kkt[at_lo] = np.minimum(kkt[at_lo], 0.0)
+    kkt[at_hi] = np.maximum(kkt[at_hi], 0.0)
+    return float(np.linalg.norm(kkt)) / scale, kkt
+
+
+def _ref_polish_plaplace(u, rho, n, p, lam, nl, hi, won, max_iter=60):
+    from scipy import linalg
+
+    m = len(u)
+    drho, rbar, shell = P._panels(rho, n)
+    idx = np.arange(m - 1)
+    scale = n * won * max(1.0, np.max(u) ** (p - 1)) * max(1.0, rho[-1] ** (n - 1))
+    u = u.copy()
+    g = _ref_grad_plaplace(u, rho, n, p, lam, nl.h, won)
+    best, _ = _ref_kkt_residual(u, g, hi, scale)
+    lev = 0.0
+    for _ in range(max_iter):
+        if best < 1e-10:
+            break
+        du = np.diff(u)
+        ubar = 0.5 * (u[1:] + u[:-1])
+        k_diag = (p - 1.0) * np.abs(du / drho) ** (p - 2) * shell / drho
+        c = -lam * np.asarray(nl.dh(ubar), dtype=float) * 0.25 * shell * drho
+        diag = np.zeros(m)
+        np.add.at(diag, idx, k_diag + c)
+        np.add.at(diag, idx + 1, k_diag + c)
+        off = -k_diag + c
+        fixed = (u <= 1e-14) | (u >= hi * (1.0 - 1e-12))
+        fixed[-1] = True
+        floor = 1e-12 * max(float(np.max(np.abs(diag))), 1.0)
+        diag = np.maximum(diag + lev, floor)
+        ab = np.zeros((3, m))
+        ab[0, 1:] = np.where(fixed[:-1] | fixed[1:], 0.0, off)
+        ab[1] = np.where(fixed, 1.0, diag)
+        ab[2, :-1] = ab[0, 1:]
+        rhs = np.where(fixed, 0.0, -g / (n * won))
+        try:
+            step = linalg.solve_banded((1, 1), ab, rhs)
+        except linalg.LinAlgError:
+            lev = max(10.0 * lev, floor * 1e4)
+            continue
+        t, improved = 1.0, False
+        for _ in range(25):
+            trial = np.clip(u + t * step, 0.0, hi)
+            trial[-1] = 0.0
+            gt = _ref_grad_plaplace(trial, rho, n, p, lam, nl.h, won)
+            rt, _ = _ref_kkt_residual(trial, gt, hi, scale)
+            if rt < best:
+                u, g, best, improved = trial, gt, rt, True
+                break
+            t *= 0.5
+        if improved:
+            lev *= 0.25
+        else:
+            lev = max(10.0 * lev, floor * 1e4)
+            if lev > 1e20 * floor:
+                break
+    return u
+
+
+def _ref_newton_polish(vals, bvp, p, max_iter=40):
+    from scipy import linalg
+
+    n = bvp.n
+    won = omega_n(n)
+    rho = bvp.grid()
+    drho, rbar, shell = P._panels(rho, n)
+    m = len(vals)
+    free = m - 1
+
+    def grad(u):
+        g = _ref_grad_quadratic(
+            u, rho, n, bvp.mu, bvp.lam, lambda t: np.maximum(t, 0.0) ** (p - 1), won
+        )
+        return g[:free]
+
+    def hess_banded(u):
+        ubar = 0.5 * (u[1:] + u[:-1])
+        k_diag = shell / drho
+        w_mass = (bvp.lam * shell - bvp.mu * rbar ** (n - 3)) * drho
+        w_nl = -(p - 1) * np.maximum(ubar, 0.0) ** (p - 2) * shell * drho
+        c = 0.25 * (w_mass + w_nl)
+        main = np.zeros(m)
+        np.add.at(main, np.arange(m - 1), k_diag + c)
+        np.add.at(main, np.arange(1, m), k_diag + c)
+        off = -k_diag + c
+        ab = np.zeros((3, free))
+        ab[1, :] = main[:free]
+        ab[0, 1:] = off[: free - 1]
+        ab[2, :-1] = off[: free - 1]
+        return n * won * ab
+
+    u = vals.copy()
+    g = grad(u)
+    gnorm = np.linalg.norm(g)
+    tol = 1e-13 * n * won * max(1.0, float(np.max(u))) * max(1.0, bvp.radius ** (n - 1))
+    for _ in range(max_iter):
+        if gnorm < tol:
+            break
+        ab = hess_banded(u)
+        try:
+            step = linalg.solve_banded((1, 1), ab, g)
+        except linalg.LinAlgError:
+            break
+        t = 1.0
+        for _ in range(30):
+            trial = u.copy()
+            trial[:free] -= t * step
+            g_trial = grad(trial)
+            if np.linalg.norm(g_trial) < gnorm:
+                u, g = trial, g_trial
+                gnorm = np.linalg.norm(g)
+                break
+            t *= 0.5
+        else:
+            break
+    return u
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _eigen_case(rng):
+    rho = P.RadialBvp(n=3, radius=1.0, n_nodes=257).grid()
+    u = np.cos(0.5 * math.pi * rho) * (1.0 + 0.3 * rng.uniform(size=rho.size))
+    u[-1] = 0.0
+    return rho, u
+
+
+def _rise_case(rng):
+    # one node group on the first rise (1, 2), one on the second (4, 16):
+    # h and dh are nonzero there, so the nonlinear terms are exercised
+    rho = np.linspace(0.0, 1.0, 65)
+    u = np.where(rho < 0.5, rng.uniform(1.1, 1.9, rho.size), rng.uniform(4.5, 15.0, rho.size))
+    u[-1] = 0.0
+    return rho, u
+
+
+def test_assembly_gradient_matches_reference_bit_for_bit(rng):
+    won3, won2 = omega_n(3), omega_n(2)
+    for _ in range(5):
+        rho, u = _eigen_case(rng)
+        eigen = P._RadialFunctional(rho, 3, 2.0, 4.0, 0.2).assemble(u).grad
+        ref = _ref_grad_quadratic(u, rho, 3, 0.2, 4.0, None, won3)
+        assert np.array_equal(_bits(eigen), _bits(ref))
+
+        q = 3.5
+        power = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, P._power(q)).assemble(u).grad
+        ref = _ref_grad_quadratic(u, rho, 3, 0.2, -5.0, lambda s: np.maximum(s, 0.0) ** (q - 1), won3)
+        assert np.array_equal(_bits(power), _bits(ref))
+
+        rho, u = _rise_case(rng)
+        h = P.OscillatoryNonlinearity(4.0)
+        a = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H, h.h, h.dh)).assemble(u)
+        ref = _ref_grad_plaplace(u, rho, 2, 4.0, 50.0, h.h, won2)
+        assert np.any(h.h(0.5 * (u[1:] + u[:-1])) > 0.0)
+        assert np.array_equal(_bits(a.grad), _bits(ref))
+        # the L-BFGS-B objective value: its rounding steers the minimizer
+        assert _bits(a.energy) == _bits(_ref_plateau_energy(u, rho, 2, 4.0, 50.0, h))
+
+
+def _fd_jacobian(f, u, step=1e-6):
+    jac = np.empty((u.size, u.size))
+    for j in range(u.size):
+        e = np.zeros_like(u)
+        e[j] = step * max(1.0, abs(u[j]))
+        jac[:, j] = (f.assemble(u + e).grad - f.assemble(u - e).grad) / (2.0 * e[j])
+    return jac / f.nw
+
+
+@pytest.mark.parametrize("family", ["eigen", "power", "oscillatory"])
+def test_hessian_band_matches_finite_difference_jacobian(family, rng):
+    if family == "oscillatory":
+        rho, u = _rise_case(rng)
+        h = P.OscillatoryNonlinearity(4.0)
+        f = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H, h.h, h.dh))
+    else:
+        rho = P.RadialBvp(n=3, radius=1.0, n_nodes=49).grid()
+        u = np.cos(0.5 * math.pi * rho) * (1.0 + 0.3 * rng.uniform(size=rho.size))
+        u[-1] = 0.0
+        nl = P._power(3.5) if family == "power" else None
+        f = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, nl)
+    band = f.assemble(u, hessian=True).band
+    jac = _fd_jacobian(f, u)
+    size = float(np.max(np.abs(band)))
+    assert np.max(np.abs(np.diag(jac) - band[1])) < 1e-6 * size
+    assert np.max(np.abs(np.diag(jac, 1) - band[0, 1:])) < 1e-6 * size
+    assert np.max(np.abs(np.diag(jac, -1) - band[2, :-1])) < 1e-6 * size
+    assert np.max(np.abs(np.triu(jac, 2)) + np.abs(np.tril(jac, -2))) < 1e-6 * size
+
+
+def test_mountain_pass_profiles_match_reference_solver(monkeypatch):
+    for n, radius, mu, lam, p in MP_SETS:
+        bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
+        new = P.mountain_pass_solve(bvp, p=p)
+        with monkeypatch.context() as mp:
+            mp.setattr(P, "_projected_newton", lambda f, u, bounds, tol: _ref_newton_polish(u, bvp, p))
+            ref = P.mountain_pass_solve(bvp, p=p)
+        assert np.array_equal(_bits(new.values), _bits(ref.values))
+        assert new.residual == ref.residual
+
+
+def test_plateau_profiles_match_reference_solver(monkeypatch):
+    nl = P.OscillatoryNonlinearity(4.0)
+    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl), n_nodes=33)
+    new = P.multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
+
+    def reference(f, u, bounds, tol):
+        return _ref_polish_plaplace(u, f.rho, f.n, f.p, f.nl[0], nl, bounds[1], omega_n(f.n))
+
+    monkeypatch.setattr(P, "_projected_newton", reference)
+    ref = P.multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
+    assert [c.sup for c in new] == [c.sup for c in ref]
+    assert [c.residual for c in new] == [c.residual for c in ref]
+    for c, d in zip(new, ref):
+        assert np.array_equal(_bits(c.values), _bits(d.values))
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_mountain_pass_residual_reaches_roundoff(n, radius, mu, lam, p):
+    # worst at the introduction of this bound: 2.24e-12 at (2, 1, 0, 1, 4);
+    # a diagonal floor on the indefinite Hessian leaves 1.4e-8 at
+    # (3, 1, 0.2, -5, 4), and a Hessian without the (q - 1) factor of the
+    # nonlinearity's derivative stalls above the bound too
+    bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
+    assert P.mountain_pass_solve(bvp, p=p).residual < 1e-11
+
+
+def test_multiplicity_rejects_nonlinearity_without_dh():
+    nl = P.OscillatoryNonlinearity(4.0)
+
+    class NoDerivative:
+        p = nl.p
+        h, H, plateau = nl.h, nl.H, nl.plateau
+
+    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
+    t0 = time.time()
+    with pytest.raises(ValueError, match="dh"):
+        P.multiplicity_explore(bvp, h=NoDerivative(), lam=50.0, k_max=1, p=4.0)
+    assert time.time() - t0 < 0.5  # raised at entry, before any minimization
+
+
+def test_radial_energy_general_family():
+    nl = P.OscillatoryNonlinearity(4.0)
+    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl), n_nodes=65)
+    rho = bvp.grid()
+    u = 3.0 * (1.0 - rho ** 2)
+    ev = P.radial_energy(u, bvp, p=4.0)
+    assert ev.quadratic == ev.dirichlet > 0.0
+    assert ev.total == pytest.approx(ev.dirichlet / 4.0 - 50.0 * ev.nonlinear, rel=1e-14)
+    assert ev.l2 > 0.0 and ev.residual > 0.0
+    with pytest.raises(ValueError):
+        P.radial_energy(u, bvp)  # the general family needs p > n
+    pair = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", (nl.h, nl.H)), n_nodes=65)
+    with pytest.raises(ValueError):
+        P.radial_energy(u, pair, p=4.0)  # an (h, H) tuple is not a nonlinearity object
