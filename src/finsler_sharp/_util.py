@@ -1,8 +1,10 @@
-"""Shared small helpers: thread resolution, seeded RNG spawning, graded grids,
-the Monte-Carlo box sampler, panel quadrature."""
+"""Shared small helpers: the descriptor parser, thread resolution, seeded RNG
+spawning, graded grids, the Monte-Carlo box sampler, panel quadrature."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +13,84 @@ import numpy as np
 from scipy import integrate
 
 ENV_THREADS = "FINSLER_SHARP_THREADS"
+REQUIRED = object()  # table default of a key that every descriptor must give
+
+
+def _scalar(text: str):
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_descriptor(spec) -> dict:
+    """'name:k=v,k=v' -> {'kind': name, k: v, ...} with true/false, integers
+    and reals typed; a dict is copied."""
+    if isinstance(spec, dict):
+        return dict(spec)
+    if not isinstance(spec, str) or not spec.strip():
+        raise ValueError(f"bad descriptor: {spec!r}")
+    head, _, rest = spec.partition(":")
+    out = {"kind": head.strip()}
+    for item in rest.split(",") if rest.strip() else ():
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ValueError(f"descriptor item {item!r} is not key=value")
+        out[key.strip()] = _scalar(val.strip())
+    return out
+
+
+def _coerce(value, typ, where: str):
+    """value as typ: int, float, bool, str, or list (of reals)."""
+    if typ is list and isinstance(value, (list, tuple)):
+        return [_coerce(v, float, where) for v in value]
+    if (typ is str and isinstance(value, str)) or (typ is bool and value in (True, False)):
+        return typ(value)  # 0 and 1 compare equal to the bools
+    if typ in (int, float) and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if math.isnan(value):
+            raise ValueError(f"{where} is NaN")
+        if typ is int and not float(value).is_integer():
+            raise ValueError(f"{where} needs an integer, got {value!r}")
+        return typ(value)
+    raise ValueError(f"{where} needs {typ.__name__}, got {value!r}")
+
+
+def build_from_descriptor(spec, table: dict, what: str, **context):
+    """The object a 'kind:k=v,...' string or a {'kind': ..} dict describes.
+
+    table maps each kind to (constructor, {key: (type, default)}).  REQUIRED
+    as the default makes a key mandatory, and a table as the type makes the
+    value a nested descriptor; the constructor gets every declared key.
+    context fills a declared key the descriptor leaves out, and a key the
+    descriptor gives must equal it (a profile's n against the instance
+    dimension).  A malformed descriptor raises ValueError naming the key.
+    """
+    d = parse_descriptor(spec)
+    kind = d.pop("kind", None)
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}; known: {', '.join(table)}")
+    make, keys = table[kind]
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} {kind!r}: unknown key {unknown[0]!r}; known: {', '.join(keys)}")
+    args = {}
+    for key, (typ, default) in keys.items():
+        where = f"{what} {kind!r}: key {key!r}"
+        value = d.get(key, context.get(key, default))
+        if value is REQUIRED:
+            raise ValueError(f"{where} is required")
+        if isinstance(typ, dict):  # a nested descriptor, named by its key
+            value = build_from_descriptor(value, typ, key)
+        elif value is not None:
+            value = _coerce(value, typ, where)
+        if key in d and key in context and value != context[key]:
+            raise ValueError(f"{where} is {value!r}, not the {key}={context[key]!r} in use")
+        args[key] = value
+    return make(**args)
 
 
 def resolve_workers(workers=None) -> int:

@@ -6,9 +6,17 @@ document, the merged config is schema-validated, and every emitted
 report embeds the fully materialized config so a run can be reproduced
 from its own output.
 
+--instance, --profile and --shape take a descriptor, 'kind:key=value,...'
+or the same keys as a JSON object.  One parser (_util.build_from_descriptor)
+reads them against the tables manifold.INSTANCES, rearrange.PROFILES and
+verify.SHAPES; an extremal profile takes its n from the instance.  A
+malformed descriptor (unknown kind or key, missing key, non-integral
+integer, NaN) and a NaN config value are usage errors.
+
 Reports are JSON with sorted keys and a null timestamp by default, so a
 fixed seed gives byte-identical bytes; --timestamp opts into a real
-clock value.  Exit codes: 0 all checks passed, 2 bad usage or config,
+clock value.  Exit codes: 0 all checks passed, 2 bad usage or config
+(every ValueError the library raises is a domain error of the input),
 3 a numerical check failed.
 """
 
@@ -17,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -29,7 +38,7 @@ import numpy as np
 
 from . import constants as C
 from . import verify as V
-from ._util import ENV_THREADS, resolve_workers
+from ._util import ENV_THREADS, parse_descriptor, resolve_workers
 from .manifold import avr as estimate_avr, instance_from_descriptor
 from .pde import (
     OscillatoryNonlinearity,
@@ -90,69 +99,6 @@ class ConfigError(Exception):
 # config assembly
 
 
-def _parse_scalar(text: str):
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def parse_descriptor(spec) -> dict:
-    """'name:k=v,k=v' -> {'kind': name, k: v, ...}; dicts pass through."""
-    if isinstance(spec, dict):
-        return dict(spec)
-    if not isinstance(spec, str) or not spec.strip():
-        raise ConfigError(f"bad descriptor: {spec!r}")
-    head, _, rest = spec.partition(":")
-    out = {"kind": head.strip()}
-    if rest.strip():
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ConfigError(f"descriptor item {item!r} is not key=value")
-            out[key.strip()] = _parse_scalar(val.strip())
-    return out
-
-
-def _instance_from_config(spec):
-    d = parse_descriptor(spec)
-    if d.get("kind") == "lp":
-        # shorthand: lp:n=2,p=4 builds the normalized Minkowski instance
-        n = int(d.pop("n"))
-        p = float(d.pop("p"))
-        normalize = bool(d.pop("normalize", True))
-        d.pop("kind")
-        if d:
-            raise ConfigError(f"unknown lp instance keys: {sorted(d)}")
-        d = {
-            "kind": "minkowski",
-            "n": n,
-            "norm": {"kind": "lp", "n": n, "p": p, "normalize": normalize},
-        }
-    try:
-        return instance_from_descriptor(d)
-    except (ValueError, KeyError) as ex:
-        raise ConfigError(str(ex)) from ex
-
-
-def _profile_from_config(spec, dim=None):
-    d = parse_descriptor(spec)
-    # only the extremal families are parametrized by the dimension
-    if dim is not None and d.get("kind") in ("morrey_extremal", "talenti_l1_extremal", "u_R"):
-        d.setdefault("n", dim)
-    try:
-        return profile_from_descriptor(d)
-    except (ValueError, KeyError) as ex:
-        raise ConfigError(str(ex)) from ex
-
-
 def parse_sweep_grid(spec) -> list:
     """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]'."""
     if not isinstance(spec, str):
@@ -204,6 +150,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key == "config" or val is None:
             continue
         cfg[key] = val
+    for key, val in cfg.items():
+        vals = val if isinstance(val, list) else [val]
+        if any(isinstance(x, float) and math.isnan(x) for x in vals):
+            raise ConfigError(f"config value {key!r} is NaN")
     cfg.setdefault("seed", 0)
     cfg.setdefault("timestamp", False)
     try:
@@ -283,13 +233,9 @@ def _write_csv(path: str, header, rows) -> None:
 def _task_constants(cfg: dict) -> int:
     if cfg.get("p") is None or cfg.get("n") is None:
         raise ConfigError("constants needs --p and --n")
-    try:
-        sc = C.sharp_constants(
-            float(cfg["p"]), int(cfg["n"]), float(cfg.get("avr") or 1.0),
-            float(cfg.get("mu") or 0.0),
-        )
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    sc = C.sharp_constants(
+        float(cfg["p"]), int(cfg["n"]), float(cfg.get("avr") or 1.0), float(cfg.get("mu") or 0.0)
+    )
     vals = sc.as_dict()
     row = " ".join(
         f"{k}={vals[k]:.12g}" if isinstance(vals[k], float) else f"{k}={vals[k]}"
@@ -312,7 +258,7 @@ def _task_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown inequality {name!r}")
     if cfg.get("instance") is None:
         raise ConfigError("verify needs --instance")
-    m = _instance_from_config(cfg["instance"])
+    m = instance_from_descriptor(cfg["instance"])
     suite = cfg.get("suite")
     if suite:
         reports = V.randomized_suite(
@@ -328,8 +274,9 @@ def _task_verify(cfg: dict) -> int:
         _emit(doc, cfg, f"suite_{key}.json")
         return EXIT_OK if n_pass == len(reports) else EXIT_NUMERIC
     kwargs = {}
-    shape = parse_descriptor(cfg["shape"]) if cfg.get("shape") else None
-    u = _profile_from_config(cfg["profile"], m.dim) if cfg.get("profile") else None
+    shape = cfg.get("shape")
+    # the extremal families take their n from the instance
+    u = profile_from_descriptor(cfg["profile"], n=m.dim) if cfg.get("profile") else None
     if key in ("morrey_support", "morrey_l1", "hardy", "polya_szego", "hlp"):
         p = cfg.get("p")
         if p is None and cfg.get("profile"):
@@ -348,10 +295,7 @@ def _task_verify(cfg: dict) -> int:
             shape = float(cfg["radius"])
     if key == "isoperimetric" and shape is None:
         raise ConfigError("isoperimetric needs --shape")
-    try:
-        rep = V.run_inequality(key, m, u=u, shape=shape, **kwargs)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    rep = V.run_inequality(key, m, u=u, shape=shape, **kwargs)
     status = "PASS" if rep.passed else "FAIL"
     _say(cfg, f"{key}: lhs={rep.lhs:.10g} rhs={rep.rhs:.10g} ratio={rep.ratio:.10g} {status}")
     _emit(_document(cfg, {"report": rep.as_dict(), "passed": rep.passed}), cfg,
@@ -365,20 +309,17 @@ def _task_sweep(cfg: dict) -> int:
         raise ConfigError("sweep needs --kind support|l1")
     if cfg.get("instance") is None or cfg.get("p") is None or cfg.get("sweep") is None:
         raise ConfigError("sweep needs --instance, --p and --sweep")
-    m = _instance_from_config(cfg["instance"])
+    m = instance_from_descriptor(cfg["instance"])
     grid = parse_sweep_grid(cfg["sweep"])
     p = float(cfg["p"])
-    try:
-        if kind == "support":
-            sw = V.sharpness_sweep_support(m, p, grid)
-            cols = [(r["R"], r["scaled_energy"], r["target"],
-                     r["scaled_energy"] / r["target"], r["target"]) for r in sw.rows]
-        else:
-            sw = V.sharpness_sweep_l1(m, p, grid)
-            cols = [(r["R"], r["constant_estimate"], sw.target,
-                     r["constant_estimate"] / sw.target, sw.target) for r in sw.rows]
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    if kind == "support":
+        sw = V.sharpness_sweep_support(m, p, grid)
+        cols = [(r["R"], r["scaled_energy"], r["target"],
+                 r["scaled_energy"] / r["target"], r["target"]) for r in sw.rows]
+    else:
+        sw = V.sharpness_sweep_l1(m, p, grid)
+        cols = [(r["R"], r["constant_estimate"], sw.target,
+                 r["constant_estimate"] / sw.target, sw.target) for r in sw.rows]
     _say(cfg, f"sweep {kind}: limit={sw.limit:.10g} target={sw.target:.10g} "
          f"{'PASS' if sw.passed else 'FAIL'}")
     csv_path = _resolve_out(cfg, f"sweep_{kind}.csv")
@@ -410,58 +351,55 @@ def _task_pde(cfg: dict) -> int:
     nodes = int(cfg.get("nodes") or 4096)
     out = _resolve_out(cfg, f"{problem.replace('-', '_')}.csv")
 
-    try:
-        if problem == "ep":
-            bvp = RadialBvp(n=n, radius=radius, mu=mu, n_nodes=nodes)
-            lam1, prof = first_eigenvalue(bvp)
-            _, quotient, parts = eigen_quotient(bvp)
-            payload = {
-                "lambda1": lam1,
-                "residual": abs(quotient - lam1) / lam1,
-                "mu_bar": bvp.frobenius_exponent() + (n - 2.0) / 2.0,
-                "rayleigh_quotient": quotient,
-            }
-            passed = payload["residual"] < 1e-6
-            profiles = [(bvp.grid(), prof)]
-        elif problem == "p-problem":
-            if cfg.get("p") is None:
-                raise ConfigError("p-problem needs --p")
-            p = float(cfg["p"])
-            bvp = RadialBvp(n=n, radius=radius, mu=mu, lam=lam,
-                            nonlinearity=("power", p), n_nodes=nodes)
-            sol = mountain_pass_solve(bvp, p=p)
-            wres = weak_residual(sol.values, bvp, p)
-            payload = {
-                "energy_level": sol.level,
-                "residual": sol.residual,
-                "weak_residual": wres,
-                "shooting_gap": sol.shooting_gap,
-                "amplitude": sol.amplitude,
-                "min_value": float(np.min(sol.values)),
-            }
-            passed = sol.residual < 1e-6 and sol.level > 0 and payload["min_value"] >= -1e-10
-            profiles = [(sol.grid, sol.values)]
-        else:
-            if cfg.get("p") is None:
-                raise ConfigError("d-problem needs --p")
-            p = float(cfg["p"])
-            k_max = int(cfg.get("k_max") or 3)
-            nl = OscillatoryNonlinearity(p)
-            bvp = RadialBvp(n=n, radius=radius, lam=lam,
-                            nonlinearity=("general", nl), n_nodes=nodes)
-            profs = multiplicity_explore(bvp, h=nl, lam=lam, k_max=k_max, p=p)
-            payload = {
-                "profiles": [
-                    {"sup": c.sup, "level": c.level, "residual": c.residual,
-                     "truncation": c.truncation}
-                    for c in profs
-                ],
-                "distinct": len(profs),
-            }
-            passed = all(c.residual < 1e-6 for c in profs)
-            profiles = [(c.grid, c.values) for c in profs]
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    if problem == "ep":
+        bvp = RadialBvp(n=n, radius=radius, mu=mu, n_nodes=nodes)
+        lam1, prof = first_eigenvalue(bvp)
+        _, quotient, parts = eigen_quotient(bvp)
+        payload = {
+            "lambda1": lam1,
+            "residual": abs(quotient - lam1) / lam1,
+            "mu_bar": bvp.frobenius_exponent() + (n - 2.0) / 2.0,
+            "rayleigh_quotient": quotient,
+        }
+        passed = payload["residual"] < 1e-6
+        profiles = [(bvp.grid(), prof)]
+    elif problem == "p-problem":
+        if cfg.get("p") is None:
+            raise ConfigError("p-problem needs --p")
+        p = float(cfg["p"])
+        bvp = RadialBvp(n=n, radius=radius, mu=mu, lam=lam,
+                        nonlinearity=("power", p), n_nodes=nodes)
+        sol = mountain_pass_solve(bvp, p=p)
+        wres = weak_residual(sol.values, bvp, p)
+        payload = {
+            "energy_level": sol.level,
+            "residual": sol.residual,
+            "weak_residual": wres,
+            "shooting_gap": sol.shooting_gap,
+            "amplitude": sol.amplitude,
+            "min_value": float(np.min(sol.values)),
+        }
+        passed = sol.residual < 1e-6 and sol.level > 0 and payload["min_value"] >= -1e-10
+        profiles = [(sol.grid, sol.values)]
+    else:
+        if cfg.get("p") is None:
+            raise ConfigError("d-problem needs --p")
+        p = float(cfg["p"])
+        k_max = int(cfg.get("k_max") or 3)
+        nl = OscillatoryNonlinearity(p)
+        bvp = RadialBvp(n=n, radius=radius, lam=lam,
+                        nonlinearity=("general", nl), n_nodes=nodes)
+        profs = multiplicity_explore(bvp, h=nl, lam=lam, k_max=k_max, p=p)
+        payload = {
+            "profiles": [
+                {"sup": c.sup, "level": c.level, "residual": c.residual,
+                 "truncation": c.truncation}
+                for c in profs
+            ],
+            "distinct": len(profs),
+        }
+        passed = all(c.residual < 1e-6 for c in profs)
+        profiles = [(c.grid, c.values) for c in profs]
 
     json_path = None
     if out:
@@ -490,18 +428,15 @@ def _task_pde(cfg: dict) -> int:
 def _task_avr(cfg: dict) -> int:
     if cfg.get("instance") is None:
         raise ConfigError("avr needs --instance")
-    m = _instance_from_config(cfg["instance"])
+    m = instance_from_descriptor(cfg["instance"])
     method = cfg.get("method") or "mc"
     radii = cfg.get("radii")
     if isinstance(radii, str):
         radii = [float(x) for x in radii.split(",")]
-    try:
-        est = estimate_avr(
-            m, method=method, n_samples=int(cfg.get("samples") or 200_000),
-            r_schedule=radii, seed=int(cfg.get("seed", 0)), workers=cfg.get("threads"),
-        )
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    est = estimate_avr(
+        m, method=method, n_samples=int(cfg.get("samples") or 200_000),
+        r_schedule=radii, seed=int(cfg.get("seed", 0)), workers=cfg.get("threads"),
+    )
     inside = est.lo - 3.0 * est.stderr <= est.point <= est.hi + 3.0 * est.stderr
     passed = bool(inside and est.bg_ok)
     payload = {
@@ -546,25 +481,18 @@ def _repro_criteria(seed: int, threads):
     Payloads hold only deterministic numbers (no wall-clock), so a fixed
     seed reproduces the emitted reports byte for byte.
     """
-    from .manifold import euclidean_instance, f_eps_instance, minkowski_instance
-    from .norms import lp_norm, normalize
+    from .manifold import f_eps_instance
     from .rearrange import l1_extremal_profile
     from .constants import (
         bessel_first_zero, bpv_constant, l1_extremal_height, omega_n,
     )
 
-    e2 = euclidean_instance(2)
-    pn_cases = ((4.0, 2), (5.0, 3), (7.0, 4))
-    instances = {}
-
+    @functools.lru_cache(maxsize=None)
     def inst(n, kind):
-        key = (n, kind)
-        if key not in instances:
-            instances[key] = (
-                euclidean_instance(n) if kind == "euclidean"
-                else minkowski_instance(normalize(lp_norm(n, 4.0)))
-            )
-        return instances[key]
+        return instance_from_descriptor(f"lp:n={n},p=4" if kind == "l4" else f"euclidean:n={n}")
+
+    e2 = inst(2, "euclidean")
+    pn_cases = ((4.0, 2), (5.0, 3), (7.0, 4))
 
     # 1: support-bound extremal equality
     rows = []
@@ -648,16 +576,16 @@ def _repro_criteria(seed: int, threads):
     yield (6, ok6, {"suite_passes": suites, "eigen_equality": eq_rows})
 
     # 7: Hardy suites and near-extremal monotonicity
-    from .manifold import euclidean_instance as _ei
     suites = {}
     for n, p in ((3, 2.0), (4, 2.0), (4, 3.0)):
-        reps = V.randomized_suite(_ei(n), "hardy", n_draws=100, seed=seed, workers=threads, p=p)
+        reps = V.randomized_suite(inst(n, "euclidean"), "hardy", n_draws=100, seed=seed,
+                                  workers=threads, p=p)
         suites[f"n{n}_p{int(p)}"] = sum(r.passed for r in reps)
     mono = {}
     for n, p in ((3, 2.0), (4, 2.0)):
         ratios = []
         for delta in (0.2, 0.1, 0.05):
-            rep = V.verify_hardy(_ei(n), V.hardy_test_family(p, n, delta), p)
+            rep = V.verify_hardy(inst(n, "euclidean"), V.hardy_test_family(p, n, delta), p)
             ratios.append(rep.rhs / rep.lhs)
         mono[f"n{n}_p{int(p)}"] = {"ratios": ratios,
                                    "monotone": ratios[0] < ratios[1] < ratios[2]}
@@ -840,7 +768,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return run(cfg)
-    except ConfigError as ex:
+    except (ConfigError, ValueError) as ex:
+        # the library raises ValueError for a domain error: bad input, not a failed check
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, FloatingPointError) as ex:

@@ -17,15 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import box_hits, resolve_workers
+from ._util import REQUIRED, box_hits, build_from_descriptor, resolve_workers
 from .constants import omega_n
 from .norms import (
+    NORMS,
     MinkowskiNorm,
     VolumeEstimate,
     dual_norm,
     euclidean_norm,
     f_eps_fiber_norm,
-    norm_from_descriptor,
+    lp_norm,
     normalize as normalize_norm,
     wulff_volume_estimate,
 )
@@ -39,20 +40,11 @@ class FinslerInstance:
     kind: str  # "euclidean" | "minkowski" | "f_eps"
     norm: MinkowskiNorm
     eps: Optional[float] = None
-    g: str = "euclidean"
-    distance_mode: str = "closed_form"
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def metric(self, x, y):
-        return self.norm(y)
-
-    def dual_metric(self, x, alpha):
-        return dual_norm(self.norm, alpha)
 
 
 @dataclass(frozen=True)
 class BallVolumeCurve:
-    center: np.ndarray
     radii: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
@@ -97,46 +89,34 @@ def f_eps_instance(n: int, eps: float, normalize: bool = False) -> FinslerInstan
     return FinslerInstance(dim=n, kind="f_eps", norm=h, eps=eps)
 
 
-def instance_from_descriptor(desc: dict) -> FinslerInstance:
-    """Schema: {"kind": "euclidean"|"minkowski"|"f_eps", "n": int,
-    "norm": <norm descriptor>?, "eps": real?, "g": "euclidean"?,
-    "normalize": bool?}."""
-    d = dict(desc)
-    kind = d.pop("kind", None)
-    n = d.pop("n", None)
-    g = d.pop("g", "euclidean")
-    if g != "euclidean":
-        raise ValueError(f"only a Euclidean base is supported, got g={g!r}")
-    if kind == "euclidean":
-        if n is None:
-            raise ValueError("euclidean instance needs 'n'")
-        inst = euclidean_instance(int(n))
-    elif kind == "minkowski":
-        nd = d.pop("norm", None)
-        if nd is None:
-            raise ValueError("minkowski instance needs a 'norm' descriptor")
-        if n is not None and int(n) != int(nd.get("n", n)):
-            raise ValueError("instance and norm dimensions disagree")
-        if d.pop("normalize", False):
-            nd = dict(nd, normalize=True)
-        inst = minkowski_instance(norm_from_descriptor(nd))
-    elif kind == "f_eps":
-        if n is None or "eps" not in d:
-            raise ValueError("f_eps instance needs 'n' and 'eps'")
-        inst = f_eps_instance(int(n), float(d.pop("eps")), bool(d.pop("normalize", False)))
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    if d:
-        raise ValueError(f"unknown instance descriptor keys: {sorted(d)}")
-    return inst
+def _minkowski(norm: MinkowskiNorm, n: Optional[int], normalize: bool) -> FinslerInstance:
+    if n is not None and n != norm.dim:
+        raise ValueError("instance and norm dimensions disagree")
+    return minkowski_instance(normalize_norm(norm) if normalize and not norm.normalized else norm)
 
 
-def fiber_volume(m: FinslerInstance, **kw) -> VolumeEstimate:
+INSTANCES = {
+    "euclidean": (euclidean_instance, {"n": (int, REQUIRED)}),
+    "minkowski": (_minkowski, {"n": (int, None), "norm": (NORMS, REQUIRED),
+                               "normalize": (bool, False)}),
+    "f_eps": (f_eps_instance, {"n": (int, REQUIRED), "eps": (float, REQUIRED),
+                               "normalize": (bool, False)}),
+    # shorthand for the normalized l^p Minkowski instance
+    "lp": (lambda n, p, normalize: _minkowski(lp_norm(n, p), n, normalize),
+           {"n": (int, REQUIRED), "p": (float, REQUIRED), "normalize": (bool, True)}),
+}
+
+
+def instance_from_descriptor(desc) -> FinslerInstance:
+    """The instance a descriptor such as 'f_eps:n=3,eps=0.5' names."""
+    return build_from_descriptor(desc, INSTANCES, "instance")
+
+
+def fiber_volume(m: FinslerInstance) -> VolumeEstimate:
     """Euclidean volume of the tangent unit ball, cached per instance."""
-    key = ("fiber_volume", tuple(sorted(kw.items())))
-    if key not in m._cache:
-        m._cache[key] = wulff_volume_estimate(m.norm, **kw)
-    return m._cache[key]
+    if "fiber_volume" not in m._cache:
+        m._cache["fiber_volume"] = wulff_volume_estimate(m.norm)
+    return m._cache["fiber_volume"]
 
 
 def _box_half_widths(m: FinslerInstance) -> np.ndarray:
@@ -146,52 +126,16 @@ def _box_half_widths(m: FinslerInstance) -> np.ndarray:
     return m._cache["box_half_widths"]
 
 
-def bh_density(m: FinslerInstance, x=None, **kw) -> float:
-    """Busemann-Hausdorff density omega_n / Vol(tangent unit ball).
-
-    Constant over the chart for every shipped instance; x is accepted for
-    signature compatibility and ignored.
-    """
-    return omega_n(m.dim) / fiber_volume(m, **kw).value
+def bh_density(m: FinslerInstance) -> float:
+    """Busemann-Hausdorff density omega_n / Vol(tangent unit ball), constant
+    over the chart for every shipped instance."""
+    return omega_n(m.dim) / fiber_volume(m).value
 
 
 def distance(m: FinslerInstance, x0, x1) -> float:
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     return float(m.norm(x1 - x0))
-
-
-def polyline_distance_upper(m: FinslerInstance, x0, x1, k: int = 32, sweeps: int = 60) -> float:
-    """Upper bound on the distance by coordinate descent on a k-segment path.
-
-    On the shipped translation-invariant instances the straight segment is
-    optimal, so this must reproduce distance() up to solver tolerance; it
-    exists as the generic fallback bound for metrics without a closed form.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    nodes = x0 + np.linspace(0.0, 1.0, k + 1)[:, None] * (x1 - x0)
-
-    def length(nd):
-        return float(np.sum(m.norm(np.diff(nd, axis=0))))
-
-    best = length(nodes)
-    step = float(m.norm(x1 - x0)) / k
-    for _ in range(sweeps):
-        improved = False
-        for i in range(1, k):
-            for j in range(m.dim):
-                for s in (step, -step):
-                    trial = nodes.copy()
-                    trial[i, j] += s
-                    lt = length(trial)
-                    if lt < best - 1e-15:
-                        nodes, best, improved = trial, lt, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return best
 
 
 def ball_volume(m: FinslerInstance, x0, r: float) -> float:
@@ -213,12 +157,13 @@ def ball_volume_mc(
 
     The density factor comes from the deterministic fiber quadrature, so
     the reported standard error is purely the sampling error of the
-    indicator of {distance < r} over the dual bounding box.
+    indicator of {distance < r} over the dual bounding box.  Every shipped
+    instance is translation invariant, so the ball about x0 is sampled
+    about the origin.
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     workers = resolve_workers(workers)
-    x0 = np.asarray(x0, dtype=float)
     sigma = bh_density(m)
     half = r * _box_half_widths(m) * (1.0 + 1e-9)
     box_vol = float(np.prod(2.0 * half))
@@ -241,7 +186,7 @@ def ball_volume_curve(
     for i, r in enumerate(radii):
         est = ball_volume_mc(m, x0, float(r), n_samples=n_samples, seed=int(seeds[i]), workers=workers)
         vals[i], errs[i] = est.value, est.stderr
-    return BallVolumeCurve(np.asarray(x0, dtype=float), radii, vals, errs)
+    return BallVolumeCurve(radii, vals, errs)
 
 
 def bishop_gromov_ok(curve: BallVolumeCurve, n: int, sigma_level: float = 3.0) -> bool:
@@ -274,13 +219,11 @@ def avr(
     a monotonicity violation beyond the error bars raises, since it would
     signal either a bug or an instance outside the admissible class.
     """
-    if x0 is None:
-        x0 = np.zeros(m.dim)
-    if method == "auto":
-        method = "exact"
-    if method == "exact":
-        lo, hi = (((1.0 + m.eps) ** (-m.dim / 2.0), 1.0) if m.kind == "f_eps" else (1.0, 1.0))
-        return AvrEstimate(lo=lo, hi=hi, point=1.0, stderr=0.0, method="exact", bg_ok=True)
+    # the lower end of the metric-sandwich certificate of the warped family
+    sandwich = (1.0 + m.eps) ** (-m.dim / 2.0) if m.kind == "f_eps" else None
+    if method in ("auto", "exact"):
+        lo = 1.0 if sandwich is None else sandwich
+        return AvrEstimate(lo=lo, hi=1.0, point=1.0, stderr=0.0, method="exact", bg_ok=True)
     if method != "mc":
         raise ValueError(f"unknown avr method {method!r}")
     if r_schedule is None:
@@ -294,12 +237,9 @@ def avr(
         )
     q = curve.ratios(m.dim)
     e = curve.ratio_stderrs(m.dim)
-    if m.kind == "f_eps":
-        lo, hi = (1.0 + m.eps) ** (-m.dim / 2.0), 1.0
-    else:
-        lo, hi = 0.0, 1.0
+    lo = 0.0 if sandwich is None else sandwich
     return AvrEstimate(
-        lo=lo, hi=hi, point=float(q[-1]), stderr=float(e[-1]), method="mc", bg_ok=ok, curve=curve
+        lo=lo, hi=1.0, point=float(q[-1]), stderr=float(e[-1]), method="mc", bg_ok=ok, curve=curve
     )
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from ._util import box_hits, resolve_workers
+from ._util import REQUIRED, box_hits, build_from_descriptor, resolve_workers
 from .constants import omega_n
 
 
@@ -188,38 +188,6 @@ def custom_norm(n, func, dual=None, gradient=None, volume=None, label="custom", 
         label=label,
         smooth=smooth,
     )
-
-
-def norm_from_descriptor(desc: dict) -> MinkowskiNorm:
-    """Build a norm from a config descriptor.
-
-    Schema: {"kind": "euclidean"|"lp"|"f_eps_fiber", "n": int, "p": real?,
-    "eps": real?, "normalize": bool?}.  Custom norms carry code and are
-    constructed in Python, not from config.
-    """
-    d = dict(desc)
-    kind = d.pop("kind", None)
-    n = d.pop("n", None)
-    do_norm = d.pop("normalize", False)
-    if n is None:
-        raise ValueError("norm descriptor needs a dimension field 'n'")
-    if kind == "euclidean":
-        h = euclidean_norm(int(n))
-    elif kind == "lp":
-        if "p" not in d:
-            raise ValueError("lp norm descriptor needs 'p'")
-        h = lp_norm(int(n), float(d.pop("p")))
-    elif kind == "f_eps_fiber":
-        if "eps" not in d:
-            raise ValueError("f_eps_fiber norm descriptor needs 'eps'")
-        h = f_eps_fiber_norm(int(n), float(d.pop("eps")))
-    elif kind == "custom":
-        raise ValueError("custom norms are constructed in code, not from config")
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    if d:
-        raise ValueError(f"unknown norm descriptor keys: {sorted(d)}")
-    return normalize(h) if do_norm else h
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
@@ -490,6 +458,26 @@ def normalize(h: MinkowskiNorm, **kw) -> MinkowskiNorm:
     vol = wulff_volume(h, **kw)
     c = (vol / omega_n(h.dim)) ** (1.0 / h.dim)
     return replace(h, scale=h.scale * c, normalized=True)
+
+
+def _normalized_if(make):
+    """Table constructor: the norm make() builds, rescaled when normalize is set."""
+    rescale = normalize  # the lambda's normalize flag shadows the function
+    return lambda normalize, **params: rescale(make(**params)) if normalize else make(**params)
+
+
+_DIM = {"n": (int, REQUIRED), "normalize": (bool, False)}
+# custom norms carry code and are constructed in Python, not from config
+NORMS = {
+    "euclidean": (_normalized_if(euclidean_norm), _DIM),
+    "lp": (_normalized_if(lp_norm), {**_DIM, "p": (float, REQUIRED)}),
+    "f_eps_fiber": (_normalized_if(f_eps_fiber_norm), {**_DIM, "eps": (float, REQUIRED)}),
+}
+
+
+def norm_from_descriptor(desc) -> MinkowskiNorm:
+    """The norm a descriptor such as 'lp:n=2,p=4,normalize=true' names."""
+    return build_from_descriptor(desc, NORMS, "norm")
 
 
 def eikonal_residual(h: MinkowskiNorm, samples) -> float:

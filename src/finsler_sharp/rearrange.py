@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from ._util import graded_grid, split_quad, warn_unconverged
+from ._util import REQUIRED, build_from_descriptor, graded_grid, split_quad, warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, bh_density
 from .norms import MinkowskiNorm
@@ -344,34 +344,30 @@ def table_profile(rhos, values) -> RadialTestFunction:
     )
 
 
-def profile_from_descriptor(desc: dict) -> RadialTestFunction:
-    """Schema: {"kind": "morrey_extremal"|"talenti_l1_extremal"|"u_R"|"cone"|
-    "plateau"|"table", ...params}."""
-    d = dict(desc)
-    kind = d.pop("kind", None)
-    if kind == "morrey_extremal":
-        out = morrey_extremal_profile(float(d.pop("p")), int(d.pop("n")), float(d.pop("R", 1.0)))
-    elif kind == "talenti_l1_extremal":
-        out = l1_extremal_profile(float(d.pop("p")), int(d.pop("n")), float(d.pop("R", 1.0)))
-    elif kind == "u_R":
-        family = d.pop("family", "support")
-        p, n, r = float(d.pop("p")), int(d.pop("n")), float(d.pop("R", 1.0))
-        out = (
-            morrey_extremal_profile(p, n, r) if family == "support" else l1_extremal_profile(p, n, r)
-        )
-    elif kind == "cone":
-        out = cone_profile(float(d.pop("R", 1.0)), float(d.pop("height", 1.0)))
-    elif kind == "plateau":
-        out = plateau_profile(
-            float(d.pop("inner", 0.5)), float(d.pop("R", 1.0)), float(d.pop("height", 1.0))
-        )
-    elif kind == "table":
-        out = table_profile(d.pop("rhos"), d.pop("values"))
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    if d:
-        raise ValueError(f"unknown profile descriptor keys: {sorted(d)}")
-    return out
+def _u_R(p: float, n: int, R: float, family: str) -> RadialTestFunction:
+    make = morrey_extremal_profile if family == "support" else l1_extremal_profile
+    return make(p, n, R)
+
+
+_PNR = {"p": (float, REQUIRED), "n": (int, REQUIRED), "R": (float, 1.0)}
+_RH = {"R": (float, 1.0), "height": (float, 1.0)}
+PROFILES = {
+    "morrey_extremal": (lambda p, n, R: morrey_extremal_profile(p, n, R), _PNR),
+    "talenti_l1_extremal": (lambda p, n, R: l1_extremal_profile(p, n, R), _PNR),
+    "u_R": (_u_R, {**_PNR, "family": (str, "support")}),
+    "cone": (lambda R, height: cone_profile(R, height), _RH),
+    "plateau": (lambda inner, R, height: plateau_profile(inner, R, height),
+                {"inner": (float, 0.5), **_RH}),
+    "table": (table_profile, {"rhos": (list, REQUIRED), "values": (list, REQUIRED)}),
+}
+
+
+def profile_from_descriptor(desc, **context) -> RadialTestFunction:
+    """The profile a descriptor such as 'morrey_extremal:p=4,n=2' names.
+
+    A context n (the instance dimension) fills in or checks the n of the
+    extremal families."""
+    return build_from_descriptor(desc, PROFILES, "profile", **context)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import resolve_workers, spawn_rngs, split_quad
+from ._util import REQUIRED, build_from_descriptor, resolve_workers, spawn_rngs, split_quad
 from .constants import (
     bpv_constant,
     eta,
@@ -467,12 +468,14 @@ def _perimeter_surface(h: MinkowskiNorm, radial, n_phi: int, n_theta: int) -> fl
     return float(np.sum(vals)) * dphi * dtheta
 
 
-def _shape_spec(shape) -> dict:
-    if isinstance(shape, WulffShape):
-        return {"kind": "wulff", "radius": float(shape.radius)}
-    if isinstance(shape, dict):
-        return dict(shape)
-    raise ValueError(f"unsupported shape: {shape!r}")
+_RADIUS = {"radius": (float, 1.0)}
+_AXES = {"a": (float, REQUIRED), "b": (float, REQUIRED)}
+# a shape is its descriptor with every key filled in
+SHAPES = {
+    kind: (partial(dict, kind=kind), keys)
+    for kind, keys in (("ball", _RADIUS), ("wulff", _RADIUS), ("rectangle", _AXES),
+                       ("ellipse", _AXES), ("ellipsoid", {**_AXES, "c": (float, REQUIRED)}))
+}
 
 
 def verify_isoperimetric(
@@ -495,8 +498,10 @@ def verify_isoperimetric(
     if not (m.kind == "euclidean" or h.normalized):
         raise ValueError("perimeter formula needs a normalized Minkowski instance")
     a = _avr_point(m, avr_value)
-    spec = _shape_spec(shape)
-    kind = spec.get("kind")
+    if isinstance(shape, WulffShape):
+        shape = {"kind": "wulff", "radius": shape.radius}
+    spec = build_from_descriptor(shape, SHAPES, "shape")
+    kind = spec["kind"]
     if n_quad is None:
         n_quad = 8192 if h.analytic_dual is not None else 512
     won = omega_n(n)
@@ -505,7 +510,7 @@ def verify_isoperimetric(
     if kind == "rectangle":
         if n != 2:
             raise ValueError("rectangle shapes are two-dimensional")
-        ax, bx = float(spec["a"]), float(spec["b"])
+        ax, bx = spec["a"], spec["b"]
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         perim = 2.0 * bx * h.dual(e1) + 2.0 * ax * h.dual(e2)
         vol = ax * bx
@@ -523,18 +528,18 @@ def verify_isoperimetric(
                 return np.stack([ax * np.cos(theta), bx * np.sin(theta)], axis=1)
 
             if kind == "ellipse":
-                ax, bx = float(spec["a"]), float(spec["b"])
+                ax, bx = spec["a"], spec["b"]
                 r = 0.0
                 vol = math.pi * ax * bx
             else:
-                r = float(spec.get("radius", 1.0))
+                r = spec["radius"]
                 vol = WulffShape(norm=h, radius=r).volume() if kind == "wulff" else won * r**2
             perim = _perimeter_polygon(h, polygon(int(n_quad)))
             coarse = _perimeter_polygon(h, polygon(int(n_quad) // 2))
             err_est = abs(perim - coarse) / 3.0
             diag = {"quadrature": "polygon", "n_points": int(n_quad)}
         elif n == 3 and kind in ("wulff", "ball"):
-            r = float(spec.get("radius", 1.0))
+            r = spec["radius"]
             if kind == "wulff":
                 radial = lambda w: r / h(w.reshape(-1, 3)).reshape(w.shape[:-1])
                 vol = WulffShape(norm=h, radius=r).volume()
@@ -548,10 +553,10 @@ def verify_isoperimetric(
             diag = {"quadrature": "surface", "n_phi": n_phi}
         else:
             raise ValueError(f"shape kind {kind!r} unsupported in dimension {n}")
-    elif kind == "ellipsoid":
+    else:  # ellipsoid
         if n != 3:
             raise ValueError("ellipsoid shapes are three-dimensional")
-        ax, bx, cx = float(spec["a"]), float(spec["b"]), float(spec["c"])
+        ax, bx, cx = spec["a"], spec["b"], spec["c"]
         semi = np.array([ax, bx, cx])
 
         def radial(w):
@@ -563,8 +568,6 @@ def verify_isoperimetric(
         err_est = abs(perim - coarse) / 3.0
         vol = 4.0 * math.pi / 3.0 * ax * bx * cx
         diag = {"quadrature": "surface", "n_phi": n_phi}
-    else:
-        raise ValueError(f"unsupported shape kind: {kind!r}")
 
     diag["quad_error_estimate"] = err_est
     rhs = n * won ** (1.0 / n) * a ** (1.0 / n) * vol ** ((n - 1.0) / n)

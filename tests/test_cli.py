@@ -6,6 +6,8 @@ import json
 import pytest
 
 from finsler_sharp import cli
+from finsler_sharp._util import parse_descriptor
+from finsler_sharp.manifold import instance_from_descriptor
 from finsler_sharp.report import make_report
 
 
@@ -17,32 +19,32 @@ def run_cli(argv):
 
 
 def test_parse_descriptor_types():
-    d = cli.parse_descriptor("f_eps:n=3,eps=0.5,normalize=true,tag=abc")
+    d = parse_descriptor("f_eps:n=3,eps=0.5,normalize=true,tag=abc")
     assert d == {"kind": "f_eps", "n": 3, "eps": 0.5, "normalize": True, "tag": "abc"}
 
 
 def test_parse_descriptor_dict_passthrough_copies():
     src = {"kind": "euclidean", "n": 2}
-    d = cli.parse_descriptor(src)
+    d = parse_descriptor(src)
     assert d == src and d is not src
 
 
 @pytest.mark.parametrize("bad", ["", "   ", None, 7])
 def test_parse_descriptor_rejects_non_specs(bad):
-    with pytest.raises(cli.ConfigError):
-        cli.parse_descriptor(bad)
+    with pytest.raises(ValueError):
+        parse_descriptor(bad)
 
 
 def test_parse_descriptor_rejects_bare_items():
-    with pytest.raises(cli.ConfigError):
-        cli.parse_descriptor("euclidean:n")
+    with pytest.raises(ValueError):
+        parse_descriptor("euclidean:n")
 
 
 def test_lp_instance_shorthand():
-    m = cli._instance_from_config("lp:n=2,p=4")
+    m = instance_from_descriptor("lp:n=2,p=4")
     assert m.dim == 2 and m.norm.normalized
-    with pytest.raises(cli.ConfigError):
-        cli._instance_from_config("lp:n=2,p=4,extra=1")
+    with pytest.raises(ValueError):
+        instance_from_descriptor("lp:n=2,p=4,extra=1")
 
 
 def test_sweep_grid_geometric():
@@ -62,6 +64,19 @@ def test_sweep_grid_linear():
 def test_sweep_grid_rejects(bad):
     with pytest.raises(cli.ConfigError):
         cli.parse_sweep_grid(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--instance", "lp:n=2", "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4"],
+    ["--instance", "euclidean:n=2", "--inequality", "isoperimetric", "--shape", "rectangle:a=2"],
+    ["--instance", "euclidean:n=2", "--inequality", "isoperimetric", "--shape", "ball:radus=2"],
+    ["--instance", "euclidean:n=2.7", "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4"],
+    ["--instance", "lp:n=2,p=nan", "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4"],
+])
+def test_malformed_descriptor_exit_2(argv, capsys):
+    assert run_cli(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'" in err  # names the offending kind or key
 
 
 # -- config merge -----------------------------------------------------------
@@ -118,6 +133,23 @@ def test_flags_override_config(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["p"] == 5.0
     assert doc["report"]["params"]["p"] == 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--instance", "euclidean:n=2", "--inequality", "polya-szego",
+     "--profile", "cone:R=1", "--p", "nan"],
+    ["constants", "--p", "nan", "--n", "2"],
+])
+def test_nan_flag_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "'p' is NaN" in capsys.readouterr().err
+
+
+def test_nan_in_config_document_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"task": "constants", "p": NaN, "n": 2}')
+    assert run_cli(["constants", "--config", str(path)]) == 2
+    assert "'p' is NaN" in capsys.readouterr().err
 
 
 def test_threads_env_fallback(monkeypatch, capsys):
@@ -341,6 +373,13 @@ def test_table_profile_from_config(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["config"]["profile"]["kind"] == "table"
+
+
+def test_profile_dimension_must_match_the_instance(capsys):
+    rc = run_cli(["verify", "--instance", "euclidean:n=2",
+                  "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4,n=3"])
+    assert rc == 2
+    assert "key 'n' is 3" in capsys.readouterr().err
 
 
 def test_extremal_profiles_take_the_instance_dimension(capsys):

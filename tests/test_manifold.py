@@ -33,15 +33,6 @@ def test_triangle_inequality_random(e3, rng):
         assert M.distance(e3, a, c) <= M.distance(e3, a, b) + M.distance(e3, b, c) + 1e-12
 
 
-def test_polyline_upper_bound_matches_straight_line(l4_2):
-    x0 = np.zeros(2)
-    x1 = np.array([1.0, 0.7])
-    d = M.distance(l4_2, x0, x1)
-    ub = M.polyline_distance_upper(l4_2, x0, x1, k=8, sweeps=30)
-    assert ub >= d - 1e-12
-    assert ub == pytest.approx(d, rel=1e-6)
-
-
 def test_bh_density_euclidean_is_one(e2):
     assert M.bh_density(e2) == pytest.approx(1.0, rel=1e-12)
 

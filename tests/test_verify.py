@@ -249,6 +249,13 @@ def test_isoperimetric_strict_on_other_shapes(e2):
         assert not rep.diagnostics["equality"]
 
 
+def test_isoperimetric_shape_from_numpy_reals_or_a_string(e2):
+    ref = V.verify_isoperimetric(e2, {"kind": "rectangle", "a": 2.0, "b": 1.0}).as_dict()
+    for shape in ({"kind": "rectangle", "a": np.float64(2.0), "b": np.float64(1.0)},
+                  "rectangle:a=2,b=1"):
+        assert V.verify_isoperimetric(e2, shape).as_dict() == ref
+
+
 def test_isoperimetric_euclidean_ball_3d(e3):
     rep = V.verify_isoperimetric(e3, {"kind": "ball", "radius": 1.0}, n_quad=2048)
     assert rep.passed
