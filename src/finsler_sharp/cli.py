@@ -258,6 +258,8 @@ def _task_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown inequality {name!r}")
     if cfg.get("instance") is None:
         raise ConfigError("verify needs --instance")
+    if cfg.get("shape") is not None and key != "isoperimetric":
+        raise ConfigError(f"--shape applies only to isoperimetric, not to {name!r}")
     m = instance_from_descriptor(cfg["instance"])
     suite = cfg.get("suite")
     if suite:
@@ -353,8 +355,7 @@ def _task_pde(cfg: dict) -> int:
 
     if problem == "ep":
         bvp = RadialBvp(n=n, radius=radius, mu=mu, n_nodes=nodes)
-        lam1, prof = first_eigenvalue(bvp)
-        _, quotient, parts = eigen_quotient(bvp)
+        lam1, quotient, parts = eigen_quotient(bvp)
         payload = {
             "lambda1": lam1,
             "residual": abs(quotient - lam1) / lam1,
@@ -362,7 +363,7 @@ def _task_pde(cfg: dict) -> int:
             "rayleigh_quotient": quotient,
         }
         passed = payload["residual"] < 1e-6
-        profiles = [(bvp.grid(), prof)]
+        profiles = [(bvp.grid(), parts["profile"])]
     elif problem == "p-problem":
         if cfg.get("p") is None:
             raise ConfigError("p-problem needs --p")

@@ -5,12 +5,16 @@ to one-dimensional weighted quadratures, so the eigenvalue problem with an
 inverse-square potential, the semilinear ground-state problem, and the
 critical-profile exploration for oscillatory nonlinearities all become
 singular ODE problems in the radial variable.  Shooting starts from the
-regular Frobenius branch at the origin.  On the grid, one assembly
-(_RadialFunctional) gives the energy, the exact gradient and the
+regular Frobenius branch at the origin.  The root-finding shots (the
+eigenvalue bracket and brentq, the ground-state amplitude bracket and
+brentq) run the compiled DOP853 of scipy's ode and return only their
+endpoint; one solve_ivp shot per solve, at the root, keeps the dense
+interpolant that the profile and the eigen quotient read.  On the grid, one
+assembly (_RadialFunctional) gives the energy, the exact gradient and the
 tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for
 every family, and one projected banded Newton loop (_projected_newton)
 polishes both the ground states (no bounds, to 1e-13) and the plateau
-profiles (a finite box, to 1e-10).
+profiles (a finite box, to 1e-10), halving each step until it rounds away.
 """
 
 import math
@@ -305,14 +309,15 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
 
     The Dirichlet node stays pinned and nodes at an active bound are
     frozen; the free nodes take one tridiagonal solve, and the step is
-    halved until the KKT residual falls.  A finite box is the truncated
-    p-energy, which is minimized: plateau panels with nearly flat slope make
-    its Hessian degenerate, so the diagonal is floored at 1e-12 max|diag|,
-    and when 25 halvings fail a Levenberg shift of the diagonal grows
-    tenfold and the solve is retried.  Without a box the critical point is
-    a ground state, a saddle with an indefinite Hessian: the floor would
-    stall its residual near 1e-8, and at the roundoff floor a shift only
-    buys a random walk, so the loop stops when halving fails.
+    halved until the KKT residual falls, at most 25 times, and no further
+    once u + t step rounds to u (every shorter step would too).  A finite
+    box is the truncated p-energy, which is minimized: plateau panels with
+    nearly flat slope make its Hessian degenerate, so the diagonal is
+    floored at 1e-12 max|diag|, and when halving fails a Levenberg shift of
+    the diagonal grows tenfold and the solve is retried.  Without a box the
+    critical point is a ground state, a saddle with an indefinite Hessian:
+    the floor would stall its residual near 1e-8, and at the roundoff floor
+    a shift only buys a random walk, so the loop stops when halving fails.
     """
     lo, hi = bounds
     box = math.isfinite(lo) and math.isfinite(hi)
@@ -347,6 +352,8 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
             for _ in range(25):
                 trial = np.clip(u + t * step, lo, hi)
                 trial[-1] = 0.0
+                if np.array_equal(trial, u):
+                    break
                 gt = f.assemble(trial).grad
                 rt = _kkt_residual(trial, gt, lo, hi, scale)
                 if rt < best:
@@ -375,28 +382,56 @@ def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float = 1.0):
     return eps, u0, w0, s, c2
 
 
-def _shoot_linear(bvp: RadialBvp, lam: float):
+def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, stop_at_zero: bool = False):
+    """(endpoint, dense) shots of rhs(rho, y) from the Frobenius start at
+    (lam, amplitude); each shot sets shot["lam"] for rhs to read.  endpoint
+    runs the compiled DOP853 of scipy's ode (Hairer, Norsett & Wanner) with
+    no interpolant and returns (t, y) at its end; stop_at_zero ends it at the
+    first step that ends with u < 0.  dense is the solve_ivp shot whose
+    interpolant a solve reads, ended at the first downward zero if
+    stop_at_zero.  One ode serves a whole solve (a fresh one per shot leaks
+    in f2py), and set_f_params would break set_solout: hence the cell."""
+    solver = integrate.ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
+    if stop_at_zero:
+        solver.set_solout(lambda t, y: -1 if y[0] < 0.0 else 0)
+
+    def first_zero(rho, y):
+        return y[0]
+
+    first_zero.terminal, first_zero.direction = True, -1.0
+
+    def endpoint(lam, amplitude=1.0):
+        eps, u0, w0, _, _ = _frobenius_start(bvp, lam, amplitude)
+        shot["lam"] = lam
+        solver.set_initial_value([u0, w0], eps)
+        y = solver.integrate(bvp.radius)
+        if not solver.successful():
+            raise RuntimeError(f"shooting failed with DOP853 status {solver.get_return_code()}")
+        return solver.t, y
+
+    def dense(lam, amplitude=1.0):
+        eps, u0, w0, _, _ = _frobenius_start(bvp, lam, amplitude)
+        shot["lam"] = lam
+        return integrate.solve_ivp(
+            rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol, atol=atol,
+            dense_output=True, events=first_zero if stop_at_zero else None,
+        )
+
+    return endpoint, dense
+
+
+def _eigen_solve(bvp: RadialBvp):
+    _check_mu(bvp.n, bvp.mu)
     n, mu = bvp.n, bvp.mu
-    eps, u0, w0, _, _ = _frobenius_start(bvp, lam)
+    shot = {"lam": 0.0}
 
     def rhs(rho, y):
-        return [y[1] / rho ** (n - 1), -(mu * rho ** (n - 3) + lam * rho ** (n - 1)) * y[0]]
+        return [y[1] / rho ** (n - 1), -(mu * rho ** (n - 3) + shot["lam"] * rho ** (n - 1)) * y[0]]
 
-    return integrate.solve_ivp(
-        rhs, (eps, bvp.radius), [u0, w0], method="DOP853",
-        rtol=1e-12, atol=1e-14, dense_output=True,
-    )
-
-
-def first_eigenvalue(bvp: RadialBvp):
-    """Smallest value of the spectral parameter with a positive radial
-    solution vanishing at R; found by shooting from the regular branch and
-    root-finding on the boundary value.  Returns (value, nodal profile)."""
-    _check_mu(bvp.n, bvp.mu)
+    endpoint, dense = _shooters(bvp, rhs, shot, 1e-12, 1e-14)
 
     def boundary(lam):
-        sol = _shoot_linear(bvp, lam)
-        return float(sol.y[0, -1])
+        return float(endpoint(lam)[1][0])
 
     lam_lo = 0.5 / bvp.radius ** 2
     f_lo = boundary(lam_lo)
@@ -418,13 +453,21 @@ def first_eigenvalue(bvp: RadialBvp):
         raise RuntimeError("eigenvalue bracket search failed: no sign change")
     lam1 = optimize.brentq(boundary, lam_lo, lam_hi, xtol=1e-12, rtol=1e-14)
 
-    sol = _shoot_linear(bvp, lam1)
+    sol = dense(lam1)
     rho = bvp.grid()
     prof = _sample_frobenius(rho, sol, bvp, lam1, 1.0)
     prof[-1] = 0.0
     prof /= np.max(np.abs(prof))
     if prof[np.argmax(np.abs(prof))] < 0:
         prof = -prof
+    return lam1, prof, sol
+
+
+def first_eigenvalue(bvp: RadialBvp):
+    """Smallest value of the spectral parameter with a positive radial
+    solution vanishing at R; found by shooting from the regular branch and
+    root-finding on the boundary value.  Returns (value, nodal profile)."""
+    lam1, prof, _ = _eigen_solve(bvp)
     return lam1, prof
 
 
@@ -447,11 +490,11 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float):
 
 def eigen_quotient(bvp: RadialBvp):
     """First eigenvalue together with the quotient of its eigenprofile,
-    both from the dense shooting solution: the Dirichlet integral uses the
+    both from first_eigenvalue's dense shot: the Dirichlet integral uses the
     flux component directly, so the singular branch near 0 costs no
-    accuracy.  Returns (lam1, quotient, parts dict)."""
-    lam1, _ = first_eigenvalue(bvp)
-    sol = _shoot_linear(bvp, lam1)
+    accuracy.  Returns (lam1, quotient, parts dict); parts also carries the
+    nodal eigenprofile of first_eigenvalue under "profile"."""
+    lam1, prof, sol = _eigen_solve(bvp)
     n = bvp.n
     eps, _, _, s, _ = _frobenius_start(bvp, lam1)
 
@@ -475,12 +518,14 @@ def eigen_quotient(bvp: RadialBvp):
         hardy = n * won * (hardy_tail + eps ** (2 * s + n - 2) / (2 * s + n - 2))
     warn_unconverged(ok_dir and ok_l2 and ok_hardy, "eigenprofile tail integrals")
     quotient = (dirichlet - bvp.mu * hardy) / l2
-    return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2}
+    return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2, "profile": prof}
 
 
-def _shoot_ground(bvp: RadialBvp, p: float, amplitude: float):
+def _ground_shots(bvp: RadialBvp, p: float):
+    """(gap, dense) in the ground-state amplitude a.  gap(a) is t - R for a
+    compiled shot stopped at a step t < R that ends with u < 0, and u(R)
+    otherwise: it changes sign where the first zero is at R."""
     n, mu, lam = bvp.n, bvp.mu, bvp.lam
-    eps, u0, w0, _, _ = _frobenius_start(bvp, lam, amplitude)
 
     def rhs(rho, y):
         u, w = y
@@ -490,18 +535,14 @@ def _shoot_ground(bvp: RadialBvp, p: float, amplitude: float):
             rho ** (n - 1) * (lam * u - up ** (p - 1)) - mu * rho ** (n - 3) * u,
         ]
 
-    def crossing(rho, y):
-        return y[0]
+    # rhs holds its own lam, so it reads no shot cell
+    endpoint, dense = _shooters(bvp, rhs, {}, 1e-11, 1e-13, stop_at_zero=True)
 
-    crossing.terminal = True
-    crossing.direction = -1.0
-    sol = integrate.solve_ivp(
-        rhs, (eps, bvp.radius), [u0, w0], method="DOP853",
-        rtol=1e-11, atol=1e-13, dense_output=True, events=crossing,
-    )
-    if sol.t_events[0].size:
-        return float(sol.t_events[0][0]) - bvp.radius, sol
-    return float(sol.y[0, -1]), sol
+    def gap(amplitude):
+        t, y = endpoint(lam, amplitude)
+        return t - bvp.radius if t < bvp.radius else float(y[0])
+
+    return gap, lambda amplitude: dense(lam, amplitude)
 
 
 def _check_subcritical(n: int, p: float) -> None:
@@ -539,29 +580,28 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
         )
 
     scale = max(1.0, bvp.lam, s_bound) ** (1.0 / (p - 2.0))
+    gap, dense = _ground_shots(bvp, p)
     a_lo = 1e-3 * scale
-    g_lo, _ = _shoot_ground(bvp, p, a_lo)
+    g_lo = gap(a_lo)
     for _ in range(40):
         if g_lo > 0.0:
             break
         a_lo *= 0.25
-        g_lo, _ = _shoot_ground(bvp, p, a_lo)
+        g_lo = gap(a_lo)
     else:
         raise RuntimeError("no solution found in bracket: lower amplitude")
     a_hi = max(a_lo * 4.0, scale)
-    g_hi, _ = _shoot_ground(bvp, p, a_hi)
+    g_hi = gap(a_hi)
     for _ in range(60):
         if g_hi < 0.0:
             break
         a_hi *= 2.0
-        g_hi, _ = _shoot_ground(bvp, p, a_hi)
+        g_hi = gap(a_hi)
     else:
         raise RuntimeError("no solution found in bracket: amplitude sweep exhausted")
 
-    amp = optimize.brentq(
-        lambda a: _shoot_ground(bvp, p, a)[0], a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14
-    )
-    _, sol = _shoot_ground(bvp, p, amp)
+    amp = optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
+    sol = dense(amp)
 
     rho = bvp.grid()
     vals = _sample_frobenius(rho, sol, bvp, bvp.lam, amp)

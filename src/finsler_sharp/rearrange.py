@@ -345,8 +345,10 @@ def table_profile(rhos, values) -> RadialTestFunction:
 
 
 def _u_R(p: float, n: int, R: float, family: str) -> RadialTestFunction:
-    make = morrey_extremal_profile if family == "support" else l1_extremal_profile
-    return make(p, n, R)
+    makers = {"support": morrey_extremal_profile, "l1": l1_extremal_profile}
+    if family not in makers:
+        raise ValueError(f"profile 'u_R': family {family!r} is not one of: {', '.join(makers)}")
+    return makers[family](p, n, R)
 
 
 _PNR = {"p": (float, REQUIRED), "n": (int, REQUIRED), "R": (float, 1.0)}

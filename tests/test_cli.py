@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from finsler_sharp import cli
+from finsler_sharp import cli, pde
 from finsler_sharp._util import parse_descriptor
 from finsler_sharp.manifold import instance_from_descriptor
 from finsler_sharp.report import make_report
+from finsler_sharp.verify import INEQUALITIES
 
 
 def run_cli(argv):
@@ -301,6 +302,22 @@ def test_pde_eigensolver_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pde_ep_solves_the_eigenvalue_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = pde._eigen_solve
+    monkeypatch.setattr(pde, "_eigen_solve", lambda bvp: calls.append(bvp) or solve(bvp))
+    rc = run_cli(["pde", "--problem", "ep", "--n", "3", "--mu", "0.2", "--nodes", "257",
+                  "--out", str(tmp_path / "ep.csv")])
+    assert rc == 0 and len(calls) == 1
+    summary = json.loads((tmp_path / "ep.json").read_text())["summary"]
+    lam1, prof = pde.first_eigenvalue(calls[0])
+    assert summary["lambda1"] == lam1
+    with open(tmp_path / "ep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(r[1]) for r in rows] == prof.tolist()
+    capsys.readouterr()
+
+
 def test_pde_mountain_pass_json(tmp_path, capsys):
     out = tmp_path / "p.csv"
     rc = run_cli(["pde", "--problem", "p-problem", "--n", "3", "--mu", "0.2", "--lam", "-5",
@@ -373,6 +390,30 @@ def test_table_profile_from_config(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["config"]["profile"]["kind"] == "table"
+
+
+def test_u_R_takes_only_the_support_and_l1_families(capsys):
+    argv = ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-l1", "--p", "5"]
+    for family in ("support", "l1"):
+        assert run_cli([*argv, "--profile", f"u_R:p=5,family={family}"]) == 0
+    capsys.readouterr()
+    assert run_cli([*argv, "--profile", "u_R:p=5,family=banana"]) == 2
+    assert "'banana'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inequality", [k for k in INEQUALITIES if k != "isoperimetric"])
+def test_shape_is_rejected_outside_isoperimetric(inequality, capsys):
+    rc = run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", inequality,
+                  "--p", "4", "--profile", "morrey_extremal:p=4", "--shape", "ball:radius=2"])
+    assert rc == 2
+    assert "--shape" in capsys.readouterr().err
+
+
+def test_bpv_takes_its_domain_from_radius(capsys):
+    rc = run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", "bpv",
+                  "--profile", "morrey_extremal:p=4", "--radius", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_profile_dimension_must_match_the_instance(capsys):

@@ -472,3 +472,133 @@ def test_radial_energy_general_family():
     pair = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", (nl.h, nl.H)), n_nodes=65)
     with pytest.raises(ValueError):
         P.radial_energy(u, pair, p=4.0)  # an (h, H) tuple is not a nonlinearity object
+
+
+# -- compiled root-finding shots ----------------------------------------------
+#
+# The shooting the compiled shots replaced, kept as a reference: every shot
+# through solve_ivp's DOP853 with a dense interpolant, and the ground-state
+# shots ended by a terminal event at the first downward zero.  Patched in
+# for _shooters it reproduces the earlier solvers bit for bit.
+
+
+def _ref_shooters(bvp, rhs, shot, rtol, atol, stop_at_zero=False):
+    from scipy import integrate
+
+    def crossing(rho, y):
+        return y[0]
+
+    crossing.terminal = True
+    crossing.direction = -1.0
+
+    def dense(lam, amplitude=1.0):
+        eps, u0, w0, _, _ = P._frobenius_start(bvp, lam, amplitude)
+        shot["lam"] = lam
+        return integrate.solve_ivp(
+            rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol, atol=atol,
+            dense_output=True, events=crossing if stop_at_zero else None,
+        )
+
+    def endpoint(lam, amplitude=1.0):
+        sol = dense(lam, amplitude)
+        return sol.t[-1], sol.y[:, -1]
+
+    return endpoint, dense
+
+
+def _mp_bvp(n, radius, mu, lam, p, s):
+    # R -> sR with lambda -> lambda/s^2 rescales the same ground state
+    return P.RadialBvp(n=n, radius=radius * s, mu=mu, lam=lam / s**2, nonlinearity=("power", p))
+
+
+def test_eigen_shots_match_the_solve_ivp_reference(monkeypatch):
+    for n, radius, mu in EIGEN_GRID:
+        bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
+        lam1, quotient, parts = P.eigen_quotient(bvp)
+        with monkeypatch.context() as m:
+            m.setattr(P, "_shooters", _ref_shooters)
+            ref_lam1, ref_quotient, _ = P.eigen_quotient(bvp)
+        assert abs(lam1 / ref_lam1 - 1.0) < 1e-12
+        assert abs(quotient / ref_quotient - 1.0) < 1e-12
+        # eigen_quotient reads first_eigenvalue's own dense shot
+        same_lam1, prof = P.first_eigenvalue(bvp)
+        assert same_lam1 == lam1 and np.array_equal(prof, parts["profile"])
+
+
+@pytest.mark.parametrize("s", [1.0, 0.9])
+def test_ground_state_shots_match_the_solve_ivp_reference(s, monkeypatch):
+    for case in MP_SETS:
+        bvp = _mp_bvp(*case, s)
+        sol = P.mountain_pass_solve(bvp, p=case[-1])
+        with monkeypatch.context() as m:
+            m.setattr(P, "_shooters", _ref_shooters)
+            ref = P.mountain_pass_solve(bvp, p=case[-1])
+        assert abs(sol.level / ref.level - 1.0) < 1e-14
+        assert sol.residual < 1e-11
+
+
+def _spy(monkeypatch, module, name):
+    """(args, result) of every call to module.name."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append((args, real(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
+    # the compiled shots find the root and solve_ivp integrates from it: a
+    # mismatch between their equations leaves u(R) far from 0
+    calls = _spy(monkeypatch, P.integrate, "solve_ivp")
+    for n, radius, mu in EIGEN_GRID[::3]:
+        P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    for case in MP_SETS:
+        P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
+    dense = [sol for _, sol in calls]
+    assert len(dense) == 4 + len(MP_SETS)  # one dense shot per solve
+    for sol in dense:
+        assert abs(sol.y[0, -1]) < 1e-9 * np.max(np.abs(sol.y[0]))
+    for sol, case in zip(dense[4:], MP_SETS):
+        assert sol.t[-1] > case[1] * (1.0 - 1e-9)  # the first zero sits at R
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_ground_state_gap_changes_sign_at_the_found_amplitude(n, radius, mu, lam, p, monkeypatch):
+    bvp = _mp_bvp(n, radius, mu, lam, p, 1.0)
+    roots = _spy(monkeypatch, P.optimize, "brentq")
+    P.mountain_pass_solve(bvp, p=p)
+    gap, _ = P._ground_shots(bvp, p)
+    # the spectral bound's Bessel zero is found by brentq too
+    (amp,) = [root for (f, *_), root in roots if f.__qualname__.startswith("_ground_shots")]
+    for d in (1e-6, 1e-3, 0.1):
+        assert gap(amp * (1.0 - d)) > 0.0
+        assert gap(amp * (1.0 + d)) < 0.0
+    # far above the root the first zero comes well before R
+    assert -radius < gap(4.0 * amp) < -1e-3 * radius
+
+
+def test_newton_skips_steps_that_round_away(monkeypatch):
+    # the line search stops once u + t step rounds back to u: every shorter
+    # step does too and cannot lower the residual, so the profile is the
+    # one the full 25 halvings give (test_mountain_pass_profiles_match_...),
+    # and no gradient is assembled twice on the same profile
+    for case in MP_SETS:
+        inputs = []
+        real = P._RadialFunctional.assemble
+
+        def counting(self, u, hessian=False):
+            inputs.append((u.tobytes(), hessian))
+            return real(self, u, hessian)
+
+        with monkeypatch.context() as m:
+            m.setattr(P._RadialFunctional, "assemble", counting)
+            P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
+        grads = [u for u, hessian in inputs if not hessian]
+        # Newton plus the final energy: 12-29 here, 42-46 on four of these
+        # sets when every line search ran its 25 halvings
+        assert len(inputs) <= 30
+        assert len(set(grads[:-1])) == len(grads) - 1  # the energy re-reads the result

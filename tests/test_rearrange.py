@@ -103,6 +103,9 @@ def test_profile_from_descriptor():
     assert u.support_radius == 1.0
     with pytest.raises(ValueError):
         R.profile_from_descriptor({"kind": "spiral"})
+    assert R.profile_from_descriptor("u_R:p=5,n=2,family=l1").label == R.l1_extremal_profile(5.0, 2).label
+    with pytest.raises(ValueError, match="banana"):
+        R.profile_from_descriptor("u_R:p=5,n=2,family=banana")
 
 
 def test_distribution_cone_exact(e2):
