@@ -4,17 +4,18 @@ For radial profiles on the ball the anisotropic Dirichlet integrals reduce
 to one-dimensional weighted quadratures, so the eigenvalue problem with an
 inverse-square potential, the semilinear ground-state problem, and the
 critical-profile exploration for oscillatory nonlinearities all become
-singular ODE problems in the radial variable.  Shooting starts from the
-regular Frobenius branch at the origin.  The root-finding shots (the
-eigenvalue bracket and brentq, the ground-state amplitude bracket and
-brentq) run the compiled DOP853 of scipy's ode and return only their
-endpoint; one solve_ivp shot per solve, at the root, keeps the dense
-interpolant that the profile and the eigen quotient read.  On the grid, one
-assembly (_RadialFunctional) gives the energy, the exact gradient and the
-tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for
-every family, and one projected banded Newton loop (_projected_newton)
-polishes both the ground states (no bounds, to 1e-13) and the plateau
-profiles (a finite box, to 1e-10), halving each step until it rounds away.
+singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
+(s the Frobenius exponent) and W = rho^(d-1) v', where the potential cancels
+and v solves the problem without it in dimension d = n + 2s.  The
+root-finding shots (brackets and brentq) run the compiled DOP853 of scipy's
+ode for their endpoint only; one solve_ivp shot per solve, at the root, keeps
+the dense interpolant that the profile and the eigen quotient read.  On the
+grid, one assembly (_RadialFunctional) gives the energy, the exact gradient
+and the tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w
+for every family, and one projected banded Newton loop (_projected_newton)
+polishes the ground states (no bounds, to 1e-13 or the gradient's rounding
+floor) and the plateau profiles (a finite box, to 1e-10), halving each step
+until it rounds away.
 """
 
 import math
@@ -28,6 +29,10 @@ from scipy import integrate, linalg, optimize
 
 from ._util import graded_grid, split_quad, warn_unconverged
 from .constants import bpv_constant, omega_n
+
+# positive nodes and their weights of the 8-point Gauss-Legendre rule, leggauss(8) to the bit
+_GL8 = np.array([[0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+                 [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
 
 
 @lru_cache(maxsize=64)
@@ -219,7 +224,6 @@ def _power(q: float):
 class _Assembly(NamedTuple):
     energy: float
     grad: np.ndarray
-    band: Optional[np.ndarray]  # Hessian rows (upper, main, lower) divided by n omega_n
     dirichlet: float
     l2: float
     hardy: float
@@ -236,10 +240,10 @@ class _RadialFunctional:
     nonlinearity (None for none; F'' may be None when no Hessian is asked
     for).  p = 2 gives the eigen family (no F) and the ground states
     (F = u_+^q / q); p > n with c = 0 and coef F' = lam h gives the
-    oscillatory family.  assemble() returns the energy, the gradient and,
-    on request, the tridiagonal Hessian.  Its products and node sums keep
-    the order of the two per-family assemblies it replaced, so its
-    gradients and the oscillatory energy are bit-identical to theirs.
+    oscillatory family.  gradient(), hessian() (tridiagonal) and assemble()
+    (the energy, its parts and the gradient) keep the products and node sums
+    of the two per-family assemblies this replaced, so the gradients and the
+    oscillatory energy are bit-identical to theirs.
     """
 
     def __init__(self, rho, n: int, p: float, lam: float = 0.0, mu: float = 0.0, nl=None):
@@ -252,45 +256,54 @@ class _RadialFunctional:
     def residual_scale(self, u) -> float:
         return self.nw * max(1.0, np.max(u) ** (self.p - 1)) * max(1.0, self.rho[-1] ** (self.n - 1))
 
-    def assemble(self, u, hessian: bool = False) -> _Assembly:
+    def _terms(self, u):
+        """(coef, F, F', F''), panel means and panel slopes of u."""
+        nl = self.nl if self.nl is not None else (0.0, None, None, None)
+        return nl, 0.5 * (u[1:] + u[:-1]), np.diff(u) / self.drho
+
+    def gradient(self, u) -> np.ndarray:
         p, drho, shell = self.p, self.drho, self.shell
-        coef, prim, f, df = self.nl if self.nl is not None else (0.0, None, None, None)
-        ubar = 0.5 * (u[1:] + u[:-1])
-        slope = np.diff(u) / drho
-        dirichlet = float(np.sum(np.abs(slope) ** p * shell * drho))
-        l2 = float(np.sum(ubar ** 2 * shell * drho))
-        hardy, nonlinear = 0.0, 0.0
+        (coef, _, f, _), ubar, slope = self._terms(u)
         mass = []
         if self.lam != 0.0:
             mass.append(self.lam * ubar * shell * drho)
         if self.mu != 0.0:
-            hardy = float(np.sum(ubar ** 2 * self.hardy_w * drho))
             mass.append(-self.mu * ubar * self.hardy_w * drho)
         if f is not None:
-            nonlinear = float(np.sum(np.asarray(prim(ubar), dtype=float) * shell * drho))
             mass.append(-coef * np.asarray(f(ubar), dtype=float) * shell * drho)
         flux = np.abs(slope) ** (p - 2) * slope * shell
         half = 0.5 * sum(mass[1:], mass[0]) if mass else 0.0
         g = np.zeros_like(u)
         g[:-1] += -flux + half
         g[1:] += flux + half
-        energy = self.nw * (dirichlet / p + 0.5 * (self.lam * l2 - self.mu * hardy) - coef * nonlinear)
+        return self.nw * g
 
-        band = None
-        if hessian:
-            k_diag = (p - 1.0) * np.abs(slope) ** (p - 2) * shell / drho
-            curv = []
-            if self.lam != 0.0 or self.mu != 0.0:
-                curv.append(0.25 * (self.c * drho))
-            if f is not None:
-                curv.append(-coef * np.asarray(df(ubar), dtype=float) * 0.25 * shell * drho)
-            c = sum(curv[1:], curv[0]) if curv else 0.0
-            band = np.zeros((3, len(u)))
-            band[1, :-1] += k_diag + c
-            band[1, 1:] += k_diag + c
-            band[0, 1:] = band[2, :-1] = -k_diag + c
-        nw = self.nw
-        return _Assembly(energy, nw * g, band, nw * dirichlet, nw * l2, nw * hardy, nw * nonlinear)
+    def hessian(self, u) -> np.ndarray:
+        """Hessian rows (upper, main, lower) divided by n omega_n."""
+        p, drho, shell = self.p, self.drho, self.shell
+        (coef, _, f, df), ubar, slope = self._terms(u)
+        k_diag = (p - 1.0) * np.abs(slope) ** (p - 2) * shell / drho
+        curv = []
+        if self.lam != 0.0 or self.mu != 0.0:
+            curv.append(0.25 * (self.c * drho))
+        if f is not None:
+            curv.append(-coef * np.asarray(df(ubar), dtype=float) * 0.25 * shell * drho)
+        c = sum(curv[1:], curv[0]) if curv else 0.0
+        band = np.zeros((3, len(u)))
+        band[1, :-1] += k_diag + c
+        band[1, 1:] += k_diag + c
+        band[0, 1:] = band[2, :-1] = -k_diag + c
+        return band
+
+    def assemble(self, u) -> _Assembly:
+        p, drho, shell, nw = self.p, self.drho, self.shell, self.nw
+        (coef, prim, f, _), ubar, slope = self._terms(u)
+        dirichlet = float(np.sum(np.abs(slope) ** p * shell * drho))
+        l2 = float(np.sum(ubar ** 2 * shell * drho))
+        hardy = float(np.sum(ubar ** 2 * self.hardy_w * drho)) if self.mu != 0.0 else 0.0
+        nonlinear = float(np.sum(np.asarray(prim(ubar), dtype=float) * shell * drho)) if f is not None else 0.0
+        energy = nw * (dirichlet / p + 0.5 * (self.lam * l2 - self.mu * hardy) - coef * nonlinear)
+        return _Assembly(energy, self.gradient(u), nw * dirichlet, nw * l2, nw * hardy, nw * nonlinear)
 
 
 def _kkt_residual(u, g, lo, hi, scale) -> float:
@@ -305,7 +318,9 @@ def _kkt_residual(u, g, lo, hi, scale) -> float:
 
 def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
     """Projected Newton for simple bounds (Bertsekas 1982) on the discrete
-    functional f, stopped once the scaled KKT residual is below tol.
+    functional f, stopped once the scaled KKT residual is below tol, or, with
+    no box, after a step lands below half of the gradient's rounding floor
+    eps n omega_n |||K||u|||/scale (K the Hessian band), where steps walk.
 
     The Dirichlet node stays pinned and nodes at an active bound are
     frozen; the free nodes take one tridiagonal solve, and the step is
@@ -327,14 +342,19 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
     units = 1.0 if box else f.nw
     scale = f.residual_scale(u)
     u = u.copy()
-    g = f.assemble(u).grad
+    g = f.gradient(u)
     best = _kkt_residual(u, g, lo, hi, scale)
     lev = 0.0
     for _ in range(60):
         if best < tol:
             break
-        band = f.assemble(u, hessian=True).band
+        band = f.hessian(u)
         unit = 1e-12 * max(float(np.max(np.abs(band[1]))), 1.0)
+        floor = 0.0  # a box polishes to tol
+        if not box:
+            off = np.abs(band[0, 1:])  # |K| |u|, K symmetric
+            ku = np.abs(band[1] * u) + np.r_[off * np.abs(u[1:]), 0.0] + np.r_[0.0, off * np.abs(u[:-1])]
+            floor = np.finfo(float).eps * f.nw * float(np.linalg.norm(ku)) / scale
         fixed = (u <= lo + 1e-14) | (u >= hi * (1.0 - 1e-12))
         fixed[-1] = True
         ab = np.zeros_like(band)
@@ -354,7 +374,7 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
                 trial[-1] = 0.0
                 if np.array_equal(trial, u):
                     break
-                gt = f.assemble(trial).grad
+                gt = f.gradient(trial)
                 rt = _kkt_residual(trial, gt, lo, hi, scale)
                 if rt < best:
                     u, g, best, improved = trial, gt, rt, True
@@ -362,6 +382,8 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
                 t *= 0.5
         if improved:
             lev *= 0.25
+            if best < 0.5 * floor:
+                break
         elif not box:
             break
         else:
@@ -371,28 +393,39 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
     return u
 
 
-def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float = 1.0):
+def _regular_variable(bvp: RadialBvp):
+    """(s, d): u = rho^s v takes mu rho^-2 out (s (s + n - 2) = -mu) and leaves dimension n + 2s."""
     s = bvp.frobenius_exponent()
-    c2 = -lam / (2.0 * (2.0 * s + bvp.n))
+    return s, bvp.n + 2.0 * s
+
+
+def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float, p, rho):
+    """(v, W = rho^(d-1) v') at rho of the branch v(0) = a of (rho^(d-1) v')'
+    = rho^(d-1) (k v - rho^t v_+^(p-1)), t = s (p - 2): k = -lam and no power
+    term for the eigen problem (p None), k = lam for the ground states.  Two
+    terms, v = a (1 + k rho^2 / 2d) - a^(p-1) rho^(2+t) / ((2+t)(d+t)), the
+    first omitted O(rho^(4+2t)); the shots start on it at eps = 1e-6 R."""
+    s, d = _regular_variable(bvp)
+    c2 = (-lam if p is None else lam) / (2.0 * d)
+    v, w = amplitude * (1.0 + c2 * rho ** 2), amplitude * (2.0 * c2 * rho ** d)
+    if p is not None:
+        t, a = s * (p - 2.0), amplitude ** (p - 1)
+        v, w = v - a * rho ** (2.0 + t) / ((2.0 + t) * (d + t)), w - a * rho ** (d + t) / (d + t)
+    return v, w
+
+
+def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, p=None):
+    """(endpoint, dense) shots of rhs(rho, y), y = (v, W), from
+    _frobenius_start at (lam, amplitude); each sets shot["lam"] for rhs to
+    read.  endpoint runs the compiled DOP853 of scipy's ode (Hairer, Norsett
+    & Wanner) with no interpolant and returns (t, y) at its end; dense is
+    the solve_ivp shot whose interpolant a solve reads.  A ground state (p
+    given) stops at its first zero (endpoint: at a step ending with v < 0).
+    One ode serves a solve (a fresh one per shot leaks in f2py), and
+    set_f_params would break set_solout: hence the cell."""
     eps = 1e-6 * bvp.radius
-    u0 = amplitude * eps ** s * (1.0 + c2 * eps * eps)
-    w0 = amplitude * (
-        s * eps ** (s + bvp.n - 2) + c2 * (s + 2.0) * eps ** (s + bvp.n)
-    )
-    return eps, u0, w0, s, c2
-
-
-def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, stop_at_zero: bool = False):
-    """(endpoint, dense) shots of rhs(rho, y) from the Frobenius start at
-    (lam, amplitude); each shot sets shot["lam"] for rhs to read.  endpoint
-    runs the compiled DOP853 of scipy's ode (Hairer, Norsett & Wanner) with
-    no interpolant and returns (t, y) at its end; stop_at_zero ends it at the
-    first step that ends with u < 0.  dense is the solve_ivp shot whose
-    interpolant a solve reads, ended at the first downward zero if
-    stop_at_zero.  One ode serves a whole solve (a fresh one per shot leaks
-    in f2py), and set_f_params would break set_solout: hence the cell."""
     solver = integrate.ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
-    if stop_at_zero:
+    if p is not None:
         solver.set_solout(lambda t, y: -1 if y[0] < 0.0 else 0)
 
     def first_zero(rho, y):
@@ -401,20 +434,18 @@ def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, stop_at
     first_zero.terminal, first_zero.direction = True, -1.0
 
     def endpoint(lam, amplitude=1.0):
-        eps, u0, w0, _, _ = _frobenius_start(bvp, lam, amplitude)
         shot["lam"] = lam
-        solver.set_initial_value([u0, w0], eps)
+        solver.set_initial_value(list(_frobenius_start(bvp, lam, amplitude, p, eps)), eps)
         y = solver.integrate(bvp.radius)
         if not solver.successful():
             raise RuntimeError(f"shooting failed with DOP853 status {solver.get_return_code()}")
         return solver.t, y
 
     def dense(lam, amplitude=1.0):
-        eps, u0, w0, _, _ = _frobenius_start(bvp, lam, amplitude)
         shot["lam"] = lam
         return integrate.solve_ivp(
-            rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol, atol=atol,
-            dense_output=True, events=first_zero if stop_at_zero else None,
+            rhs, (eps, bvp.radius), list(_frobenius_start(bvp, lam, amplitude, p, eps)), method="DOP853",
+            rtol=rtol, atol=atol, dense_output=True, events=None if p is None else first_zero,
         )
 
     return endpoint, dense
@@ -422,11 +453,12 @@ def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, stop_at
 
 def _eigen_solve(bvp: RadialBvp):
     _check_mu(bvp.n, bvp.mu)
-    n, mu = bvp.n, bvp.mu
+    _, d = _regular_variable(bvp)
     shot = {"lam": 0.0}
 
     def rhs(rho, y):
-        return [y[1] / rho ** (n - 1), -(mu * rho ** (n - 3) + shot["lam"] * rho ** (n - 1)) * y[0]]
+        r = rho ** (d - 1)
+        return [y[1] / r, -shot["lam"] * r * y[0]]
 
     endpoint, dense = _shooters(bvp, rhs, shot, 1e-12, 1e-14)
 
@@ -471,72 +503,71 @@ def first_eigenvalue(bvp: RadialBvp):
     return lam1, prof
 
 
-def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float):
-    """Sample an ODE solution on the grid, patching the region below the
-    shooting start with the series.  The singular branch (negative index,
-    mu > 0) is unbounded at 0; the origin node gets the first positive
-    node's value, which the graded quadratures cannot distinguish."""
-    eps, _, _, s, c2 = _frobenius_start(bvp, lam, amplitude)
+def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=None):
+    """u = rho^s v on the grid from the shot sol of (v, W), with the series
+    below the shooting start.  The singular branch (s < 0, mu > 0) is
+    unbounded at 0; the origin node gets the first positive node's value,
+    which the graded quadratures cannot distinguish."""
+    s, _ = _regular_variable(bvp)
+    eps = sol.t[0]
     vals = np.empty_like(rho)
     inner = (rho < eps) & (rho > 0.0)
-    vals[inner] = amplitude * rho[inner] ** s * (1.0 + c2 * rho[inner] ** 2)
+    vals[inner] = rho[inner] ** s * _frobenius_start(bvp, lam, amplitude, p, rho[inner])[0]
     outer = rho >= eps
     capped = np.minimum(rho[outer], sol.t[-1])
-    vals[outer] = sol.sol(capped)[0]
-    if rho[0] == 0.0:
-        vals[0] = 0.0 if s > 0 else (amplitude if s == 0 else vals[1])
+    vals[outer] = capped ** s * sol.sol(capped)[0]
+    vals[0] = amplitude if s == 0 else vals[1]  # the grid starts at 0
     return vals
 
 
 def eigen_quotient(bvp: RadialBvp):
-    """First eigenvalue together with the quotient of its eigenprofile,
-    both from first_eigenvalue's dense shot: the Dirichlet integral uses the
-    flux component directly, so the singular branch near 0 costs no
-    accuracy.  Returns (lam1, quotient, parts dict); parts also carries the
-    nodal eigenprofile of first_eigenvalue under "profile"."""
+    """(lam1, quotient of the eigenprofile, parts with "profile") from
+    first_eigenvalue's dense shot of (v, W): u = rho^s v, and the Dirichlet
+    integral takes the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The
+    tails are adaptive in rho for s = 0; for s != 0 they take 8-point
+    Gauss-Legendre in log rho, where the rho^(d-3) head is smooth, on each
+    step of the shot, where the interpolant is one polynomial."""
     lam1, prof, sol = _eigen_solve(bvp)
-    n = bvp.n
-    eps, _, _, s, _ = _frobenius_start(bvp, lam1)
-
-    def val(r):
-        return float(sol.sol(r)[0])
-
-    def flux(r):
-        return float(sol.sol(r)[1])
-
-    dir_tail, _, ok_dir = split_quad(lambda r: flux(r) ** 2 * r ** (1 - n), eps, bvp.radius)
-    l2_tail, _, ok_l2 = split_quad(lambda r: val(r) ** 2 * r ** (n - 1), eps, bvp.radius)
+    n, eps, mu, (s, d) = bvp.n, sol.t[0], bvp.mu, _regular_variable(bvp)
+    integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
+    if mu != 0.0:
+        integrands.append(lambda r, u, flux: u ** 2 * r ** (n - 3))
+    if s == 0.0:  # u = v and the flux is W
+        quads = [split_quad(lambda r: g(r, *sol.sol(r).tolist()), eps, bvp.radius) for g in integrands]
+        warn_unconverged(all(ok for _, _, ok in quads), "eigenprofile tail integrals")
+        tails = [val for val, _, _ in quads]
+    else:
+        x, wx = np.r_[-_GL8[0, ::-1], _GL8[0]], np.r_[_GL8[1, ::-1], _GL8[1]]
+        logt = np.log(sol.t)
+        half = 0.5 * np.diff(logt)[:, None]
+        r = np.exp(logt[:-1, None] + half * (1.0 + x)).ravel()
+        v, w = sol.sol(r)
+        u, flux = r ** s * v, s * r ** (n + s - 2) * v + r ** -s * w
+        tails = [float(np.sum((half * wx).ravel() * r * g(r, u, flux))) for g in integrands]
     # series head u ~ rho^s: analytic leading-order integrals
-    dir_head = s * s * eps ** (2 * s + n - 2) / (2 * s + n - 2) if s != 0.0 else 0.0
-    l2_head = eps ** (2 * s + n) / (2 * s + n)
-    won = omega_n(n)
-    dirichlet = n * won * (dir_tail + dir_head)
-    l2 = n * won * (l2_tail + l2_head)
-    hardy, ok_hardy = 0.0, True
-    if bvp.mu != 0.0:
-        hardy_tail, _, ok_hardy = split_quad(lambda r: val(r) ** 2 * r ** (n - 3), eps, bvp.radius)
-        hardy = n * won * (hardy_tail + eps ** (2 * s + n - 2) / (2 * s + n - 2))
-    warn_unconverged(ok_dir and ok_l2 and ok_hardy, "eigenprofile tail integrals")
-    quotient = (dirichlet - bvp.mu * hardy) / l2
+    nw = n * omega_n(n)
+    dirichlet = nw * (tails[0] + (s * s * eps ** (d - 2) / (d - 2) if s != 0.0 else 0.0))
+    l2 = nw * (tails[1] + eps ** d / d)
+    hardy = nw * (tails[2] + eps ** (d - 2) / (d - 2)) if mu != 0.0 else 0.0
+    quotient = (dirichlet - mu * hardy) / l2
     return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2, "profile": prof}
 
 
 def _ground_shots(bvp: RadialBvp, p: float):
     """(gap, dense) in the ground-state amplitude a.  gap(a) is t - R for a
-    compiled shot stopped at a step t < R that ends with u < 0, and u(R)
+    compiled shot stopped at a step t < R that ends with v < 0, and v(R)
     otherwise: it changes sign where the first zero is at R."""
-    n, mu, lam = bvp.n, bvp.mu, bvp.lam
+    lam, (s, d) = bvp.lam, _regular_variable(bvp)
+    t = s * (p - 2.0)
 
     def rhs(rho, y):
-        u, w = y
-        up = u if u > 0.0 else 0.0
-        return [
-            w / rho ** (n - 1),
-            rho ** (n - 1) * (lam * u - up ** (p - 1)) - mu * rho ** (n - 3) * u,
-        ]
+        v, w = y
+        vp = v if v > 0.0 else 0.0
+        r = rho ** (d - 1)
+        return [w / r, r * (lam * v - rho ** t * vp ** (p - 1))]
 
     # rhs holds its own lam, so it reads no shot cell
-    endpoint, dense = _shooters(bvp, rhs, {}, 1e-11, 1e-13, stop_at_zero=True)
+    endpoint, dense = _shooters(bvp, rhs, {}, 1e-11, 1e-13, p)
 
     def gap(amplitude):
         t, y = endpoint(lam, amplitude)
@@ -560,11 +591,10 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     Shooting on the initial amplitude places the first zero exactly at R;
     the projected Newton loop, with no bounds, then drives the discrete
     Euler-Lagrange gradient of the p = 2 functional toward a scaled
-    residual of 1e-13 (it stops earlier, at the roundoff floor, when
-    halving the step no longer lowers the residual).  The ground state is
-    a saddle point, so its indefinite Hessian gets no diagonal floor and
-    no Levenberg shift.  The energy level of a nontrivial solution is
-    strictly positive.
+    residual of 1e-13 (it stops earlier, at the gradient's rounding
+    floor).  The ground state is a saddle point, so its indefinite Hessian
+    gets no diagonal floor and no Levenberg shift.  The energy level of a
+    nontrivial solution is strictly positive.
     """
     if p is None:
         if not (isinstance(bvp.nonlinearity, tuple) and bvp.nonlinearity[0] == "power"):
@@ -604,7 +634,7 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     sol = dense(amp)
 
     rho = bvp.grid()
-    vals = _sample_frobenius(rho, sol, bvp, bvp.lam, amp)
+    vals = _sample_frobenius(rho, sol, bvp, bvp.lam, amp, p)
     vals[rho > sol.t[-1]] = 0.0
     vals[-1] = 0.0
     vals = np.maximum(vals, 0.0)

@@ -358,12 +358,13 @@ def test_assembly_gradient_matches_reference_bit_for_bit(rng):
     won3, won2 = omega_n(3), omega_n(2)
     for _ in range(5):
         rho, u = _eigen_case(rng)
-        eigen = P._RadialFunctional(rho, 3, 2.0, 4.0, 0.2).assemble(u).grad
+        # gradient() alone, as the Newton trials call it
+        eigen = P._RadialFunctional(rho, 3, 2.0, 4.0, 0.2).gradient(u)
         ref = _ref_grad_quadratic(u, rho, 3, 0.2, 4.0, None, won3)
         assert np.array_equal(_bits(eigen), _bits(ref))
 
         q = 3.5
-        power = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, P._power(q)).assemble(u).grad
+        power = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, P._power(q)).gradient(u)
         ref = _ref_grad_quadratic(u, rho, 3, 0.2, -5.0, lambda s: np.maximum(s, 0.0) ** (q - 1), won3)
         assert np.array_equal(_bits(power), _bits(ref))
 
@@ -382,7 +383,7 @@ def _fd_jacobian(f, u, step=1e-6):
     for j in range(u.size):
         e = np.zeros_like(u)
         e[j] = step * max(1.0, abs(u[j]))
-        jac[:, j] = (f.assemble(u + e).grad - f.assemble(u - e).grad) / (2.0 * e[j])
+        jac[:, j] = (f.gradient(u + e) - f.gradient(u - e)) / (2.0 * e[j])
     return jac / f.nw
 
 
@@ -398,7 +399,7 @@ def test_hessian_band_matches_finite_difference_jacobian(family, rng):
         u[-1] = 0.0
         nl = P._power(3.5) if family == "power" else None
         f = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, nl)
-    band = f.assemble(u, hessian=True).band
+    band = f.hessian(u)
     jac = _fd_jacobian(f, u)
     size = float(np.max(np.abs(band)))
     assert np.max(np.abs(np.diag(jac) - band[1])) < 1e-6 * size
@@ -408,14 +409,33 @@ def test_hessian_band_matches_finite_difference_jacobian(family, rng):
 
 
 def test_mountain_pass_profiles_match_reference_solver(monkeypatch):
+    # The loop stops once a step lands below half of the gradient's rounding
+    # floor, where the reference walks on at random.  Over the iterations the
+    # loop takes, every step is the reference's bit for bit; run to its own
+    # end, the reference lands within 1e-11 of the loop's profile, and the
+    # loop's residual is below the floor.
     for n, radius, mu, lam, p in MP_SETS:
         bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
-        new = P.mountain_pass_solve(bvp, p=p)
         with monkeypatch.context() as mp:
-            mp.setattr(P, "_projected_newton", lambda f, u, bounds, tol: _ref_newton_polish(u, bvp, p))
-            ref = P.mountain_pass_solve(bvp, p=p)
+            hessians = _spy(mp, P._RadialFunctional, "hessian")
+            new = P.mountain_pass_solve(bvp, p=p)
+        refs = []
+        for max_iter in (len(hessians), 40):
+            with monkeypatch.context() as mp:
+                mp.setattr(P, "_projected_newton",
+                           lambda f, u, bounds, tol: _ref_newton_polish(u, bvp, p, max_iter=max_iter))
+                refs.append(P.mountain_pass_solve(bvp, p=p))
+        ref, end = refs
         assert np.array_equal(_bits(new.values), _bits(ref.values))
         assert new.residual == ref.residual
+        assert np.max(np.abs(new.values - end.values)) <= 1e-11 * np.max(end.values)
+        f = P._RadialFunctional(bvp.grid(), n, 2.0, lam, mu, P._power(p))
+        band, u = f.hessian(new.values), new.values
+        ku = np.abs(band[1] * u)  # |K| |u|, K symmetric
+        ku[:-1] += np.abs(band[0, 1:] * u[1:])
+        ku[1:] += np.abs(band[2, :-1] * u[:-1])
+        floor = np.finfo(float).eps * f.nw * np.linalg.norm(ku) / f.residual_scale(u)
+        assert new.residual <= floor
 
 
 def test_plateau_profiles_match_reference_solver(monkeypatch):
@@ -482,7 +502,7 @@ def test_radial_energy_general_family():
 # for _shooters it reproduces the earlier solvers bit for bit.
 
 
-def _ref_shooters(bvp, rhs, shot, rtol, atol, stop_at_zero=False):
+def _ref_shooters(bvp, rhs, shot, rtol, atol, p=None):
     from scipy import integrate
 
     def crossing(rho, y):
@@ -492,11 +512,12 @@ def _ref_shooters(bvp, rhs, shot, rtol, atol, stop_at_zero=False):
     crossing.direction = -1.0
 
     def dense(lam, amplitude=1.0):
-        eps, u0, w0, _, _ = P._frobenius_start(bvp, lam, amplitude)
+        eps = 1e-6 * bvp.radius
+        y0 = list(P._frobenius_start(bvp, lam, amplitude, p, eps))
         shot["lam"] = lam
         return integrate.solve_ivp(
-            rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol, atol=atol,
-            dense_output=True, events=crossing if stop_at_zero else None,
+            rhs, (eps, bvp.radius), y0, method="DOP853", rtol=rtol, atol=atol,
+            dense_output=True, events=None if p is None else crossing,
         )
 
     def endpoint(lam, amplitude=1.0):
@@ -588,17 +609,207 @@ def test_newton_skips_steps_that_round_away(monkeypatch):
     # and no gradient is assembled twice on the same profile
     for case in MP_SETS:
         inputs = []
-        real = P._RadialFunctional.assemble
+        real = {name: getattr(P._RadialFunctional, name) for name in ("gradient", "hessian", "assemble")}
 
-        def counting(self, u, hessian=False):
-            inputs.append((u.tobytes(), hessian))
-            return real(self, u, hessian)
+        def spy(name):
+            def call(self, u):
+                inputs.append((name, u.tobytes()))
+                return real[name](self, u)
+
+            return call
 
         with monkeypatch.context() as m:
-            m.setattr(P._RadialFunctional, "assemble", counting)
+            for name in real:
+                m.setattr(P._RadialFunctional, name, spy(name))
             P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
-        grads = [u for u, hessian in inputs if not hessian]
-        # Newton plus the final energy: 12-29 here, 42-46 on four of these
-        # sets when every line search ran its 25 halvings
-        assert len(inputs) <= 30
+        grads = [u for name, u in inputs if name == "gradient"]
+        # Newton plus the final energy: 4-6 here since the loop stops at the
+        # gradient's rounding floor, 12-39 when it walked on there, and 42-46
+        # on four of these sets when every line search ran its 25 halvings
+        assert len(grads) + sum(name == "hessian" for name, _ in inputs) <= 10
         assert len(set(grads[:-1])) == len(grads) - 1  # the energy re-reads the result
+        # Newton and its trials take gradients alone; the energy sums are
+        # taken once, for the result
+        assert [name for name, _ in inputs].count("assemble") == 1
+        assert inputs[-2:] == [("assemble", grads[-1]), ("gradient", grads[-1])]
+
+
+# -- the regular variable v = rho^-s u -----------------------------------------
+#
+# The u-variable shooting that v replaced, kept as a reference: u and its
+# flux w = rho^(n-1) u' shot through solve_ivp's DOP853 with the
+# mu rho^(n-3) u term in the right-hand side, from the former start (the two
+# eigen-series terms of u, for the ground states too).  Its eigen shots run
+# at rtol 1e-13, not the solvers' 1e-12, so that it is the more accurate
+# side (at 1e-12 its quotient is 1.1e-12 off at (4, 2, 0.9)); its quotient
+# takes QAGS in rho split at every step of the shot, where the interpolant
+# is one polynomial, and its ground states the same Newton polish.
+
+
+def _u_shot(bvp, rhs, lam, amplitude, rtol, atol, events=None):
+    from scipy import integrate
+
+    n, s, eps = bvp.n, bvp.frobenius_exponent(), 1e-6 * bvp.radius
+    c2 = -lam / (2.0 * (2.0 * s + n))
+    u0 = amplitude * eps ** s * (1.0 + c2 * eps * eps)
+    w0 = amplitude * (s * eps ** (s + n - 2) + c2 * (s + 2.0) * eps ** (s + n))
+    return integrate.solve_ivp(rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol,
+                               atol=atol, dense_output=True, events=events)
+
+
+def _ref_u_eigen_quotient(bvp):
+    from scipy import optimize
+
+    from finsler_sharp._util import split_quad
+
+    n, mu, radius = bvp.n, bvp.mu, bvp.radius
+
+    def shot(lam):
+        def rhs(rho, y):
+            return [y[1] / rho ** (n - 1), -(mu * rho ** (n - 3) + lam * rho ** (n - 1)) * y[0]]
+
+        return _u_shot(bvp, rhs, lam, 1.0, 1e-13, 1e-15)
+
+    lam_lo = lam_hi = 0.5 / radius ** 2  # below j^2 / R^2 > 5.78 / R^2
+    assert shot(lam_lo).y[0, -1] > 0.0
+    while shot(lam_hi).y[0, -1] >= 0.0:
+        lam_hi *= 1.6
+    lam1 = optimize.brentq(lambda lam: shot(lam).y[0, -1], lam_lo, lam_hi, xtol=1e-12, rtol=1e-14)
+    sol = shot(lam1)
+    s, eps, k = bvp.frobenius_exponent(), sol.t[0], 2.0 * bvp.frobenius_exponent() + n
+
+    def tail(g):
+        return split_quad(lambda r: g(r, *sol.sol(r)), eps, radius, points=sol.t[1:-1])[0]
+
+    # the series head u ~ rho^s below eps
+    dirichlet = tail(lambda r, u, w: w ** 2 * r ** (1 - n)) + (s * s * eps ** (k - 2) / (k - 2) if s else 0.0)
+    l2 = tail(lambda r, u, w: u ** 2 * r ** (n - 1)) + eps ** k / k
+    hardy = tail(lambda r, u, w: u ** 2 * r ** (n - 3)) + eps ** (k - 2) / (k - 2) if mu else 0.0
+    return lam1, (dirichlet - mu * hardy) / l2
+
+
+def _ref_u_ground_level(bvp, p):
+    from scipy import optimize
+
+    n, mu, lam, radius = bvp.n, bvp.mu, bvp.lam, bvp.radius
+
+    def rhs(rho, y):
+        u, w = y
+        up = u if u > 0.0 else 0.0
+        return [w / rho ** (n - 1), rho ** (n - 1) * (lam * u - up ** (p - 1)) - mu * rho ** (n - 3) * u]
+
+    def crossing(rho, y):
+        return y[0]
+
+    crossing.terminal, crossing.direction = True, -1.0
+
+    def gap(amplitude):
+        sol = _u_shot(bvp, rhs, lam, amplitude, 1e-11, 1e-13, crossing)
+        return sol.t[-1] - radius if sol.t[-1] < radius else sol.y[0, -1]
+
+    scale = max(1.0, lam, bvp.spectral_bound()) ** (1.0 / (p - 2.0))
+    a_lo = 1e-3 * scale
+    while gap(a_lo) <= 0.0:
+        a_lo *= 0.25
+    a_hi = max(4.0 * a_lo, scale)
+    while gap(a_hi) >= 0.0:
+        a_hi *= 2.0
+    amp = optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
+    sol = _u_shot(bvp, rhs, lam, amp, 1e-11, 1e-13, crossing)
+    rho = bvp.grid()
+    s, eps = bvp.frobenius_exponent(), sol.t[0]
+    vals = np.zeros_like(rho)
+    inner = (rho > 0.0) & (rho < eps)
+    vals[inner] = amp * rho[inner] ** s * (1.0 - lam / (2.0 * (2.0 * s + n)) * rho[inner] ** 2)
+    outer = (rho >= eps) & (rho <= sol.t[-1])
+    vals[outer] = sol.sol(rho[outer])[0]
+    vals[0] = amp if s == 0.0 else vals[1]
+    vals[-1] = 0.0
+    f = P._RadialFunctional(rho, n, 2.0, lam, mu, P._power(p))
+    vals = P._projected_newton(f, np.maximum(vals, 0.0), (-math.inf, math.inf), 1e-13)
+    return P._energy_value(f, vals, bvp).total
+
+
+def test_eigen_solves_match_the_u_variable_reference():
+    for n, radius, mu in EIGEN_GRID:
+        bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
+        lam1, quotient, _ = P.eigen_quotient(bvp)
+        ref_lam1, ref_quotient = _ref_u_eigen_quotient(bvp)
+        assert abs(lam1 / ref_lam1 - 1.0) < 1e-12
+        assert abs(quotient / ref_quotient - 1.0) < 1e-12
+
+
+def test_ground_state_levels_match_the_u_variable_reference():
+    for n, radius, mu, lam, p in MP_SETS:
+        bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
+        level = P.mountain_pass_solve(bvp, p=p).level
+        assert abs(level / _ref_u_ground_level(bvp, p) - 1.0) < 1e-14
+
+
+def _mp_ground_start(n, radius, mu, lam, p):
+    """u and w = rho^(n-1) u' at 1e-6 R on the branch u ~ rho^s (amplitude
+    1), by mpmath's Taylor integration of the u equation in log rho from
+    the leading term at 1e-12 R, which is off there by O(1e-17)."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        n, mu, lam, p = (mpmath.mpf(x) for x in (n, mu, lam, p))
+        half = (n - 2) / 2
+        s = -half + mpmath.sqrt(half * half - mu)
+
+        def rhs(t, y):
+            r, (u, w) = mpmath.exp(t), y
+            return [r ** (2 - n) * w, r ** n * (lam * u - u ** (p - 1)) - mu * r ** (n - 2) * u]
+
+        r0 = mpmath.mpf(1e-12) * radius
+        sol = mpmath.odefun(rhs, mpmath.log(r0), [r0 ** s, s * r0 ** (n + s - 2)])
+        return [float(x) for x in sol(mpmath.log(mpmath.mpf(1e-6 * radius)))]
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_ground_state_start_matches_a_high_precision_integration(n, radius, mu, lam, p):
+    # the former start (the eigen sign of the rho^2 term, no power term)
+    # was 7.6e-10 off in u and 3.2e-9 in w at (3, 1, 0.2, -5, 4)
+    bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
+    eps, s = 1e-6 * radius, bvp.frobenius_exponent()
+    v, w = P._frobenius_start(bvp, lam, 1.0, p, eps)
+    u0, w0 = eps ** s * v, s * eps ** (n + s - 2) * v + eps ** -s * w
+    u_ref, w_ref = _mp_ground_start(n, radius, mu, lam, p)
+    assert abs(u0 / u_ref - 1.0) < 1e-12
+    if mu > 0.0:
+        assert abs(w0 / w_ref - 1.0) < 1e-12
+    else:
+        # w = (lam - 1) eps^n / n to leading order, which cancels at
+        # (2, 1, 0, 1, 4): measure against the size of its two terms
+        assert abs(w0 - w_ref) < 1e-12 * (abs(lam) + 1.0) * eps ** n / n
+
+
+def test_singular_eigen_shot_takes_few_steps(monkeypatch):
+    # the dense mu > 0 shot: 127-171 steps in the u variable, 39-43 in v
+    calls = _spy(monkeypatch, P.integrate, "solve_ivp")
+    for n, radius, mu in EIGEN_GRID:
+        if mu > 0.0:
+            P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    assert len(calls) == 6
+    assert max(sol.t.size - 1 for _, sol in calls) <= 60
+
+
+def _bessel_deviation(n, radius, mu):
+    lam1, _ = P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    return abs(lam1 * radius ** 2 / bessel_first_zero(bpv_constant(mu, n)[0]) ** 2 - 1.0)
+
+
+@pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)
+def test_eigenvalue_matches_the_bessel_zero_to_1e_10(n, radius, mu):
+    # test_eigenvalue_closed_form holds criterion 5's 1e-4 absolute; the
+    # shots give about 1e-13 relative
+    assert _bessel_deviation(n, radius, mu) < 1e-10
+
+
+def test_bessel_zero_check_sees_a_wrong_dimension(monkeypatch):
+    # planted defect: v's equation in dimension n + s in place of n + 2s;
+    # mu = 0 has s = 0, where the two agree
+    s_of = P.RadialBvp.frobenius_exponent
+    monkeypatch.setattr(P, "_regular_variable", lambda bvp: (s_of(bvp), bvp.n + s_of(bvp)))
+    for n, radius, mu in EIGEN_GRID:
+        assert (_bessel_deviation(n, radius, mu) > 1e-10) == (mu > 0.0)
