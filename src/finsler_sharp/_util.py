@@ -1,8 +1,10 @@
 """Shared small helpers: the descriptor parser, thread resolution, seeded RNG
-spawning, graded grids, the Monte-Carlo box sampler, panel quadrature."""
+spawning, graded grids, Gauss-Legendre nodes, the Monte-Carlo box sampler,
+panel quadrature."""
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -116,6 +118,15 @@ def graded_grid(a: float, b: float, n: int, exponent: float = 2.0) -> np.ndarray
     # symmetric smoothstep-style map: derivative vanishes to order exponent-1 at both ends
     s = t**exponent / (t**exponent + (1.0 - t) ** exponent)
     return a + (b - a) * s
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(k: int):
+    """Read-only nodes and weights of the k-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def chunk_sizes(total: int, parts: int):

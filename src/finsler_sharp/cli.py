@@ -91,6 +91,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# the schema is a constant, so it is checked against the meta-schema by the
+# tests rather than on every run
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(Exception):
     pass
 
@@ -156,10 +161,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config value {key!r} is NaN")
     cfg.setdefault("seed", 0)
     cfg.setdefault("timestamp", False)
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as ex:
-        raise ConfigError(f"config rejected: {ex.message}") from ex
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
     return cfg
 
 
@@ -703,6 +707,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="stamp reports with wall-clock time (breaks byte-identity)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finsler-sharp",

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from ._util import REQUIRED, box_hits, build_from_descriptor, resolve_workers
+from ._util import REQUIRED, box_hits, build_from_descriptor, gauss_legendre, resolve_workers
 from .constants import omega_n
 
 
@@ -384,7 +384,7 @@ def _quadrature_volume(h: MinkowskiNorm, n_theta: int = 4096, n_polar: int = 400
         # periodic trapezoid: spectrally accurate for smooth norms
         return 0.5 * float(np.mean(r**2)) * 2.0 * math.pi
     if h.dim == 3:
-        u, wu = np.polynomial.legendre.leggauss(n_polar)  # u = cos(polar angle)
+        u, wu = gauss_legendre(n_polar)  # u = cos(polar angle)
         th = np.linspace(0.0, 2.0 * math.pi, 2 * n_polar, endpoint=False)
         su = np.sqrt(1.0 - u**2)
         dirs = np.empty((n_polar, 2 * n_polar, 3))

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import integrate, linalg, optimize
 
-from ._util import graded_grid, split_quad, warn_unconverged
+from ._util import graded_grid
 from .constants import bpv_constant, omega_n
 
 # positive nodes and their weights of the 8-point Gauss-Legendre rule, leggauss(8) to the bit
@@ -524,26 +524,25 @@ def eigen_quotient(bvp: RadialBvp):
     """(lam1, quotient of the eigenprofile, parts with "profile") from
     first_eigenvalue's dense shot of (v, W): u = rho^s v, and the Dirichlet
     integral takes the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The
-    tails are adaptive in rho for s = 0; for s != 0 they take 8-point
-    Gauss-Legendre in log rho, where the rho^(d-3) head is smooth, on each
-    step of the shot, where the interpolant is one polynomial."""
+    tails take 8-point Gauss-Legendre on each step of the shot, where the
+    interpolant is one polynomial: in rho for s = 0, and in log rho, where
+    the rho^(d-3) head is smooth, for s != 0."""
     lam1, prof, sol = _eigen_solve(bvp)
     n, eps, mu, (s, d) = bvp.n, sol.t[0], bvp.mu, _regular_variable(bvp)
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
     if mu != 0.0:
         integrands.append(lambda r, u, flux: u ** 2 * r ** (n - 3))
-    if s == 0.0:  # u = v and the flux is W
-        quads = [split_quad(lambda r: g(r, *sol.sol(r).tolist()), eps, bvp.radius) for g in integrands]
-        warn_unconverged(all(ok for _, _, ok in quads), "eigenprofile tail integrals")
-        tails = [val for val, _, _ in quads]
-    else:
-        x, wx = np.r_[-_GL8[0, ::-1], _GL8[0]], np.r_[_GL8[1, ::-1], _GL8[1]]
-        logt = np.log(sol.t)
-        half = 0.5 * np.diff(logt)[:, None]
-        r = np.exp(logt[:-1, None] + half * (1.0 + x)).ravel()
-        v, w = sol.sol(r)
-        u, flux = r ** s * v, s * r ** (n + s - 2) * v + r ** -s * w
-        tails = [float(np.sum((half * wx).ravel() * r * g(r, u, flux))) for g in integrands]
+    x, wx = np.r_[-_GL8[0, ::-1], _GL8[0]], np.r_[_GL8[1, ::-1], _GL8[1]]
+    steps = np.log(sol.t) if s != 0.0 else sol.t
+    half = 0.5 * np.diff(steps)[:, None]
+    r = (steps[:-1, None] + half * (1.0 + x)).ravel()
+    weights = (half * wx).ravel()
+    if s != 0.0:
+        r = np.exp(r)
+        weights = weights * r
+    v, w = sol.sol(r)
+    u, flux = r ** s * v, s * r ** (n + s - 2) * v + r ** -s * w
+    tails = [float(np.sum(weights * g(r, u, flux))) for g in integrands]
     # series head u ~ rho^s: analytic leading-order integrals
     nw = n * omega_n(n)
     dirichlet = nw * (tails[0] + (s * s * eps ** (d - 2) / (d - 2) if s != 0.0 else 0.0))

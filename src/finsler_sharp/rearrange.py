@@ -22,7 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from ._util import REQUIRED, build_from_descriptor, graded_grid, split_quad, warn_unconverged
+from ._util import (
+    REQUIRED, build_from_descriptor, gauss_legendre, graded_grid, split_quad, warn_unconverged,
+)
 from .constants import omega_n
 from .manifold import FinslerInstance, bh_density
 from .norms import MinkowskiNorm
@@ -214,13 +216,14 @@ def morrey_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTest
     r = float(radius)
 
     def g(rho):
-        return np.clip(1.0 - (np.maximum(rho, 0.0) / r) ** b, 0.0, None)
+        return np.maximum(1.0 - (np.maximum(rho, 0.0) / r) ** b, 0.0)
 
     def dg(rho):
+        # rho = r stands in off (0, r), so the power never sees 0; numpy's
+        # scalar power for 0-d input is kept (the array loop can differ by an ulp)
         rho = np.asarray(rho, dtype=float)
-        with np.errstate(divide="ignore"):
-            d = -(b / r) * (rho / r) ** (b - 1.0)
-        return np.where((rho > 0) & (rho < r), d, 0.0)
+        inside = (rho > 0) & (rho < r)
+        return np.where(inside, -(b / r) * (np.where(inside, rho, r) / r) ** (b - 1.0), 0.0)
 
     return RadialTestFunction(
         profile=g, derivative=dg, support_radius=r, kinks=(r,),
@@ -292,16 +295,15 @@ def random_decreasing_profile(rng, max_terms: int = 4, radius_range=(0.4, 1.6)) 
     coefs = rng.uniform(0.2, 1.2, size=k)
     powers = rng.uniform(0.7, 2.5, size=k)
 
+    slopes, dpowers = -coefs * powers / radii, powers - 1.0
+
     def g(rho):
-        rho = np.asarray(rho, dtype=float)[..., None]
-        return np.sum(coefs * np.clip(1.0 - rho / radii, 0.0, None) ** powers, axis=-1)
+        base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
+        return (coefs * base ** powers).sum(-1)
 
     def dg(rho):
-        rho = np.asarray(rho, dtype=float)[..., None]
-        base = np.clip(1.0 - rho / radii, 0.0, None)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            term = -coefs * powers / radii * base ** (powers - 1.0)
-        return np.sum(np.where(base > 0.0, term, 0.0), axis=-1)
+        base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
+        return (slopes * np.power(base, dpowers, out=np.zeros(base.shape), where=base > 0.0)).sum(-1)
 
     return RadialTestFunction(
         profile=g, derivative=dg, support_radius=float(radii.max()),
@@ -745,7 +747,7 @@ def _shifted_weighted_lp(u, f, p, n, shift, f_points):
         cos_t = np.cos(thetas)
     elif n == 3:
         # axial symmetry about the offset direction: Legendre in cos(angle)
-        cos_t, glw = np.polynomial.legendre.leggauss(128)
+        cos_t, glw = gauss_legendre(128)
         w = glw * 2.0 * math.pi
         thetas = None
     else:

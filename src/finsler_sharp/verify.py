@@ -79,23 +79,21 @@ def _radial_energy(u: RadialTestFunction, m: FinslerInstance, p: float) -> float
 
 
 def _split(u, m: FinslerInstance, p: float):
-    """(sup, L1 norm, support volume, dual gradient energy, path diag)."""
+    """(sup, support volume, dual gradient energy, path diag)."""
     n = m.dim
     if isinstance(u, RadialTestFunction):
         sup = u.sup()
-        l1 = lq_norm_radial(u, 1.0, n)
         vol = omega_n(n) * u.support_radius**n
         energy = _radial_energy(u, m, p)
         diag = {"path": "radial", "profile": u.label}
     elif isinstance(u, GridFunction):
         sup = float(u.values.max(initial=0.0))
-        l1 = lq_norm_grid(u, 1.0, m)
         vol = bh_density(m) * u.cell_volume() * int(np.count_nonzero(u.values > 0.0))
         energy = _grid_gradient_dual_energy(u, m, p)
         diag = {"path": "grid", "cells": int(u.values.size)}
     else:
         raise TypeError(f"unsupported function representation: {type(u).__name__}")
-    return sup, l1, vol, energy, diag
+    return sup, vol, energy, diag
 
 
 def verify_morrey_support(
@@ -115,7 +113,7 @@ def verify_morrey_support(
     if not p > n:
         raise ValueError(f"support bound needs p > n, got p={p}, n={n}")
     a = _avr_point(m, avr_value)
-    sup, _, vol, energy, diag = _split(u, m, p)
+    sup, vol, energy, diag = _split(u, m, p)
     if rtol is None:
         rtol = 1e-9 if diag["path"] == "radial" else 1e-2
     c = morrey_support_constant(p, n, a)
@@ -148,7 +146,8 @@ def verify_morrey_l1(
     if not p > n:
         raise ValueError(f"L1 bound needs p > n, got p={p}, n={n}")
     a = _avr_point(m, avr_value)
-    sup, l1, _, energy, diag = _split(u, m, p)
+    sup, _, energy, diag = _split(u, m, p)
+    l1 = lq_norm_radial(u, 1.0, n) if diag["path"] == "radial" else lq_norm_grid(u, 1.0, m)
     if rtol is None:
         rtol = 1e-9 if diag["path"] == "radial" else 1e-2
     c = morrey_l1_constant(p, n, a)

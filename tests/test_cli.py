@@ -3,6 +3,7 @@
 import csv
 import json
 
+import jsonschema
 import pytest
 
 from finsler_sharp import cli, pde
@@ -151,6 +152,38 @@ def test_nan_in_config_document_exit_2(tmp_path, capsys):
     path.write_text('{"task": "constants", "p": NaN, "n": 2}')
     assert run_cli(["constants", "--config", str(path)]) == 2
     assert "'p' is NaN" in capsys.readouterr().err
+
+
+def test_config_schema_is_valid_against_its_meta_schema():
+    # main() no longer checks the constant schema on each run, so it is checked here
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+    assert cli._CONFIG_VALIDATOR.schema is cli.CONFIG_SCHEMA
+
+
+def test_rejected_config_keeps_the_jsonschema_message(tmp_path, capsys):
+    doc = {"task": "constants", "p": 4, "n": 2, "seed": "x", "suite": 1.5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["constants", "--config", str(path)]) == 2
+    # the message jsonschema.validate gives for the merged document
+    with pytest.raises(jsonschema.ValidationError) as ex:
+        jsonschema.validate({**doc, "timestamp": False}, cli.CONFIG_SCHEMA)
+    assert capsys.readouterr().err == f"error: config rejected: {ex.value.message}\n"
+
+
+def test_cached_parser_shares_no_state_between_runs(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support",
+                    "--profile", "morrey_extremal:p=4", "--timestamp", "--seed", "3"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["timestamp"] is not None and first["config"]["seed"] == 3
+    assert run_cli(["constants", "--p", "5", "--n", "3"]) == 0
+    assert capsys.readouterr().out.startswith("p=5")
+    assert run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-l1",
+                    "--profile", "cone:R=1", "--p", "4"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["timestamp"] is None and second["config"]["seed"] == 0
+    assert second["config"]["inequality"] == "morrey-l1" and "n" not in second["config"]
 
 
 def test_threads_env_fallback(monkeypatch, capsys):

@@ -341,6 +341,83 @@ def test_suite_rejects_unsupported(e2):
         V.randomized_suite(e2, "no_such_bound", n_draws=2)
 
 
+# float.hex of (lhs, rhs, ratio) of the first three seed-0 draws of every
+# suite, pinned from the np.clip / np.errstate form of the profile families,
+# so a rewrite of their callbacks must keep every bit; the normalized l4
+# plane gives the same doubles as e2
+SUITE_PINS = {
+    "morrey_support": [
+        ("0x1.4bd1709935304p+1", "inf", "0x0.0p+0"),
+        ("0x1.607b74d0c2851p+1", "0x1.ca103eb39c668p+1", "0x1.89fc98c96e2efp-1"),
+        ("0x1.fc4c2e56ce55dp+0", "0x1.31cf3f6f51362p+1", "0x1.a981da2622047p-1"),
+    ],
+    "morrey_l1": [
+        ("0x1.4bd1709935304p+1", "inf", "0x0.0p+0"),
+        ("0x1.607b74d0c2851p+1", "0x1.7638ff2898c43p+1", "0x1.e24165c0c838dp-1"),
+        ("0x1.fc4c2e56ce55dp+0", "0x1.39c64fc6da5b9p+1", "0x1.9eb4b1c4a3806p-1"),
+    ],
+    "hardy": [
+        ("0x1.9292b0035234fp+3", "0x1.1e8c17b3f1ca5p+1", "0x1.67a829d83048cp+2"),
+        ("0x1.61362782d9e2bp+3", "0x1.8342c506e89cdp+1", "0x1.d2fbb51103daep+1"),
+        ("0x1.7b435c8c851f4p+2", "0x1.2abccd45a34e6p+2", "0x1.45016eba1d437p+0"),
+    ],
+    "bpv": [
+        ("0x1.0663508802c34p+4", "0x1.fc887774fc1cfp+1", "0x1.082d4162889fdp+2"),
+        ("0x1.d0d3e8216206dp+3", "0x1.9521bb74d7201p+2", "0x1.25b8b3ab74691p+1"),
+        ("0x1.ed49c14b54f5fp+2", "0x1.5f0957652ad39p+2", "0x1.67bd5bc55a663p+0"),
+    ],
+    "polya_szego": [
+        ("0x1.9e4b49d481316p+6", "0x1.9e4b49d481316p+6", "0x1.0000000000000p+0"),
+        ("0x1.e6bb59153bb1dp+5", "0x1.e6bb59153bb1dp+5", "0x1.0000000000000p+0"),
+        ("0x1.7704755e2081dp+2", "0x1.7704755e2081dp+2", "0x1.0000000000000p+0"),
+    ],
+    "hlp": [
+        ("0x1.2a9238a83893fp+1", "0x1.2a9238a83893fp+1", "0x1.0000000000000p+0"),
+        ("0x1.5f51c1d783527p+3", "0x1.5f51c1d783527p+3", "0x1.0000000000000p+0"),
+        ("0x1.3567f9269b67ap+1", "0x1.3567f9269b67ap+1", "0x1.0000000000000p+0"),
+    ],
+    "layer_cake": [
+        ("0x1.b000000000000p-48", "0x0.0p+0", "inf"),
+        ("0x1.2280000000000p-43", "0x0.0p+0", "inf"),
+        ("0x1.9000000000000p-44", "0x0.0p+0", "inf"),
+    ],
+    "equimeasurability": [
+        ("0x0.0p+0", "0x0.0p+0", "nan"),
+        ("0x0.0p+0", "0x0.0p+0", "nan"),
+        ("0x0.0p+0", "0x0.0p+0", "nan"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(SUITE_PINS))
+def test_suite_draws_keep_their_pinned_bits(name, e2, l4_2):
+    for m in (e2, l4_2):
+        reps = V.randomized_suite(m, name, n_draws=3, seed=0, workers=1)
+        assert [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio)) for r in reps] == SUITE_PINS[name]
+
+
+@pytest.mark.parametrize("u", [
+    morrey_extremal_profile(4.0, 2, 1.3),
+    morrey_extremal_profile(7.5, 3, 0.6),  # b - 1 < -0.8: dg is singular at 0
+    *(random_decreasing_profile(np.random.default_rng(k)) for k in range(4)),
+], ids=lambda u: u.label)
+def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
+    r = u.support_radius
+    pts = np.r_[0.0, u.kinks, 1.5 * r, np.linspace(0.0, 1.2 * r, 97)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (u.profile, u.derivative):
+            batch = f(pts)
+            single = np.array([f(np.asarray(x)) for x in pts])
+            assert np.shape(f(np.asarray(0.5 * r))) == ()
+            if u.label == "random_cones":
+                assert np.array_equal(batch, single)
+            else:
+                # numpy's scalar power and its array loop may round apart by an ulp
+                np.testing.assert_allclose(batch, single, rtol=5e-16, atol=5e-16)
+            assert np.all(np.isfinite(batch)) and np.all(batch[pts >= r] == 0.0)
+
+
 # -- dispatcher -------------------------------------------------------------
 
 
