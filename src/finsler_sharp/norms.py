@@ -15,6 +15,18 @@ batch, and the call raises if any row fails to settle.  Unit-ball
 volumes come from a closed form when known, adaptive radial-angular
 quadrature in dimensions 2 and 3, or Monte-Carlo over the dual bounding
 box.
+
+The shipped evaluators sum a row of coordinates with _row_sum, column by
+column: y[..., 0] + y[..., 1] + ... left to right.  That is the order in
+which np.sum adds rows of 2 to 7 entries, so the values are np.sum's
+bit for bit, but without its strided reduction over a short last axis,
+which costs more than the arithmetic on the Monte-Carlo blocks.  From 8
+entries on np.sum adds pairwise and _row_sum hands the row to
+np.add.reduce.  Squares and absolute values are exact-rounded, so they
+are taken column by column inside the sum; powers such as |y|**p stay on
+the whole array, because numpy dispatches its vectorized power only on
+contiguous input and a power taken column by column may round
+differently.
 """
 
 from __future__ import annotations
@@ -102,12 +114,32 @@ class VolumeEstimate:
     workers: int = 1
 
 
+# np.sum adds rows of this many entries or more pairwise, not left to right
+_PAIRWISE_FROM = 8
+
+
+def _row_sum(y: np.ndarray, each=None):
+    """Sum over the last axis of y, or of each(y) for an exact elementwise map
+    such as np.square, in np.sum's order: column by column, left to right,
+    below _PAIRWISE_FROM entries, else np.add.reduce.  each is applied to
+    one column at a time, so no second (..., n) array is made."""
+    n = y.shape[-1]
+    if n >= _PAIRWISE_FROM or (n == 1 and each is None):
+        # a lone column of y would come back as a view of y, not a new value
+        return np.add.reduce(y if each is None else each(y), axis=-1)
+    col = (lambda j: y[..., j]) if each is None else (lambda j: each(y[..., j]))
+    total = col(0)
+    for j in range(1, n):
+        total = total + col(j)
+    return total
+
+
 def euclidean_norm(n: int) -> MinkowskiNorm:
     """The Euclidean norm; self-dual and already normalized."""
     return MinkowskiNorm(
         dim=n,
-        base=lambda y: np.sqrt(np.sum(np.square(y), axis=-1)),
-        analytic_dual=lambda a: np.sqrt(np.sum(np.square(a), axis=-1)),
+        base=lambda y: np.sqrt(_row_sum(y, np.square)),
+        analytic_dual=lambda a: np.sqrt(_row_sum(a, np.square)),
         analytic_gradient=lambda y: y / np.linalg.norm(y, axis=-1, keepdims=True),
         analytic_volume=omega_n(n),
         label="euclidean",
@@ -131,19 +163,19 @@ def lp_norm(n: int, p: float) -> MinkowskiNorm:
         raise ValueError(f"l^p requires p >= 1, got {p}")
     if math.isinf(p):
         base = lambda y: np.max(np.abs(y), axis=-1)
-        dual = lambda a: np.sum(np.abs(a), axis=-1)
+        dual = lambda a: _row_sum(a, np.abs)
         grad = None
     elif p == 1:
-        base = lambda y: np.sum(np.abs(y), axis=-1)
+        base = lambda y: _row_sum(y, np.abs)
         dual = lambda a: np.max(np.abs(a), axis=-1)
         grad = None
     else:
         q = p / (p - 1.0)
-        base = lambda y: np.sum(np.abs(y) ** p, axis=-1) ** (1.0 / p)
-        dual = lambda a: np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
+        base = lambda y: _row_sum(np.abs(y) ** p) ** (1.0 / p)
+        dual = lambda a: _row_sum(np.abs(a) ** q) ** (1.0 / q)
 
         def grad(y, _p=p):
-            r = np.sum(np.abs(y) ** _p, axis=-1, keepdims=True) ** (1.0 / _p)
+            r = _row_sum(np.abs(y) ** _p)[..., None] ** (1.0 / _p)
             return np.sign(y) * np.abs(y) ** (_p - 1.0) / r ** (_p - 1.0)
 
     return MinkowskiNorm(
@@ -171,7 +203,7 @@ def f_eps_fiber_norm(n: int, eps: float) -> MinkowskiNorm:
         raise ValueError(f"eps must be nonnegative, got {eps}")
 
     def base(y, _e=eps):
-        v2 = np.sum(np.square(y[..., :-1]), axis=-1)
+        v2 = _row_sum(y[..., :-1], np.square)
         w2 = np.square(y[..., -1])
         return np.sqrt(v2 + w2 + _e * np.sqrt(v2**2 + w2**2))
 

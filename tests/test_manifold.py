@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finsler_sharp import manifold as M
+from finsler_sharp._util import box_hits, chunk_sizes, spawn_rngs
 from finsler_sharp.constants import omega_n
 from finsler_sharp.norms import lp_norm, normalize
 
@@ -143,6 +144,27 @@ def test_ball_volume_mc_hit_counts_pinned(monkeypatch, workers, hits, value):
                            workers=workers)
     assert seen == [hits]
     assert est.value == value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_box_hits_blocks_are_the_seeded_uniform_stream(workers):
+    # the sampler reuses one array between blocks, so the spy keeps copies;
+    # one stream of 262144 + 17 points ends on a partial block
+    half = np.array([0.7, 1.9, 1.3])
+    n_samples, block = 262144 + 17, 262144
+    seen = []
+    hits = box_hits(lambda pts: seen.append(pts.copy()) or pts[:, 0] < 0.1, half, n_samples, 5, workers)
+    expected = []
+    for rng, size in zip(spawn_rngs(5, workers), chunk_sizes(n_samples, workers)):
+        for start in range(0, size, block):
+            expected.append(rng.uniform(-1.0, 1.0, size=(min(block, size - start), 3)) * half)
+    # threads may hand their blocks over in either order
+    key = lambda a: (len(a), a[0].tobytes())
+    seen.sort(key=key)
+    expected.sort(key=key)
+    assert [b.shape for b in seen] == [b.shape for b in expected]
+    assert all(np.array_equal(b, e) for b, e in zip(seen, expected))
+    assert hits == sum(int(np.count_nonzero(e[:, 0] < 0.1)) for e in expected)
 
 
 def test_ball_volume_box_computed_once_per_instance(monkeypatch):

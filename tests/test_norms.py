@@ -408,3 +408,76 @@ def test_mc_volume_hit_counts_pinned(monkeypatch, workers, hits, value):
                                 workers=workers)
     assert seen == [hits]
     assert est.value == value
+
+
+# -- column-wise row sums -----------------------------------------------------
+
+
+def _np_sum_evaluators(n, p=3.7):
+    """(norm, base, closed-form dual, gradient) of each shipped evaluator, the
+    last three in their np.sum form, for the norms of dimension n."""
+    q = p / (p - 1.0)
+    euclid = lambda y: np.sqrt(np.sum(np.square(y), axis=-1))
+
+    def lp_grad(y):
+        r = np.sum(np.abs(y) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+        return np.sign(y) * np.abs(y) ** (p - 1.0) / r ** (p - 1.0)
+
+    def f_eps(y, e):
+        v2 = np.sum(np.square(y[..., :-1]), axis=-1)
+        w2 = np.square(y[..., -1])
+        return np.sqrt(v2 + w2 + e * np.sqrt(v2**2 + w2**2))
+
+    rows = [
+        (euclidean_norm(n), euclid, euclid, None),
+        (lp_norm(n, 1.0), lambda y: np.sum(np.abs(y), axis=-1), lambda a: np.max(np.abs(a), axis=-1), None),
+        (lp_norm(n, math.inf), lambda y: np.max(np.abs(y), axis=-1), lambda a: np.sum(np.abs(a), axis=-1), None),
+        (lp_norm(n, p), lambda y: np.sum(np.abs(y) ** p, axis=-1) ** (1.0 / p),
+         lambda a: np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q), lp_grad),
+    ]
+    rows += [(normalize(h), base, dual, grad) for h, base, dual, grad in rows[1:]]
+    if n >= 2:
+        rows.append((f_eps_fiber_norm(n, 0.5), lambda y: f_eps(y, 0.5), None, None))
+    if n in (2, 3):  # normalized by quadrature; higher dimensions would need Monte Carlo
+        rows.append((normalize(f_eps_fiber_norm(n, 2.0)), lambda y: f_eps(y, 2.0), None, None))
+    return rows
+
+
+def _evaluator_mismatches(n):
+    """Every shipped evaluator against its np.sum form on (n,), (K, n),
+    (a, b, n), strided and transposed input: the labels whose value, type or
+    shape differ."""
+    rng = np.random.default_rng(100 + n)
+    scaled = lambda *shape: rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    inputs = [scaled(n), scaled(64, n), scaled(4, 5, n), scaled(64, 2 * n)[:, ::2], scaled(n, 64).T]
+    bad = []
+    for h, base, dual, grad in _np_sum_evaluators(n):
+        pairs = [(h(y), h.scale * base(y)) for y in inputs]
+        if dual is not None:
+            pairs += [(h.analytic_dual(y), dual(y)) for y in inputs]
+            pairs.append((dual_norm(h, inputs[1]), dual(inputs[1]) / h.scale))
+        if grad is not None:
+            pairs += [(h.analytic_gradient(y), grad(y)) for y in inputs]
+        if not all(np.array_equal(a, b) and type(a) is type(b) and np.shape(a) == np.shape(b)
+                   for a, b in pairs):
+            bad.append(h.label)
+    return bad
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_sums_give_np_sum_bits(n):
+    assert _evaluator_mismatches(n) == []
+
+
+def test_row_sums_in_another_order_turn_the_reference_red(monkeypatch):
+    # a0 + (a1 + a2) is not the order in which np.sum adds three entries
+    real = N._row_sum
+
+    def right_first(y, each=None):
+        if y.shape[-1] != 3:
+            return real(y, each)
+        a0, a1, a2 = (y[..., j] if each is None else each(y[..., j]) for j in range(3))
+        return a0 + (a1 + a2)
+
+    monkeypatch.setattr(N, "_row_sum", right_first)
+    assert _evaluator_mismatches(3) != []

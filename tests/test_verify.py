@@ -10,6 +10,7 @@ from scipy.special import j0, j1, jn_zeros
 
 from finsler_sharp import norms
 from finsler_sharp import verify as V
+from finsler_sharp._util import parse_descriptor
 from finsler_sharp.constants import (
     eta,
     l1_extremal_height,
@@ -21,6 +22,7 @@ from finsler_sharp.constants import (
 from finsler_sharp.manifold import euclidean_instance, minkowski_instance
 from finsler_sharp.norms import WulffShape, lp_norm
 from finsler_sharp.rearrange import (
+    PROFILES,
     RadialTestFunction,
     l1_extremal_profile,
     morrey_extremal_profile,
@@ -396,10 +398,27 @@ def test_suite_draws_keep_their_pinned_bits(name, e2, l4_2):
         assert [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio)) for r in reps] == SUITE_PINS[name]
 
 
+# one case of every rearrange.PROFILES family the cases above leave out
+CALLBACK_FAMILY_CASES = [
+    "talenti_l1_extremal:p=4,n=2,R=1.3",
+    "talenti_l1_extremal:p=7.5,n=3,R=0.6",
+    "u_R:p=5,n=3,R=0.9,family=l1",
+    "cone:R=1.2,height=0.8",
+    "plateau:inner=0.4,R=1.1,height=1.5",
+    {"kind": "table", "rhos": [0.0, 0.3, 0.9, 1.4], "values": [1.0, 0.8, 0.2, 0.0]},
+]
+
+
+def test_callback_cases_cover_every_profile_family():
+    kinds = {parse_descriptor(d)["kind"] for d in CALLBACK_FAMILY_CASES}
+    assert kinds | {"morrey_extremal"} == set(PROFILES)
+
+
 @pytest.mark.parametrize("u", [
     morrey_extremal_profile(4.0, 2, 1.3),
     morrey_extremal_profile(7.5, 3, 0.6),  # b - 1 < -0.8: dg is singular at 0
     *(random_decreasing_profile(np.random.default_rng(k)) for k in range(4)),
+    *(profile_from_descriptor(d) for d in CALLBACK_FAMILY_CASES),
 ], ids=lambda u: u.label)
 def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
     r = u.support_radius
@@ -407,10 +426,12 @@ def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f in (u.profile, u.derivative):
+            if f is None:  # a table has no derivative
+                continue
             batch = f(pts)
             single = np.array([f(np.asarray(x)) for x in pts])
             assert np.shape(f(np.asarray(0.5 * r))) == ()
-            if u.label == "random_cones":
+            if not u.label.startswith(("morrey_extremal", "l1_extremal")):
                 assert np.array_equal(batch, single)
             else:
                 # numpy's scalar power and its array loop may round apart by an ulp
