@@ -8,17 +8,19 @@ singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
 (s the Frobenius exponent) and W = rho^(d-1) v', where the potential cancels
 and v solves the problem without it in dimension d = n + 2s.  The
 root-finding shots (brackets and brentq) run the compiled DOP853 of scipy's
-ode for their endpoint only; one solve_ivp shot per solve, at the root, keeps
-the dense interpolant that the profile and the eigen quotient read.  On the
-grid, one assembly (_RadialFunctional) gives the energy, the exact gradient
-and the tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w
-for every family, and one projected banded Newton loop (_projected_newton)
-polishes the ground states (no bounds, to 1e-13 or the gradient's rounding
-floor) and the plateau profiles (a finite box, to 1e-10), halving each step
-until it rounds away.
+ode, one per thread and kind for all solves, for their endpoint only, with
+right-hand sides in Python floats; one solve_ivp shot per solve, at the
+root, keeps the dense interpolant that the profile and the eigen quotient
+read.  On the grid, one assembly (_RadialFunctional) gives the energy, the
+exact gradient and the tridiagonal Hessian of
+(1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for every family, and one
+projected banded Newton loop (_projected_newton) polishes the ground states
+(no bounds, to 1e-13 or the gradient's rounding floor) and the plateau
+profiles (a finite box, to 1e-10), halving each step until it rounds away.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -414,19 +416,37 @@ def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float, p, rho):
     return v, w
 
 
+_integrators = threading.local()
+
+
+def _integrator(ground: bool, rtol: float, atol: float):
+    """This thread's compiled DOP853 for (ground, rtol, atol), built on its
+    first shot: every ode built leaks about 1 KB in f2py, so the shots of all
+    solves reuse one, each taking the solve's rhs as its .f.  A ground-state
+    one stops at a step that ends with v < 0."""
+    cache = _integrators.__dict__.setdefault("by_key", {})
+    key = (ground, rtol, atol)
+    if key not in cache:
+        solver = integrate.ode(None).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
+        if ground:
+            solver.set_solout(lambda t, y: -1 if y[0] < 0.0 else 0)
+        cache[key] = solver
+    return cache[key]
+
+
 def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, p=None):
     """(endpoint, dense) shots of rhs(rho, y), y = (v, W), from
     _frobenius_start at (lam, amplitude); each sets shot["lam"] for rhs to
-    read.  endpoint runs the compiled DOP853 of scipy's ode (Hairer, Norsett
-    & Wanner) with no interpolant and returns (t, y) at its end; dense is
-    the solve_ivp shot whose interpolant a solve reads.  A ground state (p
-    given) stops at its first zero (endpoint: at a step ending with v < 0).
-    One ode serves a solve (a fresh one per shot leaks in f2py), and
-    set_f_params would break set_solout: hence the cell."""
+    read.  endpoint runs this thread's compiled DOP853 of scipy's ode
+    (Hairer, Norsett & Wanner; see _integrator) with no interpolant and
+    returns (t, y) at its end; dense is the solve_ivp shot whose interpolant
+    a solve reads.  A ground state (p given) stops at its first zero
+    (endpoint: at a step ending with v < 0).  endpoint hands rhs to the ode
+    as its .f at every shot, so the shooters of several solves may
+    interleave; what changes between shots goes through the shot cell, as
+    set_f_params would break set_solout."""
     eps = 1e-6 * bvp.radius
-    solver = integrate.ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
-    if p is not None:
-        solver.set_solout(lambda t, y: -1 if y[0] < 0.0 else 0)
+    solver = _integrator(p is not None, rtol, atol)
 
     def first_zero(rho, y):
         return y[0]
@@ -435,6 +455,7 @@ def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, p=None)
 
     def endpoint(lam, amplitude=1.0):
         shot["lam"] = lam
+        solver.f = rhs
         solver.set_initial_value(list(_frobenius_start(bvp, lam, amplitude, p, eps)), eps)
         y = solver.integrate(bvp.radius)
         if not solver.successful():
@@ -455,10 +476,12 @@ def _eigen_solve(bvp: RadialBvp):
     _check_mu(bvp.n, bvp.mu)
     _, d = _regular_variable(bvp)
     shot = {"lam": 0.0}
+    dm1 = d - 1
 
     def rhs(rho, y):
-        r = rho ** (d - 1)
-        return [y[1] / r, -shot["lam"] * r * y[0]]
+        v, w = y.tolist()
+        r = rho ** dm1
+        return [w / r, -shot["lam"] * r * v]
 
     endpoint, dense = _shooters(bvp, rhs, shot, 1e-12, 1e-14)
 
@@ -556,14 +579,15 @@ def _ground_shots(bvp: RadialBvp, p: float):
     """(gap, dense) in the ground-state amplitude a.  gap(a) is t - R for a
     compiled shot stopped at a step t < R that ends with v < 0, and v(R)
     otherwise: it changes sign where the first zero is at R."""
-    lam, (s, d) = bvp.lam, _regular_variable(bvp)
-    t = s * (p - 2.0)
+    # rhs works on Python floats, which round as numpy scalars do (IEEE
+    # doubles, libm pow) at a quarter of the cost per call
+    lam, (s, d) = float(bvp.lam), _regular_variable(bvp)
+    dm1, t, pm1 = d - 1, float(s * (p - 2.0)), float(p - 1)
 
     def rhs(rho, y):
-        v, w = y
-        vp = v if v > 0.0 else 0.0
-        r = rho ** (d - 1)
-        return [w / r, r * (lam * v - rho ** t * vp ** (p - 1))]
+        v, w = y.tolist()
+        r = rho ** dm1
+        return [w / r, r * (lam * v - rho ** t * (v if v > 0.0 else 0.0) ** pm1)]
 
     # rhs holds its own lam, so it reads no shot cell
     endpoint, dense = _shooters(bvp, rhs, {}, 1e-11, 1e-13, p)
@@ -676,35 +700,34 @@ class OscillatoryNonlinearity:
         self.rise_lo = np.concatenate(([1.0], self.plateau_hi[:-1]))
         self.rise_hi = self.plateau_lo
         self.levels = np.concatenate(([0.0], self.plateau_lo ** self.p))
+        # region index: 2j for rise j, 2j+1 for plateau j (0-based)
+        self._edges = np.empty(2 * len(self.rise_lo))
+        self._edges[0::2] = self.rise_lo
+        self._edges[1::2] = self.rise_hi
 
     def plateau(self, k: int):
         return float(self.plateau_lo[k - 1]), float(self.plateau_hi[k - 1])
 
     def _locate(self, s):
-        # region index: 2j for rise j, 2j+1 for plateau j (0-based)
-        edges = np.empty(2 * len(self.rise_lo))
-        edges[0::2] = self.rise_lo
-        edges[1::2] = self.rise_hi
-        return np.searchsorted(edges, s, side="right")
+        return np.searchsorted(self._edges, s, side="right")
 
     def H(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         pos = s > self.rise_lo[0]
-        if not np.any(pos):
+        if not pos.any():
             return out if out.ndim else float(out)
         idx = self._locate(s[pos])
-        region = (idx - 1) // 2
-        region = np.clip(region, 0, len(self.rise_lo) - 1)
+        region = np.minimum(np.maximum((idx - 1) // 2, 0), len(self.rise_lo) - 1)
         on_rise = (idx % 2) == 1
         lo_lvl = self.levels[region]
         hi_lvl = self.levels[region + 1]
         vals = np.where(on_rise, lo_lvl, hi_lvl)
         rise_pos = on_rise & (idx >= 1)
-        if np.any(rise_pos):
+        if rise_pos.any():
             r = region[rise_pos]
             tau = (s[pos][rise_pos] - self.rise_lo[r]) / (self.rise_hi[r] - self.rise_lo[r])
-            tau = np.clip(tau, 0.0, 1.0)
+            tau = np.minimum(np.maximum(tau, 0.0), 1.0)
             smooth = tau * tau * (3.0 - 2.0 * tau)
             vals = vals.copy()
             vals[rise_pos] = self.levels[r] + (self.levels[r + 1] - self.levels[r]) * smooth
@@ -721,18 +744,18 @@ class OscillatoryNonlinearity:
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         pos = s > self.rise_lo[0]
-        if not np.any(pos):
+        if not pos.any():
             return out if out.ndim else float(out)
         idx = self._locate(s[pos])
-        region = np.clip((idx - 1) // 2, 0, len(self.rise_lo) - 1)
+        region = np.minimum(np.maximum((idx - 1) // 2, 0), len(self.rise_lo) - 1)
         on_rise = (idx % 2) == 1
-        if np.any(on_rise):
+        if on_rise.any():
             r = region[on_rise]
             width = self.rise_hi[r] - self.rise_lo[r]
             tau = (s[pos][on_rise] - self.rise_lo[r]) / width
-            tau = np.clip(tau, 0.0, 1.0)
+            tau = np.minimum(np.maximum(tau, 0.0), 1.0)
             dvals = fn(self.levels[r + 1] - self.levels[r], tau, width)
-            tmp = np.zeros(int(np.sum(pos)))
+            tmp = np.zeros(len(idx))
             tmp[on_rise] = dvals
             out[pos] = tmp
         return out if out.ndim else float(out)

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -818,3 +821,134 @@ def test_bessel_zero_check_sees_a_wrong_dimension(monkeypatch):
     monkeypatch.setattr(P, "_regular_variable", lambda bvp: (s_of(bvp), bvp.n + s_of(bvp)))
     for n, radius, mu in EIGEN_GRID:
         assert (_bessel_deviation(n, radius, mu) > 1e-10) == (mu > 0.0)
+
+
+# -- the bits of the solvers ---------------------------------------------------
+#
+# Pinned on x86-64 (AVX-512) with numpy 2.4.6 and scipy 1.17.1.  The shots
+# take libm's pow and scipy's compiled DOP853, the quotient and the Newton
+# polish numpy's SIMD array loops, so another build may round a last bit
+# apart; there the pins are skipped.  A change that claims to keep the bits
+# (a faster right-hand side, another integrator object) must keep these.
+
+EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
+    ("0x1.721fb80462dbcp+2", "0x1.721fb80462c22p+2"), ("0x1.721fb80462e23p+4", "0x1.721fb80462cd4p+4"),
+    ("0x1.721fb80462db3p+0", "0x1.721fb80462c67p+0"), ("0x1.00241fadff51bp+1", "0x1.00241fadff434p+1"),
+    ("0x1.3bd3cc9be46c7p+3", "0x1.3bd3cc9be46b4p+3"), ("0x1.e13049971141fp+2", "0x1.e1304997112cbp+2"),
+    ("0x1.f964837b1595fp+1", "0x1.f964837b15a8ap+1"), ("0x1.ab2369bdf97edp+3", "0x1.ab2369bdf9473p+3"),
+    ("0x1.d5d2b41898240p+3", "0x1.d5d2b418980e7p+3"), ("0x1.78dba582492abp+3", "0x1.78dba58249269p+3"),
+    ("0x1.0900d92879a16p+1", "0x1.0900d92879733p+1"), ("0x1.f88bb719e084cp+2", "0x1.f88bb719e0663p+2"),
+]
+GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
+    1.0: "4f733436ce5fca5acc524d8ff1266b66b62a988fe062efdcb88b1b82c933eef7",
+    0.9: "6ad7a2cf620355d7f30371a00cfe378cd152607ae436e948a65600576ac00f4a",
+}
+
+
+def _on_pinned_build():
+    import platform
+
+    import scipy
+
+    if (platform.machine(), np.__version__, scipy.__version__) != ("x86_64", "2.4.6", "1.17.1"):
+        return False
+    from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.4's SIMD dispatch table
+
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+pinned_build = pytest.mark.skipif(not _on_pinned_build(), reason="solver bits pinned on another build")
+
+
+def _ground_digest(s):
+    digest = hashlib.sha256()
+    for case in MP_SETS:
+        sol = P.mountain_pass_solve(_mp_bvp(*case, s), p=case[-1])
+        digest.update(sol.values.tobytes())
+        digest.update(sol.level.hex().encode())
+        digest.update(sol.residual.hex().encode())
+    return digest.hexdigest()
+
+
+@pinned_build
+def test_eigen_bits_are_pinned():
+    bits = [tuple(float(x).hex() for x in P.eigen_quotient(P.RadialBvp(n=n, radius=radius, mu=mu))[:2])
+            for n, radius, mu in EIGEN_GRID]
+    assert bits == EIGEN_BITS
+
+
+@pinned_build
+@pytest.mark.parametrize("s", [1.0, 0.9])
+def test_ground_state_bits_are_pinned(s):
+    assert _ground_digest(s) == GROUND_DIGESTS[s]
+
+
+def test_shots_reuse_one_integrator_per_thread(monkeypatch):
+    # every ode built leaks about 1 KB in f2py: the shots of all solves on a
+    # thread run one ode per kind, and another thread gets its own
+    shots = []
+    real = P.integrate.ode.integrate
+
+    def spy(self, *args, **kwargs):
+        shots.append((threading.get_ident(), self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(P.integrate.ode, "integrate", spy)
+    bvp = P.RadialBvp(n=3, radius=1.0, mu=0.2)
+    lam1, _ = P.first_eigenvalue(bvp)
+    P.first_eigenvalue(P.RadialBvp(n=4, radius=2.0, mu=0.9))
+    eigen = {solver for _, solver in shots}
+    assert len(eigen) == 1
+    P.mountain_pass_solve(_mp_bvp(*MP_SETS[1], 1.0), p=MP_SETS[1][-1])
+    P.mountain_pass_solve(_mp_bvp(*MP_SETS[2], 1.0), p=MP_SETS[2][-1])
+    ground = {solver for _, solver in shots} - eigen
+    assert len(ground) == 1
+    assert {tid for tid, _ in shots} == {threading.get_ident()}
+
+    other = []
+    thread = threading.Thread(target=lambda: other.append(P.first_eigenvalue(bvp)[0]))
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive() and other == [lam1]
+    (tid, solver), = {(tid, solver) for tid, solver in shots if tid != threading.get_ident()}
+    assert solver not in eigen | ground
+
+
+def test_concurrent_solves_keep_their_bits():
+    # more threads than cores, switching often, each shooting on its own
+    # integrators: a shot that ran another thread's rhs would move the bits
+    cases = [(3, 1.0, 0.2), (4, 2.0, 0.9), (2, 1.7, 0.0), (3, 0.7, 0.24)]
+    expected = [P.first_eigenvalue(P.RadialBvp(*case))[0] for case in cases]
+    got = [[] for _ in cases]
+
+    def work(i):
+        for _ in range(3):
+            got[i].append(P.first_eigenvalue(P.RadialBvp(*cases[i]))[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[lam1] * 3 for lam1 in expected]
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", [(2, 1.0, 0.0, 0.0, 400.0), (2, 1.0, 0.0, 1e4, 40.0)])
+def test_failed_shots_raise_the_dop853_status(n, radius, mu, lam, p):
+    # the right-hand side runs on Python floats, which raise where numpy
+    # scalars give inf or nan: a shot that cannot finish still ends in
+    # DOP853's own status, and the reused integrator solves on afterwards
+    # to the same bits
+    before = P.mountain_pass_solve(_mp_bvp(*MP_SETS[2], 1.0), p=MP_SETS[2][-1])
+    bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
+    with pytest.warns(UserWarning, match="step size becomes too small"), \
+            pytest.raises(RuntimeError, match="shooting failed with DOP853 status -3"):
+        P.mountain_pass_solve(bvp, p=p)
+    after = P.mountain_pass_solve(_mp_bvp(*MP_SETS[2], 1.0), p=MP_SETS[2][-1])
+    assert after.level == before.level and np.array_equal(after.values, before.values)
