@@ -477,79 +477,93 @@ def run(config: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro: the full acceptance pipeline from one config
+# repro: the acceptance criteria, each defined once
+
+_PN_CASES = ((4.0, 2), (5.0, 3), (7.0, 4))
+_R_GRID = (1.0, 2.0, 4.0, 8.0)
 
 
-def _repro_criteria(seed: int, threads):
-    """Yields (index, passed, payload), one entry per acceptance criterion.
+def _inst(n: int, kind: str = "euclidean"):
+    return instance_from_descriptor(f"lp:n={n},p=4" if kind == "l4" else f"euclidean:n={n}")
 
-    Payloads hold only deterministic numbers (no wall-clock), so a fixed
-    seed reproduces the emitted reports byte for byte.
-    """
-    from .manifold import f_eps_instance
-    from .rearrange import l1_extremal_profile
-    from .constants import (
-        bessel_first_zero, bpv_constant, l1_extremal_height, omega_n,
-    )
 
-    @functools.lru_cache(maxsize=None)
-    def inst(n, kind):
-        return instance_from_descriptor(f"lp:n={n},p=4" if kind == "l4" else f"euclidean:n={n}")
-
-    e2 = inst(2, "euclidean")
-    pn_cases = ((4.0, 2), (5.0, 3), (7.0, 4))
-
-    # 1: support-bound extremal equality
+def _support_equality(seed, threads):
+    """1: the support-bound extremal attains equality on both instance families."""
     rows = []
-    for p, n in pn_cases:
+    for p, n in _PN_CASES:
         for kind in ("euclidean", "l4"):
-            rep = V.verify_morrey_support(inst(n, kind), morrey_extremal_profile(p, n), p)
-            rows.append({"p": p, "n": n, "instance": kind, "ratio": rep.ratio})
-    yield (1, all(abs(r["ratio"] - 1.0) <= 1e-3 for r in rows), {"cases": rows})
+            rep = V.verify_morrey_support(_inst(n, kind), morrey_extremal_profile(p, n), p)
+            rows.append({"p": p, "n": n, "instance": kind, "ratio": rep.ratio,
+                         "passed": rep.passed})
+    return all(r["passed"] and abs(r["ratio"] - 1.0) <= 1e-12 for r in rows), {"cases": rows}
 
-    # 2: support sweep limits and constant convergence
+
+def _support_sharpness_limit(seed, threads):
+    """2: every scaled support energy sits at its closed-form limit, and every
+    inferred constant is the sharp one, by the library and by closed form."""
     rows = []
-    for p, n in pn_cases:
-        sw = V.sharpness_sweep_support(inst(n, "euclidean"), p, [1.0, 2.0, 4.0, 8.0])
+    for p, n in _PN_CASES:
+        sw = V.sharpness_sweep_support(_inst(n), p, _R_GRID)
+        target = C.support_energy_limit(p, n, 1.0)
+        c_sharp = C.morrey_support_constant(p, n, 1.0)
         dev = max(abs(r["ratio"] - 1.0) for r in sw.rows)
+        energy_dev = max(abs(e - target) / target
+                         for e in [sw.limit] + [r["scaled_energy"] for r in sw.rows])
+        sharp_dev = max(abs(r["constant_estimate"] - c_sharp) / c_sharp for r in sw.rows)
         rows.append({"p": p, "n": n, "limit": sw.limit, "target": sw.target,
-                     "constant_dev": dev, "passed": sw.passed and dev <= 1e-3})
-    yield (2, all(r["passed"] for r in rows), {"sweeps": rows})
+                     "constant_dev": dev, "energy_dev": energy_dev,
+                     "sharp_constant_dev": sharp_dev,
+                     "passed": sw.passed and max(dev, energy_dev, sharp_dev) <= 1e-12})
+    return all(r["passed"] for r in rows), {"sweeps": rows}
 
-    # 3: L1 extremal equality, Beta-target limits, exact sup
+
+def _l1_sharpness(seed, threads):
+    """3: the L1-bound extremal attains equality; its sweep reaches both
+    Beta-function limits with the exact, R-independent sup."""
+    from .rearrange import l1_extremal_profile
+
     rows = []
-    for p, n in pn_cases:
-        rep = V.verify_morrey_l1(inst(n, "euclidean"), l1_extremal_profile(p, n), p)
-        sw = V.sharpness_sweep_l1(inst(n, "euclidean"), p, [1.0, 2.0, 4.0])
-        last = sw.rows[-1]
+    for p, n in _PN_CASES:
+        rep = V.verify_morrey_l1(_inst(n), l1_extremal_profile(p, n), p)
+        sweep = V.sharpness_sweep_l1(_inst(n), p, _R_GRID).rows
+        t_l1, t_en = C.l1_norm_limit(p, n, 1.0), C.l1_energy_limit(p, n, 1.0)
         rows.append({
-            "p": p, "n": n, "ratio": rep.ratio,
-            "l1_dev": abs(last["scaled_l1"] - last["l1_target"]) / last["l1_target"],
-            "energy_dev": abs(last["scaled_energy"] - last["energy_target"]) / last["energy_target"],
-            "sup_dev": max(r["sup_deviation"] for r in sw.rows),
-            "height": l1_extremal_height(p, n),
+            "p": p, "n": n, "ratio": rep.ratio, "passed": rep.passed,
+            "l1_dev": abs(sweep[-1]["scaled_l1"] - t_l1) / t_l1,
+            "energy_dev": abs(sweep[-1]["scaled_energy"] - t_en) / t_en,
+            "sup_dev": max(r["sup_deviation"] for r in sweep),
+            "height": C.l1_extremal_height(p, n),
         })
-    ok3 = all(
-        abs(r["ratio"] - 1.0) <= 1e-3 and r["l1_dev"] <= 1e-3
-        and r["energy_dev"] <= 1e-3 and r["sup_dev"] <= 1e-9 * r["height"]
-        for r in rows
-    )
-    yield (3, ok3, {"cases": rows})
+    ok = all(r["passed"] and max(abs(r["ratio"] - 1.0), r["l1_dev"], r["energy_dev"]) <= 1e-3
+             and r["sup_dev"] <= 1e-9 for r in rows)
+    return ok, {"cases": rows}
 
-    # 4: special-function spot values and Beta/Gamma identities
-    refs = {0.0: 2.404825557695773, 0.5: math.pi, 1.0: 3.831705970207512}
-    zero_devs = {str(nu): abs(bessel_first_zero(nu) - ref) for nu, ref in refs.items()}
+
+def _special_functions(seed, threads):
+    """4: Bessel-zero spot values, and the Beta/Gamma identities on a fixed
+    grid and on 50 seeded draws."""
+    from scipy.special import beta
+
+    def beta_dev(a, b):
+        ident = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        return abs(beta(a, b) - ident) / ident
+
+    refs = {"0.0": 2.404825557695773, "0.5": math.pi, "1.0": 3.831705970207512}
+    zero_devs = {nu: abs(C.bessel_first_zero(float(nu)) - ref) for nu, ref in refs.items()}
     idev = 0.0
     for a in (0.5, 1.0, 1.7, 2.3, 3.0):
-        for b in (0.4, 1.1, 2.6):
-            beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-            from scipy.special import beta as sbeta
-            idev = max(idev, abs(sbeta(a, b) - beta) / beta)
-        idev = max(idev, abs(math.gamma(a + 1.0) - a * math.gamma(a)) / math.gamma(a + 1.0))
-    ok4 = all(d <= 1e-9 for d in zero_devs.values()) and idev <= 1e-12
-    yield (4, ok4, {"zero_deviations": zero_devs, "identity_deviation": idev})
+        idev = max(idev, *(beta_dev(a, b) for b in (0.4, 1.1, 2.6)),
+                   abs(math.gamma(a + 1.0) - a * math.gamma(a)) / math.gamma(a + 1.0))
+    draws = np.random.default_rng(4).uniform(0.2, 8.0, size=(50, 2))
+    draw_dev = max(beta_dev(float(a), float(b)) for a, b in draws)
+    ok = max(zero_devs.values()) <= 1e-9 and max(idev, draw_dev) <= 1e-12
+    return ok, {"zero_deviations": zero_devs, "reference_zeros": refs,
+                "identity_deviation": idev, "draw_identity_deviation": draw_dev}
 
-    # 5: eigenvalue solver vs closed form on a 12-case grid
+
+def _eigenvalue_closed_form(seed, threads):
+    """5: the eigenvalue solver against the shifted-Bessel closed form on a
+    12-case grid, and against the disk and ball values 5.783186 and pi^2."""
     grid = [
         (2, 1.0, 0.0), (2, 0.5, 0.0), (2, 2.0, 0.0), (2, 1.7, 0.0),
         (3, 1.0, 0.0), (3, 1.0, 0.2), (3, 1.5, 0.1), (3, 0.7, 0.24),
@@ -557,87 +571,121 @@ def _repro_criteria(seed: int, threads):
     ]
     rows = []
     for n, radius, mu in grid:
-        bvp = RadialBvp(n=n, radius=radius, mu=mu)
-        lam1, _ = first_eigenvalue(bvp)
-        mu_bar, _ = bpv_constant(mu, n, 1.0, omega_n(n))
-        dev = abs(lam1 * radius**2 - bessel_first_zero(mu_bar) ** 2)
+        lam1, _ = first_eigenvalue(RadialBvp(n=n, radius=radius, mu=mu))
+        mu_bar, _ = C.bpv_constant(mu, n, 1.0, C.omega_n(n))
+        dev = abs(lam1 * radius**2 - C.bessel_first_zero(mu_bar) ** 2)
         rows.append({"n": n, "R": radius, "mu": mu, "lambda1": lam1, "dev": dev})
-    yield (5, all(r["dev"] < 1e-4 for r in rows), {"cases": rows})
+    # grid[0] and grid[4] are the unit disk and the unit ball without potential
+    refs = {"disk": abs(rows[0]["lambda1"] - 5.783186),
+            "ball": abs(rows[4]["lambda1"] - math.pi**2)}
+    ok = all(r["dev"] < 1e-4 for r in rows) and refs["disk"] < 1e-5 and refs["ball"] < 1e-6
+    return ok, {"cases": rows, "reference_deviations": refs}
 
-    # 6: BPV randomized suites + eigenprofile equality
-    suites = {}
-    for label, m in (("euclidean_2", e2), ("l4_2", inst(2, "l4"))):
-        reps = V.randomized_suite(m, "bpv", n_draws=100, seed=seed, workers=threads)
-        suites[label] = sum(r.passed for r in reps)
+
+def _suite_passes(m, name, seed, threads, **kw):
+    reps = V.randomized_suite(m, name, n_draws=100, seed=seed, workers=threads, **kw)
+    return sum(r.passed for r in reps)
+
+
+def _bpv(seed, threads):
+    """6: shifted Poincare suites, and equality for the eigenprofiles."""
+    suites = {label: _suite_passes(_inst(2, kind), "bpv", seed, threads)
+              for label, kind in (("euclidean_2", "euclidean"), ("l4_2", "l4"))}
     eq_rows = []
     for n, radius, mu in ((2, 1.0, 0.0), (3, 1.0, 0.2)):
-        bvp = RadialBvp(n=n, radius=radius, mu=mu)
-        _, quotient, _ = eigen_quotient(bvp)
-        _, s_const = bpv_constant(mu, n, 1.0, omega_n(n) * radius**n)
+        _, quotient, _ = eigen_quotient(RadialBvp(n=n, radius=radius, mu=mu))
+        _, s_const = C.bpv_constant(mu, n, 1.0, C.omega_n(n) * radius**n)
         eq_rows.append({"n": n, "mu": mu, "equality_dev": abs(quotient / s_const - 1.0)})
-    ok6 = all(v == 100 for v in suites.values()) and all(
-        r["equality_dev"] < 1e-4 for r in eq_rows
-    )
-    yield (6, ok6, {"suite_passes": suites, "eigen_equality": eq_rows})
+    ok = all(v == 100 for v in suites.values()) and all(
+        r["equality_dev"] < 1e-4 for r in eq_rows)
+    return ok, {"suite_passes": suites, "eigen_equality": eq_rows}
 
-    # 7: Hardy suites and near-extremal monotonicity
-    suites = {}
-    for n, p in ((3, 2.0), (4, 2.0), (4, 3.0)):
-        reps = V.randomized_suite(inst(n, "euclidean"), "hardy", n_draws=100, seed=seed,
-                                  workers=threads, p=p)
-        suites[f"n{n}_p{int(p)}"] = sum(r.passed for r in reps)
+
+def _hardy(seed, threads):
+    """7: Hardy suites, and near-extremal ratios increasing toward 1."""
+    suites = {f"n{n}_p{int(p)}": _suite_passes(_inst(n), "hardy", seed, threads, p=p)
+              for n, p in ((3, 2.0), (4, 2.0), (4, 3.0))}
     mono = {}
     for n, p in ((3, 2.0), (4, 2.0)):
-        ratios = []
-        for delta in (0.2, 0.1, 0.05):
-            rep = V.verify_hardy(inst(n, "euclidean"), V.hardy_test_family(p, n, delta), p)
-            ratios.append(rep.rhs / rep.lhs)
+        reps = [V.verify_hardy(_inst(n), V.hardy_test_family(p, n, d), p)
+                for d in (0.2, 0.1, 0.05)]
+        ratios = [r.rhs / r.lhs for r in reps]
         mono[f"n{n}_p{int(p)}"] = {"ratios": ratios,
                                    "monotone": ratios[0] < ratios[1] < ratios[2]}
-    ok7 = all(v == 100 for v in suites.values()) and all(
-        v["monotone"] for v in mono.values()
-    )
-    yield (7, ok7, {"suite_passes": suites, "near_extremal": mono})
+    ok = all(v == 100 for v in suites.values()) and all(
+        v["monotone"] and v["ratios"][-1] < 1.0 for v in mono.values())
+    return ok, {"suite_passes": suites, "near_extremal": mono}
 
-    # 8: rearrangement property suites
-    suites = {}
-    for name in ("polya_szego", "hlp", "layer_cake", "equimeasurability"):
-        reps = V.randomized_suite(e2, name, n_draws=100, seed=seed, workers=threads)
-        suites[name] = sum(r.passed for r in reps)
-    yield (8, all(v == 100 for v in suites.values()), {"suite_passes": suites})
 
-    # 9: isoperimetric equality and strict cases
-    fe = f_eps_instance(2, 1.0, normalize=True)
+def _rearrangement_suites(seed, threads):
+    """8: rearrangement property suites, and the layer-cake formula for the
+    singular weight r^-a over a ball against n w_n R^(n-a) / (n-a)."""
+    from .rearrange import layer_cake_integral
+
+    suites = {name: _suite_passes(_inst(2), name, seed, threads)
+              for name in ("polya_szego", "hlp", "layer_cake", "equimeasurability")}
+    a, r_max = 1.5, 2.0
+
+    def w(r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(r > 0, r**-a, np.inf)
+
+    lhs, rhs = layer_cake_integral(_inst(3), np.zeros(3), w, r_max, points=(1e-6,),
+                                   fprime=lambda r: -a * np.asarray(r, dtype=float) ** (-a - 1.0))
+    exact = 3.0 * C.omega_n(3) * r_max ** (3.0 - a) / (3.0 - a)
+    sing_dev = max(abs(lhs - rhs), abs(lhs - exact)) / exact
+    ok = all(v == 100 for v in suites.values()) and sing_dev <= 1e-6
+    return ok, {"suite_passes": suites, "singular_layer_cake_dev": sing_dev}
+
+
+def _isoperimetric(seed, threads):
+    """9: isoperimetric equality on each instance's own balls, strict
+    inequality on a rectangle and an ellipse."""
+    from .manifold import f_eps_instance
+
+    e2 = _inst(2)
     rows = {
         "euclidean": V.verify_isoperimetric(e2, {"kind": "ball", "radius": 1.0}),
-        "l4": V.verify_isoperimetric(inst(2, "l4"), {"kind": "wulff", "radius": 1.0}),
-        "f_eps_1": V.verify_isoperimetric(fe, {"kind": "wulff", "radius": 1.0}),
+        "euclidean_wulff": V.verify_isoperimetric(e2, {"kind": "wulff", "radius": 1.0}),
+        "l4": V.verify_isoperimetric(_inst(2, "l4"), {"kind": "wulff", "radius": 1.0}),
+        "f_eps_1": V.verify_isoperimetric(f_eps_instance(2, 1.0, normalize=True),
+                                          {"kind": "wulff", "radius": 1.0}),
     }
     rect = V.verify_isoperimetric(e2, {"kind": "rectangle", "a": 2.0, "b": 1.0})
     ell = V.verify_isoperimetric(e2, {"kind": "ellipse", "a": 2.0, "b": 1.0})
-    ok9 = (
-        all(abs(r.ratio - 1.0) <= 1e-3 for r in rows.values())
-        and rect.ratio > 1.0 + 1e-6 and ell.ratio > 1.0 + 1e-6
-        and rect.passed and ell.passed
-    )
-    yield (9, ok9, {
+    ok = all(r.passed and abs(r.ratio - 1.0) <= 1e-3 for r in rows.values()) and all(
+        r.passed and r.ratio > 1.0 + 1e-6 for r in (rect, ell))
+    return ok, {
         "equality_ratios": {k: r.ratio for k, r in rows.items()},
         "rectangle_ratio": rect.ratio, "ellipse_ratio": ell.ratio,
-    })
+    }
 
-    # 10: Monte-Carlo AVR inside the sandwich interval, Bishop-Gromov ok
+
+def _f_eps_avr(seed, threads):
+    """10: Monte Carlo AVR of the f_eps family inside both the estimator's
+    sandwich interval and the closed-form band (1+eps)^(-n/2) <= AVR <= 1,
+    each widened by three standard errors; Bishop-Gromov holds."""
+    from .manifold import f_eps_instance
+
     rows = []
     for n in (2, 3):
         for eps in (0.5, 1.0, 2.0):
-            m = f_eps_instance(n, eps)
-            est = estimate_avr(m, method="mc", n_samples=150_000, seed=seed, workers=threads)
-            inside = est.lo - 3.0 * est.stderr <= est.point <= est.hi + 3.0 * est.stderr
+            est = estimate_avr(f_eps_instance(n, eps), method="mc", n_samples=150_000,
+                               seed=seed, workers=threads)
+            slack = 3.0 * est.stderr
             rows.append({"n": n, "eps": eps, "point": est.point, "lo": est.lo,
                          "hi": est.hi, "stderr": est.stderr,
-                         "inside": bool(inside), "bg_ok": est.bg_ok})
-    yield (10, all(r["inside"] and r["bg_ok"] for r in rows), {"cases": rows})
+                         "inside": bool(est.lo - slack <= est.point <= est.hi + slack),
+                         "in_band": bool((1.0 + eps) ** (-n / 2.0) - slack
+                                         <= est.point <= 1.0 + slack),
+                         "bg_ok": est.bg_ok})
+    return all(r["inside"] and r["in_band"] and r["bg_ok"] for r in rows), {"cases": rows}
 
-    # 11: mountain-pass sets + multiplicity exploration
+
+def _mountain_pass(seed, threads):
+    """11: mountain-pass ground states, and distinct plateau profiles of the
+    oscillatory problem with strictly increasing sups."""
     mp_sets = [
         (3, 1.0, 0.0, 0.0, 3.0), (3, 1.0, 0.2, -5.0, 4.0), (2, 1.0, 0.0, 1.0, 4.0),
         (2, 1.5, 0.0, 2.0, 3.5), (4, 1.0, 0.5, 1.0, 2.5), (3, 1.2, 0.1, 3.0, 3.2),
@@ -653,16 +701,23 @@ def _repro_criteria(seed: int, threads):
     bvp = RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
     profs = multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
     sups = [c.sup for c in profs]
-    ok11 = (
-        all(r["residual"] < 1e-6 and r["level"] > 0 and r["min_value"] >= -1e-10
-            for r in rows)
-        and all(c.residual < 1e-6 for c in profs)
-    )
-    yield (11, ok11, {
-        "mountain_pass": rows,
-        "multiplicity_sups": sups,
-        "multiplicity_count": len(profs),
-    })
+    ok = (all(r["residual"] < 1e-6 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
+          and all(c.residual < 1e-6 for c in profs)
+          and all(s1 < s2 for s1, s2 in zip(sups, sups[1:])))
+    return ok, {"mountain_pass": rows, "multiplicity_sups": sups,
+                "multiplicity_count": len(profs)}
+
+
+# Criterion i is _repro_criteria[i - 1]: a function of (seed, threads) that
+# returns (passed, payload).  Its verdict holds every condition of its
+# claim; tests/test_acceptance.py asserts these verdicts from one repro run
+# instead of restating them.  Payloads hold only deterministic numbers (no
+# wall-clock), so a fixed seed reproduces the reports byte for byte.
+_repro_criteria = (
+    _support_equality, _support_sharpness_limit, _l1_sharpness, _special_functions,
+    _eigenvalue_closed_form, _bpv, _hardy, _rearrangement_suites, _isoperimetric,
+    _f_eps_avr, _mountain_pass,
+)
 
 
 def _task_repro(cfg: dict) -> int:
@@ -673,7 +728,8 @@ def _task_repro(cfg: dict) -> int:
     t_start = time.time()
     results = []
     t_prev = t_start
-    for index, passed, payload in _repro_criteria(seed, threads):
+    for index, criterion in enumerate(_repro_criteria, start=1):
+        passed, payload = criterion(seed, threads)
         doc = _document(
             dict(cfg, out_dir=out_dir),
             {"criterion": index, "passed": bool(passed), "detail": payload},

@@ -593,14 +593,6 @@ def verify_isoperimetric(
 def _default_hlp_weight(rng, n: int):
     a = float(rng.uniform(0.2, max(0.3, n - 0.2)))
     c = float(rng.uniform(0.0, 0.3))
-    if c == 0.0:
-
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0, r**-a, np.inf)
-
-        return f, (a, c)
 
     def f(r):
         return (np.asarray(r, dtype=float) + c) ** -a

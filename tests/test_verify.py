@@ -271,6 +271,27 @@ def test_isoperimetric_wulff_3d(l4_3):
     assert rep.diagnostics["equality"]
 
 
+def test_isoperimetric_unit_ellipsoid_is_the_unit_ball(e3):
+    ell = V.verify_isoperimetric(e3, "ellipsoid:a=1,b=1,c=1")
+    ball = V.verify_isoperimetric(e3, "ball:radius=1")
+    assert ell.passed
+    assert ell.lhs == pytest.approx(ball.lhs, rel=1e-12)
+    assert ell.rhs == pytest.approx(ball.rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 2.0), (1.5, 0.5)])
+def test_isoperimetric_spheroid_area_matches_closed_form(e3, a, c):
+    if c > a:  # prolate
+        e = math.sqrt(1.0 - (a / c) ** 2)
+        area = 2.0 * math.pi * a * a * (1.0 + c * math.asin(e) / (a * e))
+    else:  # oblate
+        e = math.sqrt(1.0 - (c / a) ** 2)
+        area = 2.0 * math.pi * a * a * (1.0 + (1.0 - e * e) / e * math.atanh(e))
+    rep = V.verify_isoperimetric(e3, {"kind": "ellipsoid", "a": a, "b": a, "c": c})
+    assert rep.passed and rep.ratio > 1.0 + 1e-3
+    assert abs(rep.lhs - area) <= 10.0 * rep.diagnostics["quad_error_estimate"]
+
+
 def test_isoperimetric_needs_normalized_norm():
     raw = minkowski_instance(lp_norm(2, 4.0))
     with pytest.raises(ValueError):
