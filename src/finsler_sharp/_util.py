@@ -150,6 +150,8 @@ def box_hits(inside, half, n_samples: int, seed, workers: int) -> int:
     points inside the f_eps unit ball took 25 ms with workers=2 against
     36 ms with workers=1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     half = np.asarray(half, dtype=float)
 
     def count(rng, size):

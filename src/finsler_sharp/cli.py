@@ -104,8 +104,11 @@ class ConfigError(Exception):
 # config assembly
 
 
+_MAX_SWEEP_RADII = 10_000
+
+
 def parse_sweep_grid(spec) -> list:
-    """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]'."""
+    """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]', at most _MAX_SWEEP_RADII radii."""
     if not isinstance(spec, str):
         raise ConfigError("sweep must be a string like R=1:64:geometric")
     name, eq, body = spec.partition("=")
@@ -115,19 +118,25 @@ def parse_sweep_grid(spec) -> list:
     if len(parts) not in (3, 4):
         raise ConfigError(f"sweep needs start:stop:mode[:k], got {body!r}")
     a, b, mode = float(parts[0]), float(parts[1]), parts[2]
+    top = b * (1.0 + 1e-12)  # the last geometric radius may overshoot b by this
+    if not (math.isfinite(a) and math.isfinite(top)):
+        raise ConfigError(f"sweep bounds must be finite, got {body!r}")
     if mode == "geometric":
         factor = float(parts[3]) if len(parts) == 4 else 2.0
         if not (a > 0 and b >= a and factor > 1):
             raise ConfigError("geometric sweep needs 0 < start <= stop, factor > 1")
+        k = math.floor((math.log(b) - math.log(a) + 1e-12) / math.log(factor)) + 1
+        if k > _MAX_SWEEP_RADII:
+            raise ConfigError(f"geometric sweep of {k} radii exceeds {_MAX_SWEEP_RADII}")
         grid, r = [], a
-        while r <= b * (1.0 + 1e-12):
+        while r <= top and len(grid) <= k:  # k may round one short
             grid.append(r)
             r *= factor
         return grid
     if mode == "linear":
         k = int(parts[3]) if len(parts) == 4 else 8
-        if k < 1 or b < a:
-            raise ConfigError("linear sweep needs count >= 1 and stop >= start")
+        if not 1 <= k <= _MAX_SWEEP_RADII or b < a:
+            raise ConfigError(f"linear sweep needs 1 <= count <= {_MAX_SWEEP_RADII} and stop >= start")
         return [float(x) for x in np.linspace(a, b, k)]
     raise ConfigError(f"unknown sweep mode {mode!r}")
 
@@ -165,6 +174,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if error is not None:
         raise ConfigError(f"config rejected: {error.message}") from error
     return cfg
+
+
+def _value(cfg: dict, key: str, default):
+    """cfg[key], or default when it is absent or null; a given 0 stays 0."""
+    return default if cfg.get(key) is None else cfg[key]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +252,7 @@ def _task_constants(cfg: dict) -> int:
     if cfg.get("p") is None or cfg.get("n") is None:
         raise ConfigError("constants needs --p and --n")
     sc = C.sharp_constants(
-        float(cfg["p"]), int(cfg["n"]), float(cfg.get("avr") or 1.0), float(cfg.get("mu") or 0.0)
+        float(cfg["p"]), int(cfg["n"]), float(_value(cfg, "avr", 1.0)), float(_value(cfg, "mu", 0.0))
     )
     vals = sc.as_dict()
     row = " ".join(
@@ -296,7 +310,7 @@ def _task_verify(cfg: dict) -> int:
     if key == "bpv":
         if u is None:
             raise ConfigError("bpv needs --profile")
-        kwargs["mu"] = float(cfg.get("mu") or 0.0)
+        kwargs["mu"] = float(_value(cfg, "mu", 0.0))
         if cfg.get("radius") is not None:
             shape = float(cfg["radius"])
     if key == "isoperimetric" and shape is None:
@@ -351,10 +365,10 @@ def _task_pde(cfg: dict) -> int:
     if cfg.get("n") is None:
         raise ConfigError("pde needs --n")
     n = int(cfg["n"])
-    radius = float(cfg.get("radius") or 1.0)
-    mu = float(cfg.get("mu") or 0.0)
-    lam = float(cfg.get("lam") or 0.0)
-    nodes = int(cfg.get("nodes") or 4096)
+    radius = float(_value(cfg, "radius", 1.0))
+    mu = float(_value(cfg, "mu", 0.0))
+    lam = float(_value(cfg, "lam", 0.0))
+    nodes = int(_value(cfg, "nodes", 4096))
     out = _resolve_out(cfg, f"{problem.replace('-', '_')}.csv")
 
     if problem == "ep":
@@ -390,7 +404,7 @@ def _task_pde(cfg: dict) -> int:
         if cfg.get("p") is None:
             raise ConfigError("d-problem needs --p")
         p = float(cfg["p"])
-        k_max = int(cfg.get("k_max") or 3)
+        k_max = int(_value(cfg, "k_max", 3))
         nl = OscillatoryNonlinearity(p)
         bvp = RadialBvp(n=n, radius=radius, lam=lam,
                         nonlinearity=("general", nl), n_nodes=nodes)
@@ -434,12 +448,12 @@ def _task_avr(cfg: dict) -> int:
     if cfg.get("instance") is None:
         raise ConfigError("avr needs --instance")
     m = instance_from_descriptor(cfg["instance"])
-    method = cfg.get("method") or "mc"
+    method = _value(cfg, "method", "mc")
     radii = cfg.get("radii")
     if isinstance(radii, str):
         radii = [float(x) for x in radii.split(",")]
     est = estimate_avr(
-        m, method=method, n_samples=int(cfg.get("samples") or 200_000),
+        m, method=method, n_samples=int(_value(cfg, "samples", 200_000)),
         r_schedule=radii, seed=int(cfg.get("seed", 0)), workers=cfg.get("threads"),
     )
     inside = est.lo - 3.0 * est.stderr <= est.point <= est.hi + 3.0 * est.stderr
@@ -534,8 +548,9 @@ def _l1_sharpness(seed, threads):
             "sup_dev": max(r["sup_deviation"] for r in sweep),
             "height": C.l1_extremal_height(p, n),
         })
-    ok = all(r["passed"] and max(abs(r["ratio"] - 1.0), r["l1_dev"], r["energy_dev"]) <= 1e-3
-             and r["sup_dev"] <= 1e-9 for r in rows)
+    # about 3x the measured 2.65e-7, 1.57e-6 and 4.5e-15 at seed 0
+    ok = all(r["passed"] and abs(r["ratio"] - 1.0) <= 8e-7 and r["l1_dev"] <= 5e-6
+             and r["energy_dev"] <= 1e-12 and r["sup_dev"] <= 1e-9 for r in rows)
     return ok, {"cases": rows}
 
 

@@ -170,7 +170,7 @@ def ball_volume_mc(
     phat = box_hits(lambda pts: m.norm(pts) < r, half, n_samples, seed, workers) / n_samples
     value = sigma * box_vol * phat
     stderr = sigma * box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
-    return VolumeEstimate(value, stderr, "mc", n_samples, seed, workers)
+    return VolumeEstimate(value, stderr, "mc")
 
 
 def ball_volume_curve(

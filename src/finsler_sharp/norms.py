@@ -7,14 +7,12 @@ return shape (...).
 
 The dual (polar) norm is computed analytically when a closed form is
 attached, and otherwise by multi-start projected gradient ascent on the
-Euclidean unit sphere followed by golden-section refinement along the
-best great-circle direction.  dual_norm takes one covector, shape (dim,),
-or a batch, shape (K, dim), and runs the ascent on all rows at once; a
-row is frozen once it settles, so its value does not depend on the
-batch, and the call raises if any row fails to settle.  Unit-ball
-volumes come from a closed form when known, adaptive radial-angular
-quadrature in dimensions 2 and 3, or Monte-Carlo over the dual bounding
-box.
+Euclidean unit sphere.  dual_norm takes one covector, shape (dim,), or a
+batch, shape (K, dim), and runs the ascent on all rows at once; a row is
+frozen once it settles, so its value does not depend on the batch, and
+the call raises if any row fails to settle.  Unit-ball volumes come from
+a closed form when known, adaptive radial-angular quadrature in
+dimensions 2 and 3, or Monte-Carlo over the dual bounding box.
 
 The shipped evaluators sum a row of coordinates with _row_sum, column by
 column: y[..., 0] + y[..., 1] + ... left to right.  That is the order in
@@ -67,7 +65,6 @@ class MinkowskiNorm:
     analytic_gradient: Optional[Callable] = field(default=None, repr=False)
     analytic_volume: Optional[float] = None
     label: str = "custom"
-    smooth: bool = True
     normalized: bool = False
 
     def __call__(self, y):
@@ -100,8 +97,8 @@ class WulffShape:
     norm: MinkowskiNorm
     radius: float = 1.0
 
-    def volume(self, **kw) -> float:
-        return self.radius**self.norm.dim * wulff_volume(self.norm, **kw)
+    def volume(self) -> float:
+        return self.radius**self.norm.dim * wulff_volume(self.norm)
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,6 @@ class VolumeEstimate:
     value: float
     stderr: float
     method: str
-    n_samples: int = 0
-    seed: Optional[int] = None
-    workers: int = 1
 
 
 # np.sum adds rows of this many entries or more pairwise, not left to right
@@ -156,8 +150,7 @@ def _lp_ball_volume(n: int, p: float) -> float:
 def lp_norm(n: int, p: float) -> MinkowskiNorm:
     """The l^p norm with its Hoelder dual l^q, 1/p + 1/q = 1.
 
-    p = 1 and p = inf are admitted for oracle values only and are
-    flagged non-smooth.
+    p = 1 and p = inf are admitted for oracle values only.
     """
     if p < 1:
         raise ValueError(f"l^p requires p >= 1, got {p}")
@@ -185,8 +178,6 @@ def lp_norm(n: int, p: float) -> MinkowskiNorm:
         analytic_gradient=grad,
         analytic_volume=_lp_ball_volume(n, p),
         label=f"l{p}",
-        smooth=(1.0 < p < math.inf),
-        normalized=False,
     )
 
 
@@ -210,16 +201,9 @@ def f_eps_fiber_norm(n: int, eps: float) -> MinkowskiNorm:
     return MinkowskiNorm(dim=n, base=base, label=f"f_eps({eps})")
 
 
-def custom_norm(n, func, dual=None, gradient=None, volume=None, label="custom", smooth=True):
-    return MinkowskiNorm(
-        dim=n,
-        base=func,
-        analytic_dual=dual,
-        analytic_gradient=gradient,
-        analytic_volume=volume,
-        label=label,
-        smooth=smooth,
-    )
+def custom_norm(n, func, dual=None, gradient=None, volume=None, label="custom"):
+    return MinkowskiNorm(dim=n, base=func, analytic_dual=dual, analytic_gradient=gradient,
+                         analytic_volume=volume, label=label)
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
@@ -241,92 +225,31 @@ def _norm_rows(h: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
     return h(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
 
 
-def _probe_offsets(n: int, fd_step: float) -> np.ndarray:
-    """0 and +-fd_step e_j, shaped (2n+1, 1, 1, n) to broadcast against (K, m, n)."""
-    offsets = np.zeros((2 * n + 1, 1, 1, n))
-    offsets[1 + np.arange(n), 0, 0, np.arange(n)] = fd_step
-    offsets[1 + n + np.arange(n), 0, 0, np.arange(n)] = -fd_step
-    return offsets
+# the ascent's central-difference step, seeded random starts and iteration cap
+_FD_STEP = 1e-7
+_N_RANDOM = 8
+_MAX_ITER = 400
 
 
-def _norm_and_slope(h: MinkowskiNorm, y, offsets, fd_step):
-    """H at points y (K, m, n) and its central-difference gradient, one call of h."""
+def _norm_and_slope(h: MinkowskiNorm, y, offsets):
+    """H at points y (K, m, n) and its central-difference gradient, one call of h;
+    offsets are 0 and +-_FD_STEP e_j, shaped (2n+1, 1, 1, n)."""
     n = y.shape[-1]
     vals = _norm_rows(h, y + offsets)
-    dh = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * fd_step)
+    dh = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * _FD_STEP)
     return vals[0], dh.transpose(1, 2, 0)
 
 
-def _ratio_gradient(alpha, fy, hy, dh):
-    # gradient of y -> alpha.y / H(y):  alpha/H - f * DH / H
-    return alpha[:, None, :] / hy[..., None] - (fy / hy)[..., None] * dh
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden polish bracket [-_GOLDEN_HALF, _GOLDEN_HALF] in radians; each step
-# shrinks it by _INVPHI whichever side a row keeps, so every row takes the
-# steps that bring the width below 1e-11
-_GOLDEN_HALF = 1e-2
-_GOLDEN_STEPS = math.ceil(math.log(1e-11 / (2.0 * _GOLDEN_HALF)) / math.log(_INVPHI))
-
-
-def _golden_polish(h: MinkowskiNorm, alpha, y, offsets, fd_step):
-    """Refine ascent winners y (K, 1, n) by up to three golden-section line
-    searches along the projected ratio gradient; y is updated in place.
-
-    A row whose projected gradient falls below 1e-13 drops out for good.
-    """
-    live, y0, a = np.arange(len(y)), y, alpha
-    for _ in range(3):
-        hy, dh = _norm_and_slope(h, y0, offsets, fd_step)
-        g = _ratio_gradient(a, _pair(y0, a) / hy, hy, dh)
-        g -= _pair(g, y0[:, 0])[..., None] * y0
-        gn = np.sqrt(_pair(g, g[:, 0]))
-        moving = ~(gn[:, 0] < 1e-13)
-        if not moving.all():
-            live, y0, a, g, gn = live[moving], y0[moving], a[moving], g[moving], gn[moving]
-            if not len(live):
-                break
-        d = g / gn[..., None]
-
-        def along(t, _y=y0, _d=d, _a=a):
-            z = np.cos(t)[..., None] * _y + np.sin(t)[..., None] * _d
-            return _pair(z, _a) / _norm_rows(h, z)
-
-        # golden section in survivor form: the bracket has ends p and q, the
-        # better interior point s lies nearer p and the next point t nearer q
-        c0 = _GOLDEN_HALF - _INVPHI * (2.0 * _GOLDEN_HALF)
-        e0 = -_GOLDEN_HALF + _INVPHI * (2.0 * _GOLDEN_HALF)
-        fc, fe = along(np.array([c0, e0])[:, None, None])
-        left = fc > fe  # the first step keeps [lo, e] around c, else [c, hi] around e
-        p = np.where(left, e0, c0)
-        q = np.where(left, -_GOLDEN_HALF, _GOLDEN_HALF)
-        s, fs = np.where(left, c0, e0), np.maximum(fc, fe)
-        for _ in range(_GOLDEN_STEPS - 1):
-            t = p + _INVPHI * (q - p)
-            ft = along(t)
-            # t wins a tie only when it is the right-hand point, as c > e is strict
-            twin = (ft > fs) | ((ft == fs) & (q > p))
-            np.copyto(q, p, where=~twin)
-            p = np.where(twin, s, t)
-            np.copyto(s, t, where=twin)
-            fs = np.maximum(fs, ft)
-        t = 0.5 * (p + q)
-        y0 = _unit_rows(np.cos(t)[..., None] * y0 + np.sin(t)[..., None] * d)
-        y[live] = y0
-    return y
-
-
-def _dual_ascent(h: MinkowskiNorm, alpha, seed, n_random, max_iter, fd_step):
-    """H* of nonzero covectors alpha (K, n): batched multi-start ascent and polish."""
+def _dual_ascent(h: MinkowskiNorm, alpha):
+    """H* of nonzero covectors alpha (K, n) by batched multi-start ascent."""
     k, n = alpha.shape
-    offsets = _probe_offsets(n, fd_step)
-    rng = np.random.default_rng(seed)
-    starts = [np.eye(n), -np.eye(n), np.zeros((1, n)), _unit_rows(rng.standard_normal((n_random, n)))]
+    offsets = _FD_STEP * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])[:, None, None, :]
+    rng = np.random.default_rng(0)
+    starts = [np.eye(n), -np.eye(n), np.zeros((1, n)), _unit_rows(rng.standard_normal((_N_RANDOM, n)))]
     y = np.repeat(np.concatenate(starts)[None], k, axis=0)
     y[:, 2 * n] = alpha / np.sqrt(_pair(alpha[:, None, :], alpha))
     y = _unit_rows(y)
-    hy, dh = _norm_and_slope(h, y, offsets, fd_step)
+    hy, dh = _norm_and_slope(h, y, offsets)
     fy = _pair(y, alpha) / hy
     step = np.full(fy.shape, 0.25)
     last_best = np.full(k, -np.inf)
@@ -334,12 +257,13 @@ def _dual_ascent(h: MinkowskiNorm, alpha, seed, n_random, max_iter, fd_step):
     # the rows still climbing; a settled row leaves the batch and stops changing
     rows, a = np.arange(k), alpha
     winners = np.empty((k, 1, n))
-    for _ in range(max_iter):
-        g = _ratio_gradient(a, fy, hy, dh)
+    for _ in range(_MAX_ITER):
+        # gradient of y -> alpha.y / H(y):  alpha/H - f * DH / H
+        g = a[:, None, :] / hy[..., None] - (fy / hy)[..., None] * dh
         g -= np.add.reduce(g * y, axis=-1, keepdims=True) * y
         cand = _unit_rows(y + step[..., None] * g)
         # the slope at cand is the next gradient for every start that moves
-        hc, dhc = _norm_and_slope(h, cand, offsets, fd_step)
+        hc, dhc = _norm_and_slope(h, cand, offsets)
         fc = _pair(cand, a) / hc
         up = fc > fy
         np.copyto(y, cand, where=up[..., None])
@@ -361,21 +285,13 @@ def _dual_ascent(h: MinkowskiNorm, alpha, seed, n_random, max_iter, fd_step):
             step, last_best, stalled = step[keep], last_best[keep], stalled[keep]
     else:
         raise DualMaximizerError(
-            f"dual-norm ascent did not settle in {max_iter} iterations",
+            f"dual-norm ascent did not settle in {_MAX_ITER} iterations",
             best_value=float(fy[0].max()),
         )
-    y0 = _golden_polish(h, alpha, winners, offsets, fd_step)
-    return (_pair(y0, alpha) / _norm_rows(h, y0))[:, 0]
+    return (_pair(winners, alpha) / _norm_rows(h, winners))[:, 0]
 
 
-def dual_norm(
-    h: MinkowskiNorm,
-    alpha,
-    seed: int = 0,
-    n_random: int = 8,
-    max_iter: int = 400,
-    fd_step: float = 1e-7,
-) -> float | np.ndarray:
+def dual_norm(h: MinkowskiNorm, alpha) -> float | np.ndarray:
     """Dual (polar) norm H*(alpha) = sup {alpha.y : H(y) <= 1}.
 
     alpha is one covector, shape (dim,), giving a float, or a batch of K
@@ -383,13 +299,13 @@ def dual_norm(
     covector is run as a batch of one.  Uses the attached closed form when
     present.  Otherwise maximizes the 0-homogeneous ratio alpha.y / H(y)
     on the unit sphere from 2*dim coordinate starts plus the direction of
-    alpha plus n_random seeded random starts (the same for every row), by
-    projected gradient ascent with per-start adaptive steps, then refines
-    each row's winner by golden-section search along its final
-    great-circle ascent direction.  A row is frozen once its best value
-    has stalled 8 times, so its result does not depend on the rest of the
-    batch.  Zero rows give 0.  If any row has not settled within max_iter
-    iterations, DualMaximizerError is raised with that row's best value.
+    alpha plus 8 seeded random starts (the same for every row), by
+    projected gradient ascent with per-start adaptive steps, and returns
+    the ratio at each row's best point.  A row is frozen once its best
+    value has stalled 8 times, so its result does not depend on the rest
+    of the batch.  Zero rows give 0.  If any row has not settled within
+    400 iterations, DualMaximizerError is raised with that row's best
+    value.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in (1, 2) or alpha.shape[-1] != h.dim:
@@ -403,19 +319,20 @@ def dual_norm(
         vals = np.zeros(len(rows))
         nonzero = np.any(rows != 0.0, axis=1)
         if nonzero.any():
-            vals[nonzero] = _dual_ascent(h, rows[nonzero], seed, n_random, max_iter, fd_step)
+            vals[nonzero] = _dual_ascent(h, rows[nonzero])
     return float(vals[0]) if alpha.ndim == 1 else vals
 
 
-def _quadrature_volume(h: MinkowskiNorm, n_theta: int = 4096, n_polar: int = 400) -> float:
+def _quadrature_volume(h: MinkowskiNorm) -> float:
     # radial-angular: Vol = (1/n) * integral of r(direction)^n over the sphere
     if h.dim == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+        th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         r = 1.0 / h(dirs)
         # periodic trapezoid: spectrally accurate for smooth norms
         return 0.5 * float(np.mean(r**2)) * 2.0 * math.pi
     if h.dim == 3:
+        n_polar = 400
         u, wu = gauss_legendre(n_polar)  # u = cos(polar angle)
         th = np.linspace(0.0, 2.0 * math.pi, 2 * n_polar, endpoint=False)
         su = np.sqrt(1.0 - u**2)
@@ -438,7 +355,7 @@ def _mc_volume(h: MinkowskiNorm, n_samples: int, seed, workers: int):
     phat = box_hits(lambda pts: h(pts) < 1.0, half, n_samples, seed, workers) / n_samples
     value = box_vol * phat
     stderr = box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
-    return value, stderr, box_vol
+    return value, stderr
 
 
 def wulff_volume_estimate(
@@ -470,24 +387,23 @@ def wulff_volume_estimate(
     if method == "quadrature":
         return VolumeEstimate(_quadrature_volume(h), 0.0, "quadrature")
     if method == "mc":
-        value, stderr, _ = _mc_volume(h, n_samples, seed, workers)
-        return VolumeEstimate(value, stderr, "mc", n_samples, seed, workers)
+        return VolumeEstimate(*_mc_volume(h, n_samples, seed, workers), "mc")
     raise ValueError(f"unknown volume method {method!r}")
 
 
-def wulff_volume(h: MinkowskiNorm, **kw) -> float:
-    """Euclidean volume of {H < 1}; see wulff_volume_estimate for options."""
-    return wulff_volume_estimate(h, **kw).value
+def wulff_volume(h: MinkowskiNorm) -> float:
+    """Euclidean volume of {H < 1} by wulff_volume_estimate's "auto" method."""
+    return wulff_volume_estimate(h).value
 
 
-def normalize(h: MinkowskiNorm, **kw) -> MinkowskiNorm:
+def normalize(h: MinkowskiNorm) -> MinkowskiNorm:
     """Rescale so the unit sublevel set has volume omega_n.
 
     The scale factor is c = (Vol{H < 1} / omega_n)^(1/n).  Normalizing a
-    second time with the same method and seed reuses the identical sample
-    geometry by homogeneity, so the operation is idempotent to rounding.
+    second time reuses the identical quadrature nodes (or Monte-Carlo
+    samples) by homogeneity, so the operation is idempotent to rounding.
     """
-    vol = wulff_volume(h, **kw)
+    vol = wulff_volume(h)
     c = (vol / omega_n(h.dim)) ** (1.0 / h.dim)
     return replace(h, scale=h.scale * c, normalized=True)
 

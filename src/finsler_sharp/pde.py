@@ -789,6 +789,8 @@ def multiplicity_explore(
         raise ValueError("multiplicity exploration needs the energy exponent p")
     if p <= bvp.n:
         raise ValueError(f"needs p > n, got p = {p}, n = {bvp.n}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if h is None:
         h = OscillatoryNonlinearity(p)
     if not hasattr(h, "dh"):

@@ -168,7 +168,7 @@ def test_criterion_12_repro_byte_identity(run, line):
 
 # planted defects: a support constant off by 1e-6 either way must turn both
 # support criteria red, though made too large every report still reads
-# lhs <= rhs; an l1 constant made small must fail criterion 3's own report
+# lhs <= rhs; an l1 constant off by 1e-6 either way must fail criterion 3
 SUPPORT = (cli._support_equality, cli._support_sharpness_limit)
 
 
@@ -177,6 +177,7 @@ SUPPORT = (cli._support_equality, cli._support_sharpness_limit)
     ("morrey_support_constant", 1.0 - 1e-6, SUPPORT),
     ("morrey_support_constant", 1.0 + 1e-6, SUPPORT),
     ("morrey_l1_constant", 1.0 - 1e-6, (cli._l1_sharpness,)),
+    ("morrey_l1_constant", 1.0 + 1e-6, (cli._l1_sharpness,)),
 ])
 def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, factor, criteria):
     true_constant = getattr(V, constant)

@@ -68,6 +68,17 @@ def test_sweep_grid_rejects(bad):
         cli.parse_sweep_grid(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "R=1:inf:geometric", "R=-inf:1:linear", "R=nan:1:linear:4", "R=1:2:geometric:1.0000001",
+    "R=0:1:linear:100000",
+])
+def test_sweep_grid_rejects_unbounded_schedules(bad):
+    # non-finite bounds, and schedules longer than the limit, before any radius is built
+    with pytest.raises(cli.ConfigError, match="finite|exceeds|count <="):
+        cli.parse_sweep_grid(bad)
+    assert len(cli.parse_sweep_grid("R=1:1e4:linear:10000")) == 10_000
+
+
 @pytest.mark.parametrize("argv", [
     ["--instance", "lp:n=2", "--inequality", "morrey-support", "--profile", "morrey_extremal:p=4"],
     ["--instance", "euclidean:n=2", "--inequality", "isoperimetric", "--shape", "rectangle:a=2"],
@@ -223,6 +234,19 @@ def test_unknown_subcommand_exit_2(capsys):
     rc = run_cli(["frobnicate"])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["constants", "--p", "4", "--n", "2", "--avr", "0"], "avr"),
+    (["pde", "--problem", "ep", "--n", "2", "--radius", "0"], "radius"),
+    (["pde", "--problem", "ep", "--n", "2", "--nodes", "0"], "nodes"),
+    (["pde", "--problem", "d-problem", "--n", "2", "--p", "3", "--k-max", "0"], "k_max"),
+    (["avr", "--instance", "euclidean:n=2", "--samples", "0"], "n_samples"),
+], ids=["avr", "radius", "nodes", "k_max", "samples"])
+def test_explicit_zero_is_not_replaced_by_the_default(argv, named, capsys):
+    # a given 0 reaches the library's range check instead of running as the default
+    assert run_cli(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_failed_check_exit_3(monkeypatch, capsys):

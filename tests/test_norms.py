@@ -47,15 +47,16 @@ def test_lp_ball_volume_closed_form():
 
 
 def test_numeric_dual_against_holder():
-    # strip the closed form so the maximizer actually runs
-    h4 = lp_norm(2, 4.0)
-    h = custom_norm(2, h4.base, label="l4-opaque")
-    rng = np.random.default_rng(3)
-    q = 4.0 / 3.0
-    for _ in range(12):
-        a = rng.standard_normal(2)
-        ref = float(np.sum(np.abs(a) ** q) ** (1 / q))
-        assert dual_norm(h, a) == pytest.approx(ref, rel=1e-8)
+    # strip the closed form so the maximizer actually runs; the ascent's
+    # value is the ratio at a point, so it agrees to rounding level
+    for p in (1.5, 3.0, 4.0, 6.0):
+        q = p / (p - 1.0)
+        for n in (2, 3):
+            h = custom_norm(n, lp_norm(n, p).base, label=f"l{p:g}-opaque")
+            alphas = _covectors(n, 64, seed=int(10 * p) + n)
+            ref = np.sum(np.abs(alphas) ** q, axis=1) ** (1.0 / q)
+            np.testing.assert_allclose(dual_norm(h, alphas), ref, rtol=2e-15, atol=0.0,
+                                       err_msg=f"p={p}, n={n}")
 
 
 def test_numeric_dual_anisotropic_quadratic():
@@ -66,7 +67,7 @@ def test_numeric_dual_anisotropic_quadratic():
     for _ in range(10):
         a = rng.standard_normal(2)
         ref = math.sqrt(a @ Ainv @ a)
-        assert dual_norm(h, a) == pytest.approx(ref, rel=1e-8)
+        assert dual_norm(h, a) == pytest.approx(ref, rel=2e-15)
 
 
 def test_dual_rejects_bad_covector():
@@ -109,6 +110,11 @@ def test_wulff_volume_mc_with_stderr():
     lo = omega_n(4) * (1.0 + 1.0) ** (-2.0)
     hi = omega_n(4)
     assert lo - 4 * est.stderr <= est.value <= hi + 4 * est.stderr
+
+
+def test_mc_volume_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples"):
+        wulff_volume_estimate(f_eps_fiber_norm(2, 0.5), method="mc", n_samples=0)
 
 
 def test_mc_volume_seed_reproducible():
@@ -223,28 +229,10 @@ def _reference_ratio_gradient(h, alpha, y, fy, hy, fd_step):
     return alpha[None, :] / hy[:, None] - (fy / hy)[:, None] * dh
 
 
-def _reference_golden_max(f, a, b, tol=1e-11, max_iter=200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _reference_dual(h, alpha, seed=0, n_random=8, max_iter=400, fd_step=1e-7):
     """The one-covector ascent the batched dual_norm replaced, kept as a
-    reference: the same starts, steps, stall rule and golden polish, run
-    on one covector at a time."""
+    reference: the same starts, steps and stall rule, run on one covector
+    at a time, returning the ratio at the best point."""
     norm_a = float(np.linalg.norm(alpha))
     if norm_a == 0.0:
         return 0.0
@@ -278,22 +266,6 @@ def _reference_dual(h, alpha, seed=0, n_random=8, max_iter=400, fd_step=1e-7):
     else:
         raise DualMaximizerError("reference ascent did not settle", best_value=float(fy.max()))
     y0 = y[int(np.argmax(fy))]
-    for _ in range(3):
-        hy0 = h(y0[None, :])
-        fy0 = np.array([float(y0 @ alpha)]) / hy0
-        g = _reference_ratio_gradient(h, alpha, y0[None, :], fy0, hy0, fd_step)[0]
-        g -= float(g @ y0) * y0
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-13:
-            break
-        d = g / gn
-
-        def along(t, _y=y0, _d=d):
-            z = math.cos(t) * _y + math.sin(t) * _d
-            return float(z @ alpha) / float(h(z))
-
-        t_star = _reference_golden_max(along, -1e-2, 1e-2)
-        y0 = unit((math.cos(t_star) * y0 + math.sin(t_star) * d)[None, :])[0]
     return float(y0 @ alpha) / float(h(y0))
 
 
@@ -322,8 +294,8 @@ def test_batch_dual_matches_per_covector_reference(label, factory):
     assert isinstance(batch, np.ndarray) and batch.shape == (10,)
     ref = np.array([_reference_dual(h, a) for a in alphas])
     if label.startswith("f_eps"):
-        # the same arithmetic row by row: only lp's ** differs between the
-        # one-row arrays here and the numpy scalars of the reference polish
+        # the same arithmetic row by row: only lp's ** may round apart
+        # between the batch's arrays and the reference's one-covector ones
         assert np.array_equal(batch, ref)
     np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
     # a row's value does not depend on the batch it sits in
