@@ -10,7 +10,6 @@ layer-cake identity that underlies all of it.
 import numpy as np
 
 from finsler_sharp.manifold import euclidean_instance
-from finsler_sharp.norms import euclidean_norm
 from finsler_sharp.rearrange import (
     cone_profile,
     equimeasurability_gap,
@@ -31,7 +30,6 @@ def banner(text):
 
 
 m = euclidean_instance(2)
-h = euclidean_norm(2)
 
 
 def two_bumps(pts):
@@ -43,7 +41,7 @@ def two_bumps(pts):
 u = grid_function_from_callable(two_bumps, box_half=(3.0, 3.0), shape=(256, 256))
 
 banner("rearrange a two-bump grid function")
-star = rearrange(u, m, h)
+star = rearrange(u, m)
 print(f"input sup  = {float(u.values.max()):.8f}")
 print(f"output sup = {star.sup():.8f}")
 print(f"distribution gap (equimeasurability) = {equimeasurability_gap(u, m, star):.3e}")
@@ -56,18 +54,18 @@ for q in (1.0, 2.0, 4.0):
           f"   rel gap = {abs(before - after) / before:.2e}")
 
 banner("gradient energy drops strictly for the two-bump input")
-rep = polya_szego_check(u, m, h, 2.0)
+rep = polya_szego_check(u, m, 2.0)
 print(f"energy(u)  = {rep.lhs:.8f}")
 print(f"energy(u*) = {rep.rhs:.8f}")
 print(f"ratio = {rep.ratio:.6f}  (> 1 means symmetrization helped)  passed = {rep.passed}")
 
 banner("radial input is a fixed point, energies agree")
 cone = cone_profile(radius=1.0, height=1.0)
-rep = polya_szego_check(cone, m, h, 2.0)
+rep = polya_szego_check(cone, m, 2.0)
 print(f"ratio on an already-radial cone = {rep.ratio:.10f}")
 
 banner("weighted rearrangement bound (decreasing radial weight)")
-rep = hlp_check(cone, m, h, lambda r: np.exp(-0.5 * np.asarray(r) ** 2), 2.0)
+rep = hlp_check(cone, m, lambda r: np.exp(-0.5 * np.asarray(r) ** 2), 2.0)
 print(f"centered weight:  lhs = {rep.lhs:.8f}  rhs = {rep.rhs:.8f}  passed = {rep.passed}")
 
 banner("layer-cake identity, smooth and singular integrands")

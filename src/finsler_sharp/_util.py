@@ -178,11 +178,12 @@ def box_hits(inside, half, n_samples: int, seed, workers: int) -> int:
         return sum(ex.map(count, rngs, sizes))
 
 
-def split_quad(fn, a, b, points=(), epsabs=1e-12, epsrel=1e-10, limit=300):
+def split_quad(fn, a, b, points=(), epsrel=1e-10):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
-    scipy's QAGS handles integrable endpoint singularities on each panel;
-    splitting keeps kinks at panel endpoints where the extrapolation works.
+    scipy's QAGS handles integrable endpoint singularities on each panel
+    (epsabs 1e-12, at most 300 subintervals per panel); splitting keeps
+    kinks at panel endpoints where the extrapolation works.
     Returns (value, summed error estimate, whether every panel converged).
     QUADPACK's complaints come back in the flag rather than as warnings, so
     no caller has to touch the process-wide warning filters.
@@ -194,7 +195,7 @@ def split_quad(fn, a, b, points=(), epsabs=1e-12, epsrel=1e-10, limit=300):
             continue
         # with full_output a complaint arrives as a fourth entry, not a warning
         val, err, _, *complaint = integrate.quad(
-            fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1
+            fn, lo, hi, epsabs=1e-12, epsrel=epsrel, limit=300, full_output=1
         )
         total, error, converged = total + val, error + err, converged and not complaint
     return total, error, converged

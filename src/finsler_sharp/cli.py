@@ -108,7 +108,8 @@ _MAX_SWEEP_RADII = 10_000
 
 
 def parse_sweep_grid(spec) -> list:
-    """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]', at most _MAX_SWEEP_RADII radii."""
+    """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]': at most
+    _MAX_SWEEP_RADII radii, strictly increasing."""
     if not isinstance(spec, str):
         raise ConfigError("sweep must be a string like R=1:64:geometric")
     name, eq, body = spec.partition("=")
@@ -132,13 +133,17 @@ def parse_sweep_grid(spec) -> list:
         while r <= top and len(grid) <= k:  # k may round one short
             grid.append(r)
             r *= factor
-        return grid
-    if mode == "linear":
+    elif mode == "linear":
         k = int(parts[3]) if len(parts) == 4 else 8
         if not 1 <= k <= _MAX_SWEEP_RADII or b < a:
             raise ConfigError(f"linear sweep needs 1 <= count <= {_MAX_SWEEP_RADII} and stop >= start")
-        return [float(x) for x in np.linspace(a, b, k)]
-    raise ConfigError(f"unknown sweep mode {mode!r}")
+        grid = [float(x) for x in np.linspace(a, b, k)]
+    else:
+        raise ConfigError(f"unknown sweep mode {mode!r}")
+    # a geometric step can round back to r, and stop = start repeats a radius
+    if any(r1 <= r0 for r0, r1 in zip(grid, grid[1:])):
+        raise ConfigError(f"sweep radii must increase strictly, got {body!r}")
+    return grid
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -280,7 +285,7 @@ def _task_verify(cfg: dict) -> int:
         raise ConfigError(f"--shape applies only to isoperimetric, not to {name!r}")
     m = instance_from_descriptor(cfg["instance"])
     suite = cfg.get("suite")
-    if suite:
+    if suite is not None:  # 0 and negative counts are usage errors, not "no suite"
         reports = V.randomized_suite(
             m, key, n_draws=int(suite), seed=int(cfg.get("seed", 0)),
             workers=cfg.get("threads"), p=cfg.get("p"), mu=cfg.get("mu"),

@@ -97,13 +97,6 @@ def hardy_constant(p: float, n: int, avr: float = 1.0) -> float:
     return avr ** (p / n) * ((n - p) / p) ** p
 
 
-def bessel_j(nu: float, x) -> float:
-    """Bessel function of the first kind J_nu(x)."""
-    if nu < 0:
-        raise ValueError(f"order must be nonnegative, got {nu}")
-    return special.jv(nu, x)
-
-
 def bessel_first_zero(nu: float) -> float:
     """First positive zero of J_nu.
 
@@ -219,12 +212,10 @@ class SharpConstants:
         return asdict(self)
 
 
-def sharp_constants(
-    p: float, n: int, avr: float = 1.0, mu: float = 0.0, vol: float | None = None
-) -> SharpConstants:
-    """Evaluate every constant that applies to (p, n, avr, mu, vol)."""
-    if vol is None:
-        vol = omega_n(n)
+def sharp_constants(p: float, n: int, avr: float = 1.0, mu: float = 0.0) -> SharpConstants:
+    """Evaluate every constant that applies to (p, n, avr, mu), the
+    shifted Poincare one on the unit ball (vol = omega_n)."""
+    vol = omega_n(n)
     sup_regime = p > n
     hardy_regime = 1.0 < p < n
     mu_bar, s = bpv_constant(mu, n, avr, vol)

@@ -132,12 +132,6 @@ def bh_density(m: FinslerInstance) -> float:
     return omega_n(m.dim) / fiber_volume(m).value
 
 
-def distance(m: FinslerInstance, x0, x1) -> float:
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    return float(m.norm(x1 - x0))
-
-
 def ball_volume(m: FinslerInstance, x0, r: float) -> float:
     """Volume of the metric ball of radius r in the canonical measure.
 

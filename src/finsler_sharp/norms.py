@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from ._util import REQUIRED, box_hits, build_from_descriptor, gauss_legendre, resolve_workers
+from ._util import REQUIRED, box_hits, gauss_legendre, resolve_workers
 from .constants import omega_n
 
 
@@ -415,17 +415,13 @@ def _normalized_if(make):
 
 
 _DIM = {"n": (int, REQUIRED), "normalize": (bool, False)}
-# custom norms carry code and are constructed in Python, not from config
+# the nested norm of a 'minkowski' instance descriptor; custom norms carry
+# code and are constructed in Python, not from config
 NORMS = {
     "euclidean": (_normalized_if(euclidean_norm), _DIM),
     "lp": (_normalized_if(lp_norm), {**_DIM, "p": (float, REQUIRED)}),
     "f_eps_fiber": (_normalized_if(f_eps_fiber_norm), {**_DIM, "eps": (float, REQUIRED)}),
 }
-
-
-def norm_from_descriptor(desc) -> MinkowskiNorm:
-    """The norm a descriptor such as 'lp:n=2,p=4,normalize=true' names."""
-    return build_from_descriptor(desc, NORMS, "norm")
 
 
 def eikonal_residual(h: MinkowskiNorm, samples) -> float:

@@ -38,8 +38,8 @@ _GL8 = np.array([[0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.
 
 
 @lru_cache(maxsize=64)
-def _cached_grid(radius: float, n_nodes: int, grading: float) -> np.ndarray:
-    g = graded_grid(0.0, radius, n_nodes, exponent=grading)
+def _cached_grid(radius: float, n_nodes: int) -> np.ndarray:
+    g = graded_grid(0.0, radius, n_nodes, exponent=2.0)
     g.setflags(write=False)
     return g
 
@@ -62,8 +62,9 @@ class RadialBvp:
     """Radial boundary-value problem on the Wulff ball of radius R.
 
     nonlinearity is one of "eigen", ("power", p), or ("general", nl) where
-    nl carries h/H callables.  Profiles are nodal arrays on grid() with the
-    Dirichlet condition u(R) = 0.
+    nl carries h/H callables.  Profiles are nodal arrays on grid(), n_nodes
+    nodes graded with power 2 toward both ends, with the Dirichlet
+    condition u(R) = 0.
     """
 
     n: int
@@ -72,7 +73,6 @@ class RadialBvp:
     lam: float = 0.0
     nonlinearity: object = "eigen"
     n_nodes: int = 4096
-    grading: float = 2.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -95,7 +95,7 @@ class RadialBvp:
             raise ValueError(f"unknown nonlinearity descriptor {kind!r}")
 
     def grid(self) -> np.ndarray:
-        return _cached_grid(self.radius, self.n_nodes, self.grading)
+        return _cached_grid(self.radius, self.n_nodes)
 
     def frobenius_exponent(self) -> float:
         half = (self.n - 2) / 2.0
@@ -109,23 +109,11 @@ class RadialBvp:
 
 
 @dataclass(frozen=True)
-class EnergyValue:
-    total: float
-    quadratic: float
-    nonlinear: float
-    dirichlet: float
-    l2: float
-    residual: float
-    singular: bool = False
-
-
-@dataclass(frozen=True)
 class MountainPassSolution:
     grid: np.ndarray
     values: np.ndarray
     amplitude: float
     level: float
-    energy: EnergyValue
     residual: float
     shooting_gap: float
 
@@ -138,23 +126,6 @@ class CriticalProfile:
     level: float
     residual: float
     truncation: float
-    bound_active: bool
-
-
-def coercivity_constant(bvp: RadialBvp) -> float:
-    """Equivalence constant between the shifted quadratic form and the
-    Dirichlet energy; positive precisely above the spectral threshold."""
-    s = bvp.spectral_bound()
-    if bvp.lam <= -s:
-        raise ValueError(
-            f"lambda = {bvp.lam} is at or below the spectral bound -{s}"
-        )
-    base = min(1.0, 1.0 + bvp.lam / s)
-    if bvp.n == 2:
-        return base
-    half = (bvp.n - 2) / 2.0
-    mu_bar_sq = half * half - bvp.mu
-    return mu_bar_sq / (half * half) * base
 
 
 def _panels(rho: np.ndarray, n: int):
@@ -171,32 +142,10 @@ def _as_nodal(u, rho: np.ndarray) -> np.ndarray:
     return vals
 
 
-def radial_energy(u, bvp: RadialBvp, p: Optional[float] = None) -> EnergyValue:
-    """Energy of a radial profile for the problem family of the bvp.
-
-    Eigen and power families use half the shifted quadratic form minus the
-    positive-part potential; the general family uses the p-energy minus
-    lambda times the integrated nonlinearity.  residual is the norm of the
-    discrete Euler-Lagrange gradient, scaled by the profile magnitude.
-    """
-    rho = bvp.grid()
-    vals = _as_nodal(u, rho)
-    kind = bvp.nonlinearity
-    if kind == "eigen":
-        f = _RadialFunctional(rho, bvp.n, 2.0, bvp.lam, bvp.mu)
-    elif kind[0] == "power":
-        f = _RadialFunctional(rho, bvp.n, 2.0, bvp.lam, bvp.mu, _power(kind[1] if p is None else p))
-    else:
-        if p is None or p <= bvp.n:
-            raise ValueError("general nonlinearity needs an exponent p > n")
-        nl = kind[1]
-        if not (hasattr(nl, "h") and hasattr(nl, "H")):
-            raise ValueError("general nonlinearity needs h and its antiderivative H")
-        f = _RadialFunctional(rho, bvp.n, p, nl=(bvp.lam, nl.H, nl.h, None))
-    return _energy_value(f, vals, bvp)
-
-
-def _energy_value(f: "_RadialFunctional", vals, bvp: RadialBvp) -> EnergyValue:
+def _energy_value(f: "_RadialFunctional", vals, bvp: RadialBvp):
+    """(level, residual) of a ground-state profile: the energy, inf when the
+    profile is singular at 0 where that makes it diverge, and the norm of
+    the discrete Euler-Lagrange gradient scaled by the profile magnitude."""
     sup = float(np.max(np.abs(vals), initial=0.0))
     if abs(vals[-1]) > 1e-8 * max(1.0, sup):
         raise ValueError("profile must vanish at the outer radius")
@@ -205,12 +154,7 @@ def _energy_value(f: "_RadialFunctional", vals, bvp: RadialBvp) -> EnergyValue:
     a = f.assemble(vals)
     a.grad[-1] = 0.0  # Dirichlet node is not a degree of freedom
     scale = f.nw * max(1.0, sup) * max(1.0, bvp.radius ** (bvp.n - 1))
-    return EnergyValue(
-        total=math.inf if singular else a.energy,
-        quadratic=a.dirichlet - f.mu * a.hardy + f.lam * a.l2,
-        nonlinear=a.nonlinear, dirichlet=a.dirichlet, l2=a.l2,
-        residual=float(np.linalg.norm(a.grad)) / scale, singular=singular,
-    )
+    return math.inf if singular else a.energy, float(np.linalg.norm(a.grad)) / scale
 
 
 def _power(q: float):
@@ -671,11 +615,10 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     gap = float(np.max(np.abs(vals[outer] - shoot_vals[outer])))
     gap /= max(1.0, float(np.max(np.abs(shoot_vals[outer]))))
 
-    energy = _energy_value(f, vals, bvp)
+    level, residual = _energy_value(f, vals, bvp)
     return MountainPassSolution(
         grid=rho, values=vals, amplitude=float(np.max(vals)),
-        level=energy.total, energy=energy, residual=energy.residual,
-        shooting_gap=gap,
+        level=level, residual=residual, shooting_gap=gap,
     )
 
 
@@ -684,16 +627,16 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
 class OscillatoryNonlinearity:
     """Nonnegative continuous h with h(0) = 0, vanishing on the plateaus
     [2^(k^2), 2^(k^2+k)] and rising in between so that the antiderivative H
-    interpolates the plateau values a_k^p with a C^1 smoothstep.  H is
-    exact, which keeps the energies cheap.
+    interpolates the plateau values a_k^p with a C^1 smoothstep, for
+    k = 1, ..., 12.  H is exact, which keeps the energies cheap.
     """
 
-    def __init__(self, p: float, k_cap: int = 12):
+    def __init__(self, p: float):
         if p <= 2:
             raise ValueError("growth exponent must exceed 2")
         self.p = float(p)
-        a = [2.0 ** (k * k) for k in range(1, k_cap + 1)]
-        b = [2.0 ** (k * k + k) for k in range(1, k_cap + 1)]
+        a = [2.0 ** (k * k) for k in range(1, 13)]
+        b = [2.0 ** (k * k + k) for k in range(1, 13)]
         self.plateau_lo = np.asarray(a)
         self.plateau_hi = np.asarray(b)
         # breakpoints: rise_k = [b_{k-1}, a_k] with b_0 = 1
@@ -843,8 +786,7 @@ def multiplicity_explore(
             prev = u
             continue
         profiles.append(CriticalProfile(
-            grid=rho, values=u, sup=sup, level=float(level), residual=residual,
-            truncation=b_k, bound_active=bound_active,
+            grid=rho, values=u, sup=sup, level=float(level), residual=residual, truncation=b_k,
         ))
         prev = u
 
@@ -862,9 +804,9 @@ def multiplicity_explore(
     return distinct
 
 
-def weak_residual(vals, bvp: RadialBvp, p: float, n_tests: int = 20, seed: int = 0) -> float:
-    """Largest pairing of the Euler-Lagrange form against random smooth
-    test profiles vanishing at R, normalized by the solution scale."""
+def weak_residual(vals, bvp: RadialBvp, p: float) -> float:
+    """Largest pairing of the Euler-Lagrange form against 20 random smooth
+    test profiles vanishing at R (seed 0), normalized by the solution scale."""
     rho = bvp.grid()
     vals = _as_nodal(vals, rho)
     n = bvp.n
@@ -872,11 +814,11 @@ def weak_residual(vals, bvp: RadialBvp, p: float, n_tests: int = 20, seed: int =
     drho, rbar, shell = _panels(rho, n)
     du = np.diff(vals) / drho
     ubar = 0.5 * (vals[1:] + vals[:-1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sup = float(np.max(np.abs(vals), initial=0.0))
     scale = n * won * max(1.0, sup) ** (p - 1) * max(1.0, bvp.radius ** n)
     worst = 0.0
-    for _ in range(n_tests):
+    for _ in range(20):
         coef = rng.normal(size=6) / (np.arange(1, 7) ** 2)
         c0 = rng.normal()
         phi = c0 * (1.0 - rho / bvp.radius)  # nonzero at the origin

@@ -4,18 +4,19 @@ A function u on an instance is replaced by the decreasing rearrangement
 u*(x) = v(omega_n H(x)^n) built from its distribution function
 mu(t) = Vol{u > t}, where v is the right-continuous generalized inverse
 v(s) = inf {t >= 0 : mu(t) <= s}.  Radial nonincreasing inputs pass
-through exactly (only the norm is relabeled); general inputs are handled
-on sampling grids whose cells make the construction a weighted sort.
+through exactly; general inputs are handled on sampling grids whose cells
+make the construction a weighted sort.
 
 Dirichlet energies of rearranged profiles reduce to the 1-D integral
-n omega_n int |g'(rho)|^p rho^(n-1) drho for every normalized target
-norm, which is the identity the verification layer leans on.
+n omega_n int |g'(rho)|^p rho^(n-1) drho, which depends on the dimension
+only, so no target norm is an input: this is the identity the
+verification layer leans on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -27,7 +28,6 @@ from ._util import (
 )
 from .constants import omega_n
 from .manifold import FinslerInstance, bh_density
-from .norms import MinkowskiNorm
 from .report import InequalityReport, make_report
 
 PROFILE_GRID = 2048
@@ -106,69 +106,43 @@ def grid_function_from_callable(func, box_half, shape, label="grid") -> GridFunc
 
 @dataclass(frozen=True)
 class DistributionFunction:
-    """mu(t) = Vol{u > t}; nonincreasing, right-continuous.
-
-    levels/values hold a sampled view; evaluation goes through the exact
-    closure when the constructor supplied one.
-    """
+    """mu(t) = Vol{u > t}, nonincreasing and right-continuous, at the levels
+    it was asked for: values[i] = mu(levels[i])."""
 
     levels: np.ndarray
     values: np.ndarray
-    sup: float
-    exact: Optional[object] = field(default=None, compare=False, repr=False)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t)
-        if self.exact is not None:
-            out = np.asarray(self.exact(flat), dtype=float)
-        else:
-            idx = np.searchsorted(self.levels, flat, side="right") - 1
-            idx = np.clip(idx, 0, len(self.levels) - 1)
-            out = self.values[idx]
-        out = np.where(flat >= self.sup, 0.0, out)
-        return out.reshape(t.shape)[()] if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class DecreasingProfile:
-    """The rearranged profile v(s) over the volume coordinate s.
+    """The rearranged profile v(s) over the volume coordinate s of R^dim.
 
-    u*(x) = v(omega_n H(x)^n) for the target norm H.  svals/tvals encode
-    the right-continuous staircase: v = tvals[i] on [svals[i], svals[i+1]).
-    A smooth radial passthrough (source already nonincreasing radial)
-    additionally carries the original profile and derivative, which the
-    energy quadratures prefer.
+    u*(x) = v(omega_n H(x)^n) = g(H(x)) with n = dim, for any normalized
+    norm H: its energies and norms depend on the dimension only.
+    svals/tvals encode the right-continuous staircase: v = tvals[i] on
+    [svals[i], svals[i+1]).  A smooth radial passthrough (source already
+    nonincreasing radial) additionally carries the original profile and
+    derivative, which the energy quadratures prefer.
     """
 
     svals: np.ndarray
     tvals: np.ndarray
-    norm: MinkowskiNorm
+    dim: int
     smooth: Optional[RadialTestFunction] = None
 
-    def v(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.smooth is not None:
-            rho = (np.maximum(s, 0.0) / omega_n(self.norm.dim)) ** (1.0 / self.norm.dim)
-            return self.smooth.profile(rho)
-        idx = np.searchsorted(self.svals[1:], s, side="right")
-        idx = np.minimum(idx, len(self.tvals) - 1)
-        out = self.tvals[idx]
-        return np.where(s >= self.svals[-1], 0.0, out)
-
     def profile(self, rho):
+        """g(rho) = v(omega_n rho^n)."""
         rho = np.asarray(rho, dtype=float)
         if self.smooth is not None:
             return self.smooth.profile(rho)
-        return self.v(omega_n(self.norm.dim) * rho**self.norm.dim)
-
-    def __call__(self, x):
-        return self.profile(self.norm(x))
+        s = omega_n(self.dim) * rho**self.dim
+        idx = np.minimum(np.searchsorted(self.svals[1:], s, side="right"), len(self.tvals) - 1)
+        return np.where(s >= self.svals[-1], 0.0, self.tvals[idx])
 
     def support_radius(self) -> float:
         if self.smooth is not None:
             return self.smooth.support_radius
-        return float((self.svals[-1] / omega_n(self.norm.dim)) ** (1.0 / self.norm.dim))
+        return float((self.svals[-1] / omega_n(self.dim)) ** (1.0 / self.dim))
 
     def sup(self) -> float:
         if self.smooth is not None:
@@ -288,10 +262,11 @@ def l1_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTestFunc
     )
 
 
-def random_decreasing_profile(rng, max_terms: int = 4, radius_range=(0.4, 1.6)) -> RadialTestFunction:
-    """Random sum of power cones: nonincreasing, compact support, known kinks."""
-    k = int(rng.integers(1, max_terms + 1))
-    radii = rng.uniform(*radius_range, size=k)
+def random_decreasing_profile(rng) -> RadialTestFunction:
+    """Random sum of one to four power cones: nonincreasing, compact
+    support in radius at most 1.6, known kinks."""
+    k = int(rng.integers(1, 5))
+    radii = rng.uniform(0.4, 1.6, size=k)
     coefs = rng.uniform(0.2, 1.2, size=k)
     powers = rng.uniform(0.7, 2.5, size=k)
 
@@ -399,61 +374,52 @@ def distribution(u, m: FinslerInstance, levels=None) -> DistributionFunction:
 
     Radial nonincreasing inputs invert the profile and use the exact ball
     volume; grid inputs count cells weighted by density times cell volume.
+    levels defaults to 513 levels from 0 to sup u.
     """
     if isinstance(u, RadialTestFunction):
         if not math.isfinite(u.support_radius):
             raise ValueError("unbounded support")
-        sup = u.sup()
         if levels is None:
-            levels = np.linspace(0.0, sup, 513)
+            levels = np.linspace(0.0, u.sup(), 513)
         levels = np.asarray(levels, dtype=float)
-        radii = _radial_level_radii(u, levels)
-        mu = omega_n(m.dim) * radii**m.dim
-        wn, d = omega_n(m.dim), m.dim
-        return DistributionFunction(
-            levels=levels, values=mu, sup=sup,
-            exact=lambda t: wn * _radial_level_radii(u, t) ** d,
-        )
+        mu = omega_n(m.dim) * _radial_level_radii(u, levels) ** m.dim
+        return DistributionFunction(levels=levels, values=mu)
     if isinstance(u, GridFunction):
         if m.dim != u.dim:
             raise ValueError("grid and instance dimensions disagree")
         weight = bh_density(m) * u.cell_volume()
         vals = u.values.ravel()
-        sup = float(vals.max(initial=0.0))
         if levels is None:
-            levels = np.linspace(0.0, sup, 513)
+            levels = np.linspace(0.0, float(vals.max(initial=0.0)), 513)
         levels = np.asarray(levels, dtype=float)
-        sorted_vals = np.sort(vals)
-        counts = len(vals) - np.searchsorted(sorted_vals, levels, side="right")
-        return DistributionFunction(
-            levels=levels, values=weight * counts, sup=sup,
-            exact=lambda t: weight * (len(vals) - np.searchsorted(sorted_vals, t, side="right")),
-        )
+        counts = len(vals) - np.searchsorted(np.sort(vals), levels, side="right")
+        return DistributionFunction(levels=levels, values=weight * counts)
     raise TypeError(f"unsupported function representation: {type(u).__name__}")
 
 
-def rearrange(u, m: FinslerInstance, h: MinkowskiNorm) -> DecreasingProfile:
-    """Decreasing rearrangement of u onto the normalized target norm h.
+def rearrange(u, m: FinslerInstance) -> DecreasingProfile:
+    """Decreasing rearrangement of u on the instance m.
 
-    Radial nonincreasing sources pass through with the norm relabeled;
-    grid sources become the weighted-sort staircase, which realizes the
-    right-continuous generalized inverse of the cell distribution.
+    The result depends on the dimension only: u* = g(H(x)) has the same
+    distribution, norms and energies for every normalized norm H, so no
+    target norm is asked for.  Radial nonincreasing sources pass through
+    unchanged; grid sources become the weighted-sort staircase, which
+    realizes the right-continuous generalized inverse of the cell
+    distribution.
     """
-    if not h.normalized:
-        raise ValueError("target norm must be normalized")
+    n = m.dim
     if isinstance(u, RadialTestFunction):
         rho = graded_grid(0.0, u.support_radius, PROFILE_GRID + 1, exponent=1.6)
         gv = np.asarray(u.profile(rho), dtype=float)
         if np.any(np.diff(gv) > 1e-9 * max(1.0, u.sup())):
             raise ValueError("radial profile is not nonincreasing")
-        svals = omega_n(h.dim) * rho**h.dim
-        return DecreasingProfile(svals=svals, tvals=gv[:-1], norm=h, smooth=u)
+        return DecreasingProfile(svals=omega_n(n) * rho**n, tvals=gv[:-1], dim=n, smooth=u)
     if isinstance(u, GridFunction):
         weight = bh_density(m) * u.cell_volume()
         vals = np.sort(u.values.ravel())[::-1]
         vals = vals[vals > 0.0]
         svals = weight * np.arange(len(vals) + 1, dtype=float)
-        return DecreasingProfile(svals=svals, tvals=vals.copy(), norm=h)
+        return DecreasingProfile(svals=svals, tvals=vals.copy(), dim=n)
     raise TypeError(f"unsupported function representation: {type(u).__name__}")
 
 
@@ -466,7 +432,7 @@ def equimeasurability_gap(u, m: FinslerInstance, star: DecreasingProfile, levels
     """
     mu = distribution(u, m, levels=levels)
     if star.smooth is not None:
-        vol = omega_n(star.norm.dim) * _radial_level_radii(star.smooth, mu.levels) ** star.norm.dim
+        vol = omega_n(star.dim) * _radial_level_radii(star.smooth, mu.levels) ** star.dim
     else:
         # staircase: v > t exactly on [0, svals[count]) with count = #{tvals > t}
         count = len(star.tvals) - np.searchsorted(star.tvals[::-1], mu.levels, side="right")
@@ -505,39 +471,21 @@ def lq_norm_star(star: DecreasingProfile, q: float) -> float:
     if q == math.inf:
         return star.sup()
     if star.smooth is not None:
-        return lq_norm_radial(star.smooth, q, star.norm.dim)
+        return lq_norm_radial(star.smooth, q, star.dim)
     ds = np.diff(star.svals)
     return float((np.sum(star.tvals**q * ds)) ** (1.0 / q))
 
 
-def lq_norms(u, u_star: DecreasingProfile, q_list, m: FinslerInstance):
-    """Pairs (||u||_q, ||u*||_q), each side computed independently."""
-    out = []
-    for q in q_list:
-        if not (q > 0):
-            raise ValueError(f"q must be in (0, inf], got {q}")
-        if isinstance(u, RadialTestFunction):
-            a = lq_norm_radial(u, q, m.dim)
-        elif isinstance(u, GridFunction):
-            a = lq_norm_grid(u, q, m)
-        else:
-            raise TypeError(f"unsupported function representation: {type(u).__name__}")
-        out.append((a, lq_norm_star(u_star, q)))
-    return out
-
-
-def radial_dirichlet_energy(prof, h: MinkowskiNorm, p: float, grid_size: int = 8192) -> float:
+def radial_dirichlet_energy(prof, n: int, p: float) -> float:
     """int H*(Du*)^p dv over R^n for u*(x) = g(H(x)).
 
-    Equals n omega_n int |g'|^p rho^(n-1) drho for every normalized norm;
-    the value is norm-independent, so h contributes only its dimension
-    and the normalization check.  Returns inf when the integral diverges.
+    Equals n omega_n int |g'|^p rho^(n-1) drho for every normalized norm
+    H: it depends on the dimension only.  A profile without an analytic
+    derivative is differenced on 8192 graded nodes.  Returns inf when the
+    integral diverges.
     """
     if p <= 1:
         raise ValueError(f"energy exponent must satisfy p > 1, got {p}")
-    if not h.normalized:
-        raise ValueError("target norm must be normalized")
-    n = h.dim
     if isinstance(prof, DecreasingProfile) and prof.smooth is not None:
         prof = prof.smooth
     if isinstance(prof, RadialTestFunction):
@@ -548,7 +496,7 @@ def radial_dirichlet_energy(prof, h: MinkowskiNorm, p: float, grid_size: int = 8
                 return math.inf
             return n * omega_n(n) * val
         # no analytic derivative: graded central differences
-        rho = graded_grid(0.0, prof.support_radius, grid_size, exponent=2.0)
+        rho = graded_grid(0.0, prof.support_radius, 8192, exponent=2.0)
         mid = 0.5 * (rho[1:] + rho[:-1])
         dg = np.diff(np.asarray(prof.profile(rho), dtype=float)) / np.diff(rho)
         val = float(np.sum(np.abs(dg) ** p * mid ** (n - 1) * np.diff(rho)))
@@ -613,25 +561,24 @@ def _grid_gradient_dual_energy(u: GridFunction, m: FinslerInstance, p: float) ->
     return bh_density(m) * u.cell_volume() * float(np.sum(fstar**p))
 
 
-def polya_szego_check(
-    u, m: FinslerInstance, h: MinkowskiNorm, p: float, avr_value: float = 1.0, rtol: float = None
-) -> InequalityReport:
+def polya_szego_check(u, m: FinslerInstance, p: float, avr_value: float = 1.0) -> InequalityReport:
     """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv.
 
+    The right side depends on the dimension only, for every normalized H.
     Radial nonincreasing sources attain equality (checked through two
-    independent quadratures); grid sources are compared at grid accuracy,
-    so their tolerance is the coarser default.
+    independent quadratures, at rtol 1e-6); grid sources are compared at
+    grid accuracy, rtol 1e-2.
     """
-    star = rearrange(u, m, h)
-    rhs_core = radial_dirichlet_energy(star, h, p)
+    star = rearrange(u, m)
+    rhs_core = radial_dirichlet_energy(star, m.dim, p)
     rhs = avr_value ** (p / m.dim) * rhs_core
     if isinstance(u, RadialTestFunction):
-        lhs = radial_dirichlet_energy(u, _as_normalized_marker(m), p)
-        tol = 1e-6 if rtol is None else rtol
+        lhs = radial_dirichlet_energy(u, m.dim, p)
+        tol = 1e-6
         diag = {"path": "radial"}
     elif isinstance(u, GridFunction):
         lhs = _grid_gradient_dual_energy(u, m, p)
-        tol = 1e-2 if rtol is None else rtol
+        tol = 1e-2
         diag = {"path": "grid", "cells": int(u.values.size)}
     else:
         raise TypeError(f"unsupported function representation: {type(u).__name__}")
@@ -647,37 +594,20 @@ def polya_szego_check(
     )
 
 
-def _as_normalized_marker(m: FinslerInstance) -> MinkowskiNorm:
-    # radial energies only read the dimension and the normalized flag; for a
-    # radial u on any Minkowski instance the eikonal equation makes
-    # F*(Du) = |g'(d)|, so the instance norm itself never enters
-    from dataclasses import replace
+def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=()) -> InequalityReport:
+    """Check int u^p f(d(0, x)) dv <= int (u*)^p f(H(x)) dx at rtol 1e-6.
 
-    return replace(m.norm, normalized=True)
-
-
-def hlp_check(
-    u: RadialTestFunction,
-    m: FinslerInstance,
-    h: MinkowskiNorm,
-    f,
-    p: float,
-    x0=None,
-    f_points=(),
-    rtol: float = 1e-6,
-) -> InequalityReport:
-    """Check int u^p f(d(x0, x)) dv <= int (u*)^p f(H(x)) dx.
-
-    f must be nonincreasing on (0, inf); the weight may blow up at 0
-    provided the integrals stay finite, in which case the quadrature
-    splits at the singularity and the report flags divergence when both
-    sides are infinite (a vacuous pass).
+    The weight's pole is the origin; a source centred elsewhere (u.center)
+    takes the shifted path.  f must be nonincreasing on (0, inf); the
+    weight may blow up at 0 provided the integrals stay finite, in which
+    case the quadrature splits at the singularity and the report flags
+    divergence when both sides are infinite (a vacuous pass).
     """
     n = m.dim
+    rtol = 1e-6
     center = np.zeros(n) if u.center is None else np.asarray(u.center, dtype=float)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    star = rearrange(u, m, h)
-    shift = float(m.norm(center - x0))
+    star = rearrange(u, m)
+    shift = float(m.norm(center))
 
     spot = f(np.array([0.3, 0.7, 1.3, 2.9]))
     if np.any(np.diff(spot) > 1e-12):

@@ -39,7 +39,6 @@ from .norms import MinkowskiNorm, WulffShape
 from .rearrange import (
     GridFunction,
     RadialTestFunction,
-    _as_normalized_marker,
     _grid_gradient_dual_energy,
     equimeasurability_gap,
     hlp_check,
@@ -74,17 +73,13 @@ def _avr_point(m: FinslerInstance, avr_value: Optional[float]) -> float:
     return estimate_avr(m).point
 
 
-def _radial_energy(u: RadialTestFunction, m: FinslerInstance, p: float) -> float:
-    return radial_dirichlet_energy(u, _as_normalized_marker(m), p)
-
-
 def _split(u, m: FinslerInstance, p: float):
     """(sup, support volume, dual gradient energy, path diag)."""
     n = m.dim
     if isinstance(u, RadialTestFunction):
         sup = u.sup()
         vol = omega_n(n) * u.support_radius**n
-        energy = _radial_energy(u, m, p)
+        energy = radial_dirichlet_energy(u, n, p)
         diag = {"path": "radial", "profile": u.label}
     elif isinstance(u, GridFunction):
         sup = float(u.values.max(initial=0.0))
@@ -97,25 +92,21 @@ def _split(u, m: FinslerInstance, p: float):
 
 
 def verify_morrey_support(
-    m: FinslerInstance,
-    u,
-    p: float,
-    rtol: Optional[float] = None,
-    avr_value: Optional[float] = None,
+    m: FinslerInstance, u, p: float, avr_value: Optional[float] = None
 ) -> InequalityReport:
     """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p).
 
-    Radial sources get the tight one-sided tolerance; grid sources are
-    checked at finite-difference accuracy.  A divergent gradient energy
-    makes the bound vacuous and is flagged in the diagnostics.
+    Radial sources get the tight one-sided tolerance, rtol 1e-9; grid
+    sources are checked at finite-difference accuracy, rtol 1e-2.  A
+    divergent gradient energy makes the bound vacuous and is flagged in
+    the diagnostics.
     """
     n = m.dim
     if not p > n:
         raise ValueError(f"support bound needs p > n, got p={p}, n={n}")
     a = _avr_point(m, avr_value)
     sup, vol, energy, diag = _split(u, m, p)
-    if rtol is None:
-        rtol = 1e-9 if diag["path"] == "radial" else 1e-2
+    rtol = 1e-9 if diag["path"] == "radial" else 1e-2
     c = morrey_support_constant(p, n, a)
     if not math.isfinite(energy):
         diag["divergent_energy"] = True
@@ -134,22 +125,16 @@ def verify_morrey_support(
     )
 
 
-def verify_morrey_l1(
-    m: FinslerInstance,
-    u,
-    p: float,
-    rtol: Optional[float] = None,
-    avr_value: Optional[float] = None,
-) -> InequalityReport:
-    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p)."""
+def verify_morrey_l1(m: FinslerInstance, u, p: float, avr_value: Optional[float] = None) -> InequalityReport:
+    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p), at the rtol of
+    verify_morrey_support."""
     n = m.dim
     if not p > n:
         raise ValueError(f"L1 bound needs p > n, got p={p}, n={n}")
     a = _avr_point(m, avr_value)
     sup, _, energy, diag = _split(u, m, p)
     l1 = lq_norm_radial(u, 1.0, n) if diag["path"] == "radial" else lq_norm_grid(u, 1.0, m)
-    if rtol is None:
-        rtol = 1e-9 if diag["path"] == "radial" else 1e-2
+    rtol = 1e-9 if diag["path"] == "radial" else 1e-2
     c = morrey_l1_constant(p, n, a)
     e = eta(p, n)
     if not math.isfinite(energy):
@@ -169,12 +154,12 @@ def verify_morrey_l1(
     )
 
 
+# relative tolerance of both sweeps' limits against their targets
+SWEEP_RTOL = 1e-3
+
+
 def sharpness_sweep_support(
-    m: FinslerInstance,
-    p: float,
-    r_grid: Sequence[float],
-    rtol: float = 1e-3,
-    avr_value: Optional[float] = None,
+    m: FinslerInstance, p: float, r_grid: Sequence[float], avr_value: Optional[float] = None
 ) -> SweepResult:
     """Drive the support-bound test family over R and compare the scaled
     energy R^(p-n) * energy(u_R) against its closed-form limit.
@@ -194,7 +179,7 @@ def sharpness_sweep_support(
     rows = []
     for r in r_grid:
         u = morrey_extremal_profile(p, n, float(r))
-        energy = _radial_energy(u, m, p)
+        energy = radial_dirichlet_energy(u, n, p)
         vol = omega_n(n) * u.support_radius**n
         c_est = u.sup() / (vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p))
         rows.append(
@@ -208,7 +193,7 @@ def sharpness_sweep_support(
         )
     limit, order = richardson_limit([row["R"] for row in rows], [row["scaled_energy"] for row in rows])
     finite = all(math.isfinite(row["ratio"]) for row in rows)
-    passed = finite and abs(limit - target) <= rtol * abs(target)
+    passed = finite and abs(limit - target) <= SWEEP_RTOL * abs(target)
     return SweepResult(
         variable="R",
         grid=[row["R"] for row in rows],
@@ -217,16 +202,12 @@ def sharpness_sweep_support(
         target=float(target),
         order_estimate=order,
         passed=bool(passed),
-        rtol=rtol,
+        rtol=SWEEP_RTOL,
     )
 
 
 def sharpness_sweep_l1(
-    m: FinslerInstance,
-    p: float,
-    r_grid: Sequence[float],
-    rtol: float = 1e-3,
-    avr_value: Optional[float] = None,
+    m: FinslerInstance, p: float, r_grid: Sequence[float], avr_value: Optional[float] = None
 ) -> SweepResult:
     """Drive the L1-bound test family over R.
 
@@ -252,7 +233,7 @@ def sharpness_sweep_l1(
         rr = float(r)
         u = l1_extremal_profile(p, n, rr)
         l1 = lq_norm_radial(u, 1.0, n)
-        energy = _radial_energy(u, m, p)
+        energy = radial_dirichlet_energy(u, n, p)
         c_est = u.sup() / (l1 ** (1.0 - e) * energy ** (e / p))
         rows.append(
             {
@@ -269,7 +250,7 @@ def sharpness_sweep_l1(
     limit, order = richardson_limit(
         [row["R"] for row in rows], [row["constant_estimate"] for row in rows]
     )
-    last = rows[-1]
+    last, rtol = rows[-1], SWEEP_RTOL
     passed = (
         abs(limit - c_sharp) <= rtol * c_sharp
         and abs(last["scaled_l1"] - t_l1) <= rtol * t_l1
@@ -319,14 +300,9 @@ def hardy_test_family(p: float, n: int, delta: float, cap_radius: float = 0.01) 
 
 
 def verify_hardy(
-    m: FinslerInstance,
-    u: RadialTestFunction,
-    p: float,
-    x0=None,
-    rtol: float = 1e-9,
-    avr_value: Optional[float] = None,
+    m: FinslerInstance, u: RadialTestFunction, p: float, avr_value: Optional[float] = None
 ) -> InequalityReport:
-    """Check energy >= avr^(p/n) ((n-p)/p)^p * int |u|^p / d(x0,.)^p.
+    """Check energy >= avr^(p/n) ((n-p)/p)^p * int |u|^p / d(0,.)^p at rtol 1e-9.
 
     The singular integral is split at the origin and the profile kinks;
     a genuinely divergent right side is flagged and passes vacuously
@@ -335,12 +311,11 @@ def verify_hardy(
     n = m.dim
     if not 1.0 < p < n:
         raise ValueError(f"Hardy bound needs 1 < p < n, got p={p}, n={n}")
-    center = np.zeros(n) if u.center is None else np.asarray(u.center, dtype=float)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if float(m.norm(center - x0)) > 1e-12 * max(1.0, u.support_radius):
-        raise ValueError("radial sources need the weight pole at their center")
+    off = 0.0 if u.center is None else float(m.norm(np.asarray(u.center, dtype=float)))
+    if off > 1e-12 * max(1.0, u.support_radius):
+        raise ValueError("radial sources need the weight pole, the origin, at their center")
     a = _avr_point(m, avr_value)
-    lhs = _radial_energy(u, m, p)
+    lhs = radial_dirichlet_energy(u, n, p)
     c = hardy_constant(p, n, a)
 
     def integrand(r):
@@ -355,11 +330,11 @@ def verify_hardy(
     rhs = c * weighted
     return make_report(
         "hardy",
-        {"p": p, "n": n, "avr": a, "x0": [float(v) for v in x0]},
+        {"p": p, "n": n, "avr": a, "x0": [0.0] * n},
         lhs,
         rhs,
         direction="lower",
-        rtol=rtol,
+        rtol=1e-9,
         sharp_constant=c,
         diagnostics=diag,
     )
@@ -370,16 +345,15 @@ def verify_bpv(
     omega: Union[WulffShape, float],
     u: RadialTestFunction,
     mu: float = 0.0,
-    x0=None,
-    rtol: float = 1e-9,
     avr_value: Optional[float] = None,
 ) -> InequalityReport:
-    """Check the Hardy-shifted Poincare bound on a Wulff ball:
+    """Check the Hardy-shifted Poincare bound on a Wulff ball about the origin:
 
         int F*(Du)^2 - mu int u^2/d^2  >=  S * int u^2,
 
-    with S the shifted-Bessel-zero constant for the domain volume.  mu
-    outside the admissible range raises before any quadrature runs.
+    at rtol 1e-9, with S the shifted-Bessel-zero constant for the domain
+    volume.  mu outside the admissible range raises before any quadrature
+    runs.
     """
     n = m.dim
     if isinstance(omega, WulffShape):
@@ -394,14 +368,13 @@ def verify_bpv(
         raise ValueError(
             f"u must be supported in the domain: support {u.support_radius} > radius {radius}"
         )
-    center = np.zeros(n) if u.center is None else np.asarray(u.center, dtype=float)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if float(m.norm(center - x0)) > 1e-12 * max(1.0, radius):
-        raise ValueError("radial sources need the Hardy pole at their center")
+    off = 0.0 if u.center is None else float(m.norm(np.asarray(u.center, dtype=float)))
+    if off > 1e-12 * max(1.0, radius):
+        raise ValueError("radial sources need the Hardy pole, the origin, at their center")
     a = _avr_point(m, avr_value)
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     won = omega_n(n)
-    dirichlet = _radial_energy(u, m, 2.0)
+    dirichlet = radial_dirichlet_energy(u, n, 2.0)
     l2sq = n * won * split_quad(
         lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 1),
         0.0, u.support_radius, points=u.kinks,
@@ -420,7 +393,7 @@ def verify_bpv(
         lhs,
         rhs,
         direction="lower",
-        rtol=rtol,
+        rtol=1e-9,
         sharp_constant=s_const,
         diagnostics={
             "profile": u.label,
@@ -478,13 +451,9 @@ SHAPES = {
 
 
 def verify_isoperimetric(
-    m: FinslerInstance,
-    shape,
-    rtol: float = 1e-9,
-    n_quad: Optional[int] = None,
-    avr_value: Optional[float] = None,
+    m: FinslerInstance, shape, n_quad: Optional[int] = None, avr_value: Optional[float] = None
 ) -> InequalityReport:
-    """Check P(boundary) >= n omega_n^(1/n) avr^(1/n) Vol^((n-1)/n).
+    """Check P(boundary) >= n omega_n^(1/n) avr^(1/n) Vol^((n-1)/n) at rtol 1e-9.
 
     The anisotropic perimeter is the boundary integral of the dual norm
     of the Euclidean outward normal, computed by polygon (n=2) or
@@ -576,7 +545,7 @@ def verify_isoperimetric(
         perim,
         rhs,
         direction="lower",
-        rtol=rtol,
+        rtol=1e-9,
         atol=10.0 * err_est,
         diagnostics=diag,
     )
@@ -603,7 +572,6 @@ def _default_hlp_weight(rng, n: int):
 def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityReport:
     n = m.dim
     u = random_decreasing_profile(rng)
-    marker = _as_normalized_marker(m)
     if inequality == "morrey_support":
         pp = float(p) if p is not None else n + float(rng.uniform(0.5, 3.0))
         return verify_morrey_support(m, u, pp)
@@ -621,11 +589,11 @@ def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityRe
         return verify_bpv(m, u.support_radius, u, mm)
     if inequality == "polya_szego":
         pp = float(p) if p is not None else float(rng.uniform(1.2, 3.5))
-        return polya_szego_check(u, m, marker, pp)
+        return polya_szego_check(u, m, pp)
     if inequality == "hlp":
         pp = float(p) if p is not None else float(rng.uniform(1.1, 3.0))
         f, (a, c) = _default_hlp_weight(rng, n)
-        rep = hlp_check(u, m, marker, f, pp)
+        rep = hlp_check(u, m, f, pp)
         rep.diagnostics.update({"weight_power": a, "weight_shift": c})
         return rep
     if inequality == "layer_cake":
@@ -641,7 +609,7 @@ def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityRe
             diagnostics={"direct": lhs, "layer_cake": rhs, "profile": u.label},
         )
     if inequality == "equimeasurability":
-        star = rearrange(u, m, marker)
+        star = rearrange(u, m)
         gap = equimeasurability_gap(u, m, star)
         vol_scale = max(1.0, omega_n(n) * u.support_radius**n)
         return make_report(
@@ -665,10 +633,12 @@ def randomized_suite(
 
     Draws are independent, so they run on a thread pool; every report
     records the seed, the draw index and the worker count.  The suite
-    passes only if every report does.
+    passes only if every report does, and needs at least one draw.
     """
     if inequality not in INEQUALITIES or inequality == "isoperimetric":
         raise ValueError(f"no randomized suite for {inequality!r}")
+    if n_draws < 1:
+        raise ValueError(f"a suite needs at least one draw, got {n_draws}")
     nw = resolve_workers(workers)
     rngs = spawn_rngs(seed, n_draws)
 
@@ -696,13 +666,10 @@ def run_inequality(name: str, m: FinslerInstance, u=None, shape=None, **kw) -> I
         omega = shape if shape is not None else u.support_radius
         return verify_bpv(m, omega, u, **kw)
     if key == "polya_szego":
-        return polya_szego_check(u, m, _as_normalized_marker(m), kw.pop("p"), **kw)
+        return polya_szego_check(u, m, kw.pop("p"), **kw)
     if key == "hlp":
-        p = kw.pop("p")
-        f = kw.pop("weight", None)
-        if f is None:
-            f = lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
-        return hlp_check(u, m, _as_normalized_marker(m), f, p, **kw)
+        gaussian = lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
+        return hlp_check(u, m, gaussian, kw.pop("p"), **kw)
     if key == "isoperimetric":
         return verify_isoperimetric(m, shape, **kw)
     raise ValueError(f"unknown inequality: {name!r}")

@@ -52,16 +52,22 @@ def test_lp_instance_shorthand():
 def test_sweep_grid_geometric():
     assert cli.parse_sweep_grid("R=1:8:geometric") == [1.0, 2.0, 4.0, 8.0]
     assert cli.parse_sweep_grid("R=1:9:geometric:3") == [1.0, 3.0, 9.0]
+    assert cli.parse_sweep_grid("R=2:2:geometric") == [2.0]
 
 
 def test_sweep_grid_linear():
     grid = cli.parse_sweep_grid("R=0:1:linear:5")
     assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert cli.parse_sweep_grid("R=2:2:linear:1") == [2.0]
 
 
 @pytest.mark.parametrize("bad", [
     "Q=1:8:geometric", "R=1:8", "R=8:1:geometric", "R=1:8:geometric:0.5",
     "R=1:8:cubic", 17,
+    # radii that do not increase strictly: a geometric step that rounds back
+    # to r, and stop = start with more than one radius
+    "R=5e-324:5e-324:geometric:1.0000000000000002", "R=1e-322:2e-322:geometric:1.01",
+    "R=2:2:linear:3",
 ])
 def test_sweep_grid_rejects(bad):
     with pytest.raises(cli.ConfigError):
@@ -242,7 +248,10 @@ def test_unknown_subcommand_exit_2(capsys):
     (["pde", "--problem", "ep", "--n", "2", "--nodes", "0"], "nodes"),
     (["pde", "--problem", "d-problem", "--n", "2", "--p", "3", "--k-max", "0"], "k_max"),
     (["avr", "--instance", "euclidean:n=2", "--samples", "0"], "n_samples"),
-], ids=["avr", "radius", "nodes", "k_max", "samples"])
+    # a 0-draw suite, not the single-profile check
+    (["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support",
+      "--suite", "0", "--profile", "morrey_extremal:p=4"], "draw"),
+], ids=["avr", "radius", "nodes", "k_max", "samples", "suite"])
 def test_explicit_zero_is_not_replaced_by_the_default(argv, named, capsys):
     # a given 0 reaches the library's range check instead of running as the default
     assert run_cli(argv) == 2

@@ -127,14 +127,6 @@ def test_bessel_first_zero(nu, bracket, reference):
     assert abs(C.bessel_first_zero(nu) - reference) <= 1e-9
 
 
-def test_bessel_j_matches_series():
-    mp.mp.dps = 30
-    for nu in (0.0, 0.5, 1.3):
-        for x in (0.5, 1.0, 2.7):
-            assert C.bessel_j(nu, x) == pytest.approx(
-                float(bessel_series(mp.mpf(nu), mp.mpf(x))), rel=1e-12, abs=1e-14)
-
-
 def test_beta_gamma_identities():
     # recurrence and Beta/Gamma factorization at 1e-12 relative
     from scipy.special import beta as sbeta, gamma as sgamma

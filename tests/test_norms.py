@@ -14,12 +14,12 @@ from finsler_sharp.norms import (
     euclidean_norm,
     f_eps_fiber_norm,
     lp_norm,
-    norm_from_descriptor,
     normalize,
     wulff_volume,
     wulff_volume_estimate,
 )
 from finsler_sharp.constants import omega_n
+from finsler_sharp.manifold import instance_from_descriptor
 
 
 def test_euclidean_self_dual():
@@ -141,6 +141,10 @@ def test_wulff_shape_volume_scaling():
 
 
 def test_norm_from_descriptor_roundtrip():
+    # the NORMS table is read as the nested norm of a minkowski instance
+    def norm_from_descriptor(desc):
+        return instance_from_descriptor({"kind": "minkowski", "norm": desc}).norm
+
     h = norm_from_descriptor({"kind": "lp", "n": 2, "p": 4.0})
     assert h(np.array([1.0, 0.0])) == pytest.approx(1.0)
     hn = norm_from_descriptor({"kind": "lp", "n": 2, "p": 4.0, "normalize": True})

@@ -62,23 +62,12 @@ def test_mu_domain_guard():
     P.RadialBvp(n=3, radius=1.0, mu=0.2499)  # just inside is fine
 
 
-def test_coercivity_constant():
-    bvp = P.RadialBvp(n=3, radius=1.0, mu=0.2, lam=0.0)
-    c = P.coercivity_constant(bvp)
-    assert 0.0 < c <= 1.0
-    with pytest.raises(ValueError):
-        P.coercivity_constant(P.RadialBvp(n=2, radius=1.0, lam=-6.0))  # below -j0^2
-
-
 def test_radial_energy_eigen_consistency():
     bvp = P.RadialBvp(n=2, radius=1.0)
     lam1, prof = P.first_eigenvalue(bvp)
-    ev = P.radial_energy(prof, bvp)
-    # for the eigenprofile, dirichlet = lam1 * l2
-    assert ev.dirichlet == pytest.approx(lam1 * ev.l2, rel=1e-6)
-    assert not ev.singular
-    with pytest.raises(ValueError):
-        P.radial_energy(np.ones(bvp.n_nodes), bvp)  # no Dirichlet decay
+    a = P._RadialFunctional(bvp.grid(), bvp.n, 2.0).assemble(prof)
+    # for the eigenprofile, dirichlet = lam1 * l2 on the grid
+    assert a.dirichlet == pytest.approx(lam1 * a.l2, rel=1e-6)
 
 
 MP_SETS = [
@@ -481,22 +470,6 @@ def test_multiplicity_rejects_nonlinearity_without_dh():
     assert time.time() - t0 < 0.5  # raised at entry, before any minimization
 
 
-def test_radial_energy_general_family():
-    nl = P.OscillatoryNonlinearity(4.0)
-    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl), n_nodes=65)
-    rho = bvp.grid()
-    u = 3.0 * (1.0 - rho ** 2)
-    ev = P.radial_energy(u, bvp, p=4.0)
-    assert ev.quadratic == ev.dirichlet > 0.0
-    assert ev.total == pytest.approx(ev.dirichlet / 4.0 - 50.0 * ev.nonlinear, rel=1e-14)
-    assert ev.l2 > 0.0 and ev.residual > 0.0
-    with pytest.raises(ValueError):
-        P.radial_energy(u, bvp)  # the general family needs p > n
-    pair = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", (nl.h, nl.H)), n_nodes=65)
-    with pytest.raises(ValueError):
-        P.radial_energy(u, pair, p=4.0)  # an (h, H) tuple is not a nonlinearity object
-
-
 # -- compiled root-finding shots ----------------------------------------------
 #
 # The shooting the compiled shots replaced, kept as a reference: every shot
@@ -730,7 +703,7 @@ def _ref_u_ground_level(bvp, p):
     vals[-1] = 0.0
     f = P._RadialFunctional(rho, n, 2.0, lam, mu, P._power(p))
     vals = P._projected_newton(f, np.maximum(vals, 0.0), (-math.inf, math.inf), 1e-13)
-    return P._energy_value(f, vals, bvp).total
+    return P._energy_value(f, vals, bvp)[0]  # the level
 
 
 def test_eigen_solves_match_the_u_variable_reference():

@@ -15,7 +15,6 @@ from finsler_sharp.constants import (
     support_energy_limit,
 )
 from finsler_sharp.manifold import bh_density
-from finsler_sharp.norms import euclidean_norm, lp_norm, normalize
 
 
 def test_cone_profile_basics():
@@ -47,8 +46,7 @@ def test_morrey_extremal_energy_matches_limit(e2):
     # the distinguished profile's scaled energy equals its closed-form limit
     for p, n in ((4.0, 2), (5.0, 3)):
         u = R.morrey_extremal_profile(p, n)
-        marker = euclidean_norm(n)
-        e = R.radial_dirichlet_energy(u, marker, p)
+        e = R.radial_dirichlet_energy(u, n, p)
         assert e == pytest.approx(support_energy_limit(p, n), rel=1e-9)
 
 
@@ -56,9 +54,8 @@ def test_morrey_extremal_scaling():
     p, n = 4.0, 2
     u1 = R.morrey_extremal_profile(p, n, radius=1.0)
     u2 = R.morrey_extremal_profile(p, n, radius=2.0)
-    marker = euclidean_norm(n)
-    e1 = R.radial_dirichlet_energy(u1, marker, p)
-    e2_ = R.radial_dirichlet_energy(u2, marker, p)
+    e1 = R.radial_dirichlet_energy(u1, n, p)
+    e2_ = R.radial_dirichlet_energy(u2, n, p)
     # energy scales as R^(n-p)
     assert e2_ == pytest.approx(e1 * 2.0 ** (n - p), rel=1e-8)
     # the family keeps unit height at every radius
@@ -71,8 +68,7 @@ def test_l1_extremal_against_beta_targets():
         assert u.sup() == pytest.approx(l1_extremal_height(p, n), rel=1e-9)
         # tabulated seed profile: piecewise-linear quadrature floor ~1e-6
         assert R.lq_norm_radial(u, 1.0, n) == pytest.approx(l1_norm_limit(p, n), rel=5e-6)
-        marker = euclidean_norm(n)
-        assert R.radial_dirichlet_energy(u, marker, p) == pytest.approx(
+        assert R.radial_dirichlet_energy(u, n, p) == pytest.approx(
             l1_energy_limit(p, n), rel=1e-6)
 
 
@@ -81,9 +77,8 @@ def test_scale_profile_homogeneity(e2):
     v = R.scale_profile(u, 3.0)
     assert v.sup() == pytest.approx(3.0)
     assert R.lq_norm_radial(v, 1.0, 2) == pytest.approx(math.pi, rel=1e-10)
-    marker = euclidean_norm(2)
-    assert R.radial_dirichlet_energy(v, marker, 4.0) == pytest.approx(
-        81.0 * R.radial_dirichlet_energy(u, marker, 4.0), rel=1e-9)
+    assert R.radial_dirichlet_energy(v, 2, 4.0) == pytest.approx(
+        81.0 * R.radial_dirichlet_energy(u, 2, 4.0), rel=1e-9)
     with pytest.raises(ValueError):
         R.scale_profile(u, 0.0)
 
@@ -110,28 +105,27 @@ def test_profile_from_descriptor():
 
 def test_distribution_cone_exact(e2):
     u = R.cone_profile()
-    mu = R.distribution(u, e2)
-    # {u > t} is the ball of radius 1 - t
-    for t in (0.0, 0.25, 0.6, 0.99):
-        assert mu(t) == pytest.approx(math.pi * (1.0 - t) ** 2, rel=1e-9)
-    assert mu(1.0) == 0.0
-    assert mu(1.7) == 0.0
+    levels = np.array([0.0, 0.25, 0.6, 0.99, 1.0, 1.7])
+    mu = R.distribution(u, e2, levels=levels)
+    # {u > t} is the ball of radius 1 - t, and empty from the sup on
+    assert mu.values[:4] == pytest.approx(math.pi * (1.0 - levels[:4]) ** 2, rel=1e-9)
+    assert np.all(mu.values[4:] == 0.0)
 
 
 def test_distribution_right_continuous_at_plateau(e2):
     u = R.plateau_profile(inner=0.5, radius=1.0, height=1.0)
-    mu = R.distribution(u, e2)
+    levels = np.concatenate(([1.0, 1.0 - 1e-9], np.linspace(0.0, 1.0, 64)))
+    mu = R.distribution(u, e2, levels=levels)
     # at the plateau level the superlevel set collapses to the open core
-    assert mu(1.0) == 0.0
-    assert mu(1.0 - 1e-9) == pytest.approx(math.pi * 0.25, rel=1e-6)
-    vals = mu(np.linspace(0.0, 1.0, 64))
-    assert np.all(np.diff(vals) <= 1e-12)
+    assert mu.values[0] == 0.0
+    assert mu.values[1] == pytest.approx(math.pi * 0.25, rel=1e-6)
+    assert np.all(np.diff(mu.values[2:]) <= 1e-12)
 
 
 def test_rearrange_radial_passthrough(e2):
     u = R.cone_profile()
-    h = euclidean_norm(2)
-    star = R.rearrange(u, e2, h)
+    star = R.rearrange(u, e2)
+    assert star.dim == 2 and star.smooth is u
     assert star.sup() == pytest.approx(1.0)
     assert star.support_radius() == pytest.approx(1.0)
     assert star.profile(0.5) == pytest.approx(0.5, rel=1e-12)
@@ -141,17 +135,16 @@ def test_rearrange_rejects_increasing_radial(e2):
     bad = R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
                                support_radius=2.0, label="ramp")
     with pytest.raises(ValueError):
-        R.rearrange(bad, e2, euclidean_norm(2))
+        R.rearrange(bad, e2)
 
 
 def test_rearrange_grid_equimeasurable(e2):
     # shifted Euclidean cone sampled on a grid; rearrangement recenters it
-    h = euclidean_norm(2)
     c = np.array([0.4, -0.2])
     g = R.grid_function_from_callable(
         lambda pts: np.maximum(1.0 - np.linalg.norm(pts - c, axis=1), 0.0),
         box_half=(2.0, 2.0), shape=(256, 256))
-    star = R.rearrange(g, e2, h)
+    star = R.rearrange(g, e2)
     gap = R.equimeasurability_gap(g, e2, star)
     assert gap <= 5e-3  # grid resolution limit
     # L^q norms preserved under rearrangement
@@ -161,11 +154,17 @@ def test_rearrange_grid_equimeasurable(e2):
 
 
 def test_lq_norms_bundle(e2):
+    # ||u||_q = ||u*||_q; the staircase of u*'s volume-coordinate table is an
+    # independent upper sum, since each step takes the value at its left end
     u = R.cone_profile()
-    star = R.rearrange(u, e2, euclidean_norm(2))
-    pairs = R.lq_norms(u, star, [1.0, 2.0], e2)
-    for a, b in pairs:
-        assert a == pytest.approx(b, rel=1e-8)
+    star = R.rearrange(u, e2)
+    stair = R.DecreasingProfile(svals=star.svals, tvals=star.tvals, dim=star.dim)
+    for q in (1.0, 2.0):
+        a = R.lq_norm_radial(u, q, 2)
+        assert R.lq_norm_star(star, q) == pytest.approx(a, rel=1e-8)
+        assert a <= R.lq_norm_star(stair, q) <= a * (1.0 + 2e-3)
+    # the staircase read back as a profile of the radius
+    assert stair.profile(np.array([0.0, 0.5, 1.0, 1.5])) == pytest.approx([1.0, 0.5, 0.0, 0.0], abs=2e-3)
 
 
 def test_layer_cake_smooth(e2):
@@ -188,7 +187,7 @@ def test_layer_cake_singular_weight(e3):
 
 def test_polya_szego_radial_equality(e2):
     u = R.morrey_extremal_profile(4.0, 2)
-    rep = R.polya_szego_check(u, e2, euclidean_norm(2), 4.0)
+    rep = R.polya_szego_check(u, e2, 4.0)
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, rel=1e-8)
 
@@ -201,14 +200,14 @@ def test_polya_szego_grid_two_bump(e2):
         return np.maximum(1.0 - d1 / 0.6, 0.0) + 0.7 * np.maximum(1.0 - d2 / 0.5, 0.0)
 
     g = R.grid_function_from_callable(bumps, box_half=(2.0, 2.0), shape=(192, 192))
-    rep = R.polya_szego_check(g, e2, euclidean_norm(2), 2.5)
+    rep = R.polya_szego_check(g, e2, 2.5)
     assert rep.passed
     assert rep.lhs > rep.rhs  # strict drop for a non-radial source
 
 
 def test_hlp_gaussian_weight(e2):
     u = R.cone_profile()
-    rep = R.hlp_check(u, e2, euclidean_norm(2), lambda r: np.exp(-0.5 * r * r), 2.0)
+    rep = R.hlp_check(u, e2, lambda r: np.exp(-0.5 * r * r), 2.0)
     assert rep.passed
     # centered profile: both sides coincide
     assert rep.ratio == pytest.approx(1.0, rel=1e-7)
@@ -219,7 +218,7 @@ def test_hlp_shifted_center_strict(e2):
         profile=lambda r: np.maximum(1.0 - r, 0.0), support_radius=1.0,
         derivative=lambda r: np.where(r < 1.0, -1.0, 0.0),
         center=np.array([0.5, 0.0]), label="offset cone")
-    rep = R.hlp_check(u, e2, euclidean_norm(2), lambda r: np.exp(-r), 2.0)
+    rep = R.hlp_check(u, e2, lambda r: np.exp(-r), 2.0)
     assert rep.passed
     assert rep.lhs < rep.rhs * (1.0 + 1e-12)
 
@@ -227,7 +226,7 @@ def test_hlp_shifted_center_strict(e2):
 def test_hlp_divergent_weight_is_vacuous(e3):
     # weight exponent >= n makes both sides blow up; report flags it
     u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
-    rep = R.hlp_check(u, e3, euclidean_norm(3), lambda r: r ** (-3.2), 2.0,
+    rep = R.hlp_check(u, e3, lambda r: r ** (-3.2), 2.0,
                       f_points=(1e-8,))
     assert rep.passed
     assert rep.diagnostics.get("diverged")
@@ -339,12 +338,11 @@ def _off_centre_bumps(e2, shift):
 def test_staircase_gap_matches_direct_count(e2, rng):
     g = _off_centre_bumps(e2, 0.1)
     other = _off_centre_bumps(e2, 0.3)  # same cells, different values
-    h = euclidean_norm(2)
     weight = bh_density(e2) * g.cell_volume()
     vals = g.values.ravel()
     levels = np.concatenate(([0.0], rng.uniform(0.0, vals.max(), 60), [vals.max()]))
     for star_src in (g, other):
-        star = R.rearrange(star_src, e2, h)
+        star = R.rearrange(star_src, e2)
         direct = max(
             abs(weight * np.sum(star_src.values.ravel() > t) - weight * np.sum(vals > t))
             for t in levels
@@ -356,20 +354,19 @@ def test_staircase_gap_matches_direct_count(e2, rng):
 def test_equimeasurability_gap_rejects_non_monotone_profile(e2):
     ramp = R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
                                 support_radius=2.0, label="ramp")
-    good = R.rearrange(R.cone_profile(), e2, euclidean_norm(2))
+    good = R.rearrange(R.cone_profile(), e2)
     with pytest.raises(ValueError, match="nonincreasing"):
         R.equimeasurability_gap(ramp, e2, good)
-    bad_star = R.DecreasingProfile(svals=good.svals, tvals=good.tvals, norm=good.norm, smooth=ramp)
+    bad_star = R.DecreasingProfile(svals=good.svals, tvals=good.tvals, dim=good.dim, smooth=ramp)
     with pytest.raises(ValueError, match="nonincreasing"):
         R.equimeasurability_gap(R.cone_profile(), e2, bad_star)
 
 
 def test_equimeasurability_gap_sees_a_scaled_profile(e2, rng):
     # planted defect: a 1% taller rearrangement is not equimeasurable
-    h = euclidean_norm(2)
     for _ in range(5):
         u = R.random_decreasing_profile(rng)
-        star = R.rearrange(R.scale_profile(u, 1.01), e2, h)
+        star = R.rearrange(R.scale_profile(u, 1.01), e2)
         tolerance = 1e-9 * max(1.0, omega_n(2) * u.support_radius**2)
         assert R.equimeasurability_gap(u, e2, star) > 1e3 * tolerance
 

@@ -1,5 +1,6 @@
 """Inequality verification layer: equality cases, sweeps, suites."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -19,13 +20,15 @@ from finsler_sharp.constants import (
     morrey_support_constant,
     support_energy_limit,
 )
-from finsler_sharp.manifold import euclidean_instance, minkowski_instance
+from finsler_sharp.manifold import euclidean_instance, instance_from_descriptor, minkowski_instance
 from finsler_sharp.norms import WulffShape, lp_norm
 from finsler_sharp.rearrange import (
     PROFILES,
     RadialTestFunction,
+    hlp_check,
     l1_extremal_profile,
     morrey_extremal_profile,
+    polya_szego_check,
     profile_from_descriptor,
     random_decreasing_profile,
     scale_profile,
@@ -156,9 +159,30 @@ def test_hardy_exponent_domain(e3, rng):
 
 
 def test_hardy_pole_must_match_center(e3, rng):
-    u = random_decreasing_profile(rng)
-    with pytest.raises(ValueError):
-        V.verify_hardy(e3, u, 2.0, x0=[0.5, 0.0, 0.0])
+    # the weight's pole is the origin, so an off-centre source is refused
+    u = dataclasses.replace(random_decreasing_profile(rng), center=np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="pole"):
+        V.verify_hardy(e3, u, 2.0)
+    with pytest.raises(ValueError, match="pole"):
+        V.verify_bpv(e3, 2.0 * u.support_radius, u)
+
+
+def test_radial_checks_are_blind_to_normalization():
+    # radial energies, norms and rearrangements depend on the dimension only,
+    # so the unnormalized l4 plane gives the doubles of the normalized one
+    raw = instance_from_descriptor({"kind": "minkowski", "norm": {"kind": "lp", "n": 2, "p": 4}})
+    normalized = instance_from_descriptor("lp:n=2,p=4")
+    assert not raw.norm.normalized and normalized.norm.normalized
+    u = morrey_extremal_profile(4.0, 2)
+    checks = (
+        lambda m: V.verify_morrey_support(m, u, 4.0),
+        lambda m: polya_szego_check(u, m, 4.0),
+        lambda m: hlp_check(u, m, lambda r: np.exp(-np.asarray(r, dtype=float)), 2.0),
+    )
+    for check in checks:
+        a, b = check(raw), check(normalized)
+        assert math.isfinite(a.rhs) and a.passed
+        assert (a.lhs, a.rhs) == (b.lhs, b.rhs)
 
 
 # -- shifted Poincare bound -------------------------------------------------
