@@ -2,7 +2,7 @@
 
 Subcommands: constants, verify, sweep, pde, avr, repro.  Parameters come
 from flags or a JSON config document (--config); flags override the
-document, the merged config is schema-validated, and every emitted
+document, the merged config is type-checked, and every emitted
 report embeds the fully materialized config so a run can be reproduced
 from its own output.
 
@@ -33,12 +33,11 @@ import sys
 import time
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import constants as C
 from . import verify as V
-from ._util import ENV_THREADS, parse_descriptor, resolve_workers
+from ._util import ENV_THREADS, _coerce, parse_descriptor, resolve_workers
 from .manifold import avr as estimate_avr, instance_from_descriptor
 from .pde import (
     OscillatoryNonlinearity,
@@ -55,46 +54,6 @@ from .report import _plain
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 
-TASKS = ("constants", "verify", "sweep", "pde", "avr", "repro")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["task"],
-    "properties": {
-        "task": {"enum": list(TASKS)},
-        "seed": {"type": "integer"},
-        "threads": {"type": ["integer", "null"]},
-        "out_dir": {"type": ["string", "null"]},
-        "out": {"type": ["string", "null"]},
-        "timestamp": {"type": "boolean"},
-        "instance": {"type": ["object", "string", "null"]},
-        "profile": {"type": ["object", "string", "null"]},
-        "shape": {"type": ["object", "string", "null"]},
-        "inequality": {"type": ["string", "null"]},
-        "suite": {"type": ["integer", "null"]},
-        "p": {"type": ["number", "null"]},
-        "n": {"type": ["integer", "null"]},
-        "mu": {"type": ["number", "null"]},
-        "lam": {"type": ["number", "null"]},
-        "avr": {"type": ["number", "null"]},
-        "radius": {"type": ["number", "null"]},
-        "k_max": {"type": ["integer", "null"]},
-        "nodes": {"type": ["integer", "null"]},
-        "problem": {"type": ["string", "null"]},
-        "kind": {"type": ["string", "null"]},
-        "sweep": {"type": ["string", "null"]},
-        "method": {"type": ["string", "null"]},
-        "samples": {"type": ["integer", "null"]},
-        "radii": {"type": ["array", "string", "null"]},
-    },
-}
-
-
-# the schema is a constant, so it is checked against the meta-schema by the
-# tests rather than on every run
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
 
 class ConfigError(Exception):
     pass
@@ -109,7 +68,7 @@ _MAX_SWEEP_RADII = 10_000
 
 def parse_sweep_grid(spec) -> list:
     """'R=1:64:geometric[:factor]' or 'R=1:8:linear[:count]': at most
-    _MAX_SWEEP_RADII radii, strictly increasing."""
+    _MAX_SWEEP_RADII radii, positive and strictly increasing."""
     if not isinstance(spec, str):
         raise ConfigError("sweep must be a string like R=1:64:geometric")
     name, eq, body = spec.partition("=")
@@ -135,8 +94,8 @@ def parse_sweep_grid(spec) -> list:
             r *= factor
     elif mode == "linear":
         k = int(parts[3]) if len(parts) == 4 else 8
-        if not 1 <= k <= _MAX_SWEEP_RADII or b < a:
-            raise ConfigError(f"linear sweep needs 1 <= count <= {_MAX_SWEEP_RADII} and stop >= start")
+        if not (0 < a <= b and 1 <= k <= _MAX_SWEEP_RADII):
+            raise ConfigError(f"linear sweep needs 0 < start <= stop, 1 <= count <= {_MAX_SWEEP_RADII}")
         grid = [float(x) for x in np.linspace(a, b, k)]
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
@@ -148,7 +107,7 @@ def parse_sweep_grid(spec) -> list:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -158,27 +117,42 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config document must be a JSON object")
         if not cfg:
             raise ConfigError("config document is empty")
-        unknown = set(cfg) - set(CONFIG_SCHEMA["properties"])
+        unknown = set(cfg) - {"task", *OPTIONS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "task" in cfg and cfg["task"] != args.task:
             raise ConfigError(
                 f"config task {cfg['task']!r} does not match subcommand {args.task!r}"
             )
+        foreign = set(cfg) - {"task", *TASKS[args.task][2]}
+        if foreign:
+            raise ConfigError(f"{args.task} does not take config keys {sorted(foreign)}")
     for key, val in vars(args).items():
         if key == "config" or val is None:
             continue
         cfg[key] = val
-    for key, val in cfg.items():
-        vals = val if isinstance(val, list) else [val]
-        if any(isinstance(x, float) and math.isnan(x) for x in vals):
-            raise ConfigError(f"config value {key!r} is NaN")
     cfg.setdefault("seed", 0)
     cfg.setdefault("timestamp", False)
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message}") from error
+    for key, val in cfg.items():
+        if key != "task":
+            _check_value(key, val)
     return cfg
+
+
+def _check_value(key: str, value) -> None:
+    """Raise ValueError unless value has the type OPTIONS declares for key.
+
+    Numbers and lists of reals go through _coerce: a number is never a bool,
+    and an integer may be an integral float.  A descriptor or the radii may
+    be a string, and null leaves a key unset, except seed and timestamp."""
+    typ, where = OPTIONS[key][0], f"config value {key!r}"
+    if isinstance(value, float) and math.isnan(value):
+        raise ValueError(f"{where} is NaN")
+    if (typ in (int, float) and value is not None) or (typ is list and isinstance(value, list)):
+        _coerce(value, typ, where)
+    elif not (isinstance(value, (typ, str) if typ in (dict, list) else typ)
+              or (value is None and key not in ("seed", "timestamp"))):
+        raise ValueError(f"{where} needs {typ.__name__}, got {value!r}")
 
 
 def _value(cfg: dict, key: str, default):
@@ -203,7 +177,7 @@ def _document(cfg: dict, payload: dict) -> dict:
         "seed": cfg.get("seed", 0),
         "threads": resolve_workers(cfg.get("threads")),
         "timestamp": _timestamp(cfg),
-        "config": _plain({k: v for k, v in cfg.items() if k != "func"}),
+        "config": _plain(cfg),
     }
     doc.update(_plain(payload))
     return doc
@@ -298,8 +272,6 @@ def _task_verify(cfg: dict) -> int:
         })
         _emit(doc, cfg, f"suite_{key}.json")
         return EXIT_OK if n_pass == len(reports) else EXIT_NUMERIC
-    kwargs = {}
-    shape = cfg.get("shape")
     # the extremal families take their n from the instance
     u = profile_from_descriptor(cfg["profile"], n=m.dim) if cfg.get("profile") else None
     if key in ("morrey_support", "morrey_l1", "hardy", "polya_szego", "hlp"):
@@ -309,18 +281,31 @@ def _task_verify(cfg: dict) -> int:
             p = parse_descriptor(cfg["profile"]).get("p")
         if p is None:
             raise ConfigError(f"{name} needs --p")
-        kwargs["p"] = float(p)
+        p = float(p)
         if u is None:
             raise ConfigError(f"{name} needs --profile")
-    if key == "bpv":
+    if key == "morrey_support":
+        rep = V.verify_morrey_support(m, u, p)
+    elif key == "morrey_l1":
+        rep = V.verify_morrey_l1(m, u, p)
+    elif key == "hardy":
+        rep = V.verify_hardy(m, u, p)
+    elif key == "polya_szego":
+        rep = V.polya_szego_check(u, m, p)
+    elif key == "hlp":  # against a Gaussian weight
+        rep = V.hlp_check(u, m, lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2), p)
+    elif key == "bpv":
         if u is None:
             raise ConfigError("bpv needs --profile")
-        kwargs["mu"] = float(_value(cfg, "mu", 0.0))
-        if cfg.get("radius") is not None:
-            shape = float(cfg["radius"])
-    if key == "isoperimetric" and shape is None:
-        raise ConfigError("isoperimetric needs --shape")
-    rep = V.run_inequality(key, m, u=u, shape=shape, **kwargs)
+        # the domain is the ball of --radius, by default the profile's support
+        rep = V.verify_bpv(m, float(_value(cfg, "radius", u.support_radius)), u,
+                           float(_value(cfg, "mu", 0.0)))
+    elif key == "isoperimetric":
+        if cfg.get("shape") is None:
+            raise ConfigError("isoperimetric needs --shape")
+        rep = V.verify_isoperimetric(m, cfg["shape"])
+    else:  # layer_cake and equimeasurability run only as suites
+        raise ValueError(f"unknown inequality: {key!r}")
     status = "PASS" if rep.passed else "FAIL"
     _say(cfg, f"{key}: lhs={rep.lhs:.10g} rhs={rep.rhs:.10g} ratio={rep.ratio:.10g} {status}")
     _emit(_document(cfg, {"report": rep.as_dict(), "passed": rep.passed}), cfg,
@@ -481,18 +466,9 @@ def _task_avr(cfg: dict) -> int:
 
 def run(config: dict) -> int:
     """Execute one validated config; returns the process exit code."""
-    task = config.get("task")
-    handler = {
-        "constants": _task_constants,
-        "verify": _task_verify,
-        "sweep": _task_sweep,
-        "pde": _task_pde,
-        "avr": _task_avr,
-        "repro": _task_repro,
-    }.get(task)
-    if handler is None:
-        raise ConfigError(f"unknown task {task!r}")
-    return handler(config)
+    if config.get("task") not in TASKS:
+        raise ConfigError(f"unknown task {config.get('task')!r}")
+    return TASKS[config["task"]][0](config)
 
 
 # ---------------------------------------------------------------------------
@@ -772,15 +748,54 @@ def _task_repro(cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config document; flags override it")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker count (default: ${ENV_THREADS} or 1)")
-    sp.add_argument("--out-dir", dest="out_dir", default=None)
-    sp.add_argument("--out", default=None, help="output file path")
-    sp.add_argument("--timestamp", action="store_true", default=None,
-                    help="stamp reports with wall-clock time (breaks byte-identity)")
+# Each option once: key -> (type, help, choices).  A descriptor (dict) and
+# the radii (list) are strings on the command line; a config document may
+# also give them as an object and as a list of reals.  bool is a switch.
+OPTIONS = {
+    "seed": (int, None, None),
+    "threads": (int, f"worker count (default: ${ENV_THREADS} or 1)", None),
+    "out_dir": (str, None, None),
+    "out": (str, "output file path", None),
+    "timestamp": (bool, "stamp reports with wall-clock time (breaks byte-identity)", None),
+    "inequality": (str, None, None),
+    "instance": (dict, None, None),
+    "profile": (dict, None, None),
+    "shape": (dict, None, None),
+    "p": (float, None, None),
+    "n": (int, None, None),
+    "avr": (float, None, None),
+    "mu": (float, None, None),
+    "lam": (float, None, None),
+    "radius": (float, None, None),
+    "suite": (int, "run a randomized suite with this many draws", None),
+    "kind": (str, None, ("support", "l1")),
+    "sweep": (str, "R=1:64:geometric", None),
+    "problem": (str, None, ("ep", "p-problem", "d-problem")),
+    "k_max": (int, None, None),
+    "nodes": (int, None, None),
+    "method": (str, None, ("exact", "mc")),
+    "samples": (int, None, None),
+    "radii": (list, "comma-separated radius schedule", None),
+}
+
+_COMMON = ("seed", "threads", "out_dir", "out", "timestamp")
+
+# task -> (handler, help, the options it takes, in --help order)
+TASKS = {
+    "constants": (_task_constants, "evaluate sharp constants for (p, n, avr, mu)",
+                  (*_COMMON, "p", "n", "avr", "mu")),
+    "verify": (_task_verify, "run one inequality check or a randomized suite",
+               (*_COMMON, "inequality", "instance", "profile", "shape", "p", "mu", "radius", "suite")),
+    "sweep": (_task_sweep, "sharpness sweep over a radius schedule",
+              (*_COMMON, "kind", "instance", "p", "sweep")),
+    "pde": (_task_pde, "radial eigenvalue / mountain-pass / multiplicity",
+            (*_COMMON, "problem", "n", "radius", "mu", "lam", "p", "k_max", "nodes")),
+    "avr": (_task_avr, "asymptotic volume ratio estimate",
+            (*_COMMON, "instance", "method", "samples", "radii")),
+    # the criteria write their reports into --out-dir
+    "repro": (_task_repro, "rerun the acceptance pipeline from one config",
+              ("seed", "threads", "out_dir", "timestamp")),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -790,54 +805,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="sharp-inequality verification on Minkowski instances",
     )
     sub = ap.add_subparsers(dest="task", required=True)
-
-    sp = sub.add_parser("constants", help="evaluate sharp constants for (p, n, avr, mu)")
-    _add_common(sp)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--avr", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-
-    sp = sub.add_parser("verify", help="run one inequality check or a randomized suite")
-    _add_common(sp)
-    sp.add_argument("--inequality", default=None)
-    sp.add_argument("--instance", default=None)
-    sp.add_argument("--profile", default=None)
-    sp.add_argument("--shape", default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--suite", type=int, default=None,
-                    help="run a randomized suite with this many draws")
-
-    sp = sub.add_parser("sweep", help="sharpness sweep over a radius schedule")
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("support", "l1"), default=None)
-    sp.add_argument("--instance", default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--sweep", default=None, help="R=1:64:geometric")
-
-    sp = sub.add_parser("pde", help="radial eigenvalue / mountain-pass / multiplicity")
-    _add_common(sp)
-    sp.add_argument("--problem", choices=("ep", "p-problem", "d-problem"), default=None)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sp.add_argument("--nodes", type=int, default=None)
-
-    sp = sub.add_parser("avr", help="asymptotic volume ratio estimate")
-    _add_common(sp)
-    sp.add_argument("--instance", default=None)
-    sp.add_argument("--method", choices=("exact", "mc"), default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--radii", default=None, help="comma-separated radius schedule")
-
-    sp = sub.add_parser("repro", help="rerun the acceptance pipeline from one config")
-    _add_common(sp)
-
+    for task, (_, task_help, keys) in TASKS.items():
+        sp = sub.add_parser(task, help=task_help)
+        sp.add_argument("--config", help="JSON config document; flags override it")
+        for key in keys:
+            typ, text, choices = OPTIONS[key]
+            kw = ({"action": "store_true"} if typ is bool else
+                  {"type": typ if typ in (int, float) else None, "choices": choices})
+            sp.add_argument("--" + key.replace("_", "-"), default=None, help=text, **kw)
     return ap
 
 

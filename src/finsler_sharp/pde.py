@@ -29,12 +29,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import integrate, linalg, optimize
 
-from ._util import graded_grid
+from ._util import gauss_legendre, graded_grid
 from .constants import bpv_constant, omega_n
-
-# positive nodes and their weights of the 8-point Gauss-Legendre rule, leggauss(8) to the bit
-_GL8 = np.array([[0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
-                 [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
 
 
 @lru_cache(maxsize=64)
@@ -499,7 +495,7 @@ def eigen_quotient(bvp: RadialBvp):
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
     if mu != 0.0:
         integrands.append(lambda r, u, flux: u ** 2 * r ** (n - 3))
-    x, wx = np.r_[-_GL8[0, ::-1], _GL8[0]], np.r_[_GL8[1, ::-1], _GL8[1]]
+    x, wx = gauss_legendre(8)
     steps = np.log(sol.t) if s != 0.0 else sol.t
     half = 0.5 * np.diff(steps)[:, None]
     r = (steps[:-1, None] + half * (1.0 + x)).ravel()

@@ -652,24 +652,3 @@ def randomized_suite(
     with ThreadPoolExecutor(max_workers=nw) as ex:
         return list(ex.map(one, range(n_draws)))
 
-
-def run_inequality(name: str, m: FinslerInstance, u=None, shape=None, **kw) -> InequalityReport:
-    """Single-instance dispatcher used by the command line layer."""
-    key = name.replace("-", "_")
-    if key == "morrey_support":
-        return verify_morrey_support(m, u, kw.pop("p"), **kw)
-    if key == "morrey_l1":
-        return verify_morrey_l1(m, u, kw.pop("p"), **kw)
-    if key == "hardy":
-        return verify_hardy(m, u, kw.pop("p"), **kw)
-    if key == "bpv":
-        omega = shape if shape is not None else u.support_radius
-        return verify_bpv(m, omega, u, **kw)
-    if key == "polya_szego":
-        return polya_szego_check(u, m, kw.pop("p"), **kw)
-    if key == "hlp":
-        gaussian = lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
-        return hlp_check(u, m, gaussian, kw.pop("p"), **kw)
-    if key == "isoperimetric":
-        return verify_isoperimetric(m, shape, **kw)
-    raise ValueError(f"unknown inequality: {name!r}")

@@ -3,7 +3,6 @@
 import csv
 import json
 
-import jsonschema
 import pytest
 
 from finsler_sharp import cli, pde
@@ -56,8 +55,8 @@ def test_sweep_grid_geometric():
 
 
 def test_sweep_grid_linear():
-    grid = cli.parse_sweep_grid("R=0:1:linear:5")
-    assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
+    grid = cli.parse_sweep_grid("R=0.25:1:linear:4")
+    assert grid == [0.25, 0.5, 0.75, 1.0]
     assert cli.parse_sweep_grid("R=2:2:linear:1") == [2.0]
 
 
@@ -68,6 +67,8 @@ def test_sweep_grid_linear():
     # to r, and stop = start with more than one radius
     "R=5e-324:5e-324:geometric:1.0000000000000002", "R=1e-322:2e-322:geometric:1.01",
     "R=2:2:linear:3",
+    # a radius that is not positive: R = 0 divides 0/0 in the extremal profile
+    "R=0:1:linear:5", "R=-1:1:linear:3",
 ])
 def test_sweep_grid_rejects(bad):
     with pytest.raises(cli.ConfigError):
@@ -171,21 +172,51 @@ def test_nan_in_config_document_exit_2(tmp_path, capsys):
     assert "'p' is NaN" in capsys.readouterr().err
 
 
-def test_config_schema_is_valid_against_its_meta_schema():
-    # main() no longer checks the constant schema on each run, so it is checked here
-    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
-    assert cli._CONFIG_VALIDATOR.schema is cli.CONFIG_SCHEMA
-
-
-def test_rejected_config_keeps_the_jsonschema_message(tmp_path, capsys):
-    doc = {"task": "constants", "p": 4, "n": 2, "seed": "x", "suite": 1.5}
+def test_config_values_are_type_checked(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert run_cli(["constants", "--config", str(path)]) == 2
-    # the message jsonschema.validate gives for the merged document
-    with pytest.raises(jsonschema.ValidationError) as ex:
-        jsonschema.validate({**doc, "timestamp": False}, cli.CONFIG_SCHEMA)
-    assert capsys.readouterr().err == f"error: config rejected: {ex.value.message}\n"
+    # a bool is no number, and no 0 or 1 is a bool
+    for key, value in (("seed", "x"), ("n", 1.5), ("p", True), ("seed", None), ("timestamp", 1)):
+        path.write_text(json.dumps({"task": "constants", "p": 4, "n": 2, key: value}))
+        assert run_cli(["constants", "--config", str(path)]) == 2
+        assert f"config value {key!r}" in capsys.readouterr().err
+    path.write_text(json.dumps({"task": "constants", "p": 4, "n": 3.0}))
+    assert run_cli(["constants", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("p=4 n=3 ")
+
+
+@pytest.mark.parametrize("task,doc", [
+    ("constants", {"p": 4, "n": 2, "k_max": 3}),
+    ("verify", {"instance": "euclidean:n=2", "inequality": "morrey-support",
+                "profile": "morrey_extremal:p=4", "nodes": 33}),
+    ("sweep", {"kind": "support", "instance": "euclidean:n=2", "p": 4,
+               "sweep": "R=1:2:geometric", "samples": 10}),
+    ("pde", {"problem": "ep", "n": 2, "instance": "euclidean:n=2"}),
+    ("avr", {"instance": "euclidean:n=2", "method": "exact", "p": 4}),
+    ("repro", {"out": "x.json"}),
+])
+def test_config_key_of_another_task_exit_2(task, doc, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": task, **doc}))
+    assert run_cli([task, "--config", str(path)]) == 2
+    foreign = {"constants": "k_max", "verify": "nodes", "sweep": "samples", "pde": "instance",
+               "avr": "p", "repro": "out"}[task]
+    assert f"['{foreign}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["constants", "verify", "sweep", "pde", "avr", "repro"])
+def test_parser_dests_are_the_document_keys(task, tmp_path):
+    parser = cli.build_parser()
+    dests = set(vars(parser.parse_args([task]))) - {"task", "config"}
+    accepted = set()
+    for key in [*cli.OPTIONS, "config", "color"]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"task": task, key: {"seed": 0, "timestamp": False}.get(key)}))
+        try:
+            cli._merge_config(parser.parse_args([task, "--config", str(path)]))
+        except cli.ConfigError:
+            continue
+        accepted.add(key)
+    assert dests == accepted
 
 
 def test_cached_parser_shares_no_state_between_runs(capsys):
@@ -261,7 +292,7 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv, named, capsys):
 def test_failed_check_exit_3(monkeypatch, capsys):
     bad = make_report("morrey_support", {"p": 4.0}, 2.0, 1.0,
                       direction="upper", rtol=0.0)
-    monkeypatch.setattr(cli.V, "run_inequality", lambda *a, **k: bad)
+    monkeypatch.setattr(cli.V, "verify_morrey_support", lambda *a, **k: bad)
     rc = run_cli(["verify", "--instance", "euclidean:n=2",
                   "--inequality", "morrey-support",
                   "--profile", "morrey_extremal:p=4"])
@@ -473,6 +504,38 @@ def test_shape_is_rejected_outside_isoperimetric(inequality, capsys):
                   "--p", "4", "--profile", "morrey_extremal:p=4", "--shape", "ball:radius=2"])
     assert rc == 2
     assert "--shape" in capsys.readouterr().err
+
+
+def test_each_inequality_runs_its_own_check(capsys):
+    base = ["verify", "--instance", "euclidean:n=2", "--inequality"]
+    assert run_cli([*base, "morrey-support", "--profile", "morrey_extremal:p=4", "--p", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["inequality"] == "morrey_support"
+    assert rep["ratio"] == pytest.approx(1.0, rel=1e-8)
+
+    # without --radius the domain is the profile's support ball
+    assert run_cli([*base, "bpv", "--profile", "cone:R=1.5,height=2"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["params"]["radius"] == 1.5
+
+    assert run_cli([*base, "isoperimetric", "--shape", "ball:radius=2"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["diagnostics"]["equality"]
+
+    # against the Gaussian weight
+    assert run_cli([*base, "hlp", "--profile", "cone:R=1.5,height=2", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    assert run_cli([*base, "no_such_bound", "--profile", "cone:R=1", "--p", "4"]) == 2
+    assert "no_such_bound" in capsys.readouterr().err
+    for name in ("layer-cake", "equimeasurability"):  # these run only as suites
+        assert run_cli([*base, name, "--profile", "cone:R=1"]) == 2
+        assert capsys.readouterr().err == f"error: unknown inequality: {name.replace('-', '_')!r}\n"
+
+
+def test_cone_profile_passes_morrey_l1_below_equality(capsys):
+    assert run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-l1",
+                    "--profile", "cone:R=1,height=1", "--p", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["passed"] and rep["ratio"] < 1.0
 
 
 def test_bpv_takes_its_domain_from_radius(capsys):

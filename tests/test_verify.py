@@ -484,29 +484,6 @@ def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
             assert np.all(np.isfinite(batch)) and np.all(batch[pts >= r] == 0.0)
 
 
-# -- dispatcher -------------------------------------------------------------
-
-
-def test_run_inequality_dispatch(e2, rng):
-    u = morrey_extremal_profile(4.0, 2, 1.0)
-    rep = V.run_inequality("morrey-support", e2, u, p=4.0)
-    assert rep.inequality == "morrey_support"
-    assert rep.ratio == pytest.approx(1.0, rel=1e-8)
-
-    v = random_decreasing_profile(rng)
-    bpv = V.run_inequality("bpv", e2, v)  # domain defaults to the support ball
-    assert bpv.params["radius"] == pytest.approx(v.support_radius)
-
-    iso = V.run_inequality("isoperimetric", e2, shape={"kind": "ball", "radius": 2.0})
-    assert iso.diagnostics["equality"]
-
-    hlp = V.run_inequality("hlp", e2, v, p=2.0)  # gaussian default weight
-    assert hlp.passed
-
-    with pytest.raises(ValueError):
-        V.run_inequality("no_such_bound", e2, u, p=4.0)
-
-
 def test_split_rejects_unknown_representation(e2):
     with pytest.raises(TypeError):
         V.verify_morrey_support(e2, np.ones(4), 4.0)
@@ -530,9 +507,3 @@ def test_divergent_energy_is_flagged_vacuous(e2):
         assert rep.passed and math.isinf(rep.rhs)
     else:
         assert rep.passed
-
-
-def test_cone_profile_through_dispatcher(e2):
-    u = profile_from_descriptor({"kind": "cone", "R": 1.0, "height": 1.0})
-    rep = V.run_inequality("morrey_l1", e2, u, p=4.0)
-    assert rep.passed and rep.ratio < 1.0
