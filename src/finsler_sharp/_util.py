@@ -181,9 +181,10 @@ def box_hits(inside, half, n_samples: int, seed, workers: int) -> int:
 def split_quad(fn, a, b, points=(), epsrel=1e-10):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
-    scipy's QAGS handles integrable endpoint singularities on each panel
-    (epsabs 1e-12, at most 300 subintervals per panel); splitting keeps
-    kinks at panel endpoints where the extrapolation works.
+    fn is called with one Python float at a time and should return a
+    float.  scipy's QAGS handles integrable endpoint singularities on each
+    panel (epsabs 1e-12, at most 300 subintervals per panel); splitting
+    keeps kinks at panel endpoints where the extrapolation works.
     Returns (value, summed error estimate, whether every panel converged).
     QUADPACK's complaints come back in the flag rather than as warnings, so
     no caller has to touch the process-wide warning filters.

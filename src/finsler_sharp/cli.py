@@ -535,6 +535,9 @@ def _l1_sharpness(seed, threads):
     return ok, {"cases": rows}
 
 
+J0 = 2.404825557695773  # first zero of J_0, pinned by criterion 4 and squared by 5
+
+
 def _special_functions(seed, threads):
     """4: Bessel-zero spot values, and the Beta/Gamma identities on a fixed
     grid and on 50 seeded draws."""
@@ -544,7 +547,7 @@ def _special_functions(seed, threads):
         ident = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
         return abs(beta(a, b) - ident) / ident
 
-    refs = {"0.0": 2.404825557695773, "0.5": math.pi, "1.0": 3.831705970207512}
+    refs = {"0.0": J0, "0.5": math.pi, "1.0": 3.831705970207512}
     zero_devs = {nu: abs(C.bessel_first_zero(float(nu)) - ref) for nu, ref in refs.items()}
     idev = 0.0
     for a in (0.5, 1.0, 1.7, 2.3, 3.0):
@@ -559,7 +562,7 @@ def _special_functions(seed, threads):
 
 def _eigenvalue_closed_form(seed, threads):
     """5: the eigenvalue solver against the shifted-Bessel closed form on a
-    12-case grid, and against the disk and ball values 5.783186 and pi^2."""
+    12-case grid, and against the disk and ball values J0^2 and pi^2."""
     grid = [
         (2, 1.0, 0.0), (2, 0.5, 0.0), (2, 2.0, 0.0), (2, 1.7, 0.0),
         (3, 1.0, 0.0), (3, 1.0, 0.2), (3, 1.5, 0.1), (3, 0.7, 0.24),
@@ -572,9 +575,10 @@ def _eigenvalue_closed_form(seed, threads):
         dev = abs(lam1 * radius**2 - C.bessel_first_zero(mu_bar) ** 2)
         rows.append({"n": n, "R": radius, "mu": mu, "lambda1": lam1, "dev": dev})
     # grid[0] and grid[4] are the unit disk and the unit ball without potential
-    refs = {"disk": abs(rows[0]["lambda1"] - 5.783186),
+    refs = {"disk": abs(rows[0]["lambda1"] - J0**2),
             "ball": abs(rows[4]["lambda1"] - math.pi**2)}
-    ok = all(r["dev"] < 1e-4 for r in rows) and refs["disk"] < 1e-5 and refs["ball"] < 1e-6
+    # seed 0 reads at most 9.5e-13 on the grid
+    ok = all(r["dev"] < 1e-10 for r in rows) and refs["disk"] < 1e-10 and refs["ball"] < 1e-6
     return ok, {"cases": rows, "reference_deviations": refs}
 
 
@@ -592,8 +596,9 @@ def _bpv(seed, threads):
         _, quotient, _ = eigen_quotient(RadialBvp(n=n, radius=radius, mu=mu))
         _, s_const = C.bpv_constant(mu, n, 1.0, C.omega_n(n) * radius**n)
         eq_rows.append({"n": n, "mu": mu, "equality_dev": abs(quotient / s_const - 1.0)})
+    # seed 0 reads at most 3.9e-14
     ok = all(v == 100 for v in suites.values()) and all(
-        r["equality_dev"] < 1e-4 for r in eq_rows)
+        r["equality_dev"] < 1e-12 for r in eq_rows)
     return ok, {"suite_passes": suites, "eigen_equality": eq_rows}
 
 
@@ -697,7 +702,9 @@ def _mountain_pass(seed, threads):
     bvp = RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
     profs = multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
     sups = [c.sup for c in profs]
-    ok = (all(r["residual"] < 1e-6 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
+    # ground-state residuals read at most 2.4e-12 at seed 0; the plateau
+    # residuals sit near 1e-10 and keep the looser gate
+    ok = (all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
           and all(c.residual < 1e-6 for c in profs)
           and all(s1 < s2 for s1, s2 in zip(sups, sups[1:])))
     return ok, {"mountain_pass": rows, "multiplicity_sups": sups,
@@ -800,13 +807,15 @@ TASKS = {
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag a subcommand lacks must not run as a longer one it has
     ap = argparse.ArgumentParser(
         prog="finsler-sharp",
         description="sharp-inequality verification on Minkowski instances",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="task", required=True)
     for task, (_, task_help, keys) in TASKS.items():
-        sp = sub.add_parser(task, help=task_help)
+        sp = sub.add_parser(task, help=task_help, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config document; flags override it")
         for key in keys:
             typ, text, choices = OPTIONS[key]

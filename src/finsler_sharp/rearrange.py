@@ -16,6 +16,7 @@ verification layer leans on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -41,6 +42,11 @@ class RadialTestFunction:
     interior radii where the derivative jumps, so quadratures can split
     there.  derivative is the a.e. derivative; it may be unbounded near 0
     as long as the energies stay integrable.
+
+    profile and derivative take a float or an array.  A float gives a
+    float with the bits of the same radius passed as a 0-d array, without
+    a warning where the array route masks a point; an array gives an
+    array.  The quadratures hand them Python floats.
     """
 
     profile: Callable
@@ -132,9 +138,9 @@ class DecreasingProfile:
 
     def profile(self, rho):
         """g(rho) = v(omega_n rho^n)."""
-        rho = np.asarray(rho, dtype=float)
         if self.smooth is not None:
             return self.smooth.profile(rho)
+        rho = np.asarray(rho, dtype=float)
         s = omega_n(self.dim) * rho**self.dim
         idx = np.minimum(np.searchsorted(self.svals[1:], s, side="right"), len(self.tvals) - 1)
         return np.where(s >= self.svals[-1], 0.0, self.tvals[idx])
@@ -156,9 +162,20 @@ class DecreasingProfile:
 
 def cone_profile(radius: float = 1.0, height: float = 1.0) -> RadialTestFunction:
     r, hgt = float(radius), float(height)
+
+    def g(rho):
+        if isinstance(rho, float):
+            return hgt * max(1.0 - rho / r, 0.0)
+        return hgt * np.clip(1.0 - rho / r, 0.0, None)
+
+    def dg(rho):
+        if isinstance(rho, float):
+            return -hgt / r if rho < r else 0.0
+        return np.where(rho < r, -hgt / r, 0.0)
+
     return RadialTestFunction(
-        profile=lambda rho: hgt * np.clip(1.0 - rho / r, 0.0, None),
-        derivative=lambda rho: np.where(rho < r, -hgt / r, 0.0),
+        profile=g,
+        derivative=dg,
         support_radius=r,
         kinks=(r,),
         label=f"cone(R={r})",
@@ -172,9 +189,13 @@ def plateau_profile(inner: float = 0.5, radius: float = 1.0, height: float = 1.0
     a, r, hgt = float(inner), float(radius), float(height)
 
     def g(rho):
+        if isinstance(rho, float):
+            return hgt * max(min(1.0, (r - rho) / (r - a)), 0.0)
         return hgt * np.clip(np.minimum(1.0, (r - rho) / (r - a)), 0.0, None)
 
     def dg(rho):
+        if isinstance(rho, float):
+            return -hgt / (r - a) if a < rho < r else 0.0
         return np.where((rho > a) & (rho < r), -hgt / (r - a), 0.0)
 
     return RadialTestFunction(
@@ -190,11 +211,15 @@ def morrey_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTest
     r = float(radius)
 
     def g(rho):
+        if isinstance(rho, float):
+            return max(1.0 - (max(rho, 0.0) / r) ** b, 0.0)
         return np.maximum(1.0 - (np.maximum(rho, 0.0) / r) ** b, 0.0)
 
     def dg(rho):
-        # rho = r stands in off (0, r), so the power never sees 0; numpy's
-        # scalar power for 0-d input is kept (the array loop can differ by an ulp)
+        # the 0-d route powers a numpy scalar, as libm does the float's;
+        # rho = r stands in off (0, r), so the power never sees 0
+        if isinstance(rho, float):
+            return -(b / r) * (rho / r) ** (b - 1.0) if 0.0 < rho < r else 0.0
         rho = np.asarray(rho, dtype=float)
         inside = (rho > 0) & (rho < r)
         return np.where(inside, -(b / r) * (np.where(inside, rho, r) / r) ** (b - 1.0), 0.0)
@@ -210,6 +235,11 @@ def _l1_seed_integrand(p: float, n: int):
     expo_out = 1.0 / (p - 1.0)
 
     def h(r):
+        if isinstance(r, float):
+            # the 0-d route powers r by numpy's array loop, then a numpy scalar
+            if not 0.0 < r < 1.0:
+                return 0.0
+            return np.power(r, expo_in) * (1.0 - np.power(r, n)) ** expo_out
         r = np.asarray(r, dtype=float)
         inside = (r > 0.0) & (r < 1.0)
         rr = np.where(inside, r, 0.5)
@@ -249,10 +279,14 @@ def l1_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTestFunc
     height = float(cum[-1])
 
     def g(rho):
+        if isinstance(rho, float):
+            return height - np.interp(min(max(rho / r, 0.0), 1.0), knots, cum)
         t = np.clip(np.asarray(rho, dtype=float) / r, 0.0, 1.0)
         return height - np.interp(t, knots, cum)
 
     def dg(rho):
+        if isinstance(rho, float):
+            return -h(rho / r) / r if 0.0 < rho < r else 0.0
         rho = np.asarray(rho, dtype=float)
         return np.where((rho > 0) & (rho < r), -h(rho / r) / r, 0.0)
 
@@ -271,12 +305,25 @@ def random_decreasing_profile(rng) -> RadialTestFunction:
     powers = rng.uniform(0.7, 2.5, size=k)
 
     slopes, dpowers = -coefs * powers / radii, powers - 1.0
+    radii_f, coefs_f, slopes_f = radii.tolist(), coefs.tolist(), slopes.tolist()
 
+    # The float routes take the k powers by numpy's array loop, as the 0-d
+    # route does: libm's pow rounds apart from that loop in about 5% of
+    # cases.  Their sums run left to right from 0, as numpy's does for k < 8.
     def g(rho):
+        if isinstance(rho, float):
+            t = np.power([max(1.0 - rho / ri, 0.0) for ri in radii_f], powers)
+            return sum(map(operator.mul, coefs_f, t.tolist()))
         base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
         return (coefs * base ** powers).sum(-1)
 
     def dg(rho):
+        if isinstance(rho, float):
+            # a zero base is powered as 1 and its term left out: the 0-d
+            # route adds slope * 0 = -0.0 for it, which changes no sum
+            base = [1.0 - rho / ri for ri in radii_f]
+            t = np.power([b if b > 0.0 else 1.0 for b in base], dpowers).tolist()
+            return sum([s * ti for s, ti, b in zip(slopes_f, t, base) if b > 0.0], 0.0)
         base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
         return (slopes * np.power(base, dpowers, out=np.zeros(base.shape), where=base > 0.0)).sum(-1)
 
@@ -451,7 +498,7 @@ def lq_norm_radial(u: RadialTestFunction, q: float, n: int) -> float:
     # tabulated profiles are piecewise linear, so quad reports roundoff on
     # their interior kinks; the panel splitting already contains the error
     val, _, _ = split_quad(
-        lambda r: float(u.profile(np.asarray(r))) ** q * r ** (n - 1),
+        lambda r: u.profile(r) ** q * r ** (n - 1),
         0.0,
         u.support_radius,
         points=u.kinks,
@@ -490,7 +537,7 @@ def radial_dirichlet_energy(prof, n: int, p: float) -> float:
         prof = prof.smooth
     if isinstance(prof, RadialTestFunction):
         if prof.derivative is not None:
-            fn = lambda r: abs(float(prof.derivative(np.asarray(r)))) ** p * r ** (n - 1)
+            fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
             val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
             if not converged or not math.isfinite(val) or val > 1e15:
                 return math.inf
@@ -630,7 +677,7 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=(
         )
 
     def rhs_fn(rho):
-        return float(star.profile(np.asarray(rho))) ** p * f(rho) * rho ** (n - 1)
+        return star.profile(rho) ** p * f(rho) * rho ** (n - 1)
 
     rhs_val, _, _ = split_quad(
         rhs_fn, 0.0, star.support_radius(), points=tuple(f_points) + tuple(u.kinks)
@@ -644,7 +691,7 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=(
 
     if shift == 0.0:
         lhs_val, _, _ = split_quad(
-            lambda r: float(u.profile(np.asarray(r))) ** p * f(r) * r ** (n - 1),
+            lambda r: u.profile(r) ** p * f(r) * r ** (n - 1),
             0.0,
             u.support_radius,
             points=tuple(f_points) + tuple(u.kinks),

@@ -280,11 +280,19 @@ def hardy_test_family(p: float, n: int, delta: float, cap_radius: float = 0.01) 
     amp = cap**-s
 
     def g(rho):
+        if isinstance(rho, float):
+            return (rho ** -s if rho >= cap else amp) * max(1.0 - rho, 0.0)
         rho = np.asarray(rho, dtype=float)
         body = np.where(rho >= cap, np.maximum(rho, cap) ** -s, amp)
         return body * np.clip(1.0 - rho, 0.0, None)
 
     def dg(rho):
+        if isinstance(rho, float):
+            if not 0.0 < rho < 1.0:
+                return 0.0
+            if rho < cap:
+                return -amp
+            return -s * rho ** (-s - 1.0) * (1.0 - rho) - rho ** -s
         rho = np.asarray(rho, dtype=float)
         inner = np.where(
             rho >= cap,
@@ -319,7 +327,7 @@ def verify_hardy(
     c = hardy_constant(p, n, a)
 
     def integrand(r):
-        return float(u.profile(np.asarray(r))) ** p * r ** (n - 1 - p)
+        return u.profile(r) ** p * r ** (n - 1 - p)
 
     val, _, _ = split_quad(integrand, 0.0, u.support_radius, points=u.kinks)
     weighted = n * omega_n(n) * val
@@ -376,13 +384,13 @@ def verify_bpv(
     won = omega_n(n)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
     l2sq = n * won * split_quad(
-        lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 1),
+        lambda r: u.profile(r) ** 2 * r ** (n - 1),
         0.0, u.support_radius, points=u.kinks,
     )[0]
     hardy_term = 0.0
     if mu != 0.0:
         hardy_term = n * won * split_quad(
-            lambda r: float(u.profile(np.asarray(r))) ** 2 * r ** (n - 3),
+            lambda r: u.profile(r) ** 2 * r ** (n - 3),
             0.0, u.support_radius, points=u.kinks,
         )[0]
     lhs = dirichlet - mu * hardy_term
@@ -564,6 +572,9 @@ def _default_hlp_weight(rng, n: int):
     c = float(rng.uniform(0.0, 0.3))
 
     def f(r):
+        # the 0-d route powers a numpy scalar, as libm does the float's
+        if isinstance(r, float):
+            return (r + c) ** -a
         return (np.asarray(r, dtype=float) + c) ** -a
 
     return f, (a, c)
@@ -599,8 +610,7 @@ def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityRe
     if inequality == "layer_cake":
         r_max = u.support_radius * float(rng.uniform(1.0, 1.5))
         lhs, rhs = layer_cake_integral(
-            m, np.zeros(n), lambda r: u.profile(np.asarray(r)),
-            r_max, fprime=lambda r: u.d(r), points=u.kinks,
+            m, np.zeros(n), u.profile, r_max, fprime=u.derivative, points=u.kinks,
         )
         scale = max(1.0, abs(lhs), abs(rhs))
         return make_report(

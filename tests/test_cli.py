@@ -267,6 +267,20 @@ def test_unknown_inequality_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--p", "4", "--n", "2", "--av", "1"],
+    ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support",
+     "--prof", "morrey_extremal:p=4"],
+    ["repro", "--out", "x"],
+], ids=["av", "prof", "out"])
+def test_abbreviated_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # each is a prefix of a flag the subcommand has (--avr, --profile, --out-dir)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_subcommand_exit_2(capsys):
     rc = run_cli(["frobnicate"])
     assert rc == 2

@@ -782,8 +782,8 @@ def _bessel_deviation(n, radius, mu):
 
 @pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)
 def test_eigenvalue_matches_the_bessel_zero_to_1e_10(n, radius, mu):
-    # test_eigenvalue_closed_form holds criterion 5's 1e-4 absolute; the
-    # shots give about 1e-13 relative
+    # test_eigenvalue_closed_form holds 1e-4 absolute and criterion 5
+    # 1e-10; the shots give about 1e-13 relative
     assert _bessel_deviation(n, radius, mu) < 1e-10
 
 

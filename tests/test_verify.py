@@ -25,6 +25,7 @@ from finsler_sharp.norms import WulffShape, lp_norm
 from finsler_sharp.rearrange import (
     PROFILES,
     RadialTestFunction,
+    _l1_seed_integrand,
     hlp_check,
     l1_extremal_profile,
     morrey_extremal_profile,
@@ -454,9 +455,14 @@ CALLBACK_FAMILY_CASES = [
 ]
 
 
+# one case of every rearrange.PROFILES family
+FLOAT_ROUTE_CASES = ["morrey_extremal:p=7.5,n=3,R=0.6", *CALLBACK_FAMILY_CASES]
+
+
 def test_callback_cases_cover_every_profile_family():
     kinds = {parse_descriptor(d)["kind"] for d in CALLBACK_FAMILY_CASES}
     assert kinds | {"morrey_extremal"} == set(PROFILES)
+    assert {parse_descriptor(d)["kind"] for d in FLOAT_ROUTE_CASES} == set(PROFILES)
 
 
 @pytest.mark.parametrize("u", [
@@ -482,6 +488,44 @@ def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
                 # numpy's scalar power and its array loop may round apart by an ulp
                 np.testing.assert_allclose(batch, single, rtol=5e-16, atol=5e-16)
             assert np.all(np.isfinite(batch)) and np.all(batch[pts >= r] == 0.0)
+
+
+def _float_route_cases():
+    """(callback, radii as Python floats) for every callback that the
+    quadratures hand a Python float."""
+    radial = [
+        *(profile_from_descriptor(d) for d in FLOAT_ROUTE_CASES),
+        *(random_decreasing_profile(np.random.default_rng(k)) for k in range(8)),
+        V.hardy_test_family(2.0, 3, 0.2),
+        V.hardy_test_family(1.5, 3, 0.1, cap_radius=0.05),
+    ]
+    cases = []
+    for u in radial:
+        r = u.support_radius
+        pts = [0.0, *u.kinks, r, 1.5 * r, *np.linspace(0.0, 1.2 * r, 25)[1:]]
+        for tag, f in (("g", u.profile), ("dg", u.derivative)):
+            if f is not None:  # a table has no derivative
+                cases.append(pytest.param(f, [float(x) for x in pts], id=f"{u.label}-{tag}"))
+    pts = [0.0, 0.5, 1.0, 1.5, *np.linspace(0.0, 1.2, 25)[1:]]
+    for p, n in ((4.0, 2), (7.5, 3)):  # the L1 extremal's seed, integrated panel by panel
+        cases.append(pytest.param(_l1_seed_integrand(p, n), pts, id=f"l1_seed(p={p},n={n})"))
+    for k in range(4):
+        f, (a, c) = V._default_hlp_weight(np.random.default_rng(k), 2 + k % 2)
+        cases.append(pytest.param(f, pts, id=f"hlp_weight(a={a:.3f},c={c:.3f})"))
+    return cases
+
+
+@pytest.mark.parametrize("f,pts", _float_route_cases())
+def test_float_route_gives_the_0d_bits_without_warnings(f, pts):
+    # QUADPACK hands the callbacks Python floats; they must return the
+    # doubles the same radius gives as a 0-d array, numpy's array-loop
+    # powers included, and raise nothing where numpy would only warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in pts:
+            y = f(x)
+            assert isinstance(y, float), (x, type(y))
+            assert y.hex() == float(f(np.asarray(x))).hex(), x
 
 
 def test_split_rejects_unknown_representation(e2):
