@@ -337,12 +337,18 @@ def scale_profile(u: RadialTestFunction, factor: float) -> RadialTestFunction:
     """Pointwise multiple factor * u; support and kinks are unchanged."""
     if not factor > 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    g, dg = u.profile, u.derivative
+
+    def scaled(f):
+        def sf(rho):
+            if isinstance(rho, float):
+                return factor * f(rho)
+            return factor * np.asarray(f(np.asarray(rho, dtype=float)))
+
+        return sf
+
     return RadialTestFunction(
-        profile=lambda rho: factor * np.asarray(g(np.asarray(rho, dtype=float))),
-        derivative=None if dg is None else (
-            lambda rho: factor * np.asarray(dg(np.asarray(rho, dtype=float)))
-        ),
+        profile=scaled(u.profile),
+        derivative=None if u.derivative is None else scaled(u.derivative),
         support_radius=u.support_radius,
         center=u.center,
         kinks=u.kinks,

@@ -496,6 +496,7 @@ def _float_route_cases():
     radial = [
         *(profile_from_descriptor(d) for d in FLOAT_ROUTE_CASES),
         *(random_decreasing_profile(np.random.default_rng(k)) for k in range(8)),
+        scale_profile(random_decreasing_profile(np.random.default_rng(8)), 3.0),
         V.hardy_test_family(2.0, 3, 0.2),
         V.hardy_test_family(1.5, 3, 0.1, cap_radius=0.05),
     ]
