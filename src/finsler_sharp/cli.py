@@ -596,7 +596,7 @@ def _bpv(seed, threads):
         _, quotient, _ = eigen_quotient(RadialBvp(n=n, radius=radius, mu=mu))
         _, s_const = C.bpv_constant(mu, n, 1.0, C.omega_n(n) * radius**n)
         eq_rows.append({"n": n, "mu": mu, "equality_dev": abs(quotient / s_const - 1.0)})
-    # seed 0 reads at most 3.9e-14
+    # seed 0 reads at most 4.7e-14
     ok = all(v == 100 for v in suites.values()) and all(
         r["equality_dev"] < 1e-12 for r in eq_rows)
     return ok, {"suite_passes": suites, "eigen_equality": eq_rows}
@@ -655,7 +655,9 @@ def _isoperimetric(seed, threads):
     }
     rect = V.verify_isoperimetric(e2, {"kind": "rectangle", "a": 2.0, "b": 1.0})
     ell = V.verify_isoperimetric(e2, {"kind": "ellipse", "a": 2.0, "b": 1.0})
-    ok = all(r.passed and abs(r.ratio - 1.0) <= 1e-3 for r in rows.values()) and all(
+    # seed 0 reads at most 2.9e-8 on the Euclidean and l4 balls, 6.5e-6 on f_eps
+    ok = all(r.passed and abs(r.ratio - 1.0) <= (3e-5 if k == "f_eps_1" else 1e-7)
+             for k, r in rows.items()) and all(
         r.passed and r.ratio > 1.0 + 1e-6 for r in (rect, ell))
     return ok, {
         "equality_ratios": {k: r.ratio for k, r in rows.items()},
@@ -702,7 +704,7 @@ def _mountain_pass(seed, threads):
     bvp = RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
     profs = multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
     sups = [c.sup for c in profs]
-    # ground-state residuals read at most 2.4e-12 at seed 0; the plateau
+    # ground-state residuals read at most 2.3e-12 at seed 0; the plateau
     # residuals sit near 1e-10 and keep the looser gate
     ok = (all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
           and all(c.residual < 1e-6 for c in profs)

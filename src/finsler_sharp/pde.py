@@ -6,13 +6,14 @@ inverse-square potential, the semilinear ground-state problem, and the
 critical-profile exploration for oscillatory nonlinearities all become
 singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
 (s the Frobenius exponent) and W = rho^(d-1) v', where the potential cancels
-and v solves the problem without it in dimension d = n + 2s.  The
-root-finding shots (brackets and brentq) run the compiled DOP853 of scipy's
-ode, one per thread and kind for all solves, for their endpoint only, with
-right-hand sides in Python floats; one solve_ivp shot per solve, at the
-root, keeps the dense interpolant that the profile and the eigen quotient
-read.  On the grid, one assembly (_RadialFunctional) gives the energy, the
-exact gradient and the tridiagonal Hessian of
+and v solves the problem without it in dimension d = n + 2s.  Every shot
+runs the compiled DOP853 of scipy's ode, one per thread and kind for all
+solves, with right-hand sides in Python floats: the root-finding shots
+(brackets and brentq) for their endpoint only, and one more shot per solve,
+at the root, records its accepted steps, from which DOP853's continuous
+output is rebuilt in one numpy pass (_dense_shot) for the profile and the
+eigen quotient to read.  On the grid, one assembly (_RadialFunctional)
+gives the energy, the exact gradient and the tridiagonal Hessian of
 (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for every family, and one
 projected banded Newton loop (_projected_newton) polishes the ground states
 (no bounds, to 1e-13 or the gradient's rounding floor) and the plateau
@@ -79,16 +80,11 @@ class RadialBvp:
             raise ValueError("grid needs at least 16 nodes")
         _check_mu(self.n, self.mu)
         kind = self.nonlinearity
-        if isinstance(kind, str):
-            if kind != "eigen":
-                raise ValueError(f"unknown nonlinearity descriptor {kind!r}")
-        elif isinstance(kind, tuple) and len(kind) == 2 and kind[0] == "power":
-            if kind[1] <= 2:
-                raise ValueError("power nonlinearity needs exponent > 2")
-        elif isinstance(kind, tuple) and len(kind) == 2 and kind[0] == "general":
-            pass
-        else:
+        if kind != "eigen" and not (isinstance(kind, tuple) and len(kind) == 2
+                                    and kind[0] in ("power", "general")):
             raise ValueError(f"unknown nonlinearity descriptor {kind!r}")
+        if kind[0] == "power" and kind[1] <= 2:
+            raise ValueError("power nonlinearity needs exponent > 2")
 
     def grid(self) -> np.ndarray:
         return _cached_grid(self.radius, self.n_nodes)
@@ -359,6 +355,10 @@ def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float, p, rho):
 _integrators = threading.local()
 
 
+def _below_zero(t, y):
+    return -1 if y[0] < 0.0 else 0
+
+
 def _integrator(ground: bool, rtol: float, atol: float):
     """This thread's compiled DOP853 for (ground, rtol, atol), built on its
     first shot: every ode built leaks about 1 KB in f2py, so the shots of all
@@ -369,29 +369,62 @@ def _integrator(ground: bool, rtol: float, atol: float):
     if key not in cache:
         solver = integrate.ode(None).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
         if ground:
-            solver.set_solout(lambda t, y: -1 if y[0] < 0.0 else 0)
+            solver.set_solout(_below_zero)
         cache[key] = solver
     return cache[key]
 
 
-def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, p=None):
+# DOP853's 16 stages (Hairer, Norsett & Wanner, Solving ODEs I, II.6) by
+# the public tableau of scipy's DOP853: stage 12 is f at the step's end, and
+# stages 13-15 serve only the continuous output
+_DOP = integrate.DOP853
+_A = np.vstack((np.pad(_DOP.A, ((0, 1), (0, 4))), _DOP.A_EXTRA))
+_C = np.concatenate((_DOP.C, [1.0], _DOP.C_EXTRA))
+
+
+class _DenseShot(NamedTuple):
+    """DOP853's continuous output on the accepted steps (t, y) of a shot: on
+    step i, y_i plus the degree-7 polynomial in x = (rho - t_i) / h_i with
+    the coefficients coef[:, :, i], evaluated as solve_ivp evaluates it."""
+
+    t: np.ndarray
+    y: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, r) -> np.ndarray:
+        i = np.clip(np.searchsorted(self.t, r) - 1, 0, self.t.size - 2)
+        x, out = (r - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0
+        for j, c in enumerate(np.take(self.coef[::-1], i, axis=2)):
+            out = (out + c) * (x if j % 2 == 0 else 1.0 - x)
+        return out + np.take(self.y, i, axis=1)
+
+
+def _dense_shot(field, t, y) -> _DenseShot:
+    """The continuous output of the steps (t, y), y of shape (2, len(t)),
+    that a DOP853 shot of field(rho, y) accepted: every stage of every step,
+    one stage at a time across the steps, then solve_ivp's coefficients."""
+    h, t0, y0, dy, f = np.diff(t), t[:-1], y[:, :-1], np.diff(y), field(t, y)
+    k = np.empty((16, *y0.shape))
+    k[0], k[12] = f[:, :-1], f[:, 1:]
+    for s in (*range(1, 12), 13, 14, 15):
+        incr = (_A[s, :s] @ k[:s].reshape(s, -1)).reshape(y0.shape)
+        k[s] = field(t0 + _C[s] * h, y0 + h * incr)
+    low = [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
+    return _DenseShot(t, y, np.concatenate((low, h * np.tensordot(_DOP.D, k, 1))))
+
+
+def _shooters(bvp: RadialBvp, rhs, field, shot: dict, rtol: float, atol: float, p=None):
     """(endpoint, dense) shots of rhs(rho, y), y = (v, W), from
     _frobenius_start at (lam, amplitude); each sets shot["lam"] for rhs to
-    read.  endpoint runs this thread's compiled DOP853 of scipy's ode
-    (Hairer, Norsett & Wanner; see _integrator) with no interpolant and
-    returns (t, y) at its end; dense is the solve_ivp shot whose interpolant
-    a solve reads.  A ground state (p given) stops at its first zero
-    (endpoint: at a step ending with v < 0).  endpoint hands rhs to the ode
-    as its .f at every shot, so the shooters of several solves may
-    interleave; what changes between shots goes through the shot cell, as
-    set_f_params would break set_solout."""
+    read.  Both run this thread's compiled DOP853 (see _integrator), and a
+    ground state (p given) stops at a step ending with v < 0.  endpoint
+    returns (t, y) at the end; dense records every accepted step and returns
+    their _dense_shot, for which field is rhs on arrays of shape (2, m).
+    Each shot hands rhs to the ode as its .f, so the shooters of several
+    solves may interleave; what changes between shots goes through the shot
+    cell, as set_f_params would break set_solout."""
     eps = 1e-6 * bvp.radius
     solver = _integrator(p is not None, rtol, atol)
-
-    def first_zero(rho, y):
-        return y[0]
-
-    first_zero.terminal, first_zero.direction = True, -1.0
 
     def endpoint(lam, amplitude=1.0):
         shot["lam"] = lam
@@ -403,17 +436,24 @@ def _shooters(bvp: RadialBvp, rhs, shot: dict, rtol: float, atol: float, p=None)
         return solver.t, y
 
     def dense(lam, amplitude=1.0):
-        shot["lam"] = lam
-        return integrate.solve_ivp(
-            rhs, (eps, bvp.radius), list(_frobenius_start(bvp, lam, amplitude, p, eps)), method="DOP853",
-            rtol=rtol, atol=atol, dense_output=True, events=None if p is None else first_zero,
-        )
+        steps = []
+
+        def record(t, y):
+            steps.append((t, *y.tolist()))
+            return 0 if p is None else _below_zero(t, y)
+
+        solver.set_solout(record)
+        try:
+            endpoint(lam, amplitude)
+        finally:
+            solver.set_solout(None if p is None else _below_zero)
+        steps = np.array(steps).T
+        return _dense_shot(field, steps[0], steps[1:])
 
     return endpoint, dense
 
 
 def _eigen_solve(bvp: RadialBvp):
-    _check_mu(bvp.n, bvp.mu)
     _, d = _regular_variable(bvp)
     shot = {"lam": 0.0}
     dm1 = d - 1
@@ -423,26 +463,26 @@ def _eigen_solve(bvp: RadialBvp):
         r = rho ** dm1
         return [w / r, -shot["lam"] * r * v]
 
-    endpoint, dense = _shooters(bvp, rhs, shot, 1e-12, 1e-14)
+    def field(rho, y):
+        r = rho ** dm1
+        return np.array([y[1] / r, -shot["lam"] * r * y[0]])
+
+    endpoint, dense = _shooters(bvp, rhs, field, shot, 1e-12, 1e-14)
 
     def boundary(lam):
         return float(endpoint(lam)[1][0])
 
     lam_lo = 0.5 / bvp.radius ** 2
     f_lo = boundary(lam_lo)
+    while f_lo <= 0.0 and lam_lo > 1e-12:  # the start overshot the ground branch
+        lam_lo *= 0.25
+        f_lo = boundary(lam_lo)
     if f_lo <= 0.0:
-        # start overshot the ground branch; back down
-        while f_lo <= 0.0 and lam_lo > 1e-12:
-            lam_lo *= 0.25
-            f_lo = boundary(lam_lo)
-        if f_lo <= 0.0:
-            raise RuntimeError("could not bracket the eigenvalue from below")
+        raise RuntimeError("could not bracket the eigenvalue from below")
     lam_hi = lam_lo
-    f_hi = f_lo
     for _ in range(200):
         lam_hi *= 1.6
-        f_hi = boundary(lam_hi)
-        if f_hi < 0.0:
+        if boundary(lam_hi) < 0.0:
             break
     else:
         raise RuntimeError("eigenvalue bracket search failed: no sign change")
@@ -478,7 +518,7 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=
     vals[inner] = rho[inner] ** s * _frobenius_start(bvp, lam, amplitude, p, rho[inner])[0]
     outer = rho >= eps
     capped = np.minimum(rho[outer], sol.t[-1])
-    vals[outer] = capped ** s * sol.sol(capped)[0]
+    vals[outer] = capped ** s * sol(capped)[0]
     vals[0] = amplitude if s == 0 else vals[1]  # the grid starts at 0
     return vals
 
@@ -503,7 +543,7 @@ def eigen_quotient(bvp: RadialBvp):
     if s != 0.0:
         r = np.exp(r)
         weights = weights * r
-    v, w = sol.sol(r)
+    v, w = sol(r)
     u, flux = r ** s * v, s * r ** (n + s - 2) * v + r ** -s * w
     tails = [float(np.sum(weights * g(r, u, flux))) for g in integrands]
     # series head u ~ rho^s: analytic leading-order integrals
@@ -529,8 +569,12 @@ def _ground_shots(bvp: RadialBvp, p: float):
         r = rho ** dm1
         return [w / r, r * (lam * v - rho ** t * (v if v > 0.0 else 0.0) ** pm1)]
 
+    def field(rho, y):
+        r = rho ** dm1
+        return np.array([y[1] / r, r * (lam * y[0] - rho ** t * np.maximum(y[0], 0.0) ** pm1)])
+
     # rhs holds its own lam, so it reads no shot cell
-    endpoint, dense = _shooters(bvp, rhs, {}, 1e-11, 1e-13, p)
+    endpoint, dense = _shooters(bvp, rhs, field, {}, 1e-11, 1e-13, p)
 
     def gap(amplitude):
         t, y = endpoint(lam, amplitude)
@@ -564,7 +608,6 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
             raise ValueError("mountain_pass_solve needs a power nonlinearity")
         p = bvp.nonlinearity[1]
     _check_subcritical(bvp.n, p)
-    _check_mu(bvp.n, bvp.mu)
     s_bound = bvp.spectral_bound()
     if bvp.lam <= -s_bound:
         raise ValueError(
@@ -575,21 +618,17 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     scale = max(1.0, bvp.lam, s_bound) ** (1.0 / (p - 2.0))
     gap, dense = _ground_shots(bvp, p)
     a_lo = 1e-3 * scale
-    g_lo = gap(a_lo)
     for _ in range(40):
-        if g_lo > 0.0:
+        if gap(a_lo) > 0.0:
             break
         a_lo *= 0.25
-        g_lo = gap(a_lo)
     else:
         raise RuntimeError("no solution found in bracket: lower amplitude")
     a_hi = max(a_lo * 4.0, scale)
-    g_hi = gap(a_hi)
     for _ in range(60):
-        if g_hi < 0.0:
+        if gap(a_hi) < 0.0:
             break
         a_hi *= 2.0
-        g_hi = gap(a_hi)
     else:
         raise RuntimeError("no solution found in bracket: amplitude sweep exhausted")
 
@@ -631,10 +670,8 @@ class OscillatoryNonlinearity:
         if p <= 2:
             raise ValueError("growth exponent must exceed 2")
         self.p = float(p)
-        a = [2.0 ** (k * k) for k in range(1, 13)]
-        b = [2.0 ** (k * k + k) for k in range(1, 13)]
-        self.plateau_lo = np.asarray(a)
-        self.plateau_hi = np.asarray(b)
+        self.plateau_lo = np.array([2.0 ** (k * k) for k in range(1, 13)])
+        self.plateau_hi = np.array([2.0 ** (k * k + k) for k in range(1, 13)])
         # breakpoints: rise_k = [b_{k-1}, a_k] with b_0 = 1
         self.rise_lo = np.concatenate(([1.0], self.plateau_hi[:-1]))
         self.rise_hi = self.plateau_lo
@@ -668,7 +705,6 @@ class OscillatoryNonlinearity:
             tau = (s[pos][rise_pos] - self.rise_lo[r]) / (self.rise_hi[r] - self.rise_lo[r])
             tau = np.minimum(np.maximum(tau, 0.0), 1.0)
             smooth = tau * tau * (3.0 - 2.0 * tau)
-            vals = vals.copy()
             vals[rise_pos] = self.levels[r] + (self.levels[r + 1] - self.levels[r]) * smooth
         out[pos] = vals
         return out if out.ndim else float(out)
@@ -723,8 +759,6 @@ def multiplicity_explore(
     what is found.
     """
     if p is None:
-        if isinstance(bvp.nonlinearity, tuple) and bvp.nonlinearity[0] == "general":
-            raise ValueError("pass the energy exponent p explicitly")
         raise ValueError("multiplicity exploration needs the energy exponent p")
     if p <= bvp.n:
         raise ValueError(f"needs p > n, got p = {p}, n = {bvp.n}")

@@ -183,3 +183,18 @@ def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, fac
     true_constant = getattr(V, constant)
     monkeypatch.setattr(V, constant, lambda *args: factor * true_constant(*args))
     assert not any(criterion(0, None)[0] for criterion in criteria)
+
+
+def test_planted_dual_defect_fails_criterion_9(monkeypatch):
+    # a dual 1e-6 too large lifts every anisotropic perimeter, so each
+    # isoperimetric report still passes and the rectangle and the ellipse
+    # stay strict; only the equality gates at 1e-7 (and 3e-5 for f_eps)
+    # turn criterion 9 red, which the former 1e-3 gate did not
+    from finsler_sharp.norms import MinkowskiNorm
+
+    real = MinkowskiNorm.dual
+    monkeypatch.setattr(MinkowskiNorm, "dual", lambda self, alpha: (1.0 + 1e-6) * real(self, alpha))
+    passed, detail = cli._isoperimetric(0, None)
+    assert not passed
+    ratios = detail["equality_ratios"]
+    assert all(1e-7 < ratios[k] - 1.0 < 1e-3 for k in ("euclidean", "euclidean_wulff", "l4"))

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -473,12 +474,21 @@ def test_multiplicity_rejects_nonlinearity_without_dh():
 # -- compiled root-finding shots ----------------------------------------------
 #
 # The shooting the compiled shots replaced, kept as a reference: every shot
-# through solve_ivp's DOP853 with a dense interpolant, and the ground-state
-# shots ended by a terminal event at the first downward zero.  Patched in
-# for _shooters it reproduces the earlier solvers bit for bit.
+# through solve_ivp's DOP853 with its own dense interpolant, and the
+# ground-state shots ended by a terminal event at the first downward zero.
+# Patched in for _shooters it reproduces the earlier solvers bit for bit.
 
 
-def _ref_shooters(bvp, rhs, shot, rtol, atol, p=None):
+class _RefShot(NamedTuple):
+    t: np.ndarray
+    y: np.ndarray
+    sol: object
+
+    def __call__(self, r):
+        return self.sol(r)
+
+
+def _ref_shooters(bvp, rhs, field, shot, rtol, atol, p=None):
     from scipy import integrate
 
     def crossing(rho, y):
@@ -491,10 +501,11 @@ def _ref_shooters(bvp, rhs, shot, rtol, atol, p=None):
         eps = 1e-6 * bvp.radius
         y0 = list(P._frobenius_start(bvp, lam, amplitude, p, eps))
         shot["lam"] = lam
-        return integrate.solve_ivp(
+        sol = integrate.solve_ivp(
             rhs, (eps, bvp.radius), y0, method="DOP853", rtol=rtol, atol=atol,
             dense_output=True, events=None if p is None else crossing,
         )
+        return _RefShot(sol.t, sol.y, sol.sol)
 
     def endpoint(lam, amplitude=1.0):
         sol = dense(lam, amplitude)
@@ -548,9 +559,10 @@ def _spy(monkeypatch, module, name):
 
 
 def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
-    # the compiled shots find the root and solve_ivp integrates from it: a
-    # mismatch between their equations leaves u(R) far from 0
-    calls = _spy(monkeypatch, P.integrate, "solve_ivp")
+    # the dense shot at the root records its steps and rebuilds their
+    # stages from field, the array form of the shots' rhs: a mismatch
+    # between rhs and field, or between the shots, leaves u(R) far from 0
+    calls = _spy(monkeypatch, P, "_dense_shot")
     for n, radius, mu in EIGEN_GRID[::3]:
         P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
     for case in MP_SETS:
@@ -561,6 +573,46 @@ def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
         assert abs(sol.y[0, -1]) < 1e-9 * np.max(np.abs(sol.y[0]))
     for sol, case in zip(dense[4:], MP_SETS):
         assert sol.t[-1] > case[1] * (1.0 - 1e-9)  # the first zero sits at R
+
+
+def _dense_pairs(monkeypatch):
+    """(grid, rebuilt, reference) for every dense shot of the solves that
+    follow: each solve's own shot beside _ref_shooters' solve_ivp shot at the
+    same root, from the same start."""
+    pairs = []
+    real = P._shooters
+
+    def shooters(bvp, *args):
+        endpoint, dense = real(bvp, *args)
+        ref = _ref_shooters(bvp, *args)[1]
+
+        def both(*root):
+            pairs.append((bvp.grid(), dense(*root), ref(*root)))
+            return pairs[-1][1]
+
+        return endpoint, both
+
+    monkeypatch.setattr(P, "_shooters", shooters)
+    return pairs
+
+
+def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
+    # the continuous output rebuilt from the compiled shot's steps against
+    # solve_ivp's own, on the grid, each of v and W in units of its largest
+    # value: they agree to 6.2e-11 on the eigen shots and 2.4e-10 on the
+    # ground states (rtol 1e-12 and 1e-11); the rebuild without its dense
+    # terms coef[3:] parts from the reference by 4.6e-7 to 2.1e-6 in v
+    pairs = _dense_pairs(monkeypatch)
+    for n, radius, mu in EIGEN_GRID[::2]:
+        P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    for case in MP_SETS:
+        P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
+    assert len(pairs) == 6 + len(MP_SETS)
+    for rho, new, ref in pairs:
+        rho = rho[(rho >= new.t[0]) & (rho <= min(new.t[-1], ref.t[-1]))]
+        want = ref(rho)
+        gap = np.max(np.abs(new(rho) - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(gap < 1e-9)
 
 
 @pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
@@ -767,7 +819,8 @@ def test_ground_state_start_matches_a_high_precision_integration(n, radius, mu, 
 
 def test_singular_eigen_shot_takes_few_steps(monkeypatch):
     # the dense mu > 0 shot: 127-171 steps in the u variable, 39-43 in v
-    calls = _spy(monkeypatch, P.integrate, "solve_ivp")
+    # under solve_ivp, 41-45 in v under the compiled DOP853
+    calls = _spy(monkeypatch, P, "_dense_shot")
     for n, radius, mu in EIGEN_GRID:
         if mu > 0.0:
             P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
@@ -805,16 +858,16 @@ def test_bessel_zero_check_sees_a_wrong_dimension(monkeypatch):
 # (a faster right-hand side, another integrator object) must keep these.
 
 EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
-    ("0x1.721fb80462dbcp+2", "0x1.721fb80462c22p+2"), ("0x1.721fb80462e23p+4", "0x1.721fb80462cd4p+4"),
-    ("0x1.721fb80462db3p+0", "0x1.721fb80462c67p+0"), ("0x1.00241fadff51bp+1", "0x1.00241fadff434p+1"),
-    ("0x1.3bd3cc9be46c7p+3", "0x1.3bd3cc9be46b4p+3"), ("0x1.e13049971141fp+2", "0x1.e1304997112cbp+2"),
-    ("0x1.f964837b1595fp+1", "0x1.f964837b15a8ap+1"), ("0x1.ab2369bdf97edp+3", "0x1.ab2369bdf9473p+3"),
-    ("0x1.d5d2b41898240p+3", "0x1.d5d2b418980e7p+3"), ("0x1.78dba582492abp+3", "0x1.78dba58249269p+3"),
-    ("0x1.0900d92879a16p+1", "0x1.0900d92879733p+1"), ("0x1.f88bb719e084cp+2", "0x1.f88bb719e0663p+2"),
+    ("0x1.721fb80462dbcp+2", "0x1.721fb80462ceep+2"), ("0x1.721fb80462e23p+4", "0x1.721fb80462d26p+4"),
+    ("0x1.721fb80462db3p+0", "0x1.721fb80462d09p+0"), ("0x1.00241fadff51bp+1", "0x1.00241fadff4a7p+1"),
+    ("0x1.3bd3cc9be46c7p+3", "0x1.3bd3cc9be469ap+3"), ("0x1.e13049971141fp+2", "0x1.e1304997112c2p+2"),
+    ("0x1.f964837b1595fp+1", "0x1.f964837b15948p+1"), ("0x1.ab2369bdf97edp+3", "0x1.ab2369bdf9432p+3"),
+    ("0x1.d5d2b41898240p+3", "0x1.d5d2b4189811bp+3"), ("0x1.78dba582492abp+3", "0x1.78dba58249191p+3"),
+    ("0x1.0900d92879a16p+1", "0x1.0900d92879749p+1"), ("0x1.f88bb719e084cp+2", "0x1.f88bb719e06abp+2"),
 ]
 GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
-    1.0: "4f733436ce5fca5acc524d8ff1266b66b62a988fe062efdcb88b1b82c933eef7",
-    0.9: "6ad7a2cf620355d7f30371a00cfe378cd152607ae436e948a65600576ac00f4a",
+    1.0: "10e8f0b6cb0db385d2ff10e7fbf49cc0b1cab722b9c72927005ee7a9cbe3e9fe",
+    0.9: "62d6195c57c6c2d37e2a7409e94f76dd4ece46d3ff65257cb5946fd085068570",
 }
 
 
@@ -858,7 +911,8 @@ def test_ground_state_bits_are_pinned(s):
 
 def test_shots_reuse_one_integrator_per_thread(monkeypatch):
     # every ode built leaks about 1 KB in f2py: the shots of all solves on a
-    # thread run one ode per kind, and another thread gets its own
+    # thread, the dense shots at their roots among them, run one ode per
+    # kind, and another thread gets its own
     shots = []
     real = P.integrate.ode.integrate
 
