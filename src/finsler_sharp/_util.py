@@ -1,20 +1,16 @@
-"""Shared small helpers: the descriptor parser, thread resolution, seeded RNG
-spawning, graded grids, Gauss-Legendre nodes, the Monte-Carlo box sampler,
-panel quadrature."""
+"""Shared small helpers: the descriptor parser, seeded RNG spawning, graded
+grids, Gauss-Legendre nodes, the Monte-Carlo box sampler, panel quadrature."""
 
 from __future__ import annotations
 
 import functools
 import math
 import numbers
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import integrate
 
-ENV_THREADS = "FINSLER_SHARP_THREADS"
 REQUIRED = object()  # table default of a key that every descriptor must give
 
 
@@ -95,20 +91,9 @@ def build_from_descriptor(spec, table: dict, what: str, **context):
     return make(**args)
 
 
-def resolve_workers(workers=None) -> int:
-    """Explicit worker count, else the FINSLER_SHARP_THREADS override, else 1."""
-    if workers is not None:
-        w = int(workers)
-    else:
-        w = int(os.environ.get(ENV_THREADS, "1"))
-    if w < 1:
-        raise ValueError(f"worker count must be >= 1, got {w}")
-    return w
-
-
-def spawn_rngs(seed, workers: int):
-    """Independent deterministic generators, one per worker."""
-    children = np.random.SeedSequence(seed).spawn(workers)
+def spawn_rngs(seed, n: int):
+    """n independent deterministic generators spawned from seed."""
+    children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.default_rng(c) for c in children]
 
 
@@ -129,53 +114,35 @@ def gauss_legendre(k: int):
     return nodes, weights
 
 
-def chunk_sizes(total: int, parts: int):
-    """Split total into parts near-equal chunks, deterministically."""
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+def box_volume(inside, half, n_samples: int, seed, density: float):
+    """Monte-Carlo measure, at a constant density, of the points of the box
+    [-half, half] for which inside(points) holds: (value, 1-sigma stderr).
 
-
-def box_hits(inside, half, n_samples: int, seed, workers: int) -> int:
-    """Count the points of a uniform sample of the box [-half, half] for which
-    inside(points) holds.
-
-    The sample is split into one seeded stream per worker, drawn in blocks
-    of at most 262144 points, so a fixed seed and worker count give the
-    same count.  Each stream draws its blocks into one reused (m, n) array,
-    by rng.random(out=...), 2 r - 1 and a per-column scale: the points of
+    The sample is one seeded stream, spawn_rngs(seed, 1)[0], drawn in
+    blocks of at most 262144 points into one reused (m, n) array by
+    rng.random(out=...), 2 r - 1 and a per-column scale: the points of
     rng.uniform(-1, 1, size=(m, n)) * half bit for bit, without a fresh
     array per block.  inside must therefore not keep the array it is
-    handed; the next block overwrites it.  workers > 1 runs the streams on
-    threads, which pays: on a 2-vCPU Xeon, counting 10^6 three-dimensional
-    points inside the f_eps unit ball took 25 ms with workers=2 against
-    36 ms with workers=1.
+    handed; the next block overwrites it.  The density multiplies the box
+    volume before the hit fraction does.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     half = np.asarray(half, dtype=float)
-
-    def count(rng, size):
-        buf = np.empty((min(size, 262144), len(half)))
-        hits = 0
-        done = 0
-        while done < size:
-            m = min(size - done, 262144)
-            pts = buf[:m]
-            rng.random(out=pts)
-            pts *= 2.0
-            pts -= 1.0
-            for j, hj in enumerate(half):
-                pts[:, j] *= hj
-            hits += int(np.count_nonzero(inside(pts)))
-            done += m
-        return hits
-
-    sizes = chunk_sizes(n_samples, workers)
-    rngs = spawn_rngs(seed, workers)
-    if workers == 1:
-        return count(rngs[0], sizes[0])
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return sum(ex.map(count, rngs, sizes))
+    rng = spawn_rngs(seed, 1)[0]
+    buf = np.empty((min(n_samples, 262144), len(half)))
+    hits = 0
+    for done in range(0, n_samples, 262144):
+        pts = buf[: min(n_samples - done, 262144)]
+        rng.random(out=pts)
+        pts *= 2.0
+        pts -= 1.0
+        for j, hj in enumerate(half):
+            pts[:, j] *= hj
+        hits += int(np.count_nonzero(inside(pts)))
+    phat = hits / n_samples
+    scale = density * float(np.prod(2.0 * half))
+    return scale * phat, scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
 def split_quad(fn, a, b, points=(), epsrel=1e-10):

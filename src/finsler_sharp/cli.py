@@ -37,7 +37,7 @@ import numpy as np
 
 from . import constants as C
 from . import verify as V
-from ._util import ENV_THREADS, _coerce, parse_descriptor, resolve_workers
+from ._util import _coerce, parse_descriptor
 from .manifold import avr as estimate_avr, instance_from_descriptor
 from .pde import (
     OscillatoryNonlinearity,
@@ -175,7 +175,6 @@ def _document(cfg: dict, payload: dict) -> dict:
         "schema": SCHEMA_VERSION,
         "task": cfg["task"],
         "seed": cfg.get("seed", 0),
-        "threads": resolve_workers(cfg.get("threads")),
         "timestamp": _timestamp(cfg),
         "config": _plain(cfg),
     }
@@ -260,10 +259,8 @@ def _task_verify(cfg: dict) -> int:
     m = instance_from_descriptor(cfg["instance"])
     suite = cfg.get("suite")
     if suite is not None:  # 0 and negative counts are usage errors, not "no suite"
-        reports = V.randomized_suite(
-            m, key, n_draws=int(suite), seed=int(cfg.get("seed", 0)),
-            workers=cfg.get("threads"), p=cfg.get("p"), mu=cfg.get("mu"),
-        )
+        reports = V.randomized_suite(m, key, n_draws=int(suite), seed=int(cfg.get("seed", 0)),
+                                     p=cfg.get("p"), mu=cfg.get("mu"))
         n_pass = sum(r.passed for r in reports)
         _say(cfg, f"{key}: {n_pass}/{len(reports)} draws passed")
         doc = _document(cfg, {
@@ -444,7 +441,7 @@ def _task_avr(cfg: dict) -> int:
         radii = [float(x) for x in radii.split(",")]
     est = estimate_avr(
         m, method=method, n_samples=int(_value(cfg, "samples", 200_000)),
-        r_schedule=radii, seed=int(cfg.get("seed", 0)), workers=cfg.get("threads"),
+        r_schedule=radii, seed=int(cfg.get("seed", 0)),
     )
     inside = est.lo - 3.0 * est.stderr <= est.point <= est.hi + 3.0 * est.stderr
     passed = bool(inside and est.bg_ok)
@@ -482,7 +479,7 @@ def _inst(n: int, kind: str = "euclidean"):
     return instance_from_descriptor(f"lp:n={n},p=4" if kind == "l4" else f"euclidean:n={n}")
 
 
-def _support_equality(seed, threads):
+def _support_equality(seed):
     """1: the support-bound extremal attains equality on both instance families."""
     rows = []
     for p, n in _PN_CASES:
@@ -493,7 +490,7 @@ def _support_equality(seed, threads):
     return all(r["passed"] and abs(r["ratio"] - 1.0) <= 1e-12 for r in rows), {"cases": rows}
 
 
-def _support_sharpness_limit(seed, threads):
+def _support_sharpness_limit(seed):
     """2: every scaled support energy sits at its closed-form limit, and every
     inferred constant is the sharp one, by the library and by closed form."""
     rows = []
@@ -512,7 +509,7 @@ def _support_sharpness_limit(seed, threads):
     return all(r["passed"] for r in rows), {"sweeps": rows}
 
 
-def _l1_sharpness(seed, threads):
+def _l1_sharpness(seed):
     """3: the L1-bound extremal attains equality; its sweep reaches both
     Beta-function limits with the exact, R-independent sup."""
     from .rearrange import l1_extremal_profile
@@ -538,7 +535,7 @@ def _l1_sharpness(seed, threads):
 J0 = 2.404825557695773  # first zero of J_0, pinned by criterion 4 and squared by 5
 
 
-def _special_functions(seed, threads):
+def _special_functions(seed):
     """4: Bessel-zero spot values, and the Beta/Gamma identities on a fixed
     grid and on 50 seeded draws."""
     from scipy.special import beta
@@ -560,7 +557,7 @@ def _special_functions(seed, threads):
                 "identity_deviation": idev, "draw_identity_deviation": draw_dev}
 
 
-def _eigenvalue_closed_form(seed, threads):
+def _eigenvalue_closed_form(seed):
     """5: the eigenvalue solver against the shifted-Bessel closed form on a
     12-case grid, and against the disk and ball values J0^2 and pi^2."""
     grid = [
@@ -582,14 +579,14 @@ def _eigenvalue_closed_form(seed, threads):
     return ok, {"cases": rows, "reference_deviations": refs}
 
 
-def _suite_passes(m, name, seed, threads, **kw):
-    reps = V.randomized_suite(m, name, n_draws=100, seed=seed, workers=threads, **kw)
+def _suite_passes(m, name, seed, **kw):
+    reps = V.randomized_suite(m, name, n_draws=100, seed=seed, **kw)
     return sum(r.passed for r in reps)
 
 
-def _bpv(seed, threads):
+def _bpv(seed):
     """6: shifted Poincare suites, and equality for the eigenprofiles."""
-    suites = {label: _suite_passes(_inst(2, kind), "bpv", seed, threads)
+    suites = {label: _suite_passes(_inst(2, kind), "bpv", seed)
               for label, kind in (("euclidean_2", "euclidean"), ("l4_2", "l4"))}
     eq_rows = []
     for n, radius, mu in ((2, 1.0, 0.0), (3, 1.0, 0.2)):
@@ -602,9 +599,9 @@ def _bpv(seed, threads):
     return ok, {"suite_passes": suites, "eigen_equality": eq_rows}
 
 
-def _hardy(seed, threads):
+def _hardy(seed):
     """7: Hardy suites, and near-extremal ratios increasing toward 1."""
-    suites = {f"n{n}_p{int(p)}": _suite_passes(_inst(n), "hardy", seed, threads, p=p)
+    suites = {f"n{n}_p{int(p)}": _suite_passes(_inst(n), "hardy", seed, p=p)
               for n, p in ((3, 2.0), (4, 2.0), (4, 3.0))}
     mono = {}
     for n, p in ((3, 2.0), (4, 2.0)):
@@ -618,12 +615,12 @@ def _hardy(seed, threads):
     return ok, {"suite_passes": suites, "near_extremal": mono}
 
 
-def _rearrangement_suites(seed, threads):
+def _rearrangement_suites(seed):
     """8: rearrangement property suites, and the layer-cake formula for the
     singular weight r^-a over a ball against n w_n R^(n-a) / (n-a)."""
     from .rearrange import layer_cake_integral
 
-    suites = {name: _suite_passes(_inst(2), name, seed, threads)
+    suites = {name: _suite_passes(_inst(2), name, seed)
               for name in ("polya_szego", "hlp", "layer_cake", "equimeasurability")}
     a, r_max = 1.5, 2.0
 
@@ -640,7 +637,7 @@ def _rearrangement_suites(seed, threads):
     return ok, {"suite_passes": suites, "singular_layer_cake_dev": sing_dev}
 
 
-def _isoperimetric(seed, threads):
+def _isoperimetric(seed):
     """9: isoperimetric equality on each instance's own balls, strict
     inequality on a rectangle and an ellipse."""
     from .manifold import f_eps_instance
@@ -665,7 +662,7 @@ def _isoperimetric(seed, threads):
     }
 
 
-def _f_eps_avr(seed, threads):
+def _f_eps_avr(seed):
     """10: Monte Carlo AVR of the f_eps family inside both the estimator's
     sandwich interval and the closed-form band (1+eps)^(-n/2) <= AVR <= 1,
     each widened by three standard errors; Bishop-Gromov holds."""
@@ -674,8 +671,7 @@ def _f_eps_avr(seed, threads):
     rows = []
     for n in (2, 3):
         for eps in (0.5, 1.0, 2.0):
-            est = estimate_avr(f_eps_instance(n, eps), method="mc", n_samples=150_000,
-                               seed=seed, workers=threads)
+            est = estimate_avr(f_eps_instance(n, eps), method="mc", n_samples=150_000, seed=seed)
             slack = 3.0 * est.stderr
             rows.append({"n": n, "eps": eps, "point": est.point, "lo": est.lo,
                          "hi": est.hi, "stderr": est.stderr,
@@ -686,7 +682,7 @@ def _f_eps_avr(seed, threads):
     return all(r["inside"] and r["in_band"] and r["bg_ok"] for r in rows), {"cases": rows}
 
 
-def _mountain_pass(seed, threads):
+def _mountain_pass(seed):
     """11: mountain-pass ground states, and distinct plateau profiles of the
     oscillatory problem with strictly increasing sups."""
     mp_sets = [
@@ -713,7 +709,7 @@ def _mountain_pass(seed, threads):
                 "multiplicity_count": len(profs)}
 
 
-# Criterion i is _repro_criteria[i - 1]: a function of (seed, threads) that
+# Criterion i is _repro_criteria[i - 1]: a function of the seed that
 # returns (passed, payload).  Its verdict holds every condition of its
 # claim; tests/test_acceptance.py asserts these verdicts from one repro run
 # instead of restating them.  Payloads hold only deterministic numbers (no
@@ -727,14 +723,13 @@ _repro_criteria = (
 
 def _task_repro(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
-    threads = cfg.get("threads")
     out_dir = cfg.get("out_dir") or "repro_out"
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.time()
     results = []
     t_prev = t_start
     for index, criterion in enumerate(_repro_criteria, start=1):
-        passed, payload = criterion(seed, threads)
+        passed, payload = criterion(seed)
         doc = _document(
             dict(cfg, out_dir=out_dir),
             {"criterion": index, "passed": bool(passed), "detail": payload},
@@ -762,7 +757,6 @@ def _task_repro(cfg: dict) -> int:
 # also give them as an object and as a list of reals.  bool is a switch.
 OPTIONS = {
     "seed": (int, None, None),
-    "threads": (int, f"worker count (default: ${ENV_THREADS} or 1)", None),
     "out_dir": (str, None, None),
     "out": (str, "output file path", None),
     "timestamp": (bool, "stamp reports with wall-clock time (breaks byte-identity)", None),
@@ -787,7 +781,7 @@ OPTIONS = {
     "radii": (list, "comma-separated radius schedule", None),
 }
 
-_COMMON = ("seed", "threads", "out_dir", "out", "timestamp")
+_COMMON = ("seed", "out_dir", "out", "timestamp")
 
 # task -> (handler, help, the options it takes, in --help order)
 TASKS = {
@@ -803,7 +797,7 @@ TASKS = {
             (*_COMMON, "instance", "method", "samples", "radii")),
     # the criteria write their reports into --out-dir
     "repro": (_task_repro, "rerun the acceptance pipeline from one config",
-              ("seed", "threads", "out_dir", "timestamp")),
+              ("seed", "out_dir", "timestamp")),
 }
 
 

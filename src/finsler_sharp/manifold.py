@@ -11,13 +11,12 @@ g <= F_eps <= sqrt(1 + eps) g.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._util import REQUIRED, box_hits, build_from_descriptor, resolve_workers
+from ._util import REQUIRED, box_volume, build_from_descriptor
 from .constants import omega_n
 from .norms import (
     NORMS,
@@ -145,7 +144,7 @@ def ball_volume(m: FinslerInstance, x0, r: float) -> float:
 
 
 def ball_volume_mc(
-    m: FinslerInstance, x0, r: float, n_samples: int = 1_000_000, seed: int = 0, workers=None
+    m: FinslerInstance, x0, r: float, n_samples: int = 1_000_000, seed: int = 0, workers: int = 1
 ) -> VolumeEstimate:
     """Monte-Carlo ball volume: density times sampled Lebesgue measure.
 
@@ -153,22 +152,20 @@ def ball_volume_mc(
     the reported standard error is purely the sampling error of the
     indicator of {distance < r} over the dual bounding box.  Every shipped
     instance is translation invariant, so the ball about x0 is sampled
-    about the origin.
+    about the origin.  The sampler runs one stream, so workers accepts
+    only 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    workers = resolve_workers(workers)
-    sigma = bh_density(m)
     half = r * _box_half_widths(m) * (1.0 + 1e-9)
-    box_vol = float(np.prod(2.0 * half))
-    phat = box_hits(lambda pts: m.norm(pts) < r, half, n_samples, seed, workers) / n_samples
-    value = sigma * box_vol * phat
-    stderr = sigma * box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
-    return VolumeEstimate(value, stderr, "mc")
+    est = box_volume(lambda pts: m.norm(pts) < r, half, n_samples, seed, bh_density(m))
+    return VolumeEstimate(*est, "mc")
 
 
 def ball_volume_curve(
-    m: FinslerInstance, x0, radii, n_samples: int = 1_000_000, seed: int = 0, workers=None
+    m: FinslerInstance, x0, radii, n_samples: int = 1_000_000, seed: int = 0
 ) -> BallVolumeCurve:
     """Monte-Carlo volumes over a radius schedule, independent streams per radius."""
     radii = np.asarray(radii, dtype=float)
@@ -178,7 +175,7 @@ def ball_volume_curve(
     vals = np.empty(len(radii))
     errs = np.empty(len(radii))
     for i, r in enumerate(radii):
-        est = ball_volume_mc(m, x0, float(r), n_samples=n_samples, seed=int(seeds[i]), workers=workers)
+        est = ball_volume_mc(m, x0, float(r), n_samples=n_samples, seed=int(seeds[i]))
         vals[i], errs[i] = est.value, est.stderr
     return BallVolumeCurve(radii, vals, errs)
 
@@ -200,7 +197,7 @@ def avr(
     method: str = "auto",
     n_samples: int = 1_000_000,
     seed: int = 0,
-    workers=None,
+    workers: int = 1,
     sigma_level: float = 3.0,
 ) -> AvrEstimate:
     """Asymptotic volume ratio estimate with a Bishop-Gromov consistency check.
@@ -212,7 +209,10 @@ def avr(
     ([(1+eps)^(-n/2), 1] over a Euclidean base) and [0, 1] otherwise, and
     a monotonicity violation beyond the error bars raises, since it would
     signal either a bug or an instance outside the admissible class.
+    The sampler runs one stream, so workers accepts only 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     # the lower end of the metric-sandwich certificate of the warped family
     sandwich = (1.0 + m.eps) ** (-m.dim / 2.0) if m.kind == "f_eps" else None
     if method in ("auto", "exact"):
@@ -222,7 +222,7 @@ def avr(
         raise ValueError(f"unknown avr method {method!r}")
     if r_schedule is None:
         r_schedule = [1.0, 2.0, 4.0, 8.0]
-    curve = ball_volume_curve(m, x0, r_schedule, n_samples=n_samples, seed=seed, workers=workers)
+    curve = ball_volume_curve(m, x0, r_schedule, n_samples=n_samples, seed=seed)
     ok = bishop_gromov_ok(curve, m.dim, sigma_level)
     if not ok:
         raise RuntimeError(

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from ._util import REQUIRED, box_hits, gauss_legendre, resolve_workers
+from ._util import REQUIRED, box_volume, gauss_legendre
 from .constants import omega_n
 
 
@@ -346,32 +346,22 @@ def _quadrature_volume(h: MinkowskiNorm) -> float:
     raise ValueError(f"radial-angular quadrature supports dim 2 and 3, got {h.dim}")
 
 
-def _mc_volume(h: MinkowskiNorm, n_samples: int, seed, workers: int):
-    half = dual_norm(h, np.eye(h.dim))
-    if not np.all(np.isfinite(half)) or np.any(half <= 0):
-        raise ValueError("bounding box not found: degenerate norm")
-    half = half * (1.0 + 1e-9)
-    box_vol = float(np.prod(2.0 * half))
-    phat = box_hits(lambda pts: h(pts) < 1.0, half, n_samples, seed, workers) / n_samples
-    value = box_vol * phat
-    stderr = box_vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_samples)
-    return value, stderr
-
-
 def wulff_volume_estimate(
     h: MinkowskiNorm,
     method: str = "auto",
     n_samples: int = 1_000_000,
     seed: int = 0,
-    workers=None,
+    workers: int = 1,
 ) -> VolumeEstimate:
     """Euclidean volume of the unit sublevel set {H < 1}, with diagnostics.
 
     method: "analytic" (closed form attached to the norm), "quadrature"
     (radial-angular, dim 2 or 3), "mc" (Monte-Carlo over the dual
-    bounding box, 1-sigma standard error reported), or "auto".
+    bounding box, 1-sigma standard error reported), or "auto".  The
+    sampler runs one stream, so workers accepts only 1.
     """
-    workers = resolve_workers(workers)
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     scale_factor = h.scale ** (-h.dim)
     if method == "auto":
         if h.analytic_volume is not None:
@@ -387,7 +377,12 @@ def wulff_volume_estimate(
     if method == "quadrature":
         return VolumeEstimate(_quadrature_volume(h), 0.0, "quadrature")
     if method == "mc":
-        return VolumeEstimate(*_mc_volume(h, n_samples, seed, workers), "mc")
+        half = dual_norm(h, np.eye(h.dim))
+        if not np.all(np.isfinite(half)) or np.any(half <= 0):
+            raise ValueError("bounding box not found: degenerate norm")
+        half = half * (1.0 + 1e-9)
+        est = box_volume(lambda pts: h(pts) < 1.0, half, n_samples, seed, 1.0)
+        return VolumeEstimate(*est, "mc")
     raise ValueError(f"unknown volume method {method!r}")
 
 

@@ -15,13 +15,12 @@ validation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, resolve_workers, spawn_rngs, split_quad
+from ._util import REQUIRED, build_from_descriptor, spawn_rngs, split_quad
 from .constants import (
     bpv_constant,
     eta,
@@ -635,30 +634,26 @@ def randomized_suite(
     inequality: str,
     n_draws: int = 100,
     seed: int = 0,
-    workers=None,
+    workers: int = 1,
     p: Optional[float] = None,
     mu: Optional[float] = None,
 ):
     """Seeded property suite: n_draws random profiles through one check.
 
-    Draws are independent, so they run on a thread pool; every report
-    records the seed, the draw index and the worker count.  The suite
-    passes only if every report does, and needs at least one draw.
+    Draw i takes the i-th generator spawned from seed, and its report
+    records the seed and the draw index.  The draws run one after another,
+    so workers accepts only 1.  The suite passes only if every report
+    does, and needs at least one draw.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     if inequality not in INEQUALITIES or inequality == "isoperimetric":
         raise ValueError(f"no randomized suite for {inequality!r}")
     if n_draws < 1:
         raise ValueError(f"a suite needs at least one draw, got {n_draws}")
-    nw = resolve_workers(workers)
-    rngs = spawn_rngs(seed, n_draws)
-
-    def one(i):
-        rep = _suite_draw(m, inequality, rngs[i], p, mu)
-        rep.diagnostics.update({"seed": seed, "draw": i, "workers": nw})
-        return rep
-
-    if nw == 1:
-        return [one(i) for i in range(n_draws)]
-    with ThreadPoolExecutor(max_workers=nw) as ex:
-        return list(ex.map(one, range(n_draws)))
-
+    reports = []
+    for i, rng in enumerate(spawn_rngs(seed, n_draws)):
+        rep = _suite_draw(m, inequality, rng, p, mu)
+        rep.diagnostics.update({"seed": seed, "draw": i})
+        reports.append(rep)
+    return reports

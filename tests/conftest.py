@@ -39,3 +39,26 @@ def feps2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20210817)
+
+
+@pytest.fixture
+def block_hits(monkeypatch):
+    """spy(module) makes module's box_volume append each block's hit count
+    to the list it returns."""
+
+    def spy(module):
+        seen = []
+        real = module.box_volume
+
+        def counted(inside, *args):
+            def counting_inside(pts):
+                mask = inside(pts)
+                seen.append(int(np.count_nonzero(mask)))
+                return mask
+
+            return real(counting_inside, *args)
+
+        monkeypatch.setattr(module, "box_volume", counted)
+        return seen
+
+    return spy

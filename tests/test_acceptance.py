@@ -168,7 +168,11 @@ def test_criterion_12_repro_byte_identity(run, line):
 
 # planted defects: a support constant off by 1e-6 either way must turn both
 # support criteria red, though made too large every report still reads
-# lhs <= rhs; an l1 constant off by 1e-6 either way must fail criterion 3
+# lhs <= rhs; an l1 constant off by 1e-6 either way must fail criterion 3.
+# The pair (index, S) of the shifted Poincare bound is planted where the
+# criteria read it, so the suites keep the true one: S off by 1e-6 fails the
+# eigenprofile equality of criterion 6, and the index off by 1e-6 moves
+# criterion 5's Bessel zeros
 SUPPORT = (cli._support_equality, cli._support_sharpness_limit)
 
 
@@ -178,11 +182,20 @@ SUPPORT = (cli._support_equality, cli._support_sharpness_limit)
     ("morrey_support_constant", 1.0 + 1e-6, SUPPORT),
     ("morrey_l1_constant", 1.0 - 1e-6, (cli._l1_sharpness,)),
     ("morrey_l1_constant", 1.0 + 1e-6, (cli._l1_sharpness,)),
+    ("bpv_constant", (1.0, 1.0 - 1e-6), (cli._bpv,)),
+    ("bpv_constant", (1.0, 1.0 + 1e-6), (cli._bpv,)),
+    ("bpv_constant", (1.0 - 1e-6, 1.0), (cli._eigenvalue_closed_form,)),
+    ("bpv_constant", (1.0 + 1e-6, 1.0), (cli._eigenvalue_closed_form,)),
 ])
 def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, factor, criteria):
-    true_constant = getattr(V, constant)
-    monkeypatch.setattr(V, constant, lambda *args: factor * true_constant(*args))
-    assert not any(criterion(0, None)[0] for criterion in criteria)
+    module = cli.C if constant == "bpv_constant" else V
+    true_constant = getattr(module, constant)
+    if isinstance(factor, tuple):
+        planted = lambda *args: tuple(f * v for f, v in zip(factor, true_constant(*args)))
+    else:
+        planted = lambda *args: factor * true_constant(*args)
+    monkeypatch.setattr(module, constant, planted)
+    assert not any(criterion(0)[0] for criterion in criteria)
 
 
 def test_planted_dual_defect_fails_criterion_9(monkeypatch):
@@ -194,7 +207,7 @@ def test_planted_dual_defect_fails_criterion_9(monkeypatch):
 
     real = MinkowskiNorm.dual
     monkeypatch.setattr(MinkowskiNorm, "dual", lambda self, alpha: (1.0 + 1e-6) * real(self, alpha))
-    passed, detail = cli._isoperimetric(0, None)
+    passed, detail = cli._isoperimetric(0)
     assert not passed
     ratios = detail["equality_ratios"]
     assert all(1e-7 < ratios[k] - 1.0 < 1e-3 for k in ("euclidean", "euclidean_wulff", "l4"))

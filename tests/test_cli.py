@@ -234,13 +234,23 @@ def test_cached_parser_shares_no_state_between_runs(capsys):
     assert second["config"]["inequality"] == "morrey-l1" and "n" not in second["config"]
 
 
-def test_threads_env_fallback(monkeypatch, capsys):
+def test_threads_env_and_option_are_gone(monkeypatch, tmp_path, capsys):
+    # every check runs on one core: the variable changes no byte, and the
+    # flag and the config key are usage errors
+    argv = ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support",
+            "--profile", "morrey_extremal:p=4"]
+    assert run_cli(argv) == 0
+    unset = capsys.readouterr().out
     monkeypatch.setenv("FINSLER_SHARP_THREADS", "3")
-    rc = run_cli(["verify", "--instance", "euclidean:n=2",
-                  "--inequality", "morrey-support",
-                  "--profile", "morrey_extremal:p=4"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["threads"] == 3
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == unset and "threads" not in doc and "threads" not in doc["config"]
+    assert run_cli(argv + ["--threads", "2"]) == 2
+    config = tmp_path / "repro.json"
+    config.write_text(json.dumps({"task": "repro", "threads": 2}))
+    assert run_cli(["repro", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # -- exit codes -------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finsler_sharp import manifold as M
-from finsler_sharp._util import box_hits, chunk_sizes, spawn_rngs
+from finsler_sharp._util import box_volume, spawn_rngs
 from finsler_sharp.constants import omega_n
 from finsler_sharp.norms import lp_norm, normalize
 
@@ -128,38 +128,36 @@ def test_finsler_gradient_legendre_identity_by_ascent():
     assert float(m.norm(y)) == pytest.approx(fstar, rel=1e-5)
 
 
-@pytest.mark.parametrize("workers,hits,value", [(1, 29498, 9.173411382770889), (2, 29516, 9.179009098035989)])
-def test_ball_volume_mc_hit_counts_pinned(monkeypatch, workers, hits, value):
-    # counts and values of the sampler before the Monte-Carlo hit counters were
-    # merged; an odd sample count gives the two workers streams of unequal length
-    seen = []
-    real = M.box_hits
-    monkeypatch.setattr(M, "box_hits", lambda *a: seen.append(real(*a)) or seen[-1])
+@pytest.mark.parametrize("workers,hits,value", [(1, 29498, 9.173411382770889)])
+def test_ball_volume_mc_hit_counts_pinned(block_hits, workers, hits, value):
+    # count, value and standard error of the sampler before the Monte-Carlo
+    # hit counters were merged; workers=1 is the one value still accepted
+    seen = block_hits(M)
     est = M.ball_volume_mc(M.f_eps_instance(3, 1.0), np.zeros(3), 1.3, n_samples=50_001, seed=9,
                            workers=workers)
     assert seen == [hits]
     assert est.value == value
+    assert est.stderr == 0.03420219234831413
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_box_hits_blocks_are_the_seeded_uniform_stream(workers):
+def test_box_volume_blocks_are_the_seeded_uniform_stream():
     # the sampler reuses one array between blocks, so the spy keeps copies;
-    # one stream of 262144 + 17 points ends on a partial block
+    # the one stream of 262144 + 17 points ends on a partial block
     half = np.array([0.7, 1.9, 1.3])
     n_samples, block = 262144 + 17, 262144
     seen = []
-    hits = box_hits(lambda pts: seen.append(pts.copy()) or pts[:, 0] < 0.1, half, n_samples, 5, workers)
-    expected = []
-    for rng, size in zip(spawn_rngs(5, workers), chunk_sizes(n_samples, workers)):
-        for start in range(0, size, block):
-            expected.append(rng.uniform(-1.0, 1.0, size=(min(block, size - start), 3)) * half)
-    # threads may hand their blocks over in either order
-    key = lambda a: (len(a), a[0].tobytes())
-    seen.sort(key=key)
-    expected.sort(key=key)
-    assert [b.shape for b in seen] == [b.shape for b in expected]
+    value, stderr = box_volume(lambda pts: seen.append(pts.copy()) or pts[:, 0] < 0.1, half,
+                               n_samples, 5, 2.5)
+    rng = spawn_rngs(5, 1)[0]
+    expected = [rng.uniform(-1.0, 1.0, size=(min(block, n_samples - start), 3)) * half
+                for start in range(0, n_samples, block)]
+    assert [b.shape for b in seen] == [(262144, 3), (17, 3)]
     assert all(np.array_equal(b, e) for b, e in zip(seen, expected))
-    assert hits == sum(int(np.count_nonzero(e[:, 0] < 0.1)) for e in expected)
+    phat = sum(int(np.count_nonzero(e[:, 0] < 0.1)) for e in expected) / n_samples
+    # the density multiplies the box volume before the hit fraction does
+    scale = 2.5 * float(np.prod(2.0 * half))
+    assert value == scale * phat
+    assert stderr == scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
 def test_ball_volume_box_computed_once_per_instance(monkeypatch):

@@ -373,17 +373,16 @@ def test_eikonal_identity_finite_difference_gradient():
         eikonal_residual(h, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("workers,hits,value", [(1, 28358, 2.4697330172235064), (2, 28307, 2.4652913646429857)])
-def test_mc_volume_hit_counts_pinned(monkeypatch, workers, hits, value):
-    # counts and values of the sampler before the Monte-Carlo hit counters were
-    # merged; an odd sample count gives the two workers streams of unequal length
-    seen = []
-    real = N.box_hits
-    monkeypatch.setattr(N, "box_hits", lambda *a: seen.append(real(*a)) or seen[-1])
+@pytest.mark.parametrize("workers,hits,value", [(1, 28358, 2.4697330172235064)])
+def test_mc_volume_hit_counts_pinned(block_hits, workers, hits, value):
+    # count, value and standard error of the sampler before the Monte-Carlo
+    # hit counters were merged; workers=1 is the one value still accepted
+    seen = block_hits(N)
     est = wulff_volume_estimate(f_eps_fiber_norm(3, 0.5), method="mc", n_samples=50_001, seed=42,
                                 workers=workers)
     assert seen == [hits]
     assert est.value == value
+    assert est.stderr == 0.00964898415685741
 
 
 # -- column-wise row sums -----------------------------------------------------

@@ -1,7 +1,6 @@
 """Inequality verification layer: equality cases, sweeps, suites."""
 
 import dataclasses
-import json
 import math
 import warnings
 
@@ -9,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import j0, j1, jn_zeros
 
-from finsler_sharp import norms
+from finsler_sharp import _util, norms
+from finsler_sharp import manifold as M
 from finsler_sharp import verify as V
 from finsler_sharp._util import parse_descriptor
 from finsler_sharp.constants import (
@@ -354,32 +354,43 @@ def test_suite_with_singular_potential(e3):
     assert any(r.params["mu"] > 0 for r in reps)
 
 
-def test_suite_is_deterministic_across_workers(e2):
-    a = V.randomized_suite(e2, "morrey_support", n_draws=8, seed=5, workers=1)
-    b = V.randomized_suite(e2, "morrey_support", n_draws=8, seed=5, workers=2)
-    assert [r.lhs for r in a] == [r.lhs for r in b]
-    assert [r.rhs for r in a] == [r.rhs for r in b]
+def test_workers_other_than_one_raise_before_any_draw(monkeypatch, e2):
+    # every sample is drawn on one stream; the four entry points that still
+    # take workers accept only 1 and refuse any other value before a
+    # generator is spawned
+    spawned = []
+    real = _util.spawn_rngs
+    spy = lambda seed, n: spawned.append(n) or real(seed, n)
+    monkeypatch.setattr(_util, "spawn_rngs", spy)
+    monkeypatch.setattr(V, "spawn_rngs", spy)
+    fe = M.f_eps_instance(2, 1.0)
+    calls = {
+        "randomized_suite": lambda w: V.randomized_suite(e2, "morrey_support", n_draws=1, workers=w),
+        "wulff_volume_estimate": lambda w: norms.wulff_volume_estimate(
+            fe.norm, method="mc", n_samples=2_000, workers=w),
+        "avr": lambda w: M.avr(fe, method="mc", n_samples=2_000, workers=w),
+        "ball_volume_mc": lambda w: M.ball_volume_mc(fe, np.zeros(2), 1.0, n_samples=2_000,
+                                                     workers=w),
+    }
+    for name, call in calls.items():
+        for workers in (2, 0, None):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                call(workers)
+        assert spawned == [], name
+        call(1)
+        assert spawned, name
+        spawned.clear()
 
 
 def test_divergent_energy_draws_are_thread_safe(e2):
     # seed 23 draws three profiles whose energy quadrature does not
     # converge, so both sides read inf; the flag comes back from
-    # split_quad without touching the process-wide warning filters
+    # split_quad without touching the process-wide warning filters, so
+    # callers may still run checks on threads of their own
     before = list(warnings.filters)
-    a = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23, workers=1)
-    b = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23, workers=2)
+    reps = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23)
     assert warnings.filters == before
-    assert sum(math.isinf(r.lhs) and math.isinf(r.rhs) for r in a) == 3
-
-    def plain(reports):
-        out = []
-        for r in reports:
-            d = r.as_dict()
-            d["diagnostics"].pop("workers")
-            out.append(json.dumps(d, sort_keys=True))
-        return out
-
-    assert plain(a) == plain(b)
+    assert sum(math.isinf(r.lhs) and math.isinf(r.rhs) for r in reps) == 3
 
 
 def test_suite_rejects_unsupported(e2):
