@@ -45,7 +45,7 @@ print(f"omega_2                  : {omega_n(2):.10f}")
 banner("instance ball volumes scale like r^n")
 m = minkowski_instance(unit)
 for r in (0.5, 1.0, 2.0):
-    vol = ball_volume(m, np.zeros(2), r)
+    vol = ball_volume(m, r)
     print(f"r = {r:3.1f}:  vol = {vol:.8f}   omega_2 r^2 = {omega_n(2) * r**2:.8f}")
 
 banner("volume-ratio point estimates")

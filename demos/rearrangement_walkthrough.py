@@ -71,11 +71,11 @@ print(f"centered weight:  lhs = {rep.lhs:.8f}  rhs = {rep.rhs:.8f}  passed = {re
 banner("layer-cake identity, smooth and singular integrands")
 g = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
 dg = lambda r: -2.0 * np.asarray(r, dtype=float) * g(r)
-lhs, rhs = layer_cake_integral(m, np.zeros(2), g, 3.0, fprime=dg)
+lhs, rhs = layer_cake_integral(m, g, 3.0, fprime=dg)
 print(f"gaussian : direct = {lhs:.10f}   layer-cake = {rhs:.10f}")
 
 e3 = euclidean_instance(3)
 w = lambda r: np.where(np.asarray(r) > 0, np.asarray(r, dtype=float) ** -1.5, np.inf)
 dw = lambda r: -1.5 * np.asarray(r, dtype=float) ** -2.5
-lhs, rhs = layer_cake_integral(e3, np.zeros(3), w, 2.0, fprime=dw, points=(1e-6,))
+lhs, rhs = layer_cake_integral(e3, w, 2.0, fprime=dw, points=(1e-6,))
 print(f"singular : direct = {lhs:.10f}   layer-cake = {rhs:.10f}")

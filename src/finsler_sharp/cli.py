@@ -245,6 +245,23 @@ def _task_constants(cfg: dict) -> int:
     return EXIT_OK
 
 
+# inequality -> (keys its single check reads, keys its suite reads), beyond
+# the instance, the seed and the output keys.  layer_cake and equimeasurability
+# run only as suites, so given a profile they exit 2 as unknown; isoperimetric
+# has no suite, which randomized_suite refuses.
+VERIFY_KEYS = {
+    "morrey_support": (("profile", "p"), ("p",)),
+    "morrey_l1": (("profile", "p"), ("p",)),
+    "hardy": (("profile", "p"), ("p",)),
+    "bpv": (("profile", "mu", "radius"), ("mu",)),
+    "polya_szego": (("profile", "p"), ("p",)),
+    "hlp": (("profile", "p"), ("p",)),
+    "layer_cake": (("profile",), ()),
+    "equimeasurability": (("profile",), ()),
+    "isoperimetric": (("shape",), ()),
+}
+
+
 def _task_verify(cfg: dict) -> int:
     name = cfg.get("inequality")
     if not name:
@@ -254,11 +271,15 @@ def _task_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown inequality {name!r}")
     if cfg.get("instance") is None:
         raise ConfigError("verify needs --instance")
-    if cfg.get("shape") is not None and key != "isoperimetric":
-        raise ConfigError(f"--shape applies only to isoperimetric, not to {name!r}")
+    suite = cfg.get("suite")  # 0 and negative counts are usage errors, not "no suite"
+    reads = VERIFY_KEYS[key][suite is not None]
+    unread = [k for k in ("profile", "shape", "p", "mu", "radius")
+              if cfg.get(k) is not None and k not in reads]
+    if unread:
+        flags = ", ".join("--" + k for k in unread)
+        raise ConfigError(f"{key}{' suite' if suite is not None else ''} does not read {flags}")
     m = instance_from_descriptor(cfg["instance"])
-    suite = cfg.get("suite")
-    if suite is not None:  # 0 and negative counts are usage errors, not "no suite"
+    if suite is not None:
         reports = V.randomized_suite(m, key, n_draws=int(suite), seed=int(cfg.get("seed", 0)),
                                      p=cfg.get("p"), mu=cfg.get("mu"))
         n_pass = sum(r.passed for r in reports)
@@ -271,7 +292,7 @@ def _task_verify(cfg: dict) -> int:
         return EXIT_OK if n_pass == len(reports) else EXIT_NUMERIC
     # the extremal families take their n from the instance
     u = profile_from_descriptor(cfg["profile"], n=m.dim) if cfg.get("profile") else None
-    if key in ("morrey_support", "morrey_l1", "hardy", "polya_szego", "hlp"):
+    if "p" in reads:
         p = cfg.get("p")
         if p is None and cfg.get("profile"):
             # inequality exponent defaults to the profile family's p
@@ -629,7 +650,7 @@ def _rearrangement_suites(seed):
         with np.errstate(divide="ignore"):
             return np.where(r > 0, r**-a, np.inf)
 
-    lhs, rhs = layer_cake_integral(_inst(3), np.zeros(3), w, r_max, points=(1e-6,),
+    lhs, rhs = layer_cake_integral(_inst(3), w, r_max, points=(1e-6,),
                                    fprime=lambda r: -a * np.asarray(r, dtype=float) ** (-a - 1.0))
     exact = 3.0 * C.omega_n(3) * r_max ** (3.0 - a) / (3.0 - a)
     sing_dev = max(abs(lhs - rhs), abs(lhs - exact)) / exact

@@ -131,7 +131,7 @@ def bh_density(m: FinslerInstance) -> float:
     return omega_n(m.dim) / fiber_volume(m).value
 
 
-def ball_volume(m: FinslerInstance, x0, r: float) -> float:
+def ball_volume(m: FinslerInstance, r: float) -> float:
     """Volume of the metric ball of radius r in the canonical measure.
 
     Exact for every shipped instance: the density is the constant
@@ -165,7 +165,7 @@ def ball_volume_mc(
 
 
 def ball_volume_curve(
-    m: FinslerInstance, x0, radii, n_samples: int = 1_000_000, seed: int = 0
+    m: FinslerInstance, radii, n_samples: int = 1_000_000, seed: int = 0
 ) -> BallVolumeCurve:
     """Monte-Carlo volumes over a radius schedule, independent streams per radius."""
     radii = np.asarray(radii, dtype=float)
@@ -175,7 +175,8 @@ def ball_volume_curve(
     vals = np.empty(len(radii))
     errs = np.empty(len(radii))
     for i, r in enumerate(radii):
-        est = ball_volume_mc(m, x0, float(r), n_samples=n_samples, seed=int(seeds[i]))
+        # no centre: ball_volume_mc samples about the origin
+        est = ball_volume_mc(m, None, float(r), n_samples=n_samples, seed=int(seeds[i]))
         vals[i], errs[i] = est.value, est.stderr
     return BallVolumeCurve(radii, vals, errs)
 
@@ -192,9 +193,8 @@ def bishop_gromov_ok(curve: BallVolumeCurve, n: int, sigma_level: float = 3.0) -
 
 def avr(
     m: FinslerInstance,
-    x0=None,
     r_schedule=None,
-    method: str = "auto",
+    method: str = "exact",
     n_samples: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
@@ -202,8 +202,8 @@ def avr(
 ) -> AvrEstimate:
     """Asymptotic volume ratio estimate with a Bishop-Gromov consistency check.
 
-    Shipped instances are translation invariant, so the exact value is 1
-    and the "auto" method short-circuits.  method="mc" runs the honest
+    Shipped instances are translation invariant, so the exact value is 1,
+    which the default method="exact" returns.  method="mc" runs the honest
     estimator over the radius schedule: point estimate is the last ratio,
     the interval is the metric-sandwich certificate for the warped family
     ([(1+eps)^(-n/2), 1] over a Euclidean base) and [0, 1] otherwise, and
@@ -215,14 +215,14 @@ def avr(
         raise ValueError(f"workers must be 1, got {workers!r}")
     # the lower end of the metric-sandwich certificate of the warped family
     sandwich = (1.0 + m.eps) ** (-m.dim / 2.0) if m.kind == "f_eps" else None
-    if method in ("auto", "exact"):
+    if method == "exact":
         lo = 1.0 if sandwich is None else sandwich
         return AvrEstimate(lo=lo, hi=1.0, point=1.0, stderr=0.0, method="exact", bg_ok=True)
     if method != "mc":
         raise ValueError(f"unknown avr method {method!r}")
     if r_schedule is None:
         r_schedule = [1.0, 2.0, 4.0, 8.0]
-    curve = ball_volume_curve(m, x0, r_schedule, n_samples=n_samples, seed=seed)
+    curve = ball_volume_curve(m, r_schedule, n_samples=n_samples, seed=seed)
     ok = bishop_gromov_ok(curve, m.dim, sigma_level)
     if not ok:
         raise RuntimeError(

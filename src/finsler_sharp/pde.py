@@ -684,55 +684,36 @@ class OscillatoryNonlinearity:
     def plateau(self, k: int):
         return float(self.plateau_lo[k - 1]), float(self.plateau_hi[k - 1])
 
-    def _locate(self, s):
-        return np.searchsorted(self._edges, s, side="right")
+    def _rise(self, s):
+        """s as an array, its index among the region edges (2j + 1 on rise j,
+        2j + 2 on plateau j), the mask of points s > 1 on a rise, and for
+        those their rise j, its width and the clipped tau in [0, 1]."""
+        s = np.asarray(s, dtype=float)
+        idx = np.searchsorted(self._edges, s, side="right")
+        on = (idx % 2 == 1) & (s > self.rise_lo[0])
+        j = idx[on] // 2
+        width = self.rise_hi[j] - self.rise_lo[j]
+        tau = np.minimum(np.maximum((s[on] - self.rise_lo[j]) / width, 0.0), 1.0)
+        return s, idx, on, j, width, tau
 
     def H(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > self.rise_lo[0]
-        if not pos.any():
-            return out if out.ndim else float(out)
-        idx = self._locate(s[pos])
-        region = np.minimum(np.maximum((idx - 1) // 2, 0), len(self.rise_lo) - 1)
-        on_rise = (idx % 2) == 1
-        lo_lvl = self.levels[region]
-        hi_lvl = self.levels[region + 1]
-        vals = np.where(on_rise, lo_lvl, hi_lvl)
-        rise_pos = on_rise & (idx >= 1)
-        if rise_pos.any():
-            r = region[rise_pos]
-            tau = (s[pos][rise_pos] - self.rise_lo[r]) / (self.rise_hi[r] - self.rise_lo[r])
-            tau = np.minimum(np.maximum(tau, 0.0), 1.0)
-            smooth = tau * tau * (3.0 - 2.0 * tau)
-            vals[rise_pos] = self.levels[r] + (self.levels[r + 1] - self.levels[r]) * smooth
-        out[pos] = vals
+        s, idx, on, j, _, tau = self._rise(s)
+        # H is 0 up to s = 1 and levels[j + 1] = levels[idx // 2] on plateau j
+        out = np.where(s > self.rise_lo[0], self.levels[idx // 2], 0.0)
+        smooth = tau * tau * (3.0 - 2.0 * tau)
+        out[on] = self.levels[j] + (self.levels[j + 1] - self.levels[j]) * smooth
         return out if out.ndim else float(out)
 
     def h(self, s):
-        return self._rise_eval(s, lambda dlvl, tau, w: dlvl * 6.0 * tau * (1.0 - tau) / w)
+        return self._on_rise(s, lambda dlvl, tau, w: dlvl * 6.0 * tau * (1.0 - tau) / w)
 
     def dh(self, s):
-        return self._rise_eval(s, lambda dlvl, tau, w: dlvl * 6.0 * (1.0 - 2.0 * tau) / (w * w))
+        return self._on_rise(s, lambda dlvl, tau, w: dlvl * 6.0 * (1.0 - 2.0 * tau) / (w * w))
 
-    def _rise_eval(self, s, fn):
-        s = np.asarray(s, dtype=float)
+    def _on_rise(self, s, fn):
+        s, _, on, j, width, tau = self._rise(s)
         out = np.zeros_like(s)
-        pos = s > self.rise_lo[0]
-        if not pos.any():
-            return out if out.ndim else float(out)
-        idx = self._locate(s[pos])
-        region = np.minimum(np.maximum((idx - 1) // 2, 0), len(self.rise_lo) - 1)
-        on_rise = (idx % 2) == 1
-        if on_rise.any():
-            r = region[on_rise]
-            width = self.rise_hi[r] - self.rise_lo[r]
-            tau = (s[pos][on_rise] - self.rise_lo[r]) / width
-            tau = np.minimum(np.maximum(tau, 0.0), 1.0)
-            dvals = fn(self.levels[r + 1] - self.levels[r], tau, width)
-            tmp = np.zeros(len(idx))
-            tmp[on_rise] = dvals
-            out[pos] = tmp
+        out[on] = fn(self.levels[j + 1] - self.levels[j], tau, width)
         return out if out.ndim else float(out)
 
 

@@ -28,7 +28,7 @@ from ._util import (
     REQUIRED, build_from_descriptor, gauss_legendre, graded_grid, split_quad, warn_unconverged,
 )
 from .constants import omega_n
-from .manifold import FinslerInstance, bh_density
+from .manifold import FinslerInstance, avr, bh_density
 from .report import InequalityReport, make_report
 
 PROFILE_GRID = 2048
@@ -580,19 +580,16 @@ def radial_dirichlet_energy(prof, n: int, p: float) -> float:
     raise TypeError(f"unsupported profile representation: {type(prof).__name__}")
 
 
-def layer_cake_integral(m: FinslerInstance, x0, f, r_max: float, fprime=None, points=()):
-    """Both sides of the radial layer-cake identity on a metric ball.
+def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
+    """Both sides of the radial layer-cake identity on a metric ball about
+    the origin.
 
     lhs integrates f(d) directly against the shell measure; rhs uses
-    f(R) Vol(B(R)) minus the integral of f' against ball volumes.  f' is
-    differenced centrally when not supplied.
+    f(R) Vol(B(R)) minus the integral of f' against ball volumes.
     """
     n = m.dim
     won = omega_n(n)
     direct, _, ok_direct = split_quad(lambda r: f(r) * r ** (n - 1), 0.0, r_max, points=points)
-    if fprime is None:
-        h = 1e-7 * r_max
-        fprime = lambda r: (f(r + h) - f(r - h)) / (2.0 * h)
     layers, _, ok_layers = split_quad(lambda r: fprime(r) * r**n, 0.0, r_max, points=points)
     warn_unconverged(ok_direct and ok_layers, "layer-cake integral")
     return n * won * direct, f(r_max) * won * r_max**n - won * layers
@@ -614,17 +611,18 @@ def _grid_gradient_dual_energy(u: GridFunction, m: FinslerInstance, p: float) ->
     return bh_density(m) * u.cell_volume() * float(np.sum(fstar**p))
 
 
-def polya_szego_check(u, m: FinslerInstance, p: float, avr_value: float = 1.0) -> InequalityReport:
-    """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv.
+def polya_szego_check(u, m: FinslerInstance, p: float) -> InequalityReport:
+    """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv, with the
+    instance's AVR.
 
-    The right side depends on the dimension only, for every normalized H.
-    Radial nonincreasing sources attain equality (checked through two
-    independent quadratures, at rtol 1e-6); grid sources are compared at
-    grid accuracy, rtol 1e-2.
+    The right side depends on the dimension and the AVR only, for every
+    normalized H.  Radial nonincreasing sources attain equality (checked
+    through two independent quadratures, at rtol 1e-6); grid sources are
+    compared at grid accuracy, rtol 1e-2.
     """
+    a = avr(m).point
     star = rearrange(u, m)
-    rhs_core = radial_dirichlet_energy(star, m.dim, p)
-    rhs = avr_value ** (p / m.dim) * rhs_core
+    rhs = a ** (p / m.dim) * radial_dirichlet_energy(star, m.dim, p)
     if isinstance(u, RadialTestFunction):
         lhs = radial_dirichlet_energy(u, m.dim, p)
         tol = 1e-6
@@ -637,7 +635,7 @@ def polya_szego_check(u, m: FinslerInstance, p: float, avr_value: float = 1.0) -
         raise TypeError(f"unsupported function representation: {type(u).__name__}")
     return make_report(
         "polya_szego",
-        {"p": p, "n": m.dim, "avr": avr_value, "profile": getattr(u, "label", "?")},
+        {"p": p, "n": m.dim, "avr": a, "profile": getattr(u, "label", "?")},
         lhs,
         rhs,
         direction="lower",
@@ -647,7 +645,7 @@ def polya_szego_check(u, m: FinslerInstance, p: float, avr_value: float = 1.0) -
     )
 
 
-def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=()) -> InequalityReport:
+def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> InequalityReport:
     """Check int u^p f(d(0, x)) dv <= int (u*)^p f(H(x)) dx at rtol 1e-6.
 
     The weight's pole is the origin; a source centred elsewhere (u.center)
@@ -685,9 +683,7 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=(
     def rhs_fn(rho):
         return star.profile(rho) ** p * f(rho) * rho ** (n - 1)
 
-    rhs_val, _, _ = split_quad(
-        rhs_fn, 0.0, star.support_radius(), points=tuple(f_points) + tuple(u.kinks)
-    )
+    rhs_val, _, _ = split_quad(rhs_fn, 0.0, star.support_radius(), points=u.kinks)
     rhs = n * omega_n(n) * rhs_val
     if not math.isfinite(rhs) or rhs > 1e15:
         return make_report(
@@ -700,14 +696,14 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=(
             lambda r: u.profile(r) ** p * f(r) * r ** (n - 1),
             0.0,
             u.support_radius,
-            points=tuple(f_points) + tuple(u.kinks),
+            points=u.kinks,
         )
         lhs = n * omega_n(n) * lhs_val
         diag = {"path": "centered"}
     else:
         if m.kind != "euclidean":
             raise ValueError("shifted weights are only integrated on Euclidean instances")
-        lhs = _shifted_weighted_lp(u, f, p, n, shift, f_points)
+        lhs = _shifted_weighted_lp(u, f, p, n, shift)
         diag = {"path": "shifted", "offset": shift}
     return make_report(
         "hlp",
@@ -721,7 +717,7 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float, f_points=(
     )
 
 
-def _shifted_weighted_lp(u, f, p, n, shift, f_points):
+def _shifted_weighted_lp(u, f, p, n, shift):
     """int g(|x - c|)^p f(|x|) dx in polar coordinates about the weight pole."""
     if n == 2:
         thetas = np.linspace(0.0, math.pi, 257)  # symmetry halves the circle
@@ -743,6 +739,6 @@ def _shifted_weighted_lp(u, f, p, n, shift, f_points):
 
     lo = max(shift - u.support_radius, 0.0)
     hi = shift + u.support_radius
-    val, _, converged = split_quad(ring, lo, hi, points=tuple(f_points) + (shift,), epsrel=1e-9)
+    val, _, converged = split_quad(ring, lo, hi, points=(shift,), epsrel=1e-9)
     warn_unconverged(converged, "shifted weighted L^p integral")
     return val

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,12 +66,6 @@ INEQUALITIES = (
 )
 
 
-def _avr_point(m: FinslerInstance, avr_value: Optional[float]) -> float:
-    if avr_value is not None:
-        return float(avr_value)
-    return estimate_avr(m).point
-
-
 def _split(u, m: FinslerInstance, p: float):
     """(sup, support volume, dual gradient energy, path diag)."""
     n = m.dim
@@ -90,9 +84,7 @@ def _split(u, m: FinslerInstance, p: float):
     return sup, vol, energy, diag
 
 
-def verify_morrey_support(
-    m: FinslerInstance, u, p: float, avr_value: Optional[float] = None
-) -> InequalityReport:
+def verify_morrey_support(m: FinslerInstance, u, p: float) -> InequalityReport:
     """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p).
 
     Radial sources get the tight one-sided tolerance, rtol 1e-9; grid
@@ -103,7 +95,7 @@ def verify_morrey_support(
     n = m.dim
     if not p > n:
         raise ValueError(f"support bound needs p > n, got p={p}, n={n}")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     sup, vol, energy, diag = _split(u, m, p)
     rtol = 1e-9 if diag["path"] == "radial" else 1e-2
     c = morrey_support_constant(p, n, a)
@@ -124,13 +116,13 @@ def verify_morrey_support(
     )
 
 
-def verify_morrey_l1(m: FinslerInstance, u, p: float, avr_value: Optional[float] = None) -> InequalityReport:
+def verify_morrey_l1(m: FinslerInstance, u, p: float) -> InequalityReport:
     """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p), at the rtol of
     verify_morrey_support."""
     n = m.dim
     if not p > n:
         raise ValueError(f"L1 bound needs p > n, got p={p}, n={n}")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     sup, _, energy, diag = _split(u, m, p)
     l1 = lq_norm_radial(u, 1.0, n) if diag["path"] == "radial" else lq_norm_grid(u, 1.0, m)
     rtol = 1e-9 if diag["path"] == "radial" else 1e-2
@@ -157,9 +149,7 @@ def verify_morrey_l1(m: FinslerInstance, u, p: float, avr_value: Optional[float]
 SWEEP_RTOL = 1e-3
 
 
-def sharpness_sweep_support(
-    m: FinslerInstance, p: float, r_grid: Sequence[float], avr_value: Optional[float] = None
-) -> SweepResult:
+def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float]) -> SweepResult:
     """Drive the support-bound test family over R and compare the scaled
     energy R^(p-n) * energy(u_R) against its closed-form limit.
 
@@ -172,7 +162,7 @@ def sharpness_sweep_support(
         raise ValueError(f"support sweep needs p > n, got p={p}, n={n}")
     if len(r_grid) == 0:
         raise ValueError("radius grid must be nonempty")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     target = support_energy_limit(p, n, a)
     c_sharp = morrey_support_constant(p, n, a)
     rows = []
@@ -205,9 +195,7 @@ def sharpness_sweep_support(
     )
 
 
-def sharpness_sweep_l1(
-    m: FinslerInstance, p: float, r_grid: Sequence[float], avr_value: Optional[float] = None
-) -> SweepResult:
+def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) -> SweepResult:
     """Drive the L1-bound test family over R.
 
     Checks three things per R: the scaled L1 norm and scaled energy
@@ -221,7 +209,7 @@ def sharpness_sweep_l1(
         raise ValueError(f"L1 sweep needs p > n, got p={p}, n={n}")
     if len(r_grid) == 0:
         raise ValueError("radius grid must be nonempty")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     t_l1 = l1_norm_limit(p, n, a)
     t_energy = l1_energy_limit(p, n, a)
     height = l1_extremal_height(p, n)
@@ -306,9 +294,7 @@ def hardy_test_family(p: float, n: int, delta: float, cap_radius: float = 0.01) 
     )
 
 
-def verify_hardy(
-    m: FinslerInstance, u: RadialTestFunction, p: float, avr_value: Optional[float] = None
-) -> InequalityReport:
+def verify_hardy(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
     """Check energy >= avr^(p/n) ((n-p)/p)^p * int |u|^p / d(0,.)^p at rtol 1e-9.
 
     The singular integral is split at the origin and the profile kinks;
@@ -321,7 +307,7 @@ def verify_hardy(
     off = 0.0 if u.center is None else float(m.norm(np.asarray(u.center, dtype=float)))
     if off > 1e-12 * max(1.0, u.support_radius):
         raise ValueError("radial sources need the weight pole, the origin, at their center")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     lhs = radial_dirichlet_energy(u, n, p)
     c = hardy_constant(p, n, a)
 
@@ -347,28 +333,19 @@ def verify_hardy(
     )
 
 
-def verify_bpv(
-    m: FinslerInstance,
-    omega: Union[WulffShape, float],
-    u: RadialTestFunction,
-    mu: float = 0.0,
-    avr_value: Optional[float] = None,
-) -> InequalityReport:
-    """Check the Hardy-shifted Poincare bound on a Wulff ball about the origin:
+def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: float = 0.0) -> InequalityReport:
+    """Check the Hardy-shifted Poincare bound on the metric ball of the given
+    radius about the origin:
 
         int F*(Du)^2 - mu int u^2/d^2  >=  S * int u^2,
 
-    at rtol 1e-9, with S the shifted-Bessel-zero constant for the domain
-    volume.  mu outside the admissible range raises before any quadrature
-    runs.
+    at rtol 1e-9, with S the shifted-Bessel-zero constant for the ball's
+    canonical volume omega_n radius^n.  mu outside the admissible range
+    raises before any quadrature runs.
     """
     n = m.dim
-    if isinstance(omega, WulffShape):
-        radius = float(omega.radius)
-        vol = omega.volume()
-    else:
-        radius = float(omega)
-        vol = omega_n(n) * radius**n
+    radius = float(radius)
+    vol = omega_n(n) * radius**n
     if radius <= 0:
         raise ValueError(f"domain radius must be positive, got {radius}")
     if u.support_radius > radius * (1.0 + 1e-12):
@@ -378,7 +355,7 @@ def verify_bpv(
     off = 0.0 if u.center is None else float(m.norm(np.asarray(u.center, dtype=float)))
     if off > 1e-12 * max(1.0, radius):
         raise ValueError("radial sources need the Hardy pole, the origin, at their center")
-    a = _avr_point(m, avr_value)
+    a = estimate_avr(m).point
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     won = omega_n(n)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
@@ -457,9 +434,7 @@ SHAPES = {
 }
 
 
-def verify_isoperimetric(
-    m: FinslerInstance, shape, n_quad: Optional[int] = None, avr_value: Optional[float] = None
-) -> InequalityReport:
+def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None) -> InequalityReport:
     """Check P(boundary) >= n omega_n^(1/n) avr^(1/n) Vol^((n-1)/n) at rtol 1e-9.
 
     The anisotropic perimeter is the boundary integral of the dual norm
@@ -472,9 +447,7 @@ def verify_isoperimetric(
     h = m.norm
     if not (m.kind == "euclidean" or h.normalized):
         raise ValueError("perimeter formula needs a normalized Minkowski instance")
-    a = _avr_point(m, avr_value)
-    if isinstance(shape, WulffShape):
-        shape = {"kind": "wulff", "radius": shape.radius}
+    a = estimate_avr(m).point
     spec = build_from_descriptor(shape, SHAPES, "shape")
     kind = spec["kind"]
     if n_quad is None:
@@ -608,9 +581,7 @@ def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityRe
         return rep
     if inequality == "layer_cake":
         r_max = u.support_radius * float(rng.uniform(1.0, 1.5))
-        lhs, rhs = layer_cake_integral(
-            m, np.zeros(n), u.profile, r_max, fprime=u.derivative, points=u.kinks,
-        )
+        lhs, rhs = layer_cake_integral(m, u.profile, r_max, fprime=u.derivative, points=u.kinks)
         scale = max(1.0, abs(lhs), abs(rhs))
         return make_report(
             "layer_cake", {"n": n, "r_max": r_max}, abs(lhs - rhs), 0.0,

@@ -303,9 +303,9 @@ def test_unknown_subcommand_exit_2(capsys):
     (["pde", "--problem", "ep", "--n", "2", "--nodes", "0"], "nodes"),
     (["pde", "--problem", "d-problem", "--n", "2", "--p", "3", "--k-max", "0"], "k_max"),
     (["avr", "--instance", "euclidean:n=2", "--samples", "0"], "n_samples"),
-    # a 0-draw suite, not the single-profile check
+    # a 0-draw suite, not the single check
     (["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support",
-      "--suite", "0", "--profile", "morrey_extremal:p=4"], "draw"),
+      "--suite", "0"], "draw"),
 ], ids=["avr", "radius", "nodes", "k_max", "samples", "suite"])
 def test_explicit_zero_is_not_replaced_by_the_default(argv, named, capsys):
     # a given 0 reaches the library's range check instead of running as the default
@@ -528,6 +528,45 @@ def test_shape_is_rejected_outside_isoperimetric(inequality, capsys):
                   "--p", "4", "--profile", "morrey_extremal:p=4", "--shape", "ball:radius=2"])
     assert rc == 2
     assert "--shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["morrey-support", "--profile", "morrey_extremal:p=4", "--mu", "0.3"], "--mu"),
+    (["bpv", "--profile", "cone:R=1", "--p", "7"], "--p"),
+    (["isoperimetric", "--shape", "ball:radius=1", "--profile", "cone:R=1", "--mu", "0.1",
+      "--radius", "4"], "--profile, --mu, --radius"),
+    *[([name, "--suite", "2", "--profile", "cone:R=1", "--radius", "3"], "--profile, --radius")
+      for name in INEQUALITIES if name != "isoperimetric"],
+], ids=["support_mu", "bpv_p", "isoperimetric_profile_mu_radius",
+        *[f"suite_{name}" for name in INEQUALITIES if name != "isoperimetric"]])
+def test_flag_the_inequality_does_not_read_exit_2(argv, unread, tmp_path, monkeypatch, capsys):
+    # a value the check would ignore is refused by name, before any check runs
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["verify", "--instance", "euclidean:n=2", "--inequality", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f" does not read {unread}\n")
+
+
+def test_config_key_the_inequality_does_not_read_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    doc = {"task": "verify", "instance": "euclidean:n=2", "inequality": "morrey-support",
+           "profile": "morrey_extremal:p=4", "radius": None}
+    path.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--config", str(path)]) == 0  # null leaves a key unset
+    capsys.readouterr()
+    path.write_text(json.dumps(dict(doc, radius=2.0)))
+    assert run_cli(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: morrey_support does not read --radius\n"
+
+
+def test_every_inequality_declares_the_keys_it_reads(capsys):
+    assert set(cli.VERIFY_KEYS) == set(INEQUALITIES)
+    base = ["verify", "--instance", "euclidean:n=2", "--inequality"]
+    # each suite takes the keys its draws read
+    assert run_cli([*base, "bpv", "--suite", "2", "--mu", "0"]) == 0
+    assert run_cli([*base, "hlp", "--suite", "2", "--p", "2"]) == 0
+    assert run_cli([*base, "isoperimetric", "--suite", "2"]) == 2
+    assert "no randomized suite for 'isoperimetric'" in capsys.readouterr().err
 
 
 def test_each_inequality_runs_its_own_check(capsys):

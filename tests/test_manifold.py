@@ -48,15 +48,15 @@ def test_ball_volume_is_euclidean_growth(l4_2, feps2):
     # canonical measure makes every metric ball volume omega_n r^n
     for m in (l4_2, feps2):
         for r in (0.5, 1.0, 2.0):
-            assert M.ball_volume(m, np.zeros(2), r) == pytest.approx(
+            assert M.ball_volume(m, r) == pytest.approx(
                 omega_n(2) * r**2, rel=1e-12)
     with pytest.raises(ValueError):
-        M.ball_volume(l4_2, np.zeros(2), 0.0)
+        M.ball_volume(l4_2, 0.0)
 
 
 def test_ball_volume_mc_consistent(l4_2):
     est = M.ball_volume_mc(l4_2, np.zeros(2), 1.5, n_samples=200_000, seed=1)
-    exact = M.ball_volume(l4_2, np.zeros(2), 1.5)
+    exact = M.ball_volume(l4_2, 1.5)
     assert abs(est.value - exact) <= 4.0 * est.stderr
     assert est.stderr > 0
 
@@ -69,13 +69,13 @@ def test_ball_volume_mc_seeded():
 
 
 def test_ball_volume_curve_and_bishop_gromov(e2):
-    curve = M.ball_volume_curve(e2, np.zeros(2), [1.0, 2.0, 4.0], n_samples=80_000, seed=3)
+    curve = M.ball_volume_curve(e2, [1.0, 2.0, 4.0], n_samples=80_000, seed=3)
     assert M.bishop_gromov_ok(curve, 2)
     ratios = curve.ratios(2)
     # flat space: ratios hover at 1 within a few standard errors
     assert np.all(np.abs(ratios - 1.0) <= 5.0 * curve.ratio_stderrs(2) + 1e-12)
     with pytest.raises(ValueError):
-        M.ball_volume_curve(e2, np.zeros(2), [2.0, 1.0], n_samples=1000)
+        M.ball_volume_curve(e2, [2.0, 1.0], n_samples=1000)
 
 
 def test_avr_exact_paths(e2, l4_2):
@@ -165,5 +165,5 @@ def test_ball_volume_box_computed_once_per_instance(monkeypatch):
     real = M.dual_norm
     monkeypatch.setattr(M, "dual_norm", lambda h, a, **kw: calls.append(np.shape(a)) or real(h, a, **kw))
     m = M.f_eps_instance(2, 0.5)
-    M.ball_volume_curve(m, np.zeros(2), [1.0, 2.0, 4.0], n_samples=2_000, seed=1)
+    M.ball_volume_curve(m, [1.0, 2.0, 4.0], n_samples=2_000, seed=1)
     assert calls == [(2, 2)]

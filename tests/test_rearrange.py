@@ -168,7 +168,8 @@ def test_lq_norms_bundle(e2):
 
 
 def test_layer_cake_smooth(e2):
-    lhs, rhs = R.layer_cake_integral(e2, np.zeros(2), lambda r: np.exp(-r * r), 3.0)
+    lhs, rhs = R.layer_cake_integral(e2, lambda r: np.exp(-r * r), 3.0,
+                                     fprime=lambda r: -2.0 * r * np.exp(-r * r))
     assert lhs == pytest.approx(rhs, rel=1e-9)
     # exact value: 2 pi int_0^3 e^{-r^2} r dr = pi (1 - e^-9)
     assert lhs == pytest.approx(math.pi * (1.0 - math.exp(-9.0)), rel=1e-10)
@@ -178,7 +179,7 @@ def test_layer_cake_singular_weight(e3):
     # f(r) = r^(-a) with a < n stays integrable; quadrature splits at 0
     a = 1.5
     lhs, rhs = R.layer_cake_integral(
-        e3, np.zeros(3), lambda r: r ** (-a), 2.0,
+        e3, lambda r: r ** (-a), 2.0,
         fprime=lambda r: -a * r ** (-a - 1.0), points=(1e-6,))
     assert lhs == pytest.approx(rhs, rel=1e-6)
     exact = 3.0 * omega_n(3) * 2.0 ** (3 - a) / (3 - a)
@@ -226,8 +227,7 @@ def test_hlp_shifted_center_strict(e2):
 def test_hlp_divergent_weight_is_vacuous(e3):
     # weight exponent >= n makes both sides blow up; report flags it
     u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
-    rep = R.hlp_check(u, e3, lambda r: r ** (-3.2), 2.0,
-                      f_points=(1e-8,))
+    rep = R.hlp_check(u, e3, lambda r: r ** (-3.2), 2.0)
     assert rep.passed
     assert rep.diagnostics.get("diverged")
 
@@ -386,6 +386,6 @@ def test_split_quad_reports_divergence_without_warning_filters():
 
 def test_layer_cake_warns_once_on_divergence(e2):
     with pytest.warns(IntegrationWarning) as record:
-        R.layer_cake_integral(e2, np.zeros(2), lambda r: r**-3.0, 1.0,
+        R.layer_cake_integral(e2, lambda r: r**-3.0, 1.0,
                               fprime=lambda r: -3.0 * r**-4.0)
     assert sum(issubclass(w.category, IntegrationWarning) for w in record) == 1

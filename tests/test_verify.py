@@ -10,18 +10,22 @@ from scipy.special import j0, j1, jn_zeros
 
 from finsler_sharp import _util, norms
 from finsler_sharp import manifold as M
+from finsler_sharp import rearrange as R
 from finsler_sharp import verify as V
 from finsler_sharp._util import parse_descriptor
 from finsler_sharp.constants import (
+    bpv_constant,
     eta,
     l1_extremal_height,
     l1_norm_limit,
     morrey_l1_constant,
     morrey_support_constant,
     support_energy_limit,
+    talenti_l1_constant,
+    talenti_support_constant,
 )
 from finsler_sharp.manifold import euclidean_instance, instance_from_descriptor, minkowski_instance
-from finsler_sharp.norms import WulffShape, lp_norm
+from finsler_sharp.norms import lp_norm
 from finsler_sharp.rearrange import (
     PROFILES,
     RadialTestFunction,
@@ -86,13 +90,80 @@ def test_subcritical_exponent_rejected(e2, rng):
         V.verify_morrey_l1(e2, u, 1.5)
 
 
-def test_explicit_avr_scales_the_constant(e2):
-    u = morrey_extremal_profile(4.0, 2, 1.0)
-    full = V.verify_morrey_support(e2, u, 4.0)
-    half = V.verify_morrey_support(e2, u, 4.0, avr_value=0.5)
-    # weaker volume growth loosens the constant by avr^(-1/n)
-    assert half.rhs == pytest.approx(full.rhs * 0.5 ** (-1.0 / 2.0), rel=1e-12)
-    assert half.params["avr"] == pytest.approx(0.5)
+# -- the AVR comes from the instance ------------------------------------------
+
+def _side(rep):
+    return rep.rhs, rep.params["avr"]
+
+
+_U4 = morrey_extremal_profile(4.0, 2)
+# check -> (instance dimension, its reported side and the avr it echoes, the
+# exponent k with which that side scales as avr^k)
+AVR_SIDES = {
+    "morrey_support": (2, lambda m: _side(V.verify_morrey_support(m, _U4, 4.0)), -1.0 / 2.0),
+    "morrey_l1": (2, lambda m: _side(V.verify_morrey_l1(m, l1_extremal_profile(4.0, 2), 4.0)),
+                  -eta(4.0, 2) / 2.0),
+    "sweep_support": (2, lambda m: (V.sharpness_sweep_support(m, 4.0, (1.0, 2.0)).target, None), 1.0),
+    "sweep_l1": (2, lambda m: (V.sharpness_sweep_l1(m, 4.0, (1.0, 2.0)).target, None), -eta(4.0, 2) / 2.0),
+    "hardy": (3, lambda m: _side(V.verify_hardy(m, V.hardy_test_family(2.0, 3, 0.2), 2.0)), 2.0 / 3.0),
+    "polya_szego": (2, lambda m: _side(polya_szego_check(_U4, m, 4.0)), 4.0 / 2.0),
+    "bpv": (2, lambda m: _side(V.verify_bpv(m, 1.0, _U4)), 2.0 / 2.0),
+    "isoperimetric": (2, lambda m: _side(V.verify_isoperimetric(m, "rectangle:a=2,b=1")), 1.0 / 2.0),
+}
+
+
+def _avr_scaling_gaps(monkeypatch):
+    """Relative gap of each check's side on an instance whose AVR reads 0.5
+    from the same side at AVR 1 times 0.5^k, and the avr each report echoes."""
+    full = {name: run(euclidean_instance(n)) for name, (n, run, _) in AVR_SIDES.items()}
+    real = M.avr
+    half_avr = lambda m, **kw: dataclasses.replace(real(m, **kw), point=0.5)
+    with monkeypatch.context() as mp:
+        # each module's binding of manifold.avr
+        for module, attr in ((M, "avr"), (V, "estimate_avr"), (R, "avr")):
+            mp.setattr(module, attr, half_avr)
+        half = {name: run(euclidean_instance(n)) for name, (n, run, _) in AVR_SIDES.items()}
+    gaps = {name: abs(half[name][0] / (full[name][0] * 0.5**k) - 1.0)
+            for name, (_, _, k) in AVR_SIDES.items()}
+    return gaps, {name: echoed for name, (_, echoed) in half.items() if echoed is not None}
+
+
+def test_every_check_reads_its_avr_from_the_instance(monkeypatch):
+    # a smaller volume ratio must move each side by its own power of the AVR
+    gaps, echoed = _avr_scaling_gaps(monkeypatch)
+    assert {name: gap for name, gap in gaps.items() if not gap <= 1e-12} == {}
+    assert set(echoed.values()) == {0.5}
+
+
+def _support_avr_over_p(p, n, avr=1.0):
+    return talenti_support_constant(p, n) * avr ** (-1.0 / p)
+
+
+def _l1_avr_over_n(p, n, avr=1.0):
+    return talenti_l1_constant(p, n) * avr ** (-1.0 / n)
+
+
+def _hardy_avr_over_n(p, n, avr=1.0):
+    return avr ** (1.0 / n) * ((n - p) / p) ** p
+
+
+def _bpv_avr_over_n(mu, n, avr=1.0, vol_omega=None):
+    mu_bar, s = bpv_constant(mu, n, avr, vol_omega)
+    return mu_bar, s * avr ** (-1.0 / n)
+
+
+@pytest.mark.parametrize("attr,defect,red", [
+    ("morrey_support_constant", _support_avr_over_p, {"morrey_support"}),
+    ("morrey_l1_constant", _l1_avr_over_n, {"morrey_l1", "sweep_l1"}),
+    ("hardy_constant", _hardy_avr_over_n, {"hardy"}),
+    ("bpv_constant", _bpv_avr_over_n, {"bpv"}),
+], ids=["support_avr^(-1/p)", "l1_avr^(-1/n)", "hardy_avr^(1/n)", "bpv_avr^(1/n)"])
+def test_wrong_avr_exponent_turns_the_avr_test_red(attr, defect, red, monkeypatch):
+    # planted defects: each wrong power of the AVR fails exactly the checks
+    # whose side carries that constant
+    monkeypatch.setattr(V, attr, defect)
+    gaps, _ = _avr_scaling_gaps(monkeypatch)
+    assert {name for name, gap in gaps.items() if not gap <= 1e-12} == red
 
 
 # -- sharpness sweeps -------------------------------------------------------
@@ -219,12 +290,17 @@ def test_bpv_generic_profile_passes_with_slack(e2, rng):
     assert rep.ratio > 1.0
 
 
-def test_bpv_accepts_wulff_domain(l4_2, rng):
-    u = random_decreasing_profile(rng)
-    shape = WulffShape(norm=l4_2.norm, radius=u.support_radius)
-    rep = V.verify_bpv(l4_2, shape, u, mu=0.0)
-    assert rep.passed
-    assert rep.params["vol"] == pytest.approx(shape.volume())
+def test_bpv_domain_volume_is_canonical_on_every_normalization():
+    # the ball of radius 1 has canonical volume pi whatever the norm's scale,
+    # so the unnormalized l4 plane gets the normalized one's vol and S
+    raw = instance_from_descriptor({"kind": "minkowski", "norm": {"kind": "lp", "n": 2, "p": 4}})
+    normalized = instance_from_descriptor("lp:n=2,p=4")
+    u = morrey_extremal_profile(4.0, 2)
+    for m in (raw, normalized):
+        rep = V.verify_bpv(m, 1.0, u)
+        assert rep.params["vol"] == math.pi
+        assert rep.sharp_constant == 5.783185962946785
+        assert rep.passed
 
 
 def test_bpv_domain_errors(e2, rng):
