@@ -9,7 +9,7 @@ explorer climbing the plateau ladder of an oscillatory nonlinearity.
 
 import numpy as np
 
-from finsler_sharp.constants import bessel_first_zero, bpv_constant
+from finsler_sharp.constants import bessel_first_zero, bpv_constant, omega_n
 from finsler_sharp.pde import (
     OscillatoryNonlinearity,
     RadialBvp,
@@ -32,7 +32,7 @@ print(f"{'n':>3} {'R':>5} {'mu':>5} {'lambda_1':>14} {'closed form':>14} {'dev':
 for n, radius, mu in [(2, 1.0, 0.0), (3, 1.0, 0.0), (3, 1.0, 0.2), (4, 2.0, 0.9)]:
     bvp = RadialBvp(n=n, radius=radius, mu=mu)
     lam1, _ = first_eigenvalue(bvp)
-    mu_bar, _ = bpv_constant(mu, n)
+    mu_bar, _ = bpv_constant(mu, n, 1.0, omega_n(n))
     closed = bessel_first_zero(mu_bar) ** 2 / radius**2
     print(f"{n:3d} {radius:5.2f} {mu:5.2f} {lam1:14.9f} {closed:14.9f} {abs(lam1 - closed):10.2e}")
 

@@ -61,6 +61,7 @@ print(f"ratio = {rep.ratio:.6f}  (> 1 means symmetrization helped)  passed = {re
 
 banner("radial input is a fixed point, energies agree")
 cone = cone_profile(radius=1.0, height=1.0)
+print(f"rearrange returns the cone itself: {rearrange(cone, m) is cone}")
 rep = polya_szego_check(cone, m, 2.0)
 print(f"ratio on an already-radial cone = {rep.ratio:.10f}")
 

@@ -28,7 +28,7 @@ banner("sharp constants (AVR = 1)")
 header = f"{'p':>4} {'n':>3} {'support':>12} {'l1':>12} {'eta':>8}"
 print(header)
 for p, n in CASES:
-    sc = sharp_constants(p, n)
+    sc = sharp_constants(p, n, 1.0, 0.0)
     print(f"{p:4.1f} {n:3d} {sc.morrey_support:12.8f} {sc.morrey_l1:12.8f} {sc.eta:8.5f}")
 
 banner("support bound: extremal profile attains the constant")

@@ -30,6 +30,11 @@ def _check_sup_domain(p: float, n: int) -> None:
         raise ValueError(f"sup-norm bounds need p > n, got p={p}, n={n}")
 
 
+def _check_avr(avr: float) -> None:
+    if not 0.0 < avr <= 1.0:
+        raise ValueError(f"avr must lie in (0, 1], got {avr}")
+
+
 def talenti_support_constant(p: float, n: int) -> float:
     """Sharp constant in the support-volume sup-norm bound, flat case.
 
@@ -44,14 +49,13 @@ def talenti_support_constant(p: float, n: int) -> float:
     )
 
 
-def morrey_support_constant(p: float, n: int, avr: float = 1.0) -> float:
+def morrey_support_constant(p: float, n: int, avr: float) -> float:
     """Support-volume sup-norm constant scaled by the volume ratio.
 
     For a space with asymptotic volume ratio avr in (0, 1] the sharp
     constant is the flat one times avr^(-1/n); it is nonincreasing in avr.
     """
-    if not 0.0 < avr <= 1.0:
-        raise ValueError(f"avr must lie in (0, 1], got {avr}")
+    _check_avr(avr)
     return talenti_support_constant(p, n) * avr ** (-1.0 / n)
 
 
@@ -79,21 +83,19 @@ def talenti_l1_constant(p: float, n: int) -> float:
     )
 
 
-def morrey_l1_constant(p: float, n: int, avr: float = 1.0) -> float:
+def morrey_l1_constant(p: float, n: int, avr: float) -> float:
     """L1 sup-norm constant scaled by avr^(-eta/n)."""
-    if not 0.0 < avr <= 1.0:
-        raise ValueError(f"avr must lie in (0, 1], got {avr}")
+    _check_avr(avr)
     return talenti_l1_constant(p, n) * avr ** (-eta(p, n) / n)
 
 
-def hardy_constant(p: float, n: int, avr: float = 1.0) -> float:
+def hardy_constant(p: float, n: int, avr: float) -> float:
     """Sharp constant avr^(p/n) * ((n-p)/p)^p of the singular-weight bound."""
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
     if not 1.0 < p < n:
         raise ValueError(f"singular-weight bound needs n > p > 1, got p={p}, n={n}")
-    if not 0.0 < avr <= 1.0:
-        raise ValueError(f"avr must lie in (0, 1], got {avr}")
+    _check_avr(avr)
     return avr ** (p / n) * ((n - p) / p) ** p
 
 
@@ -124,23 +126,20 @@ def bessel_first_zero(nu: float) -> float:
     )
 
 
-def bpv_constant(mu: float, n: int, avr: float = 1.0, vol_omega: float | None = None):
+def bpv_constant(mu: float, n: int, avr: float, vol_omega: float):
     """Shifted-order zero and optimal Poincare constant with a Hardy term.
 
     Returns (mu_bar, S) with mu_bar = sqrt((n-2)^2/4 - mu * avr^(-2/n))
-    and S = avr^(2/n) * j_{mu_bar}^2 * (omega_n / vol_omega)^(2/n).
-    vol_omega defaults to omega_n (unit-radius domain).  In dimension 2
-    the admissible range collapses to mu = 0.
+    and S = avr^(2/n) * j_{mu_bar}^2 * (omega_n / vol_omega)^(2/n) on a
+    domain of volume vol_omega.  In dimension 2 the admissible range
+    collapses to mu = 0.
     """
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
-    if not 0.0 < avr <= 1.0:
-        raise ValueError(f"avr must lie in (0, 1], got {avr}")
+    _check_avr(avr)
     mu_max = (n - 2.0) ** 2 / 4.0 * avr ** (2.0 / n)
     if not 0.0 <= mu <= mu_max + 1e-12:
         raise ValueError(f"mu must lie in [0, {mu_max}], got {mu}")
-    if vol_omega is None:
-        vol_omega = omega_n(n)
     if vol_omega <= 0:
         raise ValueError(f"domain volume must be positive, got {vol_omega}")
     radicand = max((n - 2.0) ** 2 / 4.0 - mu * avr ** (-2.0 / n), 0.0)
@@ -159,25 +158,28 @@ def l1_extremal_height(p: float, n: int) -> float:
     return special.beta((1.0 - n) * pp / n + 1.0, pp) / n
 
 
-def support_energy_limit(p: float, n: int, avr: float = 1.0) -> float:
+def support_energy_limit(p: float, n: int, avr: float) -> float:
     """Large-radius limit of the scaled energy of the support test family.
 
     n * omega_n * ((p-n)/(p-1))^(p-1) * avr.
     """
     _check_sup_domain(p, n)
+    _check_avr(avr)
     return n * omega_n(n) * ((p - n) / (p - 1.0)) ** (p - 1.0) * avr
 
 
-def l1_norm_limit(p: float, n: int, avr: float = 1.0) -> float:
+def l1_norm_limit(p: float, n: int, avr: float) -> float:
     """Large-radius limit of the scaled L1 norm of the L1 test family."""
     _check_sup_domain(p, n)
+    _check_avr(avr)
     pp = p / (p - 1.0)
     return omega_n(n) * avr * special.beta((1.0 - n) * pp / n + 2.0, pp) / n
 
 
-def l1_energy_limit(p: float, n: int, avr: float = 1.0) -> float:
+def l1_energy_limit(p: float, n: int, avr: float) -> float:
     """Large-radius limit of the scaled energy of the L1 test family."""
     _check_sup_domain(p, n)
+    _check_avr(avr)
     pp = p / (p - 1.0)
     return omega_n(n) * avr * special.beta((1.0 - n) * pp / n + 1.0, pp + 1.0)
 
@@ -212,7 +214,7 @@ class SharpConstants:
         return asdict(self)
 
 
-def sharp_constants(p: float, n: int, avr: float = 1.0, mu: float = 0.0) -> SharpConstants:
+def sharp_constants(p: float, n: int, avr: float, mu: float) -> SharpConstants:
     """Evaluate every constant that applies to (p, n, avr, mu), the
     shifted Poincare one on the unit ball (vol = omega_n)."""
     vol = omega_n(n)

@@ -94,7 +94,8 @@ class RadialBvp:
         return -half + math.sqrt(half * half - self.mu)
 
     def spectral_bound(self) -> float:
-        """Sharp L2 lower bound of the quadratic form on this ball."""
+        """Sharp L2 lower bound of the quadratic form on this ball; the
+        radial BVP is flat by construction, so its AVR is 1."""
         vol = omega_n(self.n) * self.radius ** self.n
         _, s = bpv_constant(self.mu, self.n, 1.0, vol)
         return s

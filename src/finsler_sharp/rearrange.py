@@ -3,8 +3,8 @@
 A function u on an instance is replaced by the decreasing rearrangement
 u*(x) = v(omega_n H(x)^n) built from its distribution function
 mu(t) = Vol{u > t}, where v is the right-continuous generalized inverse
-v(s) = inf {t >= 0 : mu(t) <= s}.  Radial nonincreasing inputs pass
-through exactly; general inputs are handled on sampling grids whose cells
+v(s) = inf {t >= 0 : mu(t) <= s}.  A radial nonincreasing input is its own
+rearrangement; general inputs are handled on sampling grids whose cells
 make the construction a weighted sort.
 
 Dirichlet energies of rearranged profiles reduce to the 1-D integral
@@ -39,9 +39,9 @@ class RadialTestFunction:
     """u(x) = profile(d_F(center, x)) with a nonincreasing profile.
 
     The profile must vanish at and beyond support_radius.  kinks lists
-    interior radii where the derivative jumps, so quadratures can split
-    there.  derivative is the a.e. derivative; it may be unbounded near 0
-    as long as the energies stay integrable.
+    radii where the derivative jumps, so quadratures can split there.
+    derivative is the a.e. derivative; it may be unbounded near 0 as long
+    as the energies stay integrable.
 
     profile and derivative take a float or an array.  A float gives a
     float with the bits of the same radius passed as a 0-d array, without
@@ -51,7 +51,7 @@ class RadialTestFunction:
 
     profile: Callable
     support_radius: float
-    derivative: Optional[Callable] = None
+    derivative: Callable
     center: Optional[np.ndarray] = None
     kinks: tuple = ()
     label: str = "radial"
@@ -61,13 +61,6 @@ class RadialTestFunction:
 
     def sup(self) -> float:
         return float(self.profile(np.asarray(0.0)))
-
-    def d(self, rho):
-        if self.derivative is not None:
-            return self.derivative(np.asarray(rho, dtype=float))
-        rho = np.asarray(rho, dtype=float)
-        h = 1e-7 * max(1.0, self.support_radius)
-        return (self.profile(rho + h) - self.profile(rho - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,6 @@ class GridFunction:
 
     values: np.ndarray
     box_half: np.ndarray
-    center: Optional[np.ndarray] = None
     label: str = "grid"
 
     @property
@@ -98,7 +90,7 @@ class GridFunction:
         return widths / np.array(self.values.shape)
 
 
-def grid_function_from_callable(func, box_half, shape, label="grid") -> GridFunction:
+def grid_function_from_callable(func, box_half, shape) -> GridFunction:
     """Sample a callable at cell centers of a uniform grid over the box."""
     box_half = np.asarray(box_half, dtype=float)
     axes = [
@@ -107,7 +99,7 @@ def grid_function_from_callable(func, box_half, shape, label="grid") -> GridFunc
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = np.asarray(func(pts), dtype=float).reshape(shape)
-    return GridFunction(values=vals, box_half=box_half, label=label)
+    return GridFunction(values=vals, box_half=box_half)
 
 
 @dataclass(frozen=True)
@@ -121,38 +113,27 @@ class DistributionFunction:
 
 @dataclass(frozen=True)
 class DecreasingProfile:
-    """The rearranged profile v(s) over the volume coordinate s of R^dim.
+    """The rearranged profile v(s) of a grid source over the volume
+    coordinate s of R^dim.
 
     u*(x) = v(omega_n H(x)^n) = g(H(x)) with n = dim, for any normalized
     norm H: its energies and norms depend on the dimension only.
     svals/tvals encode the right-continuous staircase: v = tvals[i] on
-    [svals[i], svals[i+1]).  A smooth radial passthrough (source already
-    nonincreasing radial) additionally carries the original profile and
-    derivative, which the energy quadratures prefer.
+    [svals[i], svals[i+1]).
     """
 
     svals: np.ndarray
     tvals: np.ndarray
     dim: int
-    smooth: Optional[RadialTestFunction] = None
 
     def profile(self, rho):
         """g(rho) = v(omega_n rho^n)."""
-        if self.smooth is not None:
-            return self.smooth.profile(rho)
         rho = np.asarray(rho, dtype=float)
         s = omega_n(self.dim) * rho**self.dim
         idx = np.minimum(np.searchsorted(self.svals[1:], s, side="right"), len(self.tvals) - 1)
         return np.where(s >= self.svals[-1], 0.0, self.tvals[idx])
 
-    def support_radius(self) -> float:
-        if self.smooth is not None:
-            return self.smooth.support_radius
-        return float((self.svals[-1] / omega_n(self.dim)) ** (1.0 / self.dim))
-
     def sup(self) -> float:
-        if self.smooth is not None:
-            return self.smooth.sup()
         return float(self.tvals[0]) if len(self.tvals) else 0.0
 
 
@@ -348,7 +329,7 @@ def scale_profile(u: RadialTestFunction, factor: float) -> RadialTestFunction:
 
     return RadialTestFunction(
         profile=scaled(u.profile),
-        derivative=None if u.derivative is None else scaled(u.derivative),
+        derivative=scaled(u.derivative),
         support_radius=u.support_radius,
         center=u.center,
         kinks=u.kinks,
@@ -357,19 +338,29 @@ def scale_profile(u: RadialTestFunction, factor: float) -> RadialTestFunction:
 
 
 def table_profile(rhos, values) -> RadialTestFunction:
-    """Nonincreasing interpolated profile from sample pairs."""
+    """Nonincreasing interpolated profile from sample pairs, flat before
+    the first radius, with its exact piecewise-constant slopes."""
     rhos = np.asarray(rhos, dtype=float)
     values = np.asarray(values, dtype=float)
+    if rhos.ndim != 1 or rhos.shape != values.shape or len(rhos) < 2:
+        raise ValueError("a table needs at least two radii and as many values")
+    if not (np.all(np.isfinite(rhos)) and np.all(np.isfinite(values))):
+        raise ValueError("table entries must be finite")
+    if rhos[0] < 0:
+        raise ValueError("table radii must be nonnegative")
     if np.any(np.diff(rhos) <= 0):
         raise ValueError("table radii must be strictly increasing")
     if np.any(np.diff(values) > 1e-12):
         raise ValueError("table values must be nonincreasing")
     if values[-1] != 0.0:
         raise ValueError("table must end at 0")
+    # slope i + 1 holds on [rhos[i], rhos[i + 1]); 0 before rhos[0] and from rhos[-1] on
+    slopes = np.concatenate(([0.0], np.diff(values) / np.diff(rhos), [0.0]))
     return RadialTestFunction(
         profile=lambda rho: np.interp(rho, rhos, values, right=0.0),
+        derivative=lambda rho: slopes[np.searchsorted(rhos, rho, side="right")],
         support_radius=float(rhos[-1]),
-        kinks=tuple(rhos[1:-1]),
+        kinks=tuple(rhos[:-1]),
         label="table",
     )
 
@@ -406,12 +397,18 @@ def profile_from_descriptor(desc, **context) -> RadialTestFunction:
 # distribution and rearrangement
 
 
-def _radial_level_radii(u: RadialTestFunction, levels: np.ndarray) -> np.ndarray:
-    """sup {rho : g(rho) > t} per level, by inverse interpolation on a fine grid."""
+def _profile_table(u: RadialTestFunction):
+    """(rho, g(rho)) on the graded level grid; raises unless g is nonincreasing."""
     rho = graded_grid(0.0, u.support_radius, PROFILE_GRID + 1, exponent=1.6)
     gv = np.asarray(u.profile(rho), dtype=float)
     if np.any(np.diff(gv) > 1e-9 * max(1.0, u.sup())):
         raise ValueError("radial profile is not nonincreasing")
+    return rho, gv
+
+
+def _radial_level_radii(u: RadialTestFunction, levels: np.ndarray) -> np.ndarray:
+    """sup {rho : g(rho) > t} per level, by inverse interpolation on a fine grid."""
+    rho, gv = _profile_table(u)
     n_pts = len(gv)
     k = n_pts - np.searchsorted(gv[::-1], levels, side="right") - 1  # last index with gv > t, -1 if none
     j = np.clip(k, 0, n_pts - 2)
@@ -450,42 +447,39 @@ def distribution(u, m: FinslerInstance, levels=None) -> DistributionFunction:
     raise TypeError(f"unsupported function representation: {type(u).__name__}")
 
 
-def rearrange(u, m: FinslerInstance) -> DecreasingProfile:
+def rearrange(u, m: FinslerInstance):
     """Decreasing rearrangement of u on the instance m.
 
     The result depends on the dimension only: u* = g(H(x)) has the same
     distribution, norms and energies for every normalized norm H, so no
-    target norm is asked for.  Radial nonincreasing sources pass through
-    unchanged; grid sources become the weighted-sort staircase, which
-    realizes the right-continuous generalized inverse of the cell
+    target norm is asked for.  A radial source is its own rearrangement:
+    it comes back as it is once its profile is checked nonincreasing.  A
+    grid source becomes the weighted-sort staircase, a DecreasingProfile,
+    which realizes the right-continuous generalized inverse of the cell
     distribution.
     """
-    n = m.dim
     if isinstance(u, RadialTestFunction):
-        rho = graded_grid(0.0, u.support_radius, PROFILE_GRID + 1, exponent=1.6)
-        gv = np.asarray(u.profile(rho), dtype=float)
-        if np.any(np.diff(gv) > 1e-9 * max(1.0, u.sup())):
-            raise ValueError("radial profile is not nonincreasing")
-        return DecreasingProfile(svals=omega_n(n) * rho**n, tvals=gv[:-1], dim=n, smooth=u)
+        _profile_table(u)
+        return u
     if isinstance(u, GridFunction):
         weight = bh_density(m) * u.cell_volume()
         vals = np.sort(u.values.ravel())[::-1]
         vals = vals[vals > 0.0]
         svals = weight * np.arange(len(vals) + 1, dtype=float)
-        return DecreasingProfile(svals=svals, tvals=vals.copy(), dim=n)
+        return DecreasingProfile(svals=svals, tvals=vals.copy(), dim=m.dim)
     raise TypeError(f"unsupported function representation: {type(u).__name__}")
 
 
-def equimeasurability_gap(u, m: FinslerInstance, star: DecreasingProfile, levels=None) -> float:
+def equimeasurability_gap(u, m: FinslerInstance, star, levels=None) -> float:
     """max over the level grid of |Vol{u > t} - Vol{u* > t}|.
 
-    Every level is answered from one profile table: a smooth u* inverts its
+    Every level is answered from one profile table: a radial u* inverts its
     tabulated profile once for the whole level grid, and a staircase u*
     counts its steps above all levels with one sorted search.
     """
     mu = distribution(u, m, levels=levels)
-    if star.smooth is not None:
-        vol = omega_n(star.dim) * _radial_level_radii(star.smooth, mu.levels) ** star.dim
+    if isinstance(star, RadialTestFunction):
+        vol = distribution(star, m, levels=mu.levels).values
     else:
         # staircase: v > t exactly on [0, svals[count]) with count = #{tvals > t}
         count = len(star.tvals) - np.searchsorted(star.tvals[::-1], mu.levels, side="right")
@@ -523,8 +517,6 @@ def lq_norm_star(star: DecreasingProfile, q: float) -> float:
     """L^q norm of the rearranged function, via the volume coordinate."""
     if q == math.inf:
         return star.sup()
-    if star.smooth is not None:
-        return lq_norm_radial(star.smooth, q, star.dim)
     ds = np.diff(star.svals)
     return float((np.sum(star.tvals**q * ds)) ** (1.0 / q))
 
@@ -533,26 +525,16 @@ def radial_dirichlet_energy(prof, n: int, p: float) -> float:
     """int H*(Du*)^p dv over R^n for u*(x) = g(H(x)).
 
     Equals n omega_n int |g'|^p rho^(n-1) drho for every normalized norm
-    H: it depends on the dimension only.  A profile without an analytic
-    derivative is differenced on 8192 graded nodes.  Returns inf when the
-    integral diverges.
+    H: it depends on the dimension only.  Returns inf when the integral
+    diverges.
     """
     if p <= 1:
         raise ValueError(f"energy exponent must satisfy p > 1, got {p}")
-    if isinstance(prof, DecreasingProfile) and prof.smooth is not None:
-        prof = prof.smooth
     if isinstance(prof, RadialTestFunction):
-        if prof.derivative is not None:
-            fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
-            val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
-            if not converged or not math.isfinite(val) or val > 1e15:
-                return math.inf
-            return n * omega_n(n) * val
-        # no analytic derivative: graded central differences
-        rho = graded_grid(0.0, prof.support_radius, 8192, exponent=2.0)
-        mid = 0.5 * (rho[1:] + rho[:-1])
-        dg = np.diff(np.asarray(prof.profile(rho), dtype=float)) / np.diff(rho)
-        val = float(np.sum(np.abs(dg) ** p * mid ** (n - 1) * np.diff(rho)))
+        fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
+        val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
+        if not converged or not math.isfinite(val) or val > 1e15:
+            return math.inf
         return n * omega_n(n) * val
     if isinstance(prof, DecreasingProfile):
         # Staircase: differencing at step resolution aliases the jumps into
@@ -616,9 +598,9 @@ def polya_szego_check(u, m: FinslerInstance, p: float) -> InequalityReport:
     instance's AVR.
 
     The right side depends on the dimension and the AVR only, for every
-    normalized H.  Radial nonincreasing sources attain equality (checked
-    through two independent quadratures, at rtol 1e-6); grid sources are
-    compared at grid accuracy, rtol 1e-2.
+    normalized H.  A radial nonincreasing source is its own rearrangement,
+    so both sides run the same quadrature and meet at rtol 1e-6; grid
+    sources are compared at grid accuracy, rtol 1e-2.
     """
     a = avr(m).point
     star = rearrange(u, m)
@@ -680,10 +662,11 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
             "upper", rtol, diagnostics={"diverged": True, "weight_exponent": a_hat},
         )
 
+    # star is u itself, so the centred path integrates the same profile twice
     def rhs_fn(rho):
         return star.profile(rho) ** p * f(rho) * rho ** (n - 1)
 
-    rhs_val, _, _ = split_quad(rhs_fn, 0.0, star.support_radius(), points=u.kinks)
+    rhs_val, _, _ = split_quad(rhs_fn, 0.0, star.support_radius, points=u.kinks)
     rhs = n * omega_n(n) * rhs_val
     if not math.isfinite(rhs) or rhs > 1e15:
         return make_report(

@@ -33,17 +33,14 @@ from .constants import (
     omega_n,
     support_energy_limit,
 )
-from .manifold import FinslerInstance, avr as estimate_avr, bh_density
+from .manifold import FinslerInstance, avr as estimate_avr
 from .norms import MinkowskiNorm, WulffShape
 from .rearrange import (
-    GridFunction,
     RadialTestFunction,
-    _grid_gradient_dual_energy,
     equimeasurability_gap,
     hlp_check,
     l1_extremal_profile,
     layer_cake_integral,
-    lq_norm_grid,
     lq_norm_radial,
     morrey_extremal_profile,
     polya_szego_check,
@@ -66,38 +63,26 @@ INEQUALITIES = (
 )
 
 
-def _split(u, m: FinslerInstance, p: float):
-    """(sup, support volume, dual gradient energy, path diag)."""
-    n = m.dim
-    if isinstance(u, RadialTestFunction):
-        sup = u.sup()
-        vol = omega_n(n) * u.support_radius**n
-        energy = radial_dirichlet_energy(u, n, p)
-        diag = {"path": "radial", "profile": u.label}
-    elif isinstance(u, GridFunction):
-        sup = float(u.values.max(initial=0.0))
-        vol = bh_density(m) * u.cell_volume() * int(np.count_nonzero(u.values > 0.0))
-        energy = _grid_gradient_dual_energy(u, m, p)
-        diag = {"path": "grid", "cells": int(u.values.size)}
-    else:
+def _split(u: RadialTestFunction, n: int, p: float):
+    """(sup, support volume, dual gradient energy, diag) of a radial source."""
+    if not isinstance(u, RadialTestFunction):
         raise TypeError(f"unsupported function representation: {type(u).__name__}")
-    return sup, vol, energy, diag
+    energy = radial_dirichlet_energy(u, n, p)
+    return u.sup(), omega_n(n) * u.support_radius**n, energy, {"path": "radial", "profile": u.label}
 
 
-def verify_morrey_support(m: FinslerInstance, u, p: float) -> InequalityReport:
-    """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p).
+def verify_morrey_support(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
+    """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p) for a
+    radial source, at the tight one-sided tolerance rtol 1e-9.
 
-    Radial sources get the tight one-sided tolerance, rtol 1e-9; grid
-    sources are checked at finite-difference accuracy, rtol 1e-2.  A
-    divergent gradient energy makes the bound vacuous and is flagged in
+    A divergent gradient energy makes the bound vacuous and is flagged in
     the diagnostics.
     """
     n = m.dim
     if not p > n:
         raise ValueError(f"support bound needs p > n, got p={p}, n={n}")
     a = estimate_avr(m).point
-    sup, vol, energy, diag = _split(u, m, p)
-    rtol = 1e-9 if diag["path"] == "radial" else 1e-2
+    sup, vol, energy, diag = _split(u, n, p)
     c = morrey_support_constant(p, n, a)
     if not math.isfinite(energy):
         diag["divergent_energy"] = True
@@ -110,22 +95,21 @@ def verify_morrey_support(m: FinslerInstance, u, p: float) -> InequalityReport:
         sup,
         rhs,
         direction="upper",
-        rtol=rtol,
+        rtol=1e-9,
         sharp_constant=c,
         diagnostics=diag,
     )
 
 
-def verify_morrey_l1(m: FinslerInstance, u, p: float) -> InequalityReport:
-    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p), at the rtol of
-    verify_morrey_support."""
+def verify_morrey_l1(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
+    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p) for a radial
+    source, at the rtol of verify_morrey_support."""
     n = m.dim
     if not p > n:
         raise ValueError(f"L1 bound needs p > n, got p={p}, n={n}")
     a = estimate_avr(m).point
-    sup, _, energy, diag = _split(u, m, p)
-    l1 = lq_norm_radial(u, 1.0, n) if diag["path"] == "radial" else lq_norm_grid(u, 1.0, m)
-    rtol = 1e-9 if diag["path"] == "radial" else 1e-2
+    sup, _, energy, diag = _split(u, n, p)
+    l1 = lq_norm_radial(u, 1.0, n)
     c = morrey_l1_constant(p, n, a)
     e = eta(p, n)
     if not math.isfinite(energy):
@@ -139,7 +123,7 @@ def verify_morrey_l1(m: FinslerInstance, u, p: float) -> InequalityReport:
         sup,
         rhs,
         direction="upper",
-        rtol=rtol,
+        rtol=1e-9,
         sharp_constant=c,
         diagnostics=diag,
     )

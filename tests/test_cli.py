@@ -513,6 +513,21 @@ def test_table_profile_from_config(tmp_path, capsys):
     assert doc["config"]["profile"]["kind"] == "table"
 
 
+@pytest.mark.parametrize("rhos,values", [
+    ([], []),
+    ([0.0, 0.5, 1.0], [1.0, 0.0]),
+    ([-0.5, 1.0], [1.0, 0.0]),
+], ids=["empty", "mismatched", "negative_radius"])
+def test_malformed_table_exits_2(tmp_path, capsys, rhos, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "task": "verify", "instance": "euclidean:n=2", "inequality": "morrey-support", "p": 4,
+        "profile": {"kind": "table", "rhos": rhos, "values": values},
+    }))
+    assert run_cli(["verify", "--config", str(path)]) == 2
+    assert "table" in capsys.readouterr().err
+
+
 def test_u_R_takes_only_the_support_and_l1_families(capsys):
     argv = ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-l1", "--p", "5"]
     for family in ("support", "l1"):

@@ -33,7 +33,7 @@ def test_support_constant_oracle(p, n):
     T, _, _, _, _, _, lim = ORACLE[(p, n)]
     assert C.talenti_support_constant(p, n) == pytest.approx(T, rel=1e-14)
     assert C.morrey_support_constant(p, n, avr=1.0) == pytest.approx(T, rel=1e-14)
-    assert C.support_energy_limit(p, n) == pytest.approx(lim, rel=1e-14)
+    assert C.support_energy_limit(p, n, 1.0) == pytest.approx(lim, rel=1e-14)
 
 
 @pytest.mark.parametrize("p,n", sorted(ORACLE))
@@ -42,16 +42,16 @@ def test_l1_constant_oracle(p, n):
     assert C.talenti_l1_constant(p, n) == pytest.approx(Cl1, rel=1e-14)
     assert C.eta(p, n) == pytest.approx(eta, rel=1e-14)
     assert C.l1_extremal_height(p, n) == pytest.approx(height, rel=1e-14)
-    assert C.l1_norm_limit(p, n) == pytest.approx(norm_lim, rel=1e-14)
-    assert C.l1_energy_limit(p, n) == pytest.approx(energy_lim, rel=1e-14)
+    assert C.l1_norm_limit(p, n, 1.0) == pytest.approx(norm_lim, rel=1e-14)
+    assert C.l1_energy_limit(p, n, 1.0) == pytest.approx(energy_lim, rel=1e-14)
 
 
 def test_avr_scaling_direction():
     # smaller volume growth can only worsen (increase) the constants
-    base = C.morrey_support_constant(4.0, 2)
+    base = C.morrey_support_constant(4.0, 2, 1.0)
     assert C.morrey_support_constant(4.0, 2, avr=0.5) > base
-    assert C.morrey_l1_constant(4.0, 2, avr=0.5) > C.morrey_l1_constant(4.0, 2)
-    assert C.hardy_constant(2.0, 3, avr=0.5) < C.hardy_constant(2.0, 3)
+    assert C.morrey_l1_constant(4.0, 2, avr=0.5) > C.morrey_l1_constant(4.0, 2, 1.0)
+    assert C.hardy_constant(2.0, 3, avr=0.5) < C.hardy_constant(2.0, 3, 1.0)
 
 
 def test_omega_n_values():
@@ -61,9 +61,9 @@ def test_omega_n_values():
 
 
 def test_hardy_constant_values():
-    assert C.hardy_constant(2.0, 3) == pytest.approx(0.25, rel=1e-14)
-    assert C.hardy_constant(3.0, 4) == pytest.approx(0.037037037037037037, rel=1e-14)
-    assert C.hardy_constant(1.5, 2) == pytest.approx(0.19245008972987525, rel=1e-14)
+    assert C.hardy_constant(2.0, 3, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert C.hardy_constant(3.0, 4, 1.0) == pytest.approx(0.037037037037037037, rel=1e-14)
+    assert C.hardy_constant(1.5, 2, 1.0) == pytest.approx(0.19245008972987525, rel=1e-14)
 
 
 def test_domain_errors():
@@ -72,19 +72,40 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         C.talenti_support_constant(3.0, 3)
     with pytest.raises(ValueError):
-        C.hardy_constant(3.0, 3)  # needs p < n
+        C.hardy_constant(3.0, 3, 1.0)  # needs p < n
     with pytest.raises(ValueError):
-        C.hardy_constant(1.0, 3)
+        C.hardy_constant(1.0, 3, 1.0)
     with pytest.raises(ValueError):
         C.morrey_support_constant(4.0, 2, avr=0.0)
     with pytest.raises(ValueError):
         C.morrey_support_constant(4.0, 2, avr=1.5)
     with pytest.raises(ValueError):
-        C.bpv_constant(-0.1, 3)
+        C.bpv_constant(-0.1, 3, 1.0, C.omega_n(3))
     with pytest.raises(ValueError):
-        C.bpv_constant(0.3, 3)  # above (n-2)^2/4 = 0.25
+        C.bpv_constant(0.3, 3, 1.0, C.omega_n(3))  # above (n-2)^2/4 = 0.25
     with pytest.raises(ValueError):
-        C.bpv_constant(0.1, 2)  # n = 2 admits only mu = 0
+        C.bpv_constant(0.1, 2, 1.0, C.omega_n(2))  # n = 2 admits only mu = 0
+
+
+# every function that scales by the AVR, with arguments inside its domain
+AVR_TAKERS = {
+    "morrey_support_constant": lambda a: C.morrey_support_constant(4.0, 2, a),
+    "morrey_l1_constant": lambda a: C.morrey_l1_constant(4.0, 2, a),
+    "hardy_constant": lambda a: C.hardy_constant(2.0, 3, a),
+    "bpv_constant": lambda a: C.bpv_constant(0.0, 3, a, C.omega_n(3)),
+    "support_energy_limit": lambda a: C.support_energy_limit(4.0, 2, a),
+    "l1_norm_limit": lambda a: C.l1_norm_limit(4.0, 2, a),
+    "l1_energy_limit": lambda a: C.l1_energy_limit(4.0, 2, a),
+}
+
+
+@pytest.mark.parametrize("name", list(AVR_TAKERS))
+def test_every_avr_taker_rejects_an_avr_outside_the_unit_interval(name):
+    AVR_TAKERS[name](1.0)
+    AVR_TAKERS[name](0.5)
+    for bad in (0.0, -1.0, 1.5, 5.0, math.nan):
+        with pytest.raises(ValueError, match="avr"):
+            AVR_TAKERS[name](bad)
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +161,34 @@ def test_beta_gamma_identities():
 
 def test_bpv_constant_closed_form():
     # unit disk: mu = 0 collapses to the squared first zero of order 0
-    mu_bar, s = C.bpv_constant(0.0, 2)
+    mu_bar, s = C.bpv_constant(0.0, 2, 1.0, C.omega_n(2))
     assert mu_bar == 0.0
     assert s == pytest.approx(5.7831859629467845, rel=1e-12)
     # n = 3 unit ball: order 1/2, zero at pi
-    mu_bar, s = C.bpv_constant(0.0, 3)
+    mu_bar, s = C.bpv_constant(0.0, 3, 1.0, C.omega_n(3))
     assert mu_bar == pytest.approx(0.5, rel=1e-15)
     assert s == pytest.approx(9.8696044010893586, rel=1e-12)
     # volume scaling: doubling the radius divides the constant by 4
-    _, s_big = C.bpv_constant(0.0, 3, vol_omega=C.omega_n(3) * 2.0**3)
+    _, s_big = C.bpv_constant(0.0, 3, 1.0, C.omega_n(3) * 2.0**3)
     assert s_big == pytest.approx(s / 4.0, rel=1e-12)
 
 
 def test_bpv_constant_hardy_shift():
     # positive mu lowers the effective order and the constant
-    mu_bar0, s0 = C.bpv_constant(0.0, 4)
-    mu_bar1, s1 = C.bpv_constant(0.5, 4)
+    mu_bar0, s0 = C.bpv_constant(0.0, 4, 1.0, C.omega_n(4))
+    mu_bar1, s1 = C.bpv_constant(0.5, 4, 1.0, C.omega_n(4))
     assert mu_bar1 < mu_bar0 == 1.0
     assert s1 < s0
     assert mu_bar1 == pytest.approx(math.sqrt(1.0 - 0.5), rel=1e-14)
 
 
 def test_sharp_constants_bundle():
-    sc = C.sharp_constants(4.0, 2)
+    sc = C.sharp_constants(4.0, 2, 1.0, 0.0)
     d = sc.as_dict()
     assert d["talenti_support"] == pytest.approx(0.64303706857874378, rel=1e-14)
     assert d["eta"] == pytest.approx(0.8, rel=1e-15)
     assert d["hardy"] is None  # p > n is outside the Hardy regime
-    sc = C.sharp_constants(2.0, 3)
+    sc = C.sharp_constants(2.0, 3, 1.0, 0.0)
     assert sc.hardy == pytest.approx(0.25, rel=1e-14)
     assert sc.talenti_support is None
     assert sc.mu_bar == pytest.approx(0.5, rel=1e-15)

@@ -23,7 +23,7 @@ def test_eigenvalue_closed_form(n, radius, mu):
     t0 = time.time()
     bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
     lam1, prof = P.first_eigenvalue(bvp)
-    mu_bar, _ = bpv_constant(mu, n)
+    mu_bar, _ = bpv_constant(mu, n, 1.0, omega_n(n))
     assert abs(lam1 * radius**2 - bessel_first_zero(mu_bar) ** 2) < 1e-4
     assert time.time() - t0 < 1.0
     assert prof[-1] == 0.0
@@ -768,7 +768,7 @@ def test_eigen_solves_match_the_u_variable_reference():
         # the per-step rule integrates the shot's interpolant to rounding, so
         # what is left is the shot's own error at rtol 1e-12; a quadrature that
         # converges falsely across the steps reads 2e-13 to 6.4e-13 on mu = 0
-        j2 = bessel_first_zero(bpv_constant(mu, n)[0]) ** 2 / radius ** 2
+        j2 = bessel_first_zero(bpv_constant(mu, n, 1.0, omega_n(n))[0]) ** 2 / radius ** 2
         assert abs(quotient / j2 - 1.0) < (1e-13 if mu == 0.0 else 2e-13)
 
 
@@ -830,7 +830,7 @@ def test_singular_eigen_shot_takes_few_steps(monkeypatch):
 
 def _bessel_deviation(n, radius, mu):
     lam1, _ = P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
-    return abs(lam1 * radius ** 2 / bessel_first_zero(bpv_constant(mu, n)[0]) ** 2 - 1.0)
+    return abs(lam1 * radius ** 2 / bessel_first_zero(bpv_constant(mu, n, 1.0, omega_n(n))[0]) ** 2 - 1.0)
 
 
 @pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)

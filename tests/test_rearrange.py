@@ -23,7 +23,7 @@ def test_cone_profile_basics():
     assert u(0.5) == pytest.approx(0.5)
     assert u(1.0) == 0.0
     assert u(2.0) == 0.0
-    assert u.d(0.3) == pytest.approx(-1.0)
+    assert u.derivative(0.3) == -1.0
 
 
 def test_cone_l1_closed_form(e2):
@@ -47,7 +47,7 @@ def test_morrey_extremal_energy_matches_limit(e2):
     for p, n in ((4.0, 2), (5.0, 3)):
         u = R.morrey_extremal_profile(p, n)
         e = R.radial_dirichlet_energy(u, n, p)
-        assert e == pytest.approx(support_energy_limit(p, n), rel=1e-9)
+        assert e == pytest.approx(support_energy_limit(p, n, 1.0), rel=1e-9)
 
 
 def test_morrey_extremal_scaling():
@@ -67,9 +67,9 @@ def test_l1_extremal_against_beta_targets():
         u = R.l1_extremal_profile(p, n)
         assert u.sup() == pytest.approx(l1_extremal_height(p, n), rel=1e-9)
         # tabulated seed profile: piecewise-linear quadrature floor ~1e-6
-        assert R.lq_norm_radial(u, 1.0, n) == pytest.approx(l1_norm_limit(p, n), rel=5e-6)
+        assert R.lq_norm_radial(u, 1.0, n) == pytest.approx(l1_norm_limit(p, n, 1.0), rel=5e-6)
         assert R.radial_dirichlet_energy(u, n, p) == pytest.approx(
-            l1_energy_limit(p, n), rel=1e-6)
+            l1_energy_limit(p, n, 1.0), rel=1e-6)
 
 
 def test_scale_profile_homogeneity(e2):
@@ -87,8 +87,52 @@ def test_table_profile_interpolates():
     u = R.table_profile([0.0, 0.5, 1.0], [2.0, 1.0, 0.0])
     assert u(0.25) == pytest.approx(1.5)
     assert u.support_radius == 1.0
+    # exact slopes, the right-hand one at a node, 0 from the support radius on
+    assert u.derivative(np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0])).tolist() == [
+        -2.0, -2.0, -2.0, -2.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         R.table_profile([0.0, 1.0], [1.0, 2.0])  # increasing
+    # a table that starts above 0 is flat before its first radius, a kink
+    u = R.table_profile([0.5, 1.0], [1.0, 0.0])
+    assert u.kinks == (0.5,)
+    assert u(np.array([0.0, 0.25, 0.75])).tolist() == [1.0, 1.0, 0.5]
+    assert u.derivative(np.array([0.0, 0.25, 0.5, 0.75, 1.0])).tolist() == [
+        0.0, 0.0, -2.0, -2.0, 0.0]
+
+
+@pytest.mark.parametrize("rhos,values", [
+    ([], []),
+    ([0.0], [0.0]),
+    ([0.0, 0.5, 1.0], [1.0, 0.0]),  # one value short
+    ([0.0, 1.0], [1.0, 0.5, 0.0]),  # one value over
+    ([[0.0, 1.0]], [[1.0, 0.0]]),  # not a list of numbers
+    ([-0.5, 1.0], [1.0, 0.0]),  # negative radius
+    ([0.0, math.inf], [1.0, 0.0]),
+    ([0.0, math.nan], [1.0, 0.0]),
+    ([0.0, 1.0], [math.nan, 0.0]),
+    ([0.0, 1.0], [math.inf, 0.0]),
+])
+def test_malformed_table_is_refused_when_built(rhos, values):
+    with pytest.raises(ValueError):
+        R.table_profile(rhos, values)
+
+
+# tables with their closed-form energies omega_n sum |s_i|^p (r_{i+1}^n - r_i^n)
+ENERGY_TABLES = [
+    ([0.0, 0.3, 0.9, 1.4], [1.0, 0.8, 0.2, 0.0]),
+    ([0.5, 1.0], [1.0, 0.0]),
+    ([0.0, 0.5, 1.0], [2.0, 1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("rhos,values", ENERGY_TABLES)
+@pytest.mark.parametrize("n,p", [(2, 4.0), (3, 5.0), (2, 1.5)])
+def test_table_energy_matches_its_closed_form(rhos, values, n, p):
+    r, v = np.array(rhos), np.array(values)
+    slopes = np.diff(v) / np.diff(r)
+    exact = omega_n(n) * float(np.sum(np.abs(slopes) ** p * np.diff(r**n)))
+    energy = R.radial_dirichlet_energy(R.table_profile(rhos, values), n, p)
+    assert abs(energy / exact - 1.0) <= 1e-12
 
 
 def test_profile_from_descriptor():
@@ -123,19 +167,20 @@ def test_distribution_right_continuous_at_plateau(e2):
 
 
 def test_rearrange_radial_passthrough(e2):
+    # a radial nonincreasing source is its own rearrangement
     u = R.cone_profile()
-    star = R.rearrange(u, e2)
-    assert star.dim == 2 and star.smooth is u
-    assert star.sup() == pytest.approx(1.0)
-    assert star.support_radius() == pytest.approx(1.0)
-    assert star.profile(0.5) == pytest.approx(0.5, rel=1e-12)
+    assert R.rearrange(u, e2) is u
+
+
+def _ramp():
+    return R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
+                                derivative=lambda r: np.where(r < 1.0, 1.0, 0.0),
+                                support_radius=2.0, label="ramp")
 
 
 def test_rearrange_rejects_increasing_radial(e2):
-    bad = R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
-                               support_radius=2.0, label="ramp")
     with pytest.raises(ValueError):
-        R.rearrange(bad, e2)
+        R.rearrange(_ramp(), e2)
 
 
 def test_rearrange_grid_equimeasurable(e2):
@@ -154,14 +199,14 @@ def test_rearrange_grid_equimeasurable(e2):
 
 
 def test_lq_norms_bundle(e2):
-    # ||u||_q = ||u*||_q; the staircase of u*'s volume-coordinate table is an
-    # independent upper sum, since each step takes the value at its left end
+    # the staircase of the profile's volume-coordinate table is an
+    # independent upper sum of ||u||_q, since each step takes the value at
+    # its left end
     u = R.cone_profile()
-    star = R.rearrange(u, e2)
-    stair = R.DecreasingProfile(svals=star.svals, tvals=star.tvals, dim=star.dim)
+    rho, gv = R._profile_table(u)
+    stair = R.DecreasingProfile(svals=omega_n(2) * rho**2, tvals=gv[:-1], dim=2)
     for q in (1.0, 2.0):
         a = R.lq_norm_radial(u, q, 2)
-        assert R.lq_norm_star(star, q) == pytest.approx(a, rel=1e-8)
         assert a <= R.lq_norm_star(stair, q) <= a * (1.0 + 2e-3)
     # the staircase read back as a profile of the radius
     assert stair.profile(np.array([0.0, 0.5, 1.0, 1.5])) == pytest.approx([1.0, 0.5, 0.0, 0.0], abs=2e-3)
@@ -352,14 +397,11 @@ def test_staircase_gap_matches_direct_count(e2, rng):
 
 
 def test_equimeasurability_gap_rejects_non_monotone_profile(e2):
-    ramp = R.RadialTestFunction(profile=lambda r: np.minimum(r, 1.0) * (r < 2.0),
-                                support_radius=2.0, label="ramp")
     good = R.rearrange(R.cone_profile(), e2)
     with pytest.raises(ValueError, match="nonincreasing"):
-        R.equimeasurability_gap(ramp, e2, good)
-    bad_star = R.DecreasingProfile(svals=good.svals, tvals=good.tvals, dim=good.dim, smooth=ramp)
+        R.equimeasurability_gap(_ramp(), e2, good)
     with pytest.raises(ValueError, match="nonincreasing"):
-        R.equimeasurability_gap(R.cone_profile(), e2, bad_star)
+        R.equimeasurability_gap(R.cone_profile(), e2, _ramp())
 
 
 def test_equimeasurability_gap_sees_a_scaled_profile(e2, rng):

@@ -135,19 +135,19 @@ def test_every_check_reads_its_avr_from_the_instance(monkeypatch):
     assert set(echoed.values()) == {0.5}
 
 
-def _support_avr_over_p(p, n, avr=1.0):
+def _support_avr_over_p(p, n, avr):
     return talenti_support_constant(p, n) * avr ** (-1.0 / p)
 
 
-def _l1_avr_over_n(p, n, avr=1.0):
+def _l1_avr_over_n(p, n, avr):
     return talenti_l1_constant(p, n) * avr ** (-1.0 / n)
 
 
-def _hardy_avr_over_n(p, n, avr=1.0):
+def _hardy_avr_over_n(p, n, avr):
     return avr ** (1.0 / n) * ((n - p) / p) ** p
 
 
-def _bpv_avr_over_n(mu, n, avr=1.0, vol_omega=None):
+def _bpv_avr_over_n(mu, n, avr, vol_omega):
     mu_bar, s = bpv_constant(mu, n, avr, vol_omega)
     return mu_bar, s * avr ** (-1.0 / n)
 
@@ -564,8 +564,6 @@ def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f in (u.profile, u.derivative):
-            if f is None:  # a table has no derivative
-                continue
             batch = f(pts)
             single = np.array([f(np.asarray(x)) for x in pts])
             assert np.shape(f(np.asarray(0.5 * r))) == ()
@@ -592,8 +590,7 @@ def _float_route_cases():
         r = u.support_radius
         pts = [0.0, *u.kinks, r, 1.5 * r, *np.linspace(0.0, 1.2 * r, 25)[1:]]
         for tag, f in (("g", u.profile), ("dg", u.derivative)):
-            if f is not None:  # a table has no derivative
-                cases.append(pytest.param(f, [float(x) for x in pts], id=f"{u.label}-{tag}"))
+            cases.append(pytest.param(f, [float(x) for x in pts], id=f"{u.label}-{tag}"))
     pts = [0.0, 0.5, 1.0, 1.5, *np.linspace(0.0, 1.2, 25)[1:]]
     for p, n in ((4.0, 2), (7.5, 3)):  # the L1 extremal's seed, integrated panel by panel
         cases.append(pytest.param(_l1_seed_integrand(p, n), pts, id=f"l1_seed(p={p},n={n})"))
