@@ -12,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 REQUIRED = object()  # table default of a key that every descriptor must give
+BLOCK = 16384  # rows of one vectorized norm evaluation, so its arrays stay in cache
 
 
 def _scalar(text: str):
@@ -119,21 +120,22 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
     [-half, half] for which inside(points) holds: (value, 1-sigma stderr).
 
     The sample is one seeded stream, spawn_rngs(seed, 1)[0], drawn in
-    blocks of at most 262144 points into one reused (m, n) array by
+    blocks of at most BLOCK points into one reused (m, n) array by
     rng.random(out=...), 2 r - 1 and a per-column scale: the points of
     rng.uniform(-1, 1, size=(m, n)) * half bit for bit, without a fresh
-    array per block.  inside must therefore not keep the array it is
-    handed; the next block overwrites it.  The density multiplies the box
-    volume before the hit fraction does.
+    array per block.  The generator fills the stream row by row, so the
+    points, the hit count and the result do not depend on BLOCK.  inside
+    must not keep the array it is handed; the next block overwrites it.
+    The density multiplies the box volume before the hit fraction does.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     half = np.asarray(half, dtype=float)
     rng = spawn_rngs(seed, 1)[0]
-    buf = np.empty((min(n_samples, 262144), len(half)))
+    buf = np.empty((min(n_samples, BLOCK), len(half)))
     hits = 0
-    for done in range(0, n_samples, 262144):
-        pts = buf[: min(n_samples - done, 262144)]
+    for done in range(0, n_samples, BLOCK):
+        pts = buf[: min(n_samples - done, BLOCK)]
         rng.random(out=pts)
         pts *= 2.0
         pts -= 1.0

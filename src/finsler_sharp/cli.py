@@ -691,7 +691,8 @@ def _isoperimetric(seed):
 def _f_eps_avr(seed):
     """10: Monte Carlo AVR of the f_eps family inside both the estimator's
     sandwich interval and the closed-form band (1+eps)^(-n/2) <= AVR <= 1,
-    each widened by three standard errors; Bishop-Gromov holds."""
+    each widened by three standard errors, and within four standard errors
+    of the exact AVR 1 of the flat family; Bishop-Gromov holds."""
     from .manifold import f_eps_instance
 
     rows = []
@@ -704,8 +705,10 @@ def _f_eps_avr(seed):
                          "inside": bool(est.lo - slack <= est.point <= est.hi + slack),
                          "in_band": bool((1.0 + eps) ** (-n / 2.0) - slack
                                          <= est.point <= 1.0 + slack),
+                         "near_one": bool(abs(est.point - 1.0) <= 4.0 * est.stderr),
                          "bg_ok": est.bg_ok})
-    return all(r["inside"] and r["in_band"] and r["bg_ok"] for r in rows), {"cases": rows}
+    ok = all(r["inside"] and r["in_band"] and r["near_one"] and r["bg_ok"] for r in rows)
+    return ok, {"cases": rows}
 
 
 def _mountain_pass(seed):

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
+from . import _util
 from ._util import REQUIRED, box_volume, gauss_legendre
 from .constants import omega_n
 
@@ -335,13 +336,20 @@ def _quadrature_volume(h: MinkowskiNorm) -> float:
         n_polar = 400
         u, wu = gauss_legendre(n_polar)  # u = cos(polar angle)
         th = np.linspace(0.0, 2.0 * math.pi, 2 * n_polar, endpoint=False)
-        su = np.sqrt(1.0 - u**2)
-        dirs = np.empty((n_polar, 2 * n_polar, 3))
-        dirs[..., 0] = su[:, None] * np.cos(th)[None, :]
-        dirs[..., 1] = su[:, None] * np.sin(th)[None, :]
-        dirs[..., 2] = u[:, None]
-        r = 1.0 / h(dirs.reshape(-1, 3)).reshape(n_polar, 2 * n_polar)
-        inner = np.mean(r**3, axis=1) * 2.0 * math.pi
+        su, cos_th, sin_th = np.sqrt(1.0 - u**2), np.cos(th), np.sin(th)
+        # bands of _util.BLOCK directions, 20 polar rows, stay in cache; each
+        # direction's norm and each row's mean do not depend on the band
+        band = _util.BLOCK // (2 * n_polar)
+        dirs = np.empty((band, 2 * n_polar, 3))
+        inner = np.empty(n_polar)
+        for lo in range(0, n_polar, band):
+            hi = min(lo + band, n_polar)
+            d = dirs[: hi - lo]
+            d[..., 0] = su[lo:hi, None] * cos_th
+            d[..., 1] = su[lo:hi, None] * sin_th
+            d[..., 2] = u[lo:hi, None]
+            r = 1.0 / h(d.reshape(-1, 3)).reshape(hi - lo, 2 * n_polar)
+            inner[lo:hi] = np.mean(r**3, axis=1) * 2.0 * math.pi
         return float(np.sum(wu * inner)) / 3.0
     raise ValueError(f"radial-angular quadrature supports dim 2 and 3, got {h.dim}")
 

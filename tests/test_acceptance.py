@@ -139,8 +139,10 @@ def test_criterion_09_isoperimetric(run, line):
 
 
 def test_criterion_10_f_eps_avr(run, line):
-    pts = [f"n={r['n']} eps={r['eps']}: {r['point']:.4f}" for r in run.detail[10]["cases"]]
-    line(10, run.passed[10], "; ".join(pts[:3]) + "; ...")
+    cases = run.detail[10]["cases"]
+    pts = [f"n={r['n']} eps={r['eps']}: {r['point']:.4f}" for r in cases]
+    worst = max(abs(r["point"] - 1.0) / r["stderr"] for r in cases)
+    line(10, run.passed[10], "; ".join(pts[:3]) + f"; ...; max |point - 1| {worst:.2f} sigma")
 
 
 def test_criterion_11_mountain_pass(run, line):
@@ -196,6 +198,21 @@ def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, fac
         planted = lambda *args: factor * true_constant(*args)
     monkeypatch.setattr(module, constant, planted)
     assert not any(criterion(0)[0] for criterion in criteria)
+
+
+def test_planted_density_defect_fails_criterion_10(monkeypatch):
+    # a Busemann-Hausdorff density 2% too low keeps every estimate inside
+    # the one-sided sandwich and band, which alone passed it; the two-sided
+    # gate |point - 1| <= 4 sigma reads it 9.9 to 20.9 sigma off at seed 0,
+    # where the true density reads at most 2.4 sigma off over seeds 0-3
+    from finsler_sharp import manifold
+
+    real = manifold.bh_density
+    monkeypatch.setattr(manifold, "bh_density", lambda m: 0.98 * real(m))
+    passed, detail = cli._f_eps_avr(0)
+    assert not passed
+    assert all(r["inside"] and r["in_band"] and r["bg_ok"] for r in detail["cases"])
+    assert not any(r["near_one"] for r in detail["cases"])
 
 
 def test_planted_dual_defect_fails_criterion_9(monkeypatch):
