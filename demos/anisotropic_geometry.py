@@ -10,7 +10,7 @@ import numpy as np
 
 from finsler_sharp.manifold import (
     avr,
-    ball_volume,
+    ball_volume_mc,
     euclidean_instance,
     f_eps_instance,
     minkowski_instance,
@@ -42,11 +42,12 @@ print(f"raw l4 ball volume       : {WulffShape(norm=raw, radius=1.0).volume():.1
 print(f"normalized l4 ball volume: {WulffShape(norm=unit, radius=1.0).volume():.10f}")
 print(f"omega_2                  : {omega_n(2):.10f}")
 
-banner("instance ball volumes scale like r^n")
+banner("instance ball volumes scale like r^n (Monte Carlo)")
 m = minkowski_instance(unit)
 for r in (0.5, 1.0, 2.0):
-    vol = ball_volume(m, r)
-    print(f"r = {r:3.1f}:  vol = {vol:.8f}   omega_2 r^2 = {omega_n(2) * r**2:.8f}")
+    est = ball_volume_mc(m, None, r, n_samples=100_000, seed=1)
+    print(f"r = {r:3.1f}:  mc vol = {est.value:.5f} +- {3 * est.stderr:.5f}"
+          f"   omega_2 r^2 = {omega_n(2) * r**2:.5f}")
 
 banner("volume-ratio point estimates")
 e3 = euclidean_instance(3)

@@ -131,18 +131,6 @@ def bh_density(m: FinslerInstance) -> float:
     return omega_n(m.dim) / fiber_volume(m).value
 
 
-def ball_volume(m: FinslerInstance, r: float) -> float:
-    """Volume of the metric ball of radius r in the canonical measure.
-
-    Exact for every shipped instance: the density is the constant
-    omega_n / Vol{H < 1} and the ball is the Wulff set r {H < 1}, so the
-    volume is omega_n r^n regardless of the norm.
-    """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return omega_n(m.dim) * r**m.dim
-
-
 def ball_volume_mc(
     m: FinslerInstance, x0, r: float, n_samples: int = 1_000_000, seed: int = 0, workers: int = 1
 ) -> VolumeEstimate:

@@ -1,11 +1,11 @@
-"""Anisotropic symmetrization.
+"""Anisotropic symmetrization of radial sources.
 
 A function u on an instance is replaced by the decreasing rearrangement
 u*(x) = v(omega_n H(x)^n) built from its distribution function
 mu(t) = Vol{u > t}, where v is the right-continuous generalized inverse
-v(s) = inf {t >= 0 : mu(t) <= s}.  A radial nonincreasing input is its own
-rearrangement; general inputs are handled on sampling grids whose cells
-make the construction a weighted sort.
+v(s) = inf {t >= 0 : mu(t) <= s}.  Every source here is radial,
+u(x) = g(d(0, x)) with g nonincreasing, and so is its own rearrangement:
+rearranging checks the profile and returns it.
 
 Dirichlet energies of rearranged profiles reduce to the 1-D integral
 n omega_n int |g'(rho)|^p rho^(n-1) drho, which depends on the dimension
@@ -19,16 +19,16 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
 from ._util import (
-    REQUIRED, build_from_descriptor, gauss_legendre, graded_grid, split_quad, warn_unconverged,
+    REQUIRED, build_from_descriptor, graded_grid, split_quad, warn_unconverged,
 )
 from .constants import omega_n
-from .manifold import FinslerInstance, avr, bh_density
+from .manifold import FinslerInstance, avr
 from .report import InequalityReport, make_report
 
 PROFILE_GRID = 2048
@@ -36,7 +36,7 @@ PROFILE_GRID = 2048
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """u(x) = profile(d_F(center, x)) with a nonincreasing profile.
+    """u(x) = profile(d(0, x)) with a nonincreasing profile.
 
     The profile must vanish at and beyond support_radius.  kinks lists
     radii where the derivative jumps, so quadratures can split there.
@@ -52,7 +52,6 @@ class RadialTestFunction:
     profile: Callable
     support_radius: float
     derivative: Callable
-    center: Optional[np.ndarray] = None
     kinks: tuple = ()
     label: str = "radial"
 
@@ -64,77 +63,12 @@ class RadialTestFunction:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """A sampled function on a uniform grid over a centered box.
-
-    values holds the cell-center samples; box_half the half-widths.  The
-    represented function is nonnegative with support inside the box, and
-    lives on a Minkowski instance so that cell volumes are Euclidean
-    times the constant density.
-    """
-
-    values: np.ndarray
-    box_half: np.ndarray
-    label: str = "grid"
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    def cell_volume(self) -> float:
-        widths = 2.0 * np.asarray(self.box_half, dtype=float)
-        return float(np.prod(widths / np.array(self.values.shape)))
-
-    def spacings(self):
-        widths = 2.0 * np.asarray(self.box_half, dtype=float)
-        return widths / np.array(self.values.shape)
-
-
-def grid_function_from_callable(func, box_half, shape) -> GridFunction:
-    """Sample a callable at cell centers of a uniform grid over the box."""
-    box_half = np.asarray(box_half, dtype=float)
-    axes = [
-        (np.arange(s) + 0.5) / s * 2.0 * b - b for s, b in zip(shape, box_half)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.asarray(func(pts), dtype=float).reshape(shape)
-    return GridFunction(values=vals, box_half=box_half)
-
-
-@dataclass(frozen=True)
 class DistributionFunction:
     """mu(t) = Vol{u > t}, nonincreasing and right-continuous, at the levels
     it was asked for: values[i] = mu(levels[i])."""
 
     levels: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecreasingProfile:
-    """The rearranged profile v(s) of a grid source over the volume
-    coordinate s of R^dim.
-
-    u*(x) = v(omega_n H(x)^n) = g(H(x)) with n = dim, for any normalized
-    norm H: its energies and norms depend on the dimension only.
-    svals/tvals encode the right-continuous staircase: v = tvals[i] on
-    [svals[i], svals[i+1]).
-    """
-
-    svals: np.ndarray
-    tvals: np.ndarray
-    dim: int
-
-    def profile(self, rho):
-        """g(rho) = v(omega_n rho^n)."""
-        rho = np.asarray(rho, dtype=float)
-        s = omega_n(self.dim) * rho**self.dim
-        idx = np.minimum(np.searchsorted(self.svals[1:], s, side="right"), len(self.tvals) - 1)
-        return np.where(s >= self.svals[-1], 0.0, self.tvals[idx])
-
-    def sup(self) -> float:
-        return float(self.tvals[0]) if len(self.tvals) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +265,6 @@ def scale_profile(u: RadialTestFunction, factor: float) -> RadialTestFunction:
         profile=scaled(u.profile),
         derivative=scaled(u.derivative),
         support_radius=u.support_radius,
-        center=u.center,
         kinks=u.kinks,
         label=f"{u.label}*{factor:g}",
     )
@@ -419,71 +352,43 @@ def _radial_level_radii(u: RadialTestFunction, levels: np.ndarray) -> np.ndarray
     return np.where(k < 0, 0.0, np.where(k >= n_pts - 1, u.support_radius, radii))
 
 
-def distribution(u, m: FinslerInstance, levels=None) -> DistributionFunction:
+def distribution(u: RadialTestFunction, m: FinslerInstance, levels=None) -> DistributionFunction:
     """Distribution function mu(t) = Vol{u > t} in the canonical measure.
 
-    Radial nonincreasing inputs invert the profile and use the exact ball
-    volume; grid inputs count cells weighted by density times cell volume.
-    levels defaults to 513 levels from 0 to sup u.
+    The radial source's profile is inverted level by level, and each
+    superlevel set is a ball of the exact volume omega_n rho^n.  levels
+    defaults to 513 levels from 0 to sup u.
     """
-    if isinstance(u, RadialTestFunction):
-        if not math.isfinite(u.support_radius):
-            raise ValueError("unbounded support")
-        if levels is None:
-            levels = np.linspace(0.0, u.sup(), 513)
-        levels = np.asarray(levels, dtype=float)
-        mu = omega_n(m.dim) * _radial_level_radii(u, levels) ** m.dim
-        return DistributionFunction(levels=levels, values=mu)
-    if isinstance(u, GridFunction):
-        if m.dim != u.dim:
-            raise ValueError("grid and instance dimensions disagree")
-        weight = bh_density(m) * u.cell_volume()
-        vals = u.values.ravel()
-        if levels is None:
-            levels = np.linspace(0.0, float(vals.max(initial=0.0)), 513)
-        levels = np.asarray(levels, dtype=float)
-        counts = len(vals) - np.searchsorted(np.sort(vals), levels, side="right")
-        return DistributionFunction(levels=levels, values=weight * counts)
-    raise TypeError(f"unsupported function representation: {type(u).__name__}")
+    if not math.isfinite(u.support_radius):
+        raise ValueError("unbounded support")
+    if levels is None:
+        levels = np.linspace(0.0, u.sup(), 513)
+    levels = np.asarray(levels, dtype=float)
+    mu = omega_n(m.dim) * _radial_level_radii(u, levels) ** m.dim
+    return DistributionFunction(levels=levels, values=mu)
 
 
-def rearrange(u, m: FinslerInstance):
+def rearrange(u: RadialTestFunction, m: FinslerInstance) -> RadialTestFunction:
     """Decreasing rearrangement of u on the instance m.
 
     The result depends on the dimension only: u* = g(H(x)) has the same
     distribution, norms and energies for every normalized norm H, so no
     target norm is asked for.  A radial source is its own rearrangement:
-    it comes back as it is once its profile is checked nonincreasing.  A
-    grid source becomes the weighted-sort staircase, a DecreasingProfile,
-    which realizes the right-continuous generalized inverse of the cell
-    distribution.
+    it comes back as it is once its profile is checked nonincreasing.
     """
-    if isinstance(u, RadialTestFunction):
-        _profile_table(u)
-        return u
-    if isinstance(u, GridFunction):
-        weight = bh_density(m) * u.cell_volume()
-        vals = np.sort(u.values.ravel())[::-1]
-        vals = vals[vals > 0.0]
-        svals = weight * np.arange(len(vals) + 1, dtype=float)
-        return DecreasingProfile(svals=svals, tvals=vals.copy(), dim=m.dim)
-    raise TypeError(f"unsupported function representation: {type(u).__name__}")
+    _profile_table(u)
+    return u
 
 
-def equimeasurability_gap(u, m: FinslerInstance, star, levels=None) -> float:
+def equimeasurability_gap(u: RadialTestFunction, m: FinslerInstance, star: RadialTestFunction,
+                          levels=None) -> float:
     """max over the level grid of |Vol{u > t} - Vol{u* > t}|.
 
-    Every level is answered from one profile table: a radial u* inverts its
-    tabulated profile once for the whole level grid, and a staircase u*
-    counts its steps above all levels with one sorted search.
+    Every level is answered from one profile table per function: each
+    inverts its tabulated profile once for the whole level grid.
     """
     mu = distribution(u, m, levels=levels)
-    if isinstance(star, RadialTestFunction):
-        vol = distribution(star, m, levels=mu.levels).values
-    else:
-        # staircase: v > t exactly on [0, svals[count]) with count = #{tvals > t}
-        count = len(star.tvals) - np.searchsorted(star.tvals[::-1], mu.levels, side="right")
-        vol = np.where(count > 0, star.svals[count], 0.0)
+    vol = distribution(star, m, levels=mu.levels).values
     return float(np.max(np.abs(vol - mu.values)))
 
 
@@ -506,22 +411,7 @@ def lq_norm_radial(u: RadialTestFunction, q: float, n: int) -> float:
     return (n * omega_n(n) * val) ** (1.0 / q)
 
 
-def lq_norm_grid(u: GridFunction, q: float, m: FinslerInstance) -> float:
-    if q == math.inf:
-        return float(u.values.max(initial=0.0))
-    w = bh_density(m) * u.cell_volume()
-    return float((w * np.sum(u.values**q)) ** (1.0 / q))
-
-
-def lq_norm_star(star: DecreasingProfile, q: float) -> float:
-    """L^q norm of the rearranged function, via the volume coordinate."""
-    if q == math.inf:
-        return star.sup()
-    ds = np.diff(star.svals)
-    return float((np.sum(star.tvals**q * ds)) ** (1.0 / q))
-
-
-def radial_dirichlet_energy(prof, n: int, p: float) -> float:
+def radial_dirichlet_energy(prof: RadialTestFunction, n: int, p: float) -> float:
     """int H*(Du*)^p dv over R^n for u*(x) = g(H(x)).
 
     Equals n omega_n int |g'|^p rho^(n-1) drho for every normalized norm
@@ -530,37 +420,11 @@ def radial_dirichlet_energy(prof, n: int, p: float) -> float:
     """
     if p <= 1:
         raise ValueError(f"energy exponent must satisfy p > 1, got {p}")
-    if isinstance(prof, RadialTestFunction):
-        fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
-        val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
-        if not converged or not math.isfinite(val) or val > 1e15:
-            return math.inf
-        return n * omega_n(n) * val
-    if isinstance(prof, DecreasingProfile):
-        # Staircase: differencing at step resolution aliases the jumps into
-        # divergent energy, so take secant slopes across coarsened knot
-        # panels (~sqrt(#cells)), which converge to the smooth profile.
-        won = omega_n(n)
-        k = len(prof.tvals)
-        if k == 0:
-            return 0.0
-        s_mid = 0.5 * (prof.svals[:-1] + prof.svals[1:])
-        rho_k = np.concatenate(([0.0], (s_mid / won) ** (1.0 / n), [(prof.svals[-1] / won) ** (1.0 / n)]))
-        v_k = np.concatenate(([prof.tvals[0]], prof.tvals, [0.0]))
-        # panel count balances secant smoothing against cell-value noise,
-        # which aliases in ~quadratically with the panel count
-        panels = max(24.0, 0.25 * math.sqrt(k))
-        stride = max(1, int(round(k / panels))) if k > 48 else 1
-        sel = np.unique(np.r_[0, np.arange(1, k, stride), k, k + 1])
-        rho_c, v_c = rho_k[sel], v_k[sel]
-        keep = np.concatenate(([True], np.diff(rho_c) > 0))
-        rho_c, v_c = rho_c[keep], v_c[keep]
-        dg = np.diff(v_c) / np.diff(rho_c)
-        mid = 0.5 * (rho_c[1:] + rho_c[:-1])
-        val = float(np.sum(np.abs(dg) ** p * mid ** (n - 1) * np.diff(rho_c)))
-        return n * won * val
-    raise TypeError(f"unsupported profile representation: {type(prof).__name__}")
-
+    fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
+    val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
+    if not converged or not math.isfinite(val) or val > 1e15:
+        return math.inf
+    return n * omega_n(n) * val
 
 def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
     """Both sides of the radial layer-cake identity on a metric ball about
@@ -581,66 +445,41 @@ def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
 # inequality checks
 
 
-def _grid_gradient_dual_energy(u: GridFunction, m: FinslerInstance, p: float) -> float:
-    """int F*(Du)^p dv by cell sums; needs a vectorized closed-form dual."""
-    if m.norm.analytic_dual is None:
-        raise ValueError("grid path needs a norm with a closed-form dual")
-    grads = np.gradient(u.values, *u.spacings())
-    if u.dim == 1:
-        grads = [grads]
-    cov = np.stack([g.ravel() for g in grads], axis=1)
-    fstar = np.asarray(m.norm.analytic_dual(cov), dtype=float) / m.norm.scale
-    return bh_density(m) * u.cell_volume() * float(np.sum(fstar**p))
-
-
-def polya_szego_check(u, m: FinslerInstance, p: float) -> InequalityReport:
+def polya_szego_check(u: RadialTestFunction, m: FinslerInstance, p: float) -> InequalityReport:
     """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv, with the
-    instance's AVR.
+    instance's AVR, at rtol 1e-6.
 
     The right side depends on the dimension and the AVR only, for every
     normalized H.  A radial nonincreasing source is its own rearrangement,
-    so both sides run the same quadrature and meet at rtol 1e-6; grid
-    sources are compared at grid accuracy, rtol 1e-2.
+    so both sides are one energy, computed once.
     """
     a = avr(m).point
-    star = rearrange(u, m)
-    rhs = a ** (p / m.dim) * radial_dirichlet_energy(star, m.dim, p)
-    if isinstance(u, RadialTestFunction):
-        lhs = radial_dirichlet_energy(u, m.dim, p)
-        tol = 1e-6
-        diag = {"path": "radial"}
-    elif isinstance(u, GridFunction):
-        lhs = _grid_gradient_dual_energy(u, m, p)
-        tol = 1e-2
-        diag = {"path": "grid", "cells": int(u.values.size)}
-    else:
-        raise TypeError(f"unsupported function representation: {type(u).__name__}")
+    energy = radial_dirichlet_energy(rearrange(u, m), m.dim, p)
     return make_report(
         "polya_szego",
-        {"p": p, "n": m.dim, "avr": a, "profile": getattr(u, "label", "?")},
-        lhs,
-        rhs,
+        {"p": p, "n": m.dim, "avr": a, "profile": u.label},
+        energy,
+        a ** (p / m.dim) * energy,
         direction="lower",
-        rtol=tol,
+        rtol=1e-6,
         atol=1e-12,
-        diagnostics=diag,
+        diagnostics={"path": "radial"},
     )
 
 
 def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> InequalityReport:
     """Check int u^p f(d(0, x)) dv <= int (u*)^p f(H(x)) dx at rtol 1e-6.
 
-    The weight's pole is the origin; a source centred elsewhere (u.center)
-    takes the shifted path.  f must be nonincreasing on (0, inf); the
+    The weight's pole is the origin, the centre of the radial source.  A
+    radial source is its own rearrangement, so both sides are one
+    integral, computed once.  f must be nonincreasing on (0, inf); the
     weight may blow up at 0 provided the integrals stay finite, in which
     case the quadrature splits at the singularity and the report flags
     divergence when both sides are infinite (a vacuous pass).
     """
     n = m.dim
     rtol = 1e-6
-    center = np.zeros(n) if u.center is None else np.asarray(u.center, dtype=float)
     star = rearrange(u, m)
-    shift = float(m.norm(center))
 
     spot = f(np.array([0.3, 0.7, 1.3, 2.9]))
     if np.any(np.diff(spot) > 1e-12):
@@ -662,66 +501,25 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
             "upper", rtol, diagnostics={"diverged": True, "weight_exponent": a_hat},
         )
 
-    # star is u itself, so the centred path integrates the same profile twice
-    def rhs_fn(rho):
-        return star.profile(rho) ** p * f(rho) * rho ** (n - 1)
-
-    rhs_val, _, _ = split_quad(rhs_fn, 0.0, star.support_radius, points=u.kinks)
-    rhs = n * omega_n(n) * rhs_val
-    if not math.isfinite(rhs) or rhs > 1e15:
+    val, _, _ = split_quad(
+        lambda r: star.profile(r) ** p * f(r) * r ** (n - 1),
+        0.0,
+        star.support_radius,
+        points=star.kinks,
+    )
+    weighted = n * omega_n(n) * val
+    if not math.isfinite(weighted) or weighted > 1e15:
         return make_report(
             "hlp", {"p": p, "n": n}, math.inf, math.inf, "upper", rtol,
             diagnostics={"diverged": True},
         )
-
-    if shift == 0.0:
-        lhs_val, _, _ = split_quad(
-            lambda r: u.profile(r) ** p * f(r) * r ** (n - 1),
-            0.0,
-            u.support_radius,
-            points=u.kinks,
-        )
-        lhs = n * omega_n(n) * lhs_val
-        diag = {"path": "centered"}
-    else:
-        if m.kind != "euclidean":
-            raise ValueError("shifted weights are only integrated on Euclidean instances")
-        lhs = _shifted_weighted_lp(u, f, p, n, shift)
-        diag = {"path": "shifted", "offset": shift}
     return make_report(
         "hlp",
         {"p": p, "n": n, "profile": u.label},
-        lhs,
-        rhs,
+        weighted,
+        weighted,
         direction="upper",
         rtol=rtol,
         atol=1e-12,
-        diagnostics=diag,
+        diagnostics={"path": "centered"},
     )
-
-
-def _shifted_weighted_lp(u, f, p, n, shift):
-    """int g(|x - c|)^p f(|x|) dx in polar coordinates about the weight pole."""
-    if n == 2:
-        thetas = np.linspace(0.0, math.pi, 257)  # symmetry halves the circle
-        w = np.full(len(thetas), 2.0 * (thetas[1] - thetas[0]))
-        w[0] = w[-1] = 0.5 * w[0]
-        cos_t = np.cos(thetas)
-    elif n == 3:
-        # axial symmetry about the offset direction: Legendre in cos(angle)
-        cos_t, glw = gauss_legendre(128)
-        w = glw * 2.0 * math.pi
-        thetas = None
-    else:
-        raise ValueError("shifted quadrature supports n = 2 and 3")
-
-    def ring(r):
-        d = np.sqrt(r**2 + shift**2 - 2.0 * r * shift * cos_t)
-        gv = np.asarray(u.profile(d), dtype=float) ** p
-        return float(np.sum(gv * w)) * f(r) * r ** (n - 1)
-
-    lo = max(shift - u.support_radius, 0.0)
-    hi = shift + u.support_radius
-    val, _, converged = split_quad(ring, lo, hi, points=(shift,), epsrel=1e-9)
-    warn_unconverged(converged, "shifted weighted L^p integral")
-    return val

@@ -230,15 +230,6 @@ def test_hardy_exponent_domain(e3, rng):
         V.verify_hardy(e3, u, 1.0)
 
 
-def test_hardy_pole_must_match_center(e3, rng):
-    # the weight's pole is the origin, so an off-centre source is refused
-    u = dataclasses.replace(random_decreasing_profile(rng), center=np.array([0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="pole"):
-        V.verify_hardy(e3, u, 2.0)
-    with pytest.raises(ValueError, match="pole"):
-        V.verify_bpv(e3, 2.0 * u.support_radius, u)
-
-
 def test_radial_checks_are_blind_to_normalization():
     # radial energies, norms and rearrangements depend on the dimension only,
     # so the unnormalized l4 plane gives the doubles of the normalized one
