@@ -22,6 +22,7 @@ from .norms import (
     NORMS,
     MinkowskiNorm,
     VolumeEstimate,
+    box_half_widths,
     dual_norm,
     euclidean_norm,
     f_eps_fiber_norm,
@@ -118,13 +119,6 @@ def fiber_volume(m: FinslerInstance) -> VolumeEstimate:
     return m._cache["fiber_volume"]
 
 
-def _box_half_widths(m: FinslerInstance) -> np.ndarray:
-    """Half-widths F*(e_j) of the box around the unit ball, cached per instance."""
-    if "box_half_widths" not in m._cache:
-        m._cache["box_half_widths"] = dual_norm(m.norm, np.eye(m.dim))
-    return m._cache["box_half_widths"]
-
-
 def bh_density(m: FinslerInstance) -> float:
     """Busemann-Hausdorff density omega_n / Vol(tangent unit ball), constant
     over the chart for every shipped instance."""
@@ -147,7 +141,7 @@ def ball_volume_mc(
         raise ValueError(f"workers must be 1, got {workers!r}")
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    half = r * _box_half_widths(m) * (1.0 + 1e-9)
+    half = r * box_half_widths(m.norm) * (1.0 + 1e-9)
     est = box_volume(lambda pts: m.norm(pts) < r, half, n_samples, seed, bh_density(m))
     return VolumeEstimate(*est, "mc")
 

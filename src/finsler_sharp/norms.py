@@ -67,6 +67,8 @@ class MinkowskiNorm:
     analytic_volume: Optional[float] = None
     label: str = "custom"
     normalized: bool = False
+    # not an init field, so a norm rebuilt by dataclasses.replace starts empty
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -385,13 +387,20 @@ def wulff_volume_estimate(
     if method == "quadrature":
         return VolumeEstimate(_quadrature_volume(h), 0.0, "quadrature")
     if method == "mc":
-        half = dual_norm(h, np.eye(h.dim))
+        half = box_half_widths(h)
         if not np.all(np.isfinite(half)) or np.any(half <= 0):
             raise ValueError("bounding box not found: degenerate norm")
         half = half * (1.0 + 1e-9)
         est = box_volume(lambda pts: h(pts) < 1.0, half, n_samples, seed, 1.0)
         return VolumeEstimate(*est, "mc")
     raise ValueError(f"unknown volume method {method!r}")
+
+
+def box_half_widths(h: MinkowskiNorm) -> np.ndarray:
+    """Half-widths H*(e_j) of the box around {H < 1}, cached per norm."""
+    if "box" not in h._cache:
+        h._cache["box"] = dual_norm(h, np.eye(h.dim))
+    return h._cache["box"]
 
 
 def wulff_volume(h: MinkowskiNorm) -> float:

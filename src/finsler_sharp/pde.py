@@ -9,11 +9,12 @@ singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
 and v solves the problem without it in dimension d = n + 2s.  Every shot
 runs the compiled DOP853 of scipy's ode, one per thread and kind for all
 solves, with right-hand sides in Python floats: the root-finding shots
-(brackets and brentq) for their endpoint only, and one more shot per solve,
-at the root, records its accepted steps, from which DOP853's continuous
-output is rebuilt in one numpy pass (_dense_shot) for the profile and the
-eigen quotient to read.  On the grid, one assembly (_RadialFunctional)
-gives the energy, the exact gradient and the tridiagonal Hessian of
+(the eigenvalue's secant from the left, the amplitude's bracket and brentq)
+for their endpoint only, and one more shot per solve, at the root, records
+its accepted steps, from which DOP853's continuous output is rebuilt in one
+numpy pass (_dense_shot) for the profile and the eigen quotient to read.
+On the grid, one assembly (_RadialFunctional) gives the energy, the exact
+gradient and the tridiagonal Hessian of
 (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for every family, and one
 projected banded Newton loop (_projected_newton) polishes the ground states
 (no bounds, to 1e-13 or the gradient's rounding floor) and the plateau
@@ -470,24 +471,24 @@ def _eigen_solve(bvp: RadialBvp):
 
     endpoint, dense = _shooters(bvp, rhs, field, shot, 1e-12, 1e-14)
 
-    def boundary(lam):
-        return float(endpoint(lam)[1][0])
-
-    lam_lo = 0.5 / bvp.radius ** 2
-    f_lo = boundary(lam_lo)
-    while f_lo <= 0.0 and lam_lo > 1e-12:  # the start overshot the ground branch
-        lam_lo *= 0.25
-        f_lo = boundary(lam_lo)
-    if f_lo <= 0.0:
-        raise RuntimeError("could not bracket the eigenvalue from below")
-    lam_hi = lam_lo
-    for _ in range(200):
-        lam_hi *= 1.6
-        if boundary(lam_hi) < 0.0:
+    # f(lam) = v(R; lam) = sum_k (-lam R^2/4)^k / (k! (d/2)_k) is entire of
+    # order 1/2 with simple zeros lam_k > 0, so f = prod (1 - lam/lam_k)
+    # (Hadamard), and with S = sum 1/(lam_k - lam), f' = -f S < 0 and
+    # f'' = f (S^2 - S') >= 0 on [0, lam_1): every chord through two points
+    # left of lam_1 crosses zero left of lam_1.  The secant from (0, 1)
+    # (v = 1, W = 0 exactly, no shot) and 0.5/R^2 < j_01^2/R^2 <= lam_1 (d >= 2)
+    # thus climbs to lam_1 from the left, with order 1.618 and no bracket.
+    lam0, f0, lam1 = 0.0, 1.0, 0.5 / bvp.radius ** 2
+    for _ in range(100):
+        f1 = float(endpoint(lam1)[1][0])
+        if f1 == f0:
+            raise RuntimeError(f"eigenvalue secant stalled at lambda = {lam1}")
+        step = f1 * (lam1 - lam0) / (f0 - f1)
+        lam0, f0, lam1 = lam1, f1, lam1 + step
+        if abs(step) <= 1e-12 + 1e-14 * lam1:
             break
     else:
-        raise RuntimeError("eigenvalue bracket search failed: no sign change")
-    lam1 = optimize.brentq(boundary, lam_lo, lam_hi, xtol=1e-12, rtol=1e-14)
+        raise RuntimeError("eigenvalue secant did not converge in 100 shots")
 
     sol = dense(lam1)
     rho = bvp.grid()
@@ -576,10 +577,13 @@ def _ground_shots(bvp: RadialBvp, p: float):
 
     # rhs holds its own lam, so it reads no shot cell
     endpoint, dense = _shooters(bvp, rhs, field, {}, 1e-11, 1e-13, p)
+    seen = {}  # brentq opens on the sweep's bracket: no amplitude is shot twice
 
     def gap(amplitude):
-        t, y = endpoint(lam, amplitude)
-        return t - bvp.radius if t < bvp.radius else float(y[0])
+        if amplitude not in seen:
+            t, y = endpoint(lam, amplitude)
+            seen[amplitude] = t - bvp.radius if t < bvp.radius else float(y[0])
+        return seen[amplitude]
 
     return gap, lambda amplitude: dense(lam, amplitude)
 

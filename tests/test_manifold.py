@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finsler_sharp import _util, manifold as M
+from finsler_sharp import _util, manifold as M, norms as N
 from finsler_sharp._util import BLOCK, box_volume, spawn_rngs
 from finsler_sharp.constants import omega_n
 from finsler_sharp.norms import f_eps_fiber_norm, lp_norm, normalize, wulff_volume_estimate
@@ -189,9 +189,10 @@ def test_traced_peak_stays_in_cache_sized_blocks(call):
 
 
 def test_ball_volume_box_computed_once_per_instance(monkeypatch):
+    # the box comes from norms.box_half_widths, cached on the instance's norm
     calls = []
-    real = M.dual_norm
-    monkeypatch.setattr(M, "dual_norm", lambda h, a, **kw: calls.append(np.shape(a)) or real(h, a, **kw))
+    real = N.dual_norm
+    monkeypatch.setattr(N, "dual_norm", lambda h, a, **kw: calls.append(np.shape(a)) or real(h, a, **kw))
     m = M.f_eps_instance(2, 0.5)
     M.ball_volume_curve(m, [1.0, 2.0, 4.0], n_samples=2_000, seed=1)
     assert calls == [(2, 2)]

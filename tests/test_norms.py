@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from finsler_sharp import norms as N
+from finsler_sharp import manifold as M, norms as N
 from finsler_sharp.norms import (
     DualMaximizerError,
     WulffShape,
@@ -124,6 +124,29 @@ def test_mc_volume_seed_reproducible():
     assert a.value == b.value
     c = wulff_volume_estimate(h, method="mc", n_samples=50_000, seed=43)
     assert c.value != a.value
+
+
+def test_mc_box_is_ascended_once_per_norm(monkeypatch):
+    # the box half-widths H*(e_j) take one multi-start ascent per norm, for
+    # every Monte-Carlo Wulff volume and every ball volume of its instance;
+    # a rescaled norm (normalize goes through dataclasses.replace) takes its
+    # own.  The hex values are those of one ascent per estimate
+    calls = []
+    real = N.dual_norm
+    monkeypatch.setattr(N, "dual_norm", lambda h, alpha: calls.append(h) or real(h, alpha))
+    h = f_eps_fiber_norm(3, 0.5)
+    g = normalize(h)
+
+    def mc(norm, seed):
+        return wulff_volume_estimate(norm, method="mc", n_samples=20_000, seed=seed).value.hex()
+
+    assert [mc(h, seed) for seed in (1, 2, 3)] == ["0x1.3eb7ed183302fp+1", "0x1.3bb56220078ccp+1",
+                                                    "0x1.3bae3fa7368e0p+1"]
+    assert [mc(g, seed) for seed in (1, 2, 3)] == ["0x1.0e753df6c73a3p+2", "0x1.0be760080eae4p+2",
+                                                    "0x1.0be1521febc97p+2"]
+    ball = M.ball_volume_mc(M.minkowski_instance(h), None, 1.3, n_samples=20_000, seed=9)
+    assert ball.value.hex() == "0x1.2533825e8de79p+3"
+    assert len(calls) == 2 and calls[0] is h and calls[1] is g
 
 
 def test_normalize_sets_unit_ball_volume():

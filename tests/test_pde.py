@@ -630,6 +630,49 @@ def test_ground_state_gap_changes_sign_at_the_found_amplitude(n, radius, mu, lam
     assert -radius < gap(4.0 * amp) < -1e-3 * radius
 
 
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_no_ground_state_amplitude_is_shot_twice(n, radius, mu, lam, p, monkeypatch):
+    # gap remembers its shots, so brentq opens on the sweep's bracket at no
+    # cost; only the dense shot at the root repeats an amplitude, brentq's
+    # last, to record its steps
+    starts = _spy(monkeypatch, P, "_frobenius_start")
+    P.mountain_pass_solve(_mp_bvp(n, radius, mu, lam, p, 1.0), p=p)
+    *found, root = [args[2] for args, _ in starts if np.ndim(args[4]) == 0]  # one per shot
+    assert len(set(found)) == len(found)
+    assert root in found
+
+
+@pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)
+def test_eigen_secant_climbs_to_the_root_from_the_left(n, radius, mu, monkeypatch):
+    # v(R; lam) is convex and decreasing on [0, lam_1), so the secant from
+    # (0, 1) never passes lam_1: every shot before the dense one reads
+    # v(R) > 0 (v(0) = 1), and a solve takes 9 to 11 shots, the dense one
+    # included
+    shots = _spy(monkeypatch, P.integrate.ode, "integrate")
+    P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    *secant, at_root = [y[0] for _, y in shots]  # v(R)
+    assert len(shots) <= 11
+    assert all(v > 0.0 for v in secant)
+    assert abs(at_root) < 1e-13
+
+
+@pytest.mark.parametrize("boundary", [lambda lam: 1.0, lambda lam: 0.5, lambda lam: -0.5,
+                                      lambda lam: 1.0 / (1.0 + lam)],
+                         ids=["one", "half", "minus-half", "no-root"])
+def test_eigen_secant_that_cannot_converge_raises(boundary, monkeypatch):
+    # a flat boundary value leaves the secant a zero denominator, and
+    # 1 / (1 + lam), which has no root, walks it to its shot cap
+    real = P._shooters
+
+    def shooters(bvp, *args):
+        _, dense = real(bvp, *args)
+        return (lambda lam, amplitude=1.0: (bvp.radius, [boundary(lam), 0.0])), dense
+
+    monkeypatch.setattr(P, "_shooters", shooters)
+    with pytest.raises(RuntimeError, match="eigenvalue secant"):
+        P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.2))
+
+
 def test_newton_skips_steps_that_round_away(monkeypatch):
     # the line search stops once u + t step rounds back to u: every shorter
     # step does too and cannot lower the residual, so the profile is the
@@ -858,12 +901,12 @@ def test_bessel_zero_check_sees_a_wrong_dimension(monkeypatch):
 # (a faster right-hand side, another integrator object) must keep these.
 
 EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
-    ("0x1.721fb80462dbcp+2", "0x1.721fb80462ceep+2"), ("0x1.721fb80462e23p+4", "0x1.721fb80462d26p+4"),
-    ("0x1.721fb80462db3p+0", "0x1.721fb80462d09p+0"), ("0x1.00241fadff51bp+1", "0x1.00241fadff4a7p+1"),
-    ("0x1.3bd3cc9be46c7p+3", "0x1.3bd3cc9be469ap+3"), ("0x1.e13049971141fp+2", "0x1.e1304997112c2p+2"),
-    ("0x1.f964837b1595fp+1", "0x1.f964837b15948p+1"), ("0x1.ab2369bdf97edp+3", "0x1.ab2369bdf9432p+3"),
-    ("0x1.d5d2b41898240p+3", "0x1.d5d2b4189811bp+3"), ("0x1.78dba582492abp+3", "0x1.78dba58249191p+3"),
-    ("0x1.0900d92879a16p+1", "0x1.0900d92879749p+1"), ("0x1.f88bb719e084cp+2", "0x1.f88bb719e06abp+2"),
+    ("0x1.721fb80462d6ep+2", "0x1.721fb80462c54p+2"), ("0x1.721fb80462ddap+4", "0x1.721fb80462c95p+4"),
+    ("0x1.721fb80462d62p+0", "0x1.721fb80462c64p+0"), ("0x1.00241fadff4e0p+1", "0x1.00241fadff42fp+1"),
+    ("0x1.3bd3cc9be46ccp+3", "0x1.3bd3cc9be46a9p+3"), ("0x1.e130499711465p+2", "0x1.e130499711358p+2"),
+    ("0x1.f964837b15956p+1", "0x1.f964837b15947p+1"), ("0x1.ab2369bdf97e4p+3", "0x1.ab2369bdf941dp+3"),
+    ("0x1.d5d2b4189823cp+3", "0x1.d5d2b41898112p+3"), ("0x1.78dba582492acp+3", "0x1.78dba58249189p+3"),
+    ("0x1.0900d92879a15p+1", "0x1.0900d92879751p+1"), ("0x1.f88bb719e0846p+2", "0x1.f88bb719e06a2p+2"),
 ]
 GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
     1.0: "10e8f0b6cb0db385d2ff10e7fbf49cc0b1cab722b9c72927005ee7a9cbe3e9fe",
