@@ -5,6 +5,29 @@ from finsler_sharp.manifold import euclidean_instance, f_eps_instance, minkowski
 from finsler_sharp.norms import lp_norm, normalize
 
 
+def _on_pinned_build():
+    import platform
+
+    import scipy
+
+    if (platform.machine(), np.__version__, scipy.__version__) != ("x86_64", "2.4.6", "1.17.1"):
+        return False
+    from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.4's SIMD dispatch table
+
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "pinned_build: pins result bits of x86-64 (AVX-512) numpy 2.4.6 and scipy 1.17.1; "
+        "skipped on other builds")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("pinned_build") is not None and not _on_pinned_build():
+        pytest.skip("bits pinned on another build")
+
+
 @pytest.fixture(scope="session")
 def e2():
     return euclidean_instance(2)
@@ -34,6 +57,11 @@ def l4_3():
 @pytest.fixture(scope="session")
 def feps2():
     return f_eps_instance(2, 1.0, normalize=True)
+
+
+@pytest.fixture(scope="session")
+def feps3():
+    return f_eps_instance(3, 1.0, normalize=True)
 
 
 @pytest.fixture

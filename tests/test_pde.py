@@ -914,21 +914,6 @@ GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS gr
 }
 
 
-def _on_pinned_build():
-    import platform
-
-    import scipy
-
-    if (platform.machine(), np.__version__, scipy.__version__) != ("x86_64", "2.4.6", "1.17.1"):
-        return False
-    from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.4's SIMD dispatch table
-
-    return bool(__cpu_features__.get("AVX512_SKX"))
-
-
-pinned_build = pytest.mark.skipif(not _on_pinned_build(), reason="solver bits pinned on another build")
-
-
 def _ground_digest(s):
     digest = hashlib.sha256()
     for case in MP_SETS:
@@ -939,14 +924,14 @@ def _ground_digest(s):
     return digest.hexdigest()
 
 
-@pinned_build
+@pytest.mark.pinned_build
 def test_eigen_bits_are_pinned():
     bits = [tuple(float(x).hex() for x in P.eigen_quotient(P.RadialBvp(n=n, radius=radius, mu=mu))[:2])
             for n, radius, mu in EIGEN_GRID]
     assert bits == EIGEN_BITS
 
 
-@pinned_build
+@pytest.mark.pinned_build
 @pytest.mark.parametrize("s", [1.0, 0.9])
 def test_ground_state_bits_are_pinned(s):
     assert _ground_digest(s) == GROUND_DIGESTS[s]

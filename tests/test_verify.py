@@ -399,6 +399,34 @@ def test_isoperimetric_rejects_bad_shapes(e2, e3):
         V.verify_isoperimetric(e2, "circle")
 
 
+ISOPERIMETRIC_BITS = {  # (lhs, rhs, vol, quad_error_estimate).hex() at the default n_quad
+    ("l4_2", "rectangle:a=2,b=1"): ("0x1.61731c08f03e6p+2", "0x1.40d931ff62706p+2", "0x1.0000000000000p+1", "0x0.0p+0"),
+    ("l4_2", "ball:radius=1.3"): ("0x1.0cb5d66fa6466p+3", "0x1.05616905f83b6p+3", "0x1.53cb6eee291a0p+2", "0x1.9eff582aaaaabp-23"),
+    ("l4_2", "wulff:radius=0.7"): ("0x1.197c97f35cc50p+2", "0x1.197c987c952c4p+2", "0x1.8a14d57b373dfp+0", "0x1.1270b82aaaaabp-23"),
+    ("l4_2", "ellipse:a=2,b=1"): ("0x1.39dd80f9d2a84p+3", "0x1.1c5831add62e3p+3", "0x1.921fb54442d18p+2", "0x1.e1dc4d2aaaaabp-23"),
+    ("feps2", "rectangle:a=2,b=1"): ("0x1.71b9d283ee6cep+2", "0x1.40d931ff62706p+2", "0x1.0000000000000p+1", "0x0.0p+0"),
+    ("feps2", "ball:radius=1.3"): ("0x1.06eb57db6472cp+3", "0x1.05616905f83b6p+3", "0x1.53cb6eee291a0p+2", "0x1.b07bcb5daaaabp-15"),
+    ("feps2", "wulff:radius=0.7"): ("0x1.197c2054ee27ap+2", "0x1.197c987c952c3p+2", "0x1.8a14d57b373dep+0", "0x1.e09600b780000p-16"),
+    ("feps2", "ellipse:a=2,b=1"): ("0x1.35707af4dd3b6p+3", "0x1.1c5831add62e3p+3", "0x1.921fb54442d18p+2", "0x1.fd017a6fd5555p-15"),
+    ("l4_3", "ball:radius=1.3"): ("0x1.6281924d76740p+4", "0x1.53cb6eee291a0p+4", "0x1.267d1bdf78f47p+3", "0x1.2e8bb99580000p-13"),
+    ("l4_3", "wulff:radius=0.7"): ("0x1.8a153e33c82c0p+2", "0x1.8a14d57b373e0p+2", "0x1.6fcf2da6338f3p+0", "0x1.a2d4ab0bd5555p-16"),
+    ("l4_3", "ellipsoid:a=0.5,b=1,c=1.5"): ("0x1.8a5dab497d0e2p+3", "0x1.4bf228a05d904p+3", "0x1.921fb54442d18p+1", "0x1.97d84971f5555p-13"),
+    ("feps3", "ball:radius=1.3"): ("0x1.55bfcddf52e9fp+4", "0x1.53cb6eee291a0p+4", "0x1.267d1bdf78f47p+3", "0x1.dc51b55cb0aabp-9"),
+    ("feps3", "wulff:radius=0.7"): ("0x1.8a24c1e5d424ep+2", "0x1.8a14d57b373e0p+2", "0x1.6fcf2da6338f3p+0", "0x1.fca7ecec7eaabp-11"),
+    ("feps3", "ellipsoid:a=0.5,b=1,c=1.5"): ("0x1.815c943ca0814p+3", "0x1.4bf228a05d904p+3", "0x1.921fb54442d18p+1", "0x1.2000cc1b64000p-8"),
+}
+
+
+@pytest.mark.pinned_build
+@pytest.mark.parametrize("instance, shape", ISOPERIMETRIC_BITS)
+def test_isoperimetric_bits_are_pinned(request, instance, shape):
+    # every shape kind each dimension takes, on a closed-form dual (l4) and an
+    # ascent dual (f_eps); the trigonometry and sums are numpy's SIMD loops
+    d = V.verify_isoperimetric(request.getfixturevalue(instance), shape).as_dict()
+    bits = (d["lhs"], d["rhs"], d["params"]["vol"], d["diagnostics"]["quad_error_estimate"])
+    assert tuple(float(x).hex() for x in bits) == ISOPERIMETRIC_BITS[instance, shape]
+
+
 # -- randomized suites ------------------------------------------------------
 
 
