@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minkowski norms, duals, Wulff shapes, and volume-ratio estimation.
+"""Minkowski norms, duals, unit-ball volumes, and volume-ratio estimation.
 
 Builds the l4 and interpolating-family instances, checks dual pairings
 and unit-ball volumes, then estimates the asymptotic volume ratio by
@@ -15,7 +15,7 @@ from finsler_sharp.manifold import (
     f_eps_instance,
     minkowski_instance,
 )
-from finsler_sharp.norms import WulffShape, lp_norm, normalize
+from finsler_sharp.norms import lp_norm, normalize, wulff_volume
 from finsler_sharp.constants import omega_n
 
 
@@ -38,8 +38,8 @@ for _ in range(4):
 banner("normalization fixes the unit-ball volume to omega_n")
 raw = lp_norm(2, 4.0)
 unit = normalize(raw)
-print(f"raw l4 ball volume       : {WulffShape(norm=raw, radius=1.0).volume():.10f}")
-print(f"normalized l4 ball volume: {WulffShape(norm=unit, radius=1.0).volume():.10f}")
+print(f"raw l4 ball volume       : {wulff_volume(raw):.10f}")
+print(f"normalized l4 ball volume: {wulff_volume(unit):.10f}")
 print(f"omega_2                  : {omega_n(2):.10f}")
 
 banner("instance ball volumes scale like r^n (Monte Carlo)")

@@ -98,7 +98,7 @@ def spawn_rngs(seed, n: int):
     return [np.random.default_rng(c) for c in children]
 
 
-def graded_grid(a: float, b: float, n: int, exponent: float = 2.0) -> np.ndarray:
+def graded_grid(a: float, b: float, n: int, exponent: float) -> np.ndarray:
     """Grid on [a, b] clustered at both endpoints with the given grading power."""
     t = np.linspace(0.0, 1.0, n)
     # symmetric smoothstep-style map: derivative vanishes to order exponent-1 at both ends
@@ -147,13 +147,13 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
     return scale * phat, scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
-def split_quad(fn, a, b, points=(), epsrel=1e-10):
+def split_quad(fn, a, b, points=()):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
     fn is called with one Python float at a time and should return a
     float.  scipy's QAGS handles integrable endpoint singularities on each
-    panel (epsabs 1e-12, at most 300 subintervals per panel); splitting
-    keeps kinks at panel endpoints where the extrapolation works.
+    panel (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per panel);
+    splitting keeps kinks at panel endpoints where the extrapolation works.
     Returns (value, summed error estimate, whether every panel converged).
     QUADPACK's complaints come back in the flag rather than as warnings, so
     no caller has to touch the process-wide warning filters.
@@ -165,7 +165,7 @@ def split_quad(fn, a, b, points=(), epsrel=1e-10):
             continue
         # with full_output a complaint arrives as a fourth entry, not a warning
         val, err, _, *complaint = integrate.quad(
-            fn, lo, hi, epsabs=1e-12, epsrel=epsrel, limit=300, full_output=1
+            fn, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1
         )
         total, error, converged = total + val, error + err, converged and not complaint
     return total, error, converged

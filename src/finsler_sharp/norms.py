@@ -94,17 +94,6 @@ class MinkowskiNorm:
 
 
 @dataclass(frozen=True)
-class WulffShape:
-    """The sublevel set {H < radius} of a Minkowski norm."""
-
-    norm: MinkowskiNorm
-    radius: float = 1.0
-
-    def volume(self) -> float:
-        return self.radius**self.norm.dim * wulff_volume(self.norm)
-
-
-@dataclass(frozen=True)
 class VolumeEstimate:
     value: float
     stderr: float

@@ -128,29 +128,6 @@ def _panels(rho: np.ndarray, n: int):
     return drho, rbar, rbar ** (n - 1)
 
 
-def _as_nodal(u, rho: np.ndarray) -> np.ndarray:
-    vals = u(rho) if callable(u) else u
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != rho.shape:
-        raise ValueError(f"profile has shape {vals.shape}, grid has {rho.shape}")
-    return vals
-
-
-def _energy_value(f: "_RadialFunctional", vals, bvp: RadialBvp):
-    """(level, residual) of a ground-state profile: the energy, inf when the
-    profile is singular at 0 where that makes it diverge, and the norm of
-    the discrete Euler-Lagrange gradient scaled by the profile magnitude."""
-    sup = float(np.max(np.abs(vals), initial=0.0))
-    if abs(vals[-1]) > 1e-8 * max(1.0, sup):
-        raise ValueError("profile must vanish at the outer radius")
-    # integrable for the dimensions in scope unless u misbehaves at 0
-    singular = bvp.mu != 0.0 and bvp.n >= 5 and abs(vals[0]) > 1e-6 * max(1.0, sup)
-    a = f.assemble(vals)
-    a.grad[-1] = 0.0  # Dirichlet node is not a degree of freedom
-    scale = f.nw * max(1.0, sup) * max(1.0, bvp.radius ** (bvp.n - 1))
-    return math.inf if singular else a.energy, float(np.linalg.norm(a.grad)) / scale
-
-
 def _power(q: float):
     """(coef, F, F', F'') for F(s) = s_+^q / q."""
     return (
@@ -655,10 +632,14 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     gap = float(np.max(np.abs(vals[outer] - shoot_vals[outer])))
     gap /= max(1.0, float(np.max(np.abs(shoot_vals[outer]))))
 
-    level, residual = _energy_value(f, vals, bvp)
+    a = f.assemble(vals)
+    sup = float(np.max(vals))
+    # integrable for the dimensions in scope unless u misbehaves at 0
+    singular = bvp.mu != 0.0 and bvp.n >= 5 and abs(vals[0]) > 1e-6 * max(1.0, sup)
     return MountainPassSolution(
-        grid=rho, values=vals, amplitude=float(np.max(vals)),
-        level=level, residual=residual, shooting_gap=gap,
+        grid=rho, values=vals, amplitude=sup, level=math.inf if singular else a.energy,
+        residual=_kkt_residual(vals, a.grad, -math.inf, math.inf, f.residual_scale(vals)),
+        shooting_gap=gap,
     )
 
 
@@ -824,7 +805,9 @@ def weak_residual(vals, bvp: RadialBvp, p: float) -> float:
     """Largest pairing of the Euler-Lagrange form against 20 random smooth
     test profiles vanishing at R (seed 0), normalized by the solution scale."""
     rho = bvp.grid()
-    vals = _as_nodal(vals, rho)
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != rho.shape:
+        raise ValueError(f"profile has shape {vals.shape}, grid has {rho.shape}")
     n = bvp.n
     won = omega_n(n)
     drho, rbar, shell = _panels(rho, n)

@@ -380,14 +380,13 @@ def rearrange(u: RadialTestFunction, m: FinslerInstance) -> RadialTestFunction:
     return u
 
 
-def equimeasurability_gap(u: RadialTestFunction, m: FinslerInstance, star: RadialTestFunction,
-                          levels=None) -> float:
+def equimeasurability_gap(u: RadialTestFunction, m: FinslerInstance, star: RadialTestFunction) -> float:
     """max over the level grid of |Vol{u > t} - Vol{u* > t}|.
 
     Every level is answered from one profile table per function: each
     inverts its tabulated profile once for the whole level grid.
     """
-    mu = distribution(u, m, levels=levels)
+    mu = distribution(u, m)
     vol = distribution(star, m, levels=mu.levels).values
     return float(np.max(np.abs(vol - mu.values)))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,19 +31,7 @@ class InequalityReport:
     diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "params": _plain(self.params),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "direction": self.direction,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "sharp_constant": self.sharp_constant,
-            "diagnostics": _plain(self.diagnostics),
-        }
+        return _plain(asdict(self))
 
 
 def make_report(
@@ -97,16 +85,7 @@ class SweepResult:
     rtol: float
 
     def as_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "grid": list(map(float, self.grid)),
-            "rows": [_plain(r) for r in self.rows],
-            "limit": self.limit,
-            "target": self.target,
-            "order_estimate": self.order_estimate,
-            "passed": self.passed,
-            "rtol": self.rtol,
-        }
+        return _plain(asdict(self))
 
 
 def richardson_limit(grid, values):

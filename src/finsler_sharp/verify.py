@@ -34,7 +34,7 @@ from .constants import (
     support_energy_limit,
 )
 from .manifold import FinslerInstance, avr as estimate_avr
-from .norms import MinkowskiNorm, WulffShape
+from .norms import MinkowskiNorm, wulff_volume
 from .rearrange import (
     RadialTestFunction,
     equimeasurability_gap,
@@ -371,7 +371,11 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
 # anisotropic perimeter
 
 
-def _perimeter_polygon(h: MinkowskiNorm, pts: np.ndarray) -> float:
+def _perimeter_polygon(h: MinkowskiNorm, boundary, k: int) -> float:
+    """Dual-normal length of the k-gon with vertices boundary(cos t, sin t)
+    at k equal steps of t."""
+    theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+    pts = boundary(np.stack([np.cos(theta), np.sin(theta)], axis=1))
     # counterclockwise closed polygon; edge (dx,dy) has outward normal (dy,-dx),
     # and 1-homogeneity of the dual absorbs the edge length
     edges = np.roll(pts, -1, axis=0) - pts
@@ -379,15 +383,15 @@ def _perimeter_polygon(h: MinkowskiNorm, pts: np.ndarray) -> float:
     return float(np.sum(h.dual(normals)))
 
 
-def _perimeter_surface(h: MinkowskiNorm, radial, n_phi: int, n_theta: int) -> float:
-    """Midpoint quadrature of H*(x_phi x x_theta) for x = r(omega) omega."""
+def _perimeter_surface(h: MinkowskiNorm, boundary, n_phi: int, n_theta: int) -> float:
+    """Midpoint quadrature of H*(x_phi x x_theta) for x = boundary(omega)."""
 
     def point(phi, theta):
         w = np.stack(
             [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
             axis=-1,
         )
-        return radial(w)[..., None] * w
+        return boundary(w)
 
     dphi = math.pi / n_phi
     dtheta = 2.0 * math.pi / n_theta
@@ -402,6 +406,29 @@ def _perimeter_surface(h: MinkowskiNorm, radial, n_phi: int, n_theta: int) -> fl
     return float(np.sum(vals)) * dphi * dtheta
 
 
+def _curved_shape(spec: dict, h: MinkowskiNorm, n: int):
+    """(volume, boundary) of a curved shape; boundary maps unit directions
+    omega (..., n) to boundary points, r(omega) omega for the star-shaped
+    radius map r, except that the ellipse keeps its axis parametrization."""
+    kind = spec["kind"]
+    if kind == "ellipse":
+        semi = np.array([spec["a"], spec["b"]])
+        return math.pi * spec["a"] * spec["b"], lambda w: semi * w
+    if kind == "ellipsoid":
+        semi = np.array([spec["a"], spec["b"], spec["c"]])
+        radius = lambda w: 1.0 / np.sqrt(np.sum((w / semi) ** 2, axis=-1))
+        vol = 4.0 * math.pi / 3.0 * spec["a"] * spec["b"] * spec["c"]
+    elif kind == "wulff":
+        r = spec["radius"]
+        radius = lambda w: r / h(w.reshape(-1, n)).reshape(w.shape[:-1])
+        vol = r**n * wulff_volume(h)
+    else:  # ball
+        r = spec["radius"]
+        radius = lambda w: np.full(w.shape[:-1], r)
+        vol = omega_n(n) * r**n
+    return vol, lambda w: radius(w)[..., None] * w
+
+
 _RADIUS = {"radius": (float, 1.0)}
 _AXES = {"a": (float, REQUIRED), "b": (float, REQUIRED)}
 # a shape is its descriptor with every key filled in
@@ -410,93 +437,54 @@ SHAPES = {
     for kind, keys in (("ball", _RADIUS), ("wulff", _RADIUS), ("rectangle", _AXES),
                        ("ellipse", _AXES), ("ellipsoid", {**_AXES, "c": (float, REQUIRED)}))
 }
+# the dimensions each shape kind is checked in
+SHAPE_DIMENSIONS = {"ball": (2, 3), "wulff": (2, 3), "rectangle": (2,), "ellipse": (2,), "ellipsoid": (3,)}
 
 
 def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None) -> InequalityReport:
     """Check P(boundary) >= n omega_n^(1/n) avr^(1/n) Vol^((n-1)/n) at rtol 1e-9.
 
     The anisotropic perimeter is the boundary integral of the dual norm
-    of the Euclidean outward normal, computed by polygon (n=2) or
-    parametric surface (n=3) quadrature; rectangles use the exact
-    four-side formula.  Wulff shapes of the instance norm attain
-    equality, which the report flags.
+    of the Euclidean outward normal: rectangles use the exact four-side
+    formula, every curved shape the polygon (n=2) or parametric surface
+    (n=3) quadrature, whose error estimate is a third of its distance to
+    the same quadrature at half the resolution.  Wulff shapes of the
+    instance norm attain equality, which the report flags.
     """
     n = m.dim
     h = m.norm
-    if not (m.kind == "euclidean" or h.normalized):
+    if not h.normalized:
         raise ValueError("perimeter formula needs a normalized Minkowski instance")
     a = estimate_avr(m).point
     spec = build_from_descriptor(shape, SHAPES, "shape")
     kind = spec["kind"]
+    if n not in SHAPE_DIMENSIONS[kind]:
+        raise ValueError(f"shape kind {kind!r} unsupported in dimension {n}")
     if n_quad is None:
         n_quad = 8192 if h.analytic_dual is not None else 512
-    won = omega_n(n)
     err_est = 0.0
 
     if kind == "rectangle":
-        if n != 2:
-            raise ValueError("rectangle shapes are two-dimensional")
         ax, bx = spec["a"], spec["b"]
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         perim = 2.0 * bx * h.dual(e1) + 2.0 * ax * h.dual(e2)
         vol = ax * bx
         diag = {"quadrature": "exact_sides"}
-    elif kind in ("wulff", "ball", "ellipse"):
+    else:
+        vol, boundary = _curved_shape(spec, h, n)
         if n == 2:
-
-            def polygon(k):
-                theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-                w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-                if kind == "wulff":
-                    return (r / h(w))[:, None] * w
-                if kind == "ball":
-                    return r * w
-                return np.stack([ax * np.cos(theta), bx * np.sin(theta)], axis=1)
-
-            if kind == "ellipse":
-                ax, bx = spec["a"], spec["b"]
-                r = 0.0
-                vol = math.pi * ax * bx
-            else:
-                r = spec["radius"]
-                vol = WulffShape(norm=h, radius=r).volume() if kind == "wulff" else won * r**2
-            perim = _perimeter_polygon(h, polygon(int(n_quad)))
-            coarse = _perimeter_polygon(h, polygon(int(n_quad) // 2))
-            err_est = abs(perim - coarse) / 3.0
-            diag = {"quadrature": "polygon", "n_points": int(n_quad)}
-        elif n == 3 and kind in ("wulff", "ball"):
-            r = spec["radius"]
-            if kind == "wulff":
-                radial = lambda w: r / h(w.reshape(-1, 3)).reshape(w.shape[:-1])
-                vol = WulffShape(norm=h, radius=r).volume()
-            else:
-                radial = lambda w: np.full(w.shape[:-1], r)
-                vol = won * r**3
-            n_phi = max(48, int(n_quad) // 32)
-            perim = _perimeter_surface(h, radial, n_phi, 2 * n_phi)
-            coarse = _perimeter_surface(h, radial, n_phi // 2, n_phi)
-            err_est = abs(perim - coarse) / 3.0
-            diag = {"quadrature": "surface", "n_phi": n_phi}
+            k = int(n_quad)
+            perimeter, fine, half = _perimeter_polygon, (k,), (k // 2,)
+            diag = {"quadrature": "polygon", "n_points": k}
         else:
-            raise ValueError(f"shape kind {kind!r} unsupported in dimension {n}")
-    else:  # ellipsoid
-        if n != 3:
-            raise ValueError("ellipsoid shapes are three-dimensional")
-        ax, bx, cx = spec["a"], spec["b"], spec["c"]
-        semi = np.array([ax, bx, cx])
-
-        def radial(w):
-            return 1.0 / np.sqrt(np.sum((w / semi) ** 2, axis=-1))
-
-        n_phi = max(48, int(n_quad) // 32)
-        perim = _perimeter_surface(h, radial, n_phi, 2 * n_phi)
-        coarse = _perimeter_surface(h, radial, n_phi // 2, n_phi)
-        err_est = abs(perim - coarse) / 3.0
-        vol = 4.0 * math.pi / 3.0 * ax * bx * cx
-        diag = {"quadrature": "surface", "n_phi": n_phi}
+            n_phi = max(48, int(n_quad) // 32)
+            perimeter, fine, half = _perimeter_surface, (n_phi, 2 * n_phi), (n_phi // 2, n_phi)
+            diag = {"quadrature": "surface", "n_phi": n_phi}
+        perim = perimeter(h, boundary, *fine)
+        err_est = abs(perim - perimeter(h, boundary, *half)) / 3.0
 
     diag["quad_error_estimate"] = err_est
-    rhs = n * won ** (1.0 / n) * a ** (1.0 / n) * vol ** ((n - 1.0) / n)
+    rhs = n * omega_n(n) ** (1.0 / n) * a ** (1.0 / n) * vol ** ((n - 1.0) / n)
     rep = make_report(
         "isoperimetric",
         {"n": n, "avr": a, "shape": kind, "vol": vol},

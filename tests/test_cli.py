@@ -473,6 +473,26 @@ def test_avr_exact_path(capsys):
     assert doc["passed"] is True
 
 
+README_AVR = ["avr", "--instance", "f_eps:n=3,eps=1", "--method", "mc", "--samples", "200000"]
+
+
+def test_avr_gate_reads_the_criterion_10_verdict(monkeypatch, capsys):
+    # the README example reads 0.16 sigma from the exact AVR 1 at seed 0; a
+    # density 2% too low stays inside the sandwich interval, which alone
+    # passed the subcommand, and the 4-sigma gate near_one turns it red
+    assert run_cli(README_AVR) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["near_one"] is True and doc["passed"] is True
+    from finsler_sharp import manifold
+
+    real = manifold.bh_density
+    monkeypatch.setattr(manifold, "bh_density", lambda m: 0.98 * real(m))
+    assert run_cli(README_AVR) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lo"] <= doc["point"] <= doc["hi"] and doc["bishop_gromov_ok"] is True
+    assert doc["near_one"] is False and doc["passed"] is False
+
+
 def test_out_dir_places_default_names(tmp_path, capsys):
     rc = run_cli(["verify", "--instance", "euclidean:n=2",
                   "--inequality", "morrey-support",

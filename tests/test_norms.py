@@ -7,7 +7,6 @@ from scipy import special
 from finsler_sharp import manifold as M, norms as N
 from finsler_sharp.norms import (
     DualMaximizerError,
-    WulffShape,
     custom_norm,
     dual_norm,
     eikonal_residual,
@@ -156,11 +155,6 @@ def test_normalize_sets_unit_ball_volume():
     # normalizing again is a no-op up to rounding
     h2 = normalize(h)
     assert h2.scale == pytest.approx(h.scale, rel=1e-9)
-
-
-def test_wulff_shape_volume_scaling():
-    w = WulffShape(norm=euclidean_norm(3), radius=2.0)
-    assert w.volume() == pytest.approx(omega_n(3) * 8.0, rel=1e-12)
 
 
 def test_norm_from_descriptor_roundtrip():

@@ -390,13 +390,18 @@ def test_isoperimetric_needs_normalized_norm():
         V.verify_isoperimetric(raw, {"kind": "wulff", "radius": 1.0})
 
 
-def test_isoperimetric_rejects_bad_shapes(e2, e3):
+def test_isoperimetric_rejects_bad_shapes(e2):
     with pytest.raises(ValueError):
         V.verify_isoperimetric(e2, {"kind": "torus"})
     with pytest.raises(ValueError):
-        V.verify_isoperimetric(e3, {"kind": "rectangle", "a": 1.0, "b": 1.0})
-    with pytest.raises(ValueError):
         V.verify_isoperimetric(e2, "circle")
+
+
+@pytest.mark.parametrize("shape, n", [("rectangle:a=1,b=2", 3), ("ellipse:a=1,b=2", 3),
+                                      ("ellipsoid:a=1,b=2,c=3", 2), ("ball:radius=1", 4)])
+def test_isoperimetric_names_an_unsupported_kind_and_dimension(shape, n):
+    with pytest.raises(ValueError, match=rf"'{shape.split(':')[0]}' unsupported in dimension {n}"):
+        V.verify_isoperimetric(euclidean_instance(n), shape)
 
 
 ISOPERIMETRIC_BITS = {  # (lhs, rhs, vol, quad_error_estimate).hex() at the default n_quad
