@@ -731,14 +731,17 @@ def _mountain_pass(seed):
         sol = mountain_pass_solve(bvp, p=p)
         rows.append({"n": n, "R": radius, "mu": mu, "lam": lam, "p": p,
                      "residual": sol.residual, "level": sol.level,
-                     "min_value": float(np.min(sol.values))})
+                     "min_value": float(np.min(sol.values)), "shooting_gap": sol.shooting_gap})
     nl = OscillatoryNonlinearity(4.0)
     bvp = RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
     profs = multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)
     sups = [c.sup for c in profs]
-    # ground-state residuals read at most 2.3e-12 at seed 0; the plateau
-    # residuals sit near 1e-10 and keep the looser gate
-    ok = (all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
+    # ground-state residuals read at most 2.4e-12 at seed 0, and the plateau
+    # residuals near 1e-10 keep the looser gate; a defect in the functional
+    # the shot is polished on moves the profile, not its residual, so the
+    # polished profile must stay within 1e-3 of the shot (7.1e-5 at seed 0)
+    ok = (all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10
+              and r["shooting_gap"] <= 1e-3 for r in rows)
           and all(c.residual < 1e-6 for c in profs)
           and all(s1 < s2 for s1, s2 in zip(sups, sups[1:])))
     return ok, {"mountain_pass": rows, "multiplicity_sups": sups,

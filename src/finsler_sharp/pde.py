@@ -7,15 +7,16 @@ critical-profile exploration for oscillatory nonlinearities all become
 singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
 (s the Frobenius exponent) and W = rho^(d-1) v', where the potential cancels
 and v solves the problem without it in dimension d = n + 2s.  Every shot
-runs the compiled DOP853 of scipy's ode, one per thread and kind for all
-solves, with right-hand sides in Python floats: the root-finding shots
+runs the compiled DOP853 of scipy's ode, one per thread and tolerance for
+all solves, with right-hand sides in Python floats: the root-finding shots
 (the eigenvalue's secant from the left, the amplitude's bracket and brentq)
-for their endpoint only, and one more shot per solve, at the root, records
-its accepted steps, from which DOP853's continuous output is rebuilt in one
-numpy pass (_dense_shot) for the profile and the eigen quotient to read.
-On the grid, one assembly (_RadialFunctional) gives the energy, the exact
-gradient and the tridiagonal Hessian of
-(1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for every family, and one
+read v(R), or v extrapolated to R along the step that crossed zero before
+R, and one more shot per solve, at the root, records its accepted steps,
+from which DOP853's continuous output is rebuilt in one numpy pass
+(_dense_shot) for the profile and the eigen quotient to read.  On the grid,
+one assembly (_RadialFunctional) gives the energy, the exact gradient and
+the tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w
+for every family, the energy and gradient from one pass, and one
 projected banded Newton loop (_projected_newton) polishes the ground states
 (no bounds, to 1e-13 or the gradient's rounding floor) and the plateau
 profiles (a finite box, to 1e-10), halving each step until it rounds away.
@@ -129,13 +130,11 @@ def _panels(rho: np.ndarray, n: int):
 
 
 def _power(q: float):
-    """(coef, F, F', F'') for F(s) = s_+^q / q."""
-    return (
-        1.0,
-        lambda s: np.maximum(s, 0.0) ** q / q,
-        lambda s: np.maximum(s, 0.0) ** (q - 1),
-        lambda s: (q - 1) * np.maximum(s, 0.0) ** (q - 2),
-    )
+    """(coef, (F, F'), F', F'') for F(s) = s_+^q / q."""
+    def df(s):
+        return np.maximum(s, 0.0) ** (q - 1)
+
+    return 1.0, lambda s: (np.maximum(s, 0.0) ** q / q, df(s)), df, lambda s: (q - 1) * np.maximum(s, 0.0) ** (q - 2)
 
 
 class _Assembly(NamedTuple):
@@ -153,14 +152,16 @@ class _RadialFunctional:
         J(u) = (1/p) int |u'|^p w + 1/2 int c u^2 - coef int F(u) w,
 
     with w = n omega_n rho^(n-1) and c = lam w - mu n omega_n rho^(n-3),
-    under the midpoint rule.  nl = (coef, F, F', F'') gives the
+    under the midpoint rule.  nl = (coef, (F, F'), F', F'') gives the
     nonlinearity (None for none; F'' may be None when no Hessian is asked
-    for).  p = 2 gives the eigen family (no F) and the ground states
-    (F = u_+^q / q); p > n with c = 0 and coef F' = lam h gives the
-    oscillatory family.  gradient(), hessian() (tridiagonal) and assemble()
-    (the energy, its parts and the gradient) keep the products and node sums
-    of the two per-family assemblies this replaced, so the gradients and the
-    oscillatory energy are bit-identical to theirs.
+    for): the pair serves the energy, which reads F and F' at the same panel
+    means, F' alone the gradient.  p = 2 gives the eigen family (no F) and
+    the ground states (F = u_+^q / q); p > n with c = 0 and coef F' = lam h
+    gives the oscillatory family.  gradient(), hessian() (tridiagonal) and
+    assemble() (the energy, its parts and the gradient, from one pass over
+    the panels) keep the products and node sums of the two per-family
+    assemblies this replaced, so the gradients and the oscillatory energy
+    are bit-identical to theirs.
     """
 
     def __init__(self, rho, n: int, p: float, lam: float = 0.0, mu: float = 0.0, nl=None):
@@ -174,20 +175,24 @@ class _RadialFunctional:
         return self.nw * max(1.0, np.max(u) ** (self.p - 1)) * max(1.0, self.rho[-1] ** (self.n - 1))
 
     def _terms(self, u):
-        """(coef, F, F', F''), panel means and panel slopes of u."""
+        """(coef, (F, F'), F', F''), panel means and panel slopes of u."""
         nl = self.nl if self.nl is not None else (0.0, None, None, None)
         return nl, 0.5 * (u[1:] + u[:-1]), np.diff(u) / self.drho
 
     def gradient(self, u) -> np.ndarray:
-        p, drho, shell = self.p, self.drho, self.shell
         (coef, _, f, _), ubar, slope = self._terms(u)
+        return self._gradient(u, ubar, slope, None if f is None else f(ubar))
+
+    def _gradient(self, u, ubar, slope, fbar) -> np.ndarray:
+        """The gradient from the panel means, the slopes and F' at the means (None for no F)."""
+        p, drho, shell = self.p, self.drho, self.shell
         mass = []
         if self.lam != 0.0:
             mass.append(self.lam * ubar * shell * drho)
         if self.mu != 0.0:
             mass.append(-self.mu * ubar * self.hardy_w * drho)
-        if f is not None:
-            mass.append(-coef * np.asarray(f(ubar), dtype=float) * shell * drho)
+        if fbar is not None:
+            mass.append(-self.nl[0] * np.asarray(fbar, dtype=float) * shell * drho)
         flux = np.abs(slope) ** (p - 2) * slope * shell
         half = 0.5 * sum(mass[1:], mass[0]) if mass else 0.0
         g = np.zeros_like(u)
@@ -214,13 +219,15 @@ class _RadialFunctional:
 
     def assemble(self, u) -> _Assembly:
         p, drho, shell, nw = self.p, self.drho, self.shell, self.nw
-        (coef, prim, f, _), ubar, slope = self._terms(u)
+        (coef, pair, f, _), ubar, slope = self._terms(u)
+        prim, fbar = pair(ubar) if f is not None else (None, None)
         dirichlet = float(np.sum(np.abs(slope) ** p * shell * drho))
         l2 = float(np.sum(ubar ** 2 * shell * drho))
         hardy = float(np.sum(ubar ** 2 * self.hardy_w * drho)) if self.mu != 0.0 else 0.0
-        nonlinear = float(np.sum(np.asarray(prim(ubar), dtype=float) * shell * drho)) if f is not None else 0.0
+        nonlinear = float(np.sum(np.asarray(prim, dtype=float) * shell * drho)) if f is not None else 0.0
         energy = nw * (dirichlet / p + 0.5 * (self.lam * l2 - self.mu * hardy) - coef * nonlinear)
-        return _Assembly(energy, self.gradient(u), nw * dirichlet, nw * l2, nw * hardy, nw * nonlinear)
+        return _Assembly(energy, self._gradient(u, ubar, slope, fbar), nw * dirichlet, nw * l2, nw * hardy,
+                         nw * nonlinear)
 
 
 def _kkt_residual(u, g, lo, hi, scale) -> float:
@@ -334,23 +341,15 @@ def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float, p, rho):
 _integrators = threading.local()
 
 
-def _below_zero(t, y):
-    return -1 if y[0] < 0.0 else 0
-
-
-def _integrator(ground: bool, rtol: float, atol: float):
-    """This thread's compiled DOP853 for (ground, rtol, atol), built on its
-    first shot: every ode built leaks about 1 KB in f2py, so the shots of all
-    solves reuse one, each taking the solve's rhs as its .f.  A ground-state
-    one stops at a step that ends with v < 0."""
+def _integrator(rtol: float, atol: float):
+    """This thread's compiled DOP853 for (rtol, atol), built on its first
+    shot: every ode built leaks about 1 KB in f2py, so the shots of all
+    solves reuse one, each taking the solve's rhs as its .f and its own
+    solout."""
     cache = _integrators.__dict__.setdefault("by_key", {})
-    key = (ground, rtol, atol)
-    if key not in cache:
-        solver = integrate.ode(None).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
-        if ground:
-            solver.set_solout(_below_zero)
-        cache[key] = solver
-    return cache[key]
+    if (rtol, atol) not in cache:
+        cache[rtol, atol] = integrate.ode(None).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
+    return cache[rtol, atol]
 
 
 # DOP853's 16 stages (Hairer, Norsett & Wanner, Solving ODEs I, II.6) by
@@ -396,36 +395,41 @@ def _shooters(bvp: RadialBvp, rhs, field, shot: dict, rtol: float, atol: float, 
     """(endpoint, dense) shots of rhs(rho, y), y = (v, W), from
     _frobenius_start at (lam, amplitude); each sets shot["lam"] for rhs to
     read.  Both run this thread's compiled DOP853 (see _integrator), and a
-    ground state (p given) stops at a step ending with v < 0.  endpoint
-    returns (t, y) at the end; dense records every accepted step and returns
-    their _dense_shot, for which field is rhs on arrays of shape (2, m).
-    Each shot hands rhs to the ode as its .f, so the shooters of several
-    solves may interleave; what changes between shots goes through the shot
-    cell, as set_f_params would break set_solout."""
+    ground state (p given) records its accepted steps and stops at the first
+    that ends with v < 0.  endpoint returns (t, y) at the end, and for a
+    ground state also (t, v) of the accepted step before; dense returns the
+    _dense_shot of every accepted step, for which field is rhs on arrays of
+    shape (2, m).  Each shot hands rhs to the ode as its .f and its solout,
+    so the shooters of several solves may interleave; what changes between
+    shots goes through the shot cell, as set_f_params would break
+    set_solout."""
     eps = 1e-6 * bvp.radius
-    solver = _integrator(p is not None, rtol, atol)
+    solver = _integrator(rtol, atol)
 
-    def endpoint(lam, amplitude=1.0):
+    def run(lam, amplitude, steps):
+        """One shot; steps, unless None, receives every accepted (t, v, W)."""
+        def record(t, y):
+            steps.append((t, *y.tolist()))
+            return -1 if p is not None and y[0] < 0.0 else 0
+
         shot["lam"] = lam
         solver.f = rhs
+        solver.set_solout(None if steps is None else record)
         solver.set_initial_value(list(_frobenius_start(bvp, lam, amplitude, p, eps)), eps)
         y = solver.integrate(bvp.radius)
         if not solver.successful():
             raise RuntimeError(f"shooting failed with DOP853 status {solver.get_return_code()}")
         return solver.t, y
 
+    def endpoint(lam, amplitude=1.0):
+        if p is None:
+            return run(lam, amplitude, None)
+        steps = []
+        return (*run(lam, amplitude, steps), steps[-2][:2])
+
     def dense(lam, amplitude=1.0):
         steps = []
-
-        def record(t, y):
-            steps.append((t, *y.tolist()))
-            return 0 if p is None else _below_zero(t, y)
-
-        solver.set_solout(record)
-        try:
-            endpoint(lam, amplitude)
-        finally:
-            solver.set_solout(None if p is None else _below_zero)
+        run(lam, amplitude, steps)
         steps = np.array(steps).T
         return _dense_shot(field, steps[0], steps[1:])
 
@@ -535,9 +539,11 @@ def eigen_quotient(bvp: RadialBvp):
 
 
 def _ground_shots(bvp: RadialBvp, p: float):
-    """(gap, dense) in the ground-state amplitude a.  gap(a) is t - R for a
-    compiled shot stopped at a step t < R that ends with v < 0, and v(R)
-    otherwise: it changes sign where the first zero is at R."""
+    """(gap, dense) in the ground-state amplitude a.  gap(a) is v(R), or, for
+    a shot stopped before R at the first step (t0, v0) -> (t1, v1) with
+    v1 < 0, v0 + (v1 - v0) / (t1 - t0) (R - t0), v extrapolated to R along
+    that step: it changes sign where the first zero reaches R and moves
+    with the crossing, so brentq can interpolate it."""
     # rhs works on Python floats, which round as numpy scalars do (IEEE
     # doubles, libm pow) at a quarter of the cost per call
     lam, (s, d) = float(bvp.lam), _regular_variable(bvp)
@@ -558,8 +564,9 @@ def _ground_shots(bvp: RadialBvp, p: float):
 
     def gap(amplitude):
         if amplitude not in seen:
-            t, y = endpoint(lam, amplitude)
-            seen[amplitude] = t - bvp.radius if t < bvp.radius else float(y[0])
+            t1, y, (t0, v0) = endpoint(lam, amplitude)
+            v1 = float(y[0])
+            seen[amplitude] = v0 + (v1 - v0) / (t1 - t0) * (bvp.radius - t0) if t1 < bvp.radius else v1
         return seen[amplitude]
 
     return gap, lambda amplitude: dense(lam, amplitude)
@@ -577,13 +584,17 @@ def _check_subcritical(n: int, p: float) -> None:
 def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPassSolution:
     """Nonnegative ground-state profile of the semilinear problem.
 
-    Shooting on the initial amplitude places the first zero exactly at R;
-    the projected Newton loop, with no bounds, then drives the discrete
+    Shooting on the initial amplitude places the first zero exactly at R:
+    a sweep brackets the sign change of _ground_shots' gap, and brentq
+    opens on the last amplitude of the sweep with a positive gap.  The
+    projected Newton loop, with no bounds, then drives the discrete
     Euler-Lagrange gradient of the p = 2 functional toward a scaled
     residual of 1e-13 (it stops earlier, at the gradient's rounding
     floor).  The ground state is a saddle point, so its indefinite Hessian
     gets no diagonal floor and no Levenberg shift.  The energy level of a
-    nontrivial solution is strictly positive.
+    nontrivial solution is strictly positive.  shooting_gap is the largest
+    distance from the shot to the polished profile on rho >= 0.1 R, over
+    max(1, the shot's sup there).
     """
     if p is None:
         if not (isinstance(bvp.nonlinearity, tuple) and bvp.nonlinearity[0] == "power"):
@@ -610,7 +621,7 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     for _ in range(60):
         if gap(a_hi) < 0.0:
             break
-        a_hi *= 2.0
+        a_lo, a_hi = a_hi, 2.0 * a_hi
     else:
         raise RuntimeError("no solution found in bracket: amplitude sweep exhausted")
 
@@ -682,22 +693,28 @@ class OscillatoryNonlinearity:
         tau = np.minimum(np.maximum((s[on] - self.rise_lo[j]) / width, 0.0), 1.0)
         return s, idx, on, j, width, tau
 
-    def H(self, s):
-        s, idx, on, j, _, tau = self._rise(s)
+    def H_and_h(self, s):
+        """(H(s), h(s)) from one pass over the region edges."""
+        rise = self._rise(s)
+        s, idx, on, j, _, tau = rise
         # H is 0 up to s = 1 and levels[j + 1] = levels[idx // 2] on plateau j
         out = np.where(s > self.rise_lo[0], self.levels[idx // 2], 0.0)
         smooth = tau * tau * (3.0 - 2.0 * tau)
         out[on] = self.levels[j] + (self.levels[j + 1] - self.levels[j]) * smooth
-        return out if out.ndim else float(out)
+        h = self._on_rise(rise, lambda dlvl, tau, w: dlvl * 6.0 * tau * (1.0 - tau) / w)
+        return (out if out.ndim else float(out)), h
+
+    def H(self, s):
+        return self.H_and_h(s)[0]
 
     def h(self, s):
-        return self._on_rise(s, lambda dlvl, tau, w: dlvl * 6.0 * tau * (1.0 - tau) / w)
+        return self.H_and_h(s)[1]
 
     def dh(self, s):
-        return self._on_rise(s, lambda dlvl, tau, w: dlvl * 6.0 * (1.0 - 2.0 * tau) / (w * w))
+        return self._on_rise(self._rise(s), lambda dlvl, tau, w: dlvl * 6.0 * (1.0 - 2.0 * tau) / (w * w))
 
-    def _on_rise(self, s, fn):
-        s, _, on, j, width, tau = self._rise(s)
+    def _on_rise(self, rise, fn):
+        s, _, on, j, width, tau = rise
         out = np.zeros_like(s)
         out[on] = fn(self.levels[j + 1] - self.levels[j], tau, width)
         return out if out.ndim else float(out)
@@ -717,10 +734,11 @@ def multiplicity_explore(
     whose height settles strictly inside the plateau is a critical point of
     the untruncated energy (the nonlinearity vanishes there, so the cap is
     inactive).  L-BFGS-B minimizes each truncation with the energy and
-    gradient of the shared assembly; the projected Newton loop then polishes
+    gradient of one assembly per evaluation; the projected Newton loop then polishes
     the minimizer inside the box [0, b_k] to a scaled KKT residual of
     1e-10, with the diagonal floor and the Levenberg backstop that the
-    degenerate plateau Hessian needs.  h must provide dh for that Hessian.
+    degenerate plateau Hessian needs.  h must provide H_and_h for the
+    energy, h for the gradient and dh for that Hessian.
     Returns the distinct stationary profiles found; fewer than two distinct
     hits is a warning, not an error.  No existence claim is made beyond
     what is found.
@@ -740,7 +758,7 @@ def multiplicity_explore(
     # well conditioned; graded boundary panels raised to p-1 stall L-BFGS-B
     m = min(bvp.n_nodes, 513)
     rho = np.linspace(0.0, bvp.radius, m)
-    f = _RadialFunctional(rho, bvp.n, p, nl=(lam, h.H, h.h, h.dh))
+    f = _RadialFunctional(rho, bvp.n, p, nl=(lam, h.H_and_h, h.h, h.dh))
 
     def objective(u):
         a = f.assemble(u)

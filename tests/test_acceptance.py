@@ -228,3 +228,25 @@ def test_planted_dual_defect_fails_criterion_9(monkeypatch):
     assert not passed
     ratios = detail["equality_ratios"]
     assert all(1e-7 < ratios[k] - 1.0 < 1e-3 for k in ("euclidean", "euclidean_wulff", "l4"))
+
+
+def test_planted_hardy_coupling_defect_fails_criterion_11(monkeypatch):
+    # the ground states are polished on the grid functional, so a Hardy
+    # coupling 10% too weak there moves each mu > 0 profile to the solution
+    # of the wrong equation, whose residual stays at or below 1.1e-13 and
+    # passed the former gate; the polished profile leaves the shot by
+    # 5.9e-2, 3.2e-2 and 9.1e-3 on the three mu > 0 sets, where the true
+    # functional reads at most 7.1e-5.  The plateau explorer reads no mu and
+    # is stubbed out, so its 513-node minimization is not run
+    from finsler_sharp import pde
+
+    monkeypatch.setattr(cli, "multiplicity_explore", lambda *args, **kwargs: [])
+    assert cli._mountain_pass(0)[0]
+    real = pde._RadialFunctional.__init__
+    monkeypatch.setattr(pde._RadialFunctional, "__init__",
+                        lambda self, rho, n, p, lam, mu, nl: real(self, rho, n, p, lam, 0.9 * mu, nl))
+    passed, detail = cli._mountain_pass(0)
+    assert not passed
+    rows = detail["mountain_pass"]
+    assert all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
+    assert [r["shooting_gap"] > 1e-3 for r in rows] == [r["mu"] > 0 for r in rows]

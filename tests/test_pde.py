@@ -363,7 +363,7 @@ def test_assembly_gradient_matches_reference_bit_for_bit(rng):
 
         rho, u = _rise_case(rng)
         h = P.OscillatoryNonlinearity(4.0)
-        a = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H, h.h, h.dh)).assemble(u)
+        a = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H_and_h, h.h, h.dh)).assemble(u)
         ref = _ref_grad_plaplace(u, rho, 2, 4.0, 50.0, h.h, won2)
         assert np.any(h.h(0.5 * (u[1:] + u[:-1])) > 0.0)
         assert np.array_equal(_bits(a.grad), _bits(ref))
@@ -385,7 +385,7 @@ def test_hessian_band_matches_finite_difference_jacobian(family, rng):
     if family == "oscillatory":
         rho, u = _rise_case(rng)
         h = P.OscillatoryNonlinearity(4.0)
-        f = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H, h.h, h.dh))
+        f = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H_and_h, h.h, h.dh))
     else:
         rho = P.RadialBvp(n=3, radius=1.0, n_nodes=49).grid()
         u = np.cos(0.5 * math.pi * rho) * (1.0 + 0.3 * rng.uniform(size=rho.size))
@@ -508,8 +508,11 @@ def _ref_shooters(bvp, rhs, field, shot, rtol, atol, p=None):
         return _RefShot(sol.t, sol.y, sol.sol)
 
     def endpoint(lam, amplitude=1.0):
+        # a ground state also gives the step before the end, here the
+        # start of the step the terminal event cut at the crossing
         sol = dense(lam, amplitude)
-        return sol.t[-1], sol.y[:, -1]
+        end = sol.t[-1], sol.y[:, -1]
+        return end if p is None else (*end, (sol.t[-2], sol.y[0, -2]))
 
     return endpoint, dense
 
@@ -615,19 +618,59 @@ def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
         assert np.all(gap < 1e-9)
 
 
-@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
-def test_ground_state_gap_changes_sign_at_the_found_amplitude(n, radius, mu, lam, p, monkeypatch):
-    bvp = _mp_bvp(n, radius, mu, lam, p, 1.0)
+def _ground_root(monkeypatch, bvp, p):
+    """The amplitude brentq finds for bvp, and a fresh gap whose shots
+    append their (t, y, step before) to the list returned with it."""
     roots = _spy(monkeypatch, P.optimize, "brentq")
     P.mountain_pass_solve(bvp, p=p)
-    gap, _ = P._ground_shots(bvp, p)
     # the spectral bound's Bessel zero is found by brentq too
     (amp,) = [root for (f, *_), root in roots if f.__qualname__.startswith("_ground_shots")]
+    ends, real = [], P._shooters
+
+    def shooters(*args):
+        endpoint, dense = real(*args)
+
+        def spy(*shot):
+            ends.append(endpoint(*shot))
+            return ends[-1]
+
+        return spy, dense
+
+    monkeypatch.setattr(P, "_shooters", shooters)
+    return amp, P._ground_shots(bvp, p)[0], ends
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_ground_state_gap_changes_sign_at_the_found_amplitude(n, radius, mu, lam, p, monkeypatch):
+    amp, gap, ends = _ground_root(monkeypatch, _mp_bvp(n, radius, mu, lam, p, 1.0), p)
     for d in (1e-6, 1e-3, 0.1):
         assert gap(amp * (1.0 - d)) > 0.0
         assert gap(amp * (1.0 + d)) < 0.0
-    # far above the root the first zero comes well before R
-    assert -radius < gap(4.0 * amp) < -1e-3 * radius
+    # far above the root the first zero comes well before R: the shot stops
+    # there, and gap reads v extrapolated to R along the crossing step
+    # (-41.98 on the first set, where t - R read -0.4998)
+    assert gap(4.0 * amp) < 0.0
+    assert ends[-1][0] < (1.0 - 1e-3) * radius
+
+
+@pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
+def test_ground_state_gap_shrinks_tenfold_per_decade(n, radius, mu, lam, p, monkeypatch):
+    # above the root gap is v extrapolated to R along the crossing step, so
+    # it moves with the crossing, about linearly in the distance to the root
+    # (ratios of 10.0-10.2 here); t - R at the step's end, which it
+    # replaced, jumped with the step sequence: its ratios ran from 0.05 to
+    # 13, outside [5, 20] on four of the six sets, and brentq fell back to
+    # bisection
+    amp, gap, _ = _ground_root(monkeypatch, _mp_bvp(n, radius, mu, lam, p, 1.0), p)
+    gaps = [gap(amp * (1.0 + d)) for d in (1e-2, 1e-3, 1e-4)]
+    assert all(5.0 <= g1 / g2 <= 20.0 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+def _ground_shot_amplitudes(monkeypatch, case, s):
+    """The amplitude of every shot of one ground solve, the dense one last."""
+    starts = _spy(monkeypatch, P, "_frobenius_start")
+    P.mountain_pass_solve(_mp_bvp(*case, s), p=case[-1])
+    return [args[2] for args, _ in starts if np.ndim(args[4]) == 0]  # one per shot
 
 
 @pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
@@ -635,11 +678,20 @@ def test_no_ground_state_amplitude_is_shot_twice(n, radius, mu, lam, p, monkeypa
     # gap remembers its shots, so brentq opens on the sweep's bracket at no
     # cost; only the dense shot at the root repeats an amplitude, brentq's
     # last, to record its steps
-    starts = _spy(monkeypatch, P, "_frobenius_start")
-    P.mountain_pass_solve(_mp_bvp(n, radius, mu, lam, p, 1.0), p=p)
-    *found, root = [args[2] for args, _ in starts if np.ndim(args[4]) == 0]  # one per shot
+    *found, root = _ground_shot_amplitudes(monkeypatch, (n, radius, mu, lam, p), 1.0)
     assert len(set(found)) == len(found)
     assert root in found
+
+
+@pytest.mark.parametrize("s", [1.0, 0.9])
+def test_ground_solves_take_at_most_12_shots(s, monkeypatch):
+    # brentq opens on the last sweep amplitude with gap > 0 and interpolates
+    # a gap that moves with the crossing: 9-12 shots per solve, the dense
+    # one included; with gap = t - R below zero and brentq opened at
+    # 1e-3 scale they took 12-20
+    for case in MP_SETS:
+        with monkeypatch.context() as m:
+            assert len(_ground_shot_amplitudes(m, case, s)) <= 12
 
 
 @pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)
@@ -680,12 +732,13 @@ def test_newton_skips_steps_that_round_away(monkeypatch):
     # and no gradient is assembled twice on the same profile
     for case in MP_SETS:
         inputs = []
-        real = {name: getattr(P._RadialFunctional, name) for name in ("gradient", "hessian", "assemble")}
+        names = ("gradient", "_gradient", "hessian", "assemble")
+        real = {name: getattr(P._RadialFunctional, name) for name in names}
 
         def spy(name):
-            def call(self, u):
+            def call(self, u, *rest):
                 inputs.append((name, u.tobytes()))
-                return real[name](self, u)
+                return real[name](self, u, *rest)
 
             return call
 
@@ -693,16 +746,20 @@ def test_newton_skips_steps_that_round_away(monkeypatch):
             for name in real:
                 m.setattr(P._RadialFunctional, name, spy(name))
             P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
-        grads = [u for name, u in inputs if name == "gradient"]
+        calls = [name for name, _ in inputs]
+        newton = [u for name, u in inputs if name == "gradient"]
         # Newton plus the final energy: 4-6 here since the loop stops at the
         # gradient's rounding floor, 12-39 when it walked on there, and 42-46
         # on four of these sets when every line search ran its 25 halvings
-        assert len(grads) + sum(name == "hessian" for name, _ in inputs) <= 10
-        assert len(set(grads[:-1])) == len(grads) - 1  # the energy re-reads the result
-        # Newton and its trials take gradients alone; the energy sums are
-        # taken once, for the result
-        assert [name for name, _ in inputs].count("assemble") == 1
-        assert inputs[-2:] == [("assemble", grads[-1]), ("gradient", grads[-1])]
+        assert len(newton) + 1 + calls.count("hessian") <= 10
+        assert len(set(newton)) == len(newton)
+        # Newton and its trials take gradients alone; the energy sums and
+        # exactly one gradient are taken once, on the result, which Newton
+        # has already read
+        assert calls.count("assemble") == 1
+        assert calls.count("_gradient") == len(newton) + 1
+        result = inputs[-2][1]
+        assert inputs[-2:] == [("assemble", result), ("_gradient", result)] and result in newton
 
 
 # -- the regular variable v = rho^-s u -----------------------------------------
@@ -909,19 +966,26 @@ EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
     ("0x1.0900d92879a15p+1", "0x1.0900d92879751p+1"), ("0x1.f88bb719e0846p+2", "0x1.f88bb719e06a2p+2"),
 ]
 GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
-    1.0: "10e8f0b6cb0db385d2ff10e7fbf49cc0b1cab722b9c72927005ee7a9cbe3e9fe",
-    0.9: "62d6195c57c6c2d37e2a7409e94f76dd4ece46d3ff65257cb5946fd085068570",
+    1.0: "f53712061205de48f7a1a96f8380108b351cc41f92f395182d6fe400a58b9e45",
+    0.9: "053e54a0c4cd8c22094d0ecdef019ce60d345f0e9398099d8f4d800dfab82a40",
+}
+PLATEAU_DIGESTS = {  # the same of the plateau profiles (n = 2, R = 1, lam = 50, p = 4, k_max = 3) on m nodes
+    17: "2bbaad7fd4fa87c9f3e065e2139f8d29d0616449c88e8743eb2eff5d408ed5fd",
+    33: "8bac026d14bd39d5c94f8b599b6e3a741c57b9a22473ed2d31234750d7c5a2c7",
 }
 
 
-def _ground_digest(s):
+def _digest(solutions):
     digest = hashlib.sha256()
-    for case in MP_SETS:
-        sol = P.mountain_pass_solve(_mp_bvp(*case, s), p=case[-1])
+    for sol in solutions:
         digest.update(sol.values.tobytes())
         digest.update(sol.level.hex().encode())
         digest.update(sol.residual.hex().encode())
     return digest.hexdigest()
+
+
+def _ground_digest(s):
+    return _digest(P.mountain_pass_solve(_mp_bvp(*case, s), p=case[-1]) for case in MP_SETS)
 
 
 @pytest.mark.pinned_build
@@ -935,6 +999,17 @@ def test_eigen_bits_are_pinned():
 @pytest.mark.parametrize("s", [1.0, 0.9])
 def test_ground_state_bits_are_pinned(s):
     assert _ground_digest(s) == GROUND_DIGESTS[s]
+
+
+@pytest.mark.pinned_build
+@pytest.mark.parametrize("m", [17, 33])
+def test_plateau_bits_are_pinned(m):
+    # the grids of the benchmark's multiplicity probe and check; the
+    # L-BFGS-B objective steers the minimizer by its rounding, so one
+    # assembly per evaluation must keep every double of the two it replaced
+    nl = P.OscillatoryNonlinearity(4.0)
+    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl), n_nodes=m)
+    assert _digest(P.multiplicity_explore(bvp, h=nl, lam=50.0, k_max=3, p=4.0)) == PLATEAU_DIGESTS[m]
 
 
 def test_shots_reuse_one_integrator_per_thread(monkeypatch):
