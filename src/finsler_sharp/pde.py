@@ -8,24 +8,26 @@ singular ODE problems in the radial variable.  Shooting runs in v = rho^-s u
 (s the Frobenius exponent) and W = rho^(d-1) v', where the potential cancels
 and v solves the problem without it in dimension d = n + 2s.  Every shot
 runs the compiled DOP853 of scipy's ode, one per thread and tolerance for
-all solves, with right-hand sides in Python floats: the root-finding shots
-(the eigenvalue's secant from the left, the amplitude's bracket and brentq)
-read v(R), or v extrapolated to R along the step that crossed zero before
-R, and one more shot per solve, at the root, records its accepted steps,
-from which DOP853's continuous output is rebuilt in one numpy pass
-(_dense_shot) for the profile and the eigen quotient to read.  On the grid,
-one assembly (_RadialFunctional) gives the energy, the exact gradient and
-the tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w
-for every family, the energy and gradient from one pass, and one
-projected banded Newton loop (_projected_newton) polishes the ground states
-(no bounds, to 1e-13 or the gradient's rounding floor) and the plateau
+all solves, with right-hand sides in Python floats, each recording its
+accepted steps and stopping at the first that ends with v < 0.  The
+eigenvalue takes one shot of the scale-free lam = 1 problem, whose first
+zero z gives lam1 = (z / R)^2; the amplitude's bracket and brentq read
+v(R), or v extrapolated to R along the step that crossed zero before R, and
+one more shot, at the root, gives the profile.  DOP853's continuous output
+is rebuilt from the steps in one numpy pass (_dense_shot) for the profile
+and the eigen quotient to read.  On the grid, one assembly
+(_RadialFunctional) gives the energy, the exact gradient and the
+tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for
+every family, the energy and gradient from one pass, and one projected
+banded Newton loop (_projected_newton) polishes the ground states (no
+bounds, to 1e-13 or the gradient's rounding floor) and the plateau
 profiles (a finite box, to 1e-10), halving each step until it rounds away.
 """
 
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -376,6 +378,12 @@ class _DenseShot(NamedTuple):
             out = (out + c) * (x if j % 2 == 0 else 1.0 - x)
         return out + np.take(self.y, i, axis=1)
 
+    def scaled(self, k: float, w: float) -> "_DenseShot":
+        """The same shot in rho = k t, where W is w times the W of t: x is
+        scale-free, so the coefficients scale as the rows they belong to."""
+        rows = np.array([[1.0], [w]])
+        return _DenseShot(k * self.t, rows * self.y, rows * self.coef)
+
 
 def _dense_shot(field, t, y) -> _DenseShot:
     """The continuous output of the steps (t, y), y of shape (2, len(t)),
@@ -391,100 +399,83 @@ def _dense_shot(field, t, y) -> _DenseShot:
     return _DenseShot(t, y, np.concatenate((low, h * np.tensordot(_DOP.D, k, 1))))
 
 
-def _shooters(bvp: RadialBvp, rhs, field, shot: dict, rtol: float, atol: float, p=None):
-    """(endpoint, dense) shots of rhs(rho, y), y = (v, W), from
-    _frobenius_start at (lam, amplitude); each sets shot["lam"] for rhs to
-    read.  Both run this thread's compiled DOP853 (see _integrator), and a
-    ground state (p given) records its accepted steps and stops at the first
-    that ends with v < 0.  endpoint returns (t, y) at the end, and for a
-    ground state also (t, v) of the accepted step before; dense returns the
-    _dense_shot of every accepted step, for which field is rhs on arrays of
-    shape (2, m).  Each shot hands rhs to the ode as its .f and its solout,
-    so the shooters of several solves may interleave; what changes between
-    shots goes through the shot cell, as set_f_params would break
-    set_solout."""
-    eps = 1e-6 * bvp.radius
+def _shooters(bvp: RadialBvp, span, rhs, field, rtol: float, atol: float, p=None):
+    """(endpoint, dense) shots of rhs(rho, y), y = (v, W), on span = (eps,
+    end) from _frobenius_start at (lam, amplitude) and eps.  Both run this
+    thread's compiled DOP853 (see _integrator), record the accepted steps
+    and stop at the first that ends with v < 0.  endpoint returns the
+    (t, v, W) of the last two steps' ends; dense returns the _dense_shot of
+    every accepted step, for which field is rhs on arrays of shape (2, m).
+    Each shot hands rhs to the ode as its .f and its own solout, so the
+    shooters of several solves may interleave."""
+    eps, end = span
     solver = _integrator(rtol, atol)
 
-    def run(lam, amplitude, steps):
-        """One shot; steps, unless None, receives every accepted (t, v, W)."""
+    def run(lam, amplitude):
+        steps = []
+
         def record(t, y):
             steps.append((t, *y.tolist()))
-            return -1 if p is not None and y[0] < 0.0 else 0
+            return -1 if y[0] < 0.0 else 0
 
-        shot["lam"] = lam
         solver.f = rhs
-        solver.set_solout(None if steps is None else record)
+        solver.set_solout(record)
         solver.set_initial_value(list(_frobenius_start(bvp, lam, amplitude, p, eps)), eps)
-        y = solver.integrate(bvp.radius)
+        solver.integrate(end)
         if not solver.successful():
             raise RuntimeError(f"shooting failed with DOP853 status {solver.get_return_code()}")
-        return solver.t, y
+        return steps
 
-    def endpoint(lam, amplitude=1.0):
-        if p is None:
-            return run(lam, amplitude, None)
-        steps = []
-        return (*run(lam, amplitude, steps), steps[-2][:2])
+    def endpoint(lam, amplitude):
+        return run(lam, amplitude)[-2:]
 
-    def dense(lam, amplitude=1.0):
-        steps = []
-        run(lam, amplitude, steps)
-        steps = np.array(steps).T
+    def dense(lam, amplitude):
+        steps = np.array(run(lam, amplitude)).T
         return _dense_shot(field, steps[0], steps[1:])
 
     return endpoint, dense
 
 
 def _eigen_solve(bvp: RadialBvp):
+    """(lam1, nodal profile, dense shot in rho) from one shot.  In v the
+    equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so v(rho;
+    lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 = (z / R)^2
+    for its first zero z = j_(d/2-1).  The Rayleigh sums of the Bessel zeros,
+    sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound z^2 <
+    d (d + 2) < (d + 1)^2, so the shot runs from 1e-8 (where the series
+    head's integrals in eigen_quotient omit a relative O(1e-16)) toward
+    d + 1 and stops at the step that crosses z; z is the root of that step's
+    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into
+    (R / z)^(d-2) W."""
     _, d = _regular_variable(bvp)
-    shot = {"lam": 0.0}
     dm1 = d - 1
 
-    def rhs(rho, y):
+    def rhs(t, y):
         v, w = y.tolist()
-        r = rho ** dm1
-        return [w / r, -shot["lam"] * r * v]
+        r = t ** dm1
+        return [w / r, -r * v]
 
-    def field(rho, y):
-        r = rho ** dm1
-        return np.array([y[1] / r, -shot["lam"] * r * y[0]])
+    def field(t, y):
+        r = t ** dm1
+        return np.array([y[1] / r, -r * y[0]])
 
-    endpoint, dense = _shooters(bvp, rhs, field, shot, 1e-12, 1e-14)
-
-    # f(lam) = v(R; lam) = sum_k (-lam R^2/4)^k / (k! (d/2)_k) is entire of
-    # order 1/2 with simple zeros lam_k > 0, so f = prod (1 - lam/lam_k)
-    # (Hadamard), and with S = sum 1/(lam_k - lam), f' = -f S < 0 and
-    # f'' = f (S^2 - S') >= 0 on [0, lam_1): every chord through two points
-    # left of lam_1 crosses zero left of lam_1.  The secant from (0, 1)
-    # (v = 1, W = 0 exactly, no shot) and 0.5/R^2 < j_01^2/R^2 <= lam_1 (d >= 2)
-    # thus climbs to lam_1 from the left, with order 1.618 and no bracket.
-    lam0, f0, lam1 = 0.0, 1.0, 0.5 / bvp.radius ** 2
-    for _ in range(100):
-        f1 = float(endpoint(lam1)[1][0])
-        if f1 == f0:
-            raise RuntimeError(f"eigenvalue secant stalled at lambda = {lam1}")
-        step = f1 * (lam1 - lam0) / (f0 - f1)
-        lam0, f0, lam1 = lam1, f1, lam1 + step
-        if abs(step) <= 1e-12 + 1e-14 * lam1:
-            break
-    else:
-        raise RuntimeError("eigenvalue secant did not converge in 100 shots")
-
-    sol = dense(lam1)
-    rho = bvp.grid()
-    prof = _sample_frobenius(rho, sol, bvp, lam1, 1.0)
+    _, dense = _shooters(bvp, (1e-8, d + 1.0), rhs, field, 1e-13, 1e-15)
+    shot = dense(1.0, 1.0)  # lam and amplitude
+    if not shot.y[0, -1] < 0.0:
+        raise RuntimeError(f"the eigen shot reached t = {shot.t[-1]} without a sign change of v")
+    z = optimize.brentq(lambda t: shot(t)[0], shot.t[-2], shot.t[-1], xtol=1e-15)
+    k = bvp.radius / z
+    sol = shot.scaled(k, k ** (d - 2.0))
+    lam1 = 1.0 / (k * k)
+    prof = _sample_frobenius(bvp.grid(), sol, bvp, lam1, 1.0)
     prof[-1] = 0.0
-    prof /= np.max(np.abs(prof))
-    if prof[np.argmax(np.abs(prof))] < 0:
-        prof = -prof
-    return lam1, prof, sol
+    return lam1, prof / np.max(prof), sol
 
 
 def first_eigenvalue(bvp: RadialBvp):
     """Smallest value of the spectral parameter with a positive radial
-    solution vanishing at R; found by shooting from the regular branch and
-    root-finding on the boundary value.  Returns (value, nodal profile)."""
+    solution vanishing at R, from one scaled shot (see _eigen_solve).
+    Returns (value, nodal profile)."""
     lam1, prof, _ = _eigen_solve(bvp)
     return lam1, prof
 
@@ -510,16 +501,17 @@ def eigen_quotient(bvp: RadialBvp):
     """(lam1, quotient of the eigenprofile, parts with "profile") from
     first_eigenvalue's dense shot of (v, W): u = rho^s v, and the Dirichlet
     integral takes the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The
-    tails take 8-point Gauss-Legendre on each step of the shot, where the
-    interpolant is one polynomial: in rho for s = 0, and in log rho, where
-    the rho^(d-3) head is smooth, for s != 0."""
+    tails take 8-point Gauss-Legendre on each step of the shot, cut at R,
+    where the interpolant is one polynomial: in rho for s = 0, and in log
+    rho, where the rho^(d-3) head is smooth, for s != 0."""
     lam1, prof, sol = _eigen_solve(bvp)
     n, eps, mu, (s, d) = bvp.n, sol.t[0], bvp.mu, _regular_variable(bvp)
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
     if mu != 0.0:
         integrands.append(lambda r, u, flux: u ** 2 * r ** (n - 3))
     x, wx = gauss_legendre(8)
-    steps = np.log(sol.t) if s != 0.0 else sol.t
+    edges = np.minimum(sol.t, bvp.radius)  # the last step ends past the zero at R
+    steps = np.log(edges) if s != 0.0 else edges
     half = 0.5 * np.diff(steps)[:, None]
     r = (steps[:-1, None] + half * (1.0 + x)).ravel()
     weights = (half * wx).ravel()
@@ -558,14 +550,12 @@ def _ground_shots(bvp: RadialBvp, p: float):
         r = rho ** dm1
         return np.array([y[1] / r, r * (lam * y[0] - rho ** t * np.maximum(y[0], 0.0) ** pm1)])
 
-    # rhs holds its own lam, so it reads no shot cell
-    endpoint, dense = _shooters(bvp, rhs, field, {}, 1e-11, 1e-13, p)
+    endpoint, dense = _shooters(bvp, (1e-6 * bvp.radius, bvp.radius), rhs, field, 1e-11, 1e-13, p)
     seen = {}  # brentq opens on the sweep's bracket: no amplitude is shot twice
 
     def gap(amplitude):
         if amplitude not in seen:
-            t1, y, (t0, v0) = endpoint(lam, amplitude)
-            v1 = float(y[0])
+            (t0, v0, _), (t1, v1, _) = endpoint(lam, amplitude)
             seen[amplitude] = v0 + (v1 - v0) / (t1 - t0) * (bvp.radius - t0) if t1 < bvp.radius else v1
         return seen[amplitude]
 

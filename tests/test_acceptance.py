@@ -250,3 +250,35 @@ def test_planted_hardy_coupling_defect_fails_criterion_11(monkeypatch):
     rows = detail["mountain_pass"]
     assert all(r["residual"] < 1e-10 and r["level"] > 0 and r["min_value"] >= -1e-10 for r in rows)
     assert [r["shooting_gap"] > 1e-3 for r in rows] == [r["mu"] > 0 for r in rows]
+
+
+
+def test_planted_scale_law_defect_fails_criterion_5(monkeypatch):
+    # the eigen solver assumes the scale law, lam1 = (z / R)^2 for the first
+    # zero z of the lam = 1 shot, so its R = 1 and R = 2 values cannot check
+    # each other; the shot scaled to sqrt(R), which reads lam1 = z^2 / R,
+    # must fail against the Bessel zeros on every case with R != 1
+    from dataclasses import replace
+
+    from finsler_sharp import pde
+
+    real = pde._eigen_solve
+    monkeypatch.setattr(pde, "_eigen_solve", lambda bvp: real(replace(bvp, radius=bvp.radius ** 0.5)))
+    passed, detail = cli._eigenvalue_closed_form(0)
+    assert not passed
+    assert [r["dev"] > 1e-10 for r in detail["cases"]] == [r["R"] != 1.0 for r in detail["cases"]]
+
+
+def test_planted_flux_rescaling_defect_fails_criterion_6(monkeypatch):
+    # rho = t R / z turns W = t^(d-1) dV/dt into (R / z)^(d-2) W; the power
+    # d - 1 leaves lam1 and v as they are, so only the quotient's Dirichlet
+    # integral can see it, and the equality of criterion 6 must fail on
+    # (3, 1, 0.2) (and on the disk, where d - 2 = 0)
+    from finsler_sharp import pde
+
+    real = pde._DenseShot.scaled
+    monkeypatch.setattr(pde._DenseShot, "scaled", lambda self, k, w: real(self, k, w * k))
+    passed, detail = cli._bpv(0)
+    assert not passed
+    assert all(r["equality_dev"] > 1e-2 for r in detail["eigen_equality"])
+    assert cli._eigenvalue_closed_form(0)[0]

@@ -450,6 +450,28 @@ def test_pde_mountain_pass_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+README_PDE = ["pde", "--problem", "p-problem", "--n", "3", "--mu", "0.2", "--lam", "1", "--p", "4"]
+
+
+def test_pde_p_problem_reads_the_criterion_11_verdict(monkeypatch, capsys):
+    # the README example reads residual 5.5e-15 and shooting gap 9.1e-5; a
+    # Hardy coupling 10% too weak in the functional the shot is polished on
+    # keeps the residual, level and minimum that alone passed the
+    # subcommand, and criterion 11's gate on the shooting gap turns it red
+    assert run_cli(README_PDE) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["residual"] < 1e-10 and summary["shooting_gap"] <= 1e-3
+    real = pde._RadialFunctional.__init__
+    monkeypatch.setattr(pde._RadialFunctional, "__init__",
+                        lambda self, rho, n, p, lam, mu, nl: real(self, rho, n, p, lam, 0.9 * mu, nl))
+    assert run_cli(README_PDE) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    summary = doc["summary"]
+    assert summary["residual"] < 1e-10 and summary["energy_level"] > 0 and summary["min_value"] >= -1e-10
+    assert summary["shooting_gap"] > 1e-3
+
+
 def test_pde_multiplicity_finds_three_plateau_sups(tmp_path, capsys):
     out = tmp_path / "d.csv"
     rc = run_cli(["pde", "--problem", "d-problem", "--n", "2", "--lam", "50", "--p", "4",

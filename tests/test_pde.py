@@ -38,12 +38,6 @@ def test_eigenvalue_reference_values():
     assert lam1 == pytest.approx(math.pi**2, rel=1e-8)
 
 
-def test_eigenvalue_radius_scaling():
-    a, _ = P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.1))
-    b, _ = P.first_eigenvalue(P.RadialBvp(n=3, radius=2.0, mu=0.1))
-    assert b == pytest.approx(a / 4.0, rel=1e-8)
-
-
 def test_eigen_quotient_attains_spectral_bound():
     # Rayleigh quotient of the eigenprofile equals the sharp constant
     for n, radius, mu in ((2, 1.0, 0.0), (3, 1.0, 0.2), (4, 1.3, 0.25)):
@@ -473,10 +467,10 @@ def test_multiplicity_rejects_nonlinearity_without_dh():
 
 # -- compiled root-finding shots ----------------------------------------------
 #
-# The shooting the compiled shots replaced, kept as a reference: every shot
-# through solve_ivp's DOP853 with its own dense interpolant, and the
-# ground-state shots ended by a terminal event at the first downward zero.
-# Patched in for _shooters it reproduces the earlier solvers bit for bit.
+# The same shots through the pure-Python DOP853 stepper of solve_ivp, kept
+# as a reference: each step taken one at a time until one ends with v < 0,
+# and the shot's interpolant built from solve_ivp's own dense output of
+# every step.
 
 
 class _RefShot(NamedTuple):
@@ -487,32 +481,29 @@ class _RefShot(NamedTuple):
     def __call__(self, r):
         return self.sol(r)
 
+    def scaled(self, k, w):
+        return _RefShot(k * self.t, np.array([[1.0], [w]]) * self.y,
+                        lambda r: (self.sol(r / k).T * [1.0, w]).T)
 
-def _ref_shooters(bvp, rhs, field, shot, rtol, atol, p=None):
+
+def _ref_shooters(bvp, span, rhs, field, rtol, atol, p=None):
     from scipy import integrate
 
-    def crossing(rho, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1.0
-
-    def dense(lam, amplitude=1.0):
-        eps = 1e-6 * bvp.radius
+    def dense(lam, amplitude):
+        eps, end = span
         y0 = list(P._frobenius_start(bvp, lam, amplitude, p, eps))
-        shot["lam"] = lam
-        sol = integrate.solve_ivp(
-            rhs, (eps, bvp.radius), y0, method="DOP853", rtol=rtol, atol=atol,
-            dense_output=True, events=None if p is None else crossing,
-        )
-        return _RefShot(sol.t, sol.y, sol.sol)
+        solver = integrate.DOP853(rhs, eps, y0, end, rtol=rtol, atol=atol)
+        t, y, pieces = [eps], [solver.y.copy()], []
+        while solver.status == "running" and not y[-1][0] < 0.0:
+            solver.step()
+            t.append(solver.t)
+            y.append(solver.y.copy())
+            pieces.append(solver.dense_output())
+        return _RefShot(np.array(t), np.array(y).T, integrate.OdeSolution(t, pieces))
 
-    def endpoint(lam, amplitude=1.0):
-        # a ground state also gives the step before the end, here the
-        # start of the step the terminal event cut at the crossing
+    def endpoint(lam, amplitude):
         sol = dense(lam, amplitude)
-        end = sol.t[-1], sol.y[:, -1]
-        return end if p is None else (*end, (sol.t[-2], sol.y[0, -2]))
+        return list(zip(sol.t[-2:], *sol.y[:, -2:]))
 
     return endpoint, dense
 
@@ -562,35 +553,38 @@ def _spy(monkeypatch, module, name):
 
 
 def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
-    # the dense shot at the root records its steps and rebuilds their
-    # stages from field, the array form of the shots' rhs: a mismatch
-    # between rhs and field, or between the shots, leaves u(R) far from 0
+    # each solve's dense shot records its steps and rebuilds their stages
+    # from field, the array form of the shots' rhs: a mismatch between rhs
+    # and field, or in the eigen shot's rescaling to rho, leaves u(R) far
+    # from 0; the eigen shot's last step ends past the zero, at rho > R
     calls = _spy(monkeypatch, P, "_dense_shot")
-    for n, radius, mu in EIGEN_GRID[::3]:
-        P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
+    eigen = [(P._eigen_solve(P.RadialBvp(n=n, radius=radius, mu=mu))[2], radius)
+             for n, radius, mu in EIGEN_GRID[::3]]
     for case in MP_SETS:
         P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
-    dense = [sol for _, sol in calls]
-    assert len(dense) == 4 + len(MP_SETS)  # one dense shot per solve
-    for sol in dense:
-        assert abs(sol.y[0, -1]) < 1e-9 * np.max(np.abs(sol.y[0]))
-    for sol, case in zip(dense[4:], MP_SETS):
-        assert sol.t[-1] > case[1] * (1.0 - 1e-9)  # the first zero sits at R
+    assert len(calls) == 4 + len(MP_SETS)  # one dense shot per solve
+    ground = [(sol, case[1]) for (_, sol), case in zip(calls[4:], MP_SETS)]
+    for sol, radius in eigen + ground:
+        assert abs(sol(radius)[0]) < 1e-9 * np.max(np.abs(sol.y[0]))
+    for sol, radius in eigen:
+        assert sol.t[-2] < radius < sol.t[-1]
+    for sol, radius in ground:
+        assert sol.t[-1] > radius * (1.0 - 1e-9)  # the first zero sits at R
 
 
 def _dense_pairs(monkeypatch):
     """(grid, rebuilt, reference) for every dense shot of the solves that
     follow: each solve's own shot beside _ref_shooters' solve_ivp shot at the
-    same root, from the same start."""
+    same root, from the same start, on 4096 nodes of the shot's span."""
     pairs = []
     real = P._shooters
 
-    def shooters(bvp, *args):
-        endpoint, dense = real(bvp, *args)
-        ref = _ref_shooters(bvp, *args)[1]
+    def shooters(bvp, span, *args):
+        endpoint, dense = real(bvp, span, *args)
+        ref = _ref_shooters(bvp, span, *args)[1]
 
         def both(*root):
-            pairs.append((bvp.grid(), dense(*root), ref(*root)))
+            pairs.append((np.linspace(*span, 4096), dense(*root), ref(*root)))
             return pairs[-1][1]
 
         return endpoint, both
@@ -601,10 +595,10 @@ def _dense_pairs(monkeypatch):
 
 def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
     # the continuous output rebuilt from the compiled shot's steps against
-    # solve_ivp's own, on the grid, each of v and W in units of its largest
-    # value: they agree to 6.2e-11 on the eigen shots and 2.4e-10 on the
-    # ground states (rtol 1e-12 and 1e-11); the rebuild without its dense
-    # terms coef[3:] parts from the reference by 4.6e-7 to 2.1e-6 in v
+    # solve_ivp's own, on the shot's span, each of v and W in units of its
+    # largest value: they agree to 2.4e-12 on the eigen shots and 1.9e-10
+    # on the ground states (rtol 1e-13 and 1e-11); the rebuild without its
+    # dense terms coef[3:] parts from the reference by 1.6e-7 to 2.1e-6 in v
     pairs = _dense_pairs(monkeypatch)
     for n, radius, mu in EIGEN_GRID[::2]:
         P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
@@ -650,7 +644,7 @@ def test_ground_state_gap_changes_sign_at_the_found_amplitude(n, radius, mu, lam
     # there, and gap reads v extrapolated to R along the crossing step
     # (-41.98 on the first set, where t - R read -0.4998)
     assert gap(4.0 * amp) < 0.0
-    assert ends[-1][0] < (1.0 - 1e-3) * radius
+    assert ends[-1][1][0] < (1.0 - 1e-3) * radius
 
 
 @pytest.mark.parametrize("n,radius,mu,lam,p", MP_SETS)
@@ -695,33 +689,32 @@ def test_ground_solves_take_at_most_12_shots(s, monkeypatch):
 
 
 @pytest.mark.parametrize("n,radius,mu", EIGEN_GRID)
-def test_eigen_secant_climbs_to_the_root_from_the_left(n, radius, mu, monkeypatch):
-    # v(R; lam) is convex and decreasing on [0, lam_1), so the secant from
-    # (0, 1) never passes lam_1: every shot before the dense one reads
-    # v(R) > 0 (v(0) = 1), and a solve takes 9 to 11 shots, the dense one
-    # included
+def test_eigen_solves_take_one_shot(n, radius, mu, monkeypatch):
+    # v(rho; lam) = V(sqrt(lam) rho), so one shot of V to the step that
+    # crosses its first zero gives lam1; the secant from the left that this
+    # replaced took 9 to 11 shots per solve
     shots = _spy(monkeypatch, P.integrate.ode, "integrate")
-    P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
-    *secant, at_root = [y[0] for _, y in shots]  # v(R)
-    assert len(shots) <= 11
-    assert all(v > 0.0 for v in secant)
-    assert abs(at_root) < 1e-13
+    bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
+    P.first_eigenvalue(bvp)
+    assert len(shots) == 1
+    P.eigen_quotient(bvp)
+    assert len(shots) == 2
+    assert all(y[0] < 0.0 for _, y in shots)  # each stopped past the zero
 
 
-@pytest.mark.parametrize("boundary", [lambda lam: 1.0, lambda lam: 0.5, lambda lam: -0.5,
-                                      lambda lam: 1.0 / (1.0 + lam)],
-                         ids=["one", "half", "minus-half", "no-root"])
-def test_eigen_secant_that_cannot_converge_raises(boundary, monkeypatch):
-    # a flat boundary value leaves the secant a zero denominator, and
-    # 1 / (1 + lam), which has no root, walks it to its shot cap
+@pytest.mark.parametrize("weight", [0.1, 0.0], ids=["past-the-end", "flat"])
+def test_eigen_shot_without_a_sign_change_raises(weight, monkeypatch):
+    # rhs and field planted with weight lam in place of 1: for 0.1 the
+    # first zero moves to z / sqrt(0.1), past the shot's end d + 1, and 0
+    # keeps v = 1
     real = P._shooters
 
-    def shooters(bvp, *args):
-        _, dense = real(bvp, *args)
-        return (lambda lam, amplitude=1.0: (bvp.radius, [boundary(lam), 0.0])), dense
+    def shooters(bvp, span, rhs, field, *args):
+        return real(bvp, span, lambda t, y: [x * c for x, c in zip(rhs(t, y), (1.0, weight))],
+                    lambda t, y: field(t, y) * [[1.0], [weight]], *args)
 
     monkeypatch.setattr(P, "_shooters", shooters)
-    with pytest.raises(RuntimeError, match="eigenvalue secant"):
+    with pytest.raises(RuntimeError, match="without a sign change"):
         P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.2))
 
 
@@ -768,8 +761,8 @@ def test_newton_skips_steps_that_round_away(monkeypatch):
 # flux w = rho^(n-1) u' shot through solve_ivp's DOP853 with the
 # mu rho^(n-3) u term in the right-hand side, from the former start (the two
 # eigen-series terms of u, for the ground states too).  Its eigen shots run
-# at rtol 1e-13, not the solvers' 1e-12, so that it is the more accurate
-# side (at 1e-12 its quotient is 1.1e-12 off at (4, 2, 0.9)); its quotient
+# at rtol 1e-13, as the solver's one shot does (at 1e-12 its quotient is
+# 1.1e-12 off at (4, 2, 0.9)); its quotient
 # takes QAGS in rho split at every step of the shot, where the interpolant
 # is one polynomial, and its ground states the same Newton polish.
 
@@ -866,9 +859,11 @@ def test_eigen_solves_match_the_u_variable_reference():
         assert abs(lam1 / ref_lam1 - 1.0) < 1e-12
         assert abs(quotient / ref_quotient - 1.0) < 5e-13
         # the per-step rule integrates the shot's interpolant to rounding, so
-        # what is left is the shot's own error at rtol 1e-12; a quadrature that
-        # converges falsely across the steps reads 2e-13 to 6.4e-13 on mu = 0
+        # what is left is the shot's own error at rtol 1e-13 (at most 7.8e-14
+        # in lam1 and 1.4e-13 in the quotient); a quadrature that converges
+        # falsely across the steps reads 2e-13 to 6.4e-13 on mu = 0
         j2 = bessel_first_zero(bpv_constant(mu, n, 1.0, omega_n(n))[0]) ** 2 / radius ** 2
+        assert abs(lam1 / j2 - 1.0) < 1e-13
         assert abs(quotient / j2 - 1.0) < (1e-13 if mu == 0.0 else 2e-13)
 
 
@@ -918,14 +913,16 @@ def test_ground_state_start_matches_a_high_precision_integration(n, radius, mu, 
 
 
 def test_singular_eigen_shot_takes_few_steps(monkeypatch):
-    # the dense mu > 0 shot: 127-171 steps in the u variable, 39-43 in v
-    # under solve_ivp, 41-45 in v under the compiled DOP853
+    # the mu > 0 shot: 127-171 steps in the u variable to R at rtol 1e-12,
+    # 39-43 in v under solve_ivp and 41-45 in v under the compiled DOP853;
+    # the one shot of the lam = 1 problem runs to the step past its zero z
+    # at rtol 1e-13 in 53-61 (25-47 for mu = 0)
     calls = _spy(monkeypatch, P, "_dense_shot")
     for n, radius, mu in EIGEN_GRID:
         if mu > 0.0:
             P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
     assert len(calls) == 6
-    assert max(sol.t.size - 1 for _, sol in calls) <= 60
+    assert max(sol.t.size - 1 for _, sol in calls) <= 70
 
 
 def _bessel_deviation(n, radius, mu):
@@ -958,12 +955,12 @@ def test_bessel_zero_check_sees_a_wrong_dimension(monkeypatch):
 # (a faster right-hand side, another integrator object) must keep these.
 
 EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
-    ("0x1.721fb80462d6ep+2", "0x1.721fb80462c54p+2"), ("0x1.721fb80462ddap+4", "0x1.721fb80462c95p+4"),
-    ("0x1.721fb80462d62p+0", "0x1.721fb80462c64p+0"), ("0x1.00241fadff4e0p+1", "0x1.00241fadff42fp+1"),
-    ("0x1.3bd3cc9be46ccp+3", "0x1.3bd3cc9be46a9p+3"), ("0x1.e130499711465p+2", "0x1.e130499711358p+2"),
-    ("0x1.f964837b15956p+1", "0x1.f964837b15947p+1"), ("0x1.ab2369bdf97e4p+3", "0x1.ab2369bdf941dp+3"),
-    ("0x1.d5d2b4189823cp+3", "0x1.d5d2b41898112p+3"), ("0x1.78dba582492acp+3", "0x1.78dba58249189p+3"),
-    ("0x1.0900d92879a15p+1", "0x1.0900d92879751p+1"), ("0x1.f88bb719e0846p+2", "0x1.f88bb719e06a2p+2"),
+    ("0x1.721fb80462be5p+2", "0x1.721fb80462badp+2"), ("0x1.721fb80462be5p+4", "0x1.721fb80462badp+4"),
+    ("0x1.721fb80462be5p+0", "0x1.721fb80462badp+0"), ("0x1.00241fadff3dcp+1", "0x1.00241fadff3b5p+1"),
+    ("0x1.3bd3cc9be452bp+3", "0x1.3bd3cc9be4479p+3"), ("0x1.e13049971142ap+2", "0x1.e130499711423p+2"),
+    ("0x1.f964837b159dcp+1", "0x1.f964837b15c03p+1"), ("0x1.ab2369bdf98b4p+3", "0x1.ab2369bdf987ep+3"),
+    ("0x1.d5d2b418982cbp+3", "0x1.d5d2b4189838fp+3"), ("0x1.78dba582490cdp+3", "0x1.78dba582490d0p+3"),
+    ("0x1.0900d92879b69p+1", "0x1.0900d92879c8ap+1"), ("0x1.f88bb719e08cfp+2", "0x1.f88bb719e09f7p+2"),
 ]
 GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
     1.0: "f53712061205de48f7a1a96f8380108b351cc41f92f395182d6fe400a58b9e45",
