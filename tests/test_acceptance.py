@@ -252,7 +252,6 @@ def test_planted_hardy_coupling_defect_fails_criterion_11(monkeypatch):
     assert [r["shooting_gap"] > 1e-3 for r in rows] == [r["mu"] > 0 for r in rows]
 
 
-
 def test_planted_scale_law_defect_fails_criterion_5(monkeypatch):
     # the eigen solver assumes the scale law, lam1 = (z / R)^2 for the first
     # zero z of the lam = 1 shot, so its R = 1 and R = 2 values cannot check
