@@ -38,6 +38,14 @@ def test_eigenvalue_reference_values():
     assert lam1 == pytest.approx(math.pi**2, rel=1e-8)
 
 
+def test_eigenvalue_radius_scaling():
+    # lam1 = (z / R)^2 from the one lam = 1 shot: a wrong power of R in the
+    # rescaling (z^2 / R, say) breaks the 1 / R^2 law between R = 1 and 2
+    a, _ = P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.1))
+    b, _ = P.first_eigenvalue(P.RadialBvp(n=3, radius=2.0, mu=0.1))
+    assert b == pytest.approx(a / 4.0, rel=1e-8)
+
+
 def test_eigen_quotient_attains_spectral_bound():
     # Rayleigh quotient of the eigenprofile equals the sharp constant
     for n, radius, mu in ((2, 1.0, 0.0), (3, 1.0, 0.2), (4, 1.3, 0.25)):
@@ -702,11 +710,11 @@ def test_eigen_solves_take_one_shot(n, radius, mu, monkeypatch):
     assert all(y[0] < 0.0 for _, y in shots)  # each stopped past the zero
 
 
-@pytest.mark.parametrize("weight", [0.1, 0.0], ids=["past-the-end", "flat"])
-def test_eigen_shot_without_a_sign_change_raises(weight, monkeypatch):
-    # rhs and field planted with weight lam in place of 1: for 0.1 the
-    # first zero moves to z / sqrt(0.1), past the shot's end d + 1, and 0
-    # keeps v = 1
+@pytest.mark.parametrize("weight", [0.0, 0.1], ids=["one", "no-root"])
+def test_eigen_secant_that_cannot_converge_raises(weight, monkeypatch):
+    # named for the secant the one shot replaced, with the same two plants:
+    # rhs and field get weight lam in place of 1, so 0 keeps v = 1 and 0.1
+    # moves the first zero to z / sqrt(0.1), past the shot's end d + 1
     real = P._shooters
 
     def shooters(bvp, span, rhs, field, *args):
