@@ -3,6 +3,7 @@ grids, Gauss-Legendre nodes, the Monte-Carlo box sampler, panel quadrature."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -147,28 +148,84 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
     return scale * phat, scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
+def _panels(a, b, points):
+    """(lo, hi) of each nonempty panel of [a, b] split at the interior points."""
+    pts = sorted(float(p) for p in points if a < p < b)
+    return [(lo, hi) for lo, hi in zip([a] + pts, pts + [b]) if hi > lo]
+
+
 def split_quad(fn, a, b, points=()):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
     fn is called with one Python float at a time and should return a
-    float.  scipy's QAGS handles integrable endpoint singularities on each
-    panel (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per panel);
+    float; route_quad serves those calls from batched array evaluations.
+    scipy's QAGS handles integrable endpoint singularities on each panel
+    (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per panel);
     splitting keeps kinks at panel endpoints where the extrapolation works.
     Returns (value, summed error estimate, whether every panel converged).
     QUADPACK's complaints come back in the flag rather than as warnings, so
     no caller has to touch the process-wide warning filters.
     """
-    pts = sorted(float(p) for p in points if a < p < b)
     total, error, converged = 0.0, 0.0, True
-    for lo, hi in zip([a] + pts, pts + [b]):
-        if hi <= lo:
-            continue
+    for lo, hi in _panels(a, b, points):
         # with full_output a complaint arrives as a fourth entry, not a warning
         val, err, _, *complaint = integrate.quad(
             fn, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1
         )
         total, error, converged = total + val, error + err, converged and not complaint
     return total, error, converged
+
+
+# the nonzero Kronrod abscissae of QUADPACK's 21-point rule on [-1, 1], as dqk21 holds them
+XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+QK21_COUNTS = collections.Counter()  # route_quad's array calls ("batches") and float-route calls ("misses")
+
+
+def array_exact(route):
+    """Mark a profile route whose array route gives, entry for entry, the
+    bits its float route gives, so that route_quad may batch it."""
+    route.array_exact = True
+    return route
+
+
+def route_quad(route, integrand, a, b, points):
+    """split_quad of r -> integrand(route(r), r) on the same panels.
+
+    QAGS applies the 21-point Kronrod rule to each panel and to bisection
+    halves, calling first at the interval's centre.  For a route marked
+    array_exact, a call at the centre of a panel or of a half of a batched
+    interval evaluates route once on that interval's nodes,
+    centr -/+ hlgth XGK[j], and QAGS's calls there read the stored values.
+    Any other call, and every call of an unmarked route, takes route's
+    float route, so a node that does not match costs time, never bits.
+    The stored values live for this call only.
+    """
+    if not getattr(route, "array_exact", False):
+        return split_quad(lambda r: integrand(route(r), r), a, b, points)
+    values, pending = {}, {0.5 * (lo + hi): (lo, hi) for lo, hi in _panels(a, b, points)}
+
+    def fn(r):
+        span = pending.pop(r, None)
+        if span is not None:
+            lo, hi = span
+            centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes = [centr, *(centr - hlgth * x for x in XGK), *(centr + hlgth * x for x in XGK)]
+            values.update(zip(nodes, route(np.array(nodes)).tolist()))
+            pending[0.5 * (lo + centr)], pending[0.5 * (centr + hi)] = (lo, centr), (centr, hi)
+            QK21_COUNTS["batches"] += 1
+        v = values.get(r)
+        if v is None:
+            QK21_COUNTS["misses"] += 1
+            v = route(r)
+        return integrand(v, r)
+
+    return split_quad(fn, a, b, points)
 
 
 def warn_unconverged(converged: bool, what: str) -> None:

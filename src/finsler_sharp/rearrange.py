@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from ._util import (
-    REQUIRED, build_from_descriptor, graded_grid, split_quad, warn_unconverged,
+    REQUIRED, array_exact, build_from_descriptor, graded_grid, route_quad, warn_unconverged,
 )
 from .constants import omega_n
 from .manifold import FinslerInstance, avr
@@ -228,8 +228,10 @@ def random_decreasing_profile(rng) -> RadialTestFunction:
     radii_f, coefs_f, slopes_f = radii.tolist(), coefs.tolist(), slopes.tolist()
 
     # The float routes take the k powers by numpy's array loop, as the 0-d
-    # route does: libm's pow rounds apart from that loop in about 5% of
-    # cases.  Their sums run left to right from 0, as numpy's does for k < 8.
+    # and array routes do: libm's pow rounds apart from that loop in about 5%
+    # of cases.  Their sums run left to right from 0, as numpy's does for
+    # k < 8.  So every route carries the same bits, and route_quad batches.
+    @array_exact
     def g(rho):
         if isinstance(rho, float):
             t = np.power([max(1.0 - rho / ri, 0.0) for ri in radii_f], powers)
@@ -237,6 +239,7 @@ def random_decreasing_profile(rng) -> RadialTestFunction:
         base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
         return (coefs * base ** powers).sum(-1)
 
+    @array_exact
     def dg(rho):
         if isinstance(rho, float):
             # a zero base is powered as 1 and its term left out: the 0-d
@@ -406,12 +409,7 @@ def lq_norm_radial(u: RadialTestFunction, q: float, n: int) -> float:
         return u.sup()
     # tabulated profiles are piecewise linear, so quad reports roundoff on
     # their interior kinks; the panel splitting already contains the error
-    val, _, _ = split_quad(
-        lambda r: u.profile(r) ** q * r ** (n - 1),
-        0.0,
-        u.support_radius,
-        points=u.kinks,
-    )
+    val, _, _ = route_quad(u.profile, lambda g, r: g**q * r ** (n - 1), 0.0, u.support_radius, u.kinks)
     return (n * omega_n(n) * val) ** (1.0 / q)
 
 
@@ -424,8 +422,9 @@ def radial_dirichlet_energy(prof: RadialTestFunction, n: int, p: float) -> float
     """
     if p <= 1:
         raise ValueError(f"energy exponent must satisfy p > 1, got {p}")
-    fn = lambda r: abs(prof.derivative(r)) ** p * r ** (n - 1)
-    val, _, converged = split_quad(fn, 0.0, prof.support_radius, points=prof.kinks)
+    val, _, converged = route_quad(
+        prof.derivative, lambda d, r: abs(d) ** p * r ** (n - 1), 0.0, prof.support_radius, prof.kinks
+    )
     if not converged or not math.isfinite(val) or val > 1e15:
         return math.inf
     return n * omega_n(n) * val
@@ -439,8 +438,8 @@ def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
     """
     n = m.dim
     won = omega_n(n)
-    direct, _, ok_direct = split_quad(lambda r: f(r) * r ** (n - 1), 0.0, r_max, points=points)
-    layers, _, ok_layers = split_quad(lambda r: fprime(r) * r**n, 0.0, r_max, points=points)
+    direct, _, ok_direct = route_quad(f, lambda v, r: v * r ** (n - 1), 0.0, r_max, points)
+    layers, _, ok_layers = route_quad(fprime, lambda v, r: v * r**n, 0.0, r_max, points)
     warn_unconverged(ok_direct and ok_layers, "layer-cake integral")
     return n * won * direct, f(r_max) * won * r_max**n - won * layers
 
@@ -505,11 +504,8 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
             "upper", rtol, diagnostics={"diverged": True, "weight_exponent": a_hat},
         )
 
-    val, _, _ = split_quad(
-        lambda r: star.profile(r) ** p * f(r) * r ** (n - 1),
-        0.0,
-        star.support_radius,
-        points=star.kinks,
+    val, _, _ = route_quad(
+        star.profile, lambda g, r: g**p * f(r) * r ** (n - 1), 0.0, star.support_radius, star.kinks
     )
     weighted = n * omega_n(n) * val
     if not math.isfinite(weighted) or weighted > 1e15:

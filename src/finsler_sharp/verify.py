@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, spawn_rngs, split_quad
+from ._util import REQUIRED, build_from_descriptor, route_quad, spawn_rngs
 from .constants import (
     bpv_constant,
     eta,
@@ -292,10 +292,7 @@ def verify_hardy(m: FinslerInstance, u: RadialTestFunction, p: float) -> Inequal
     lhs = radial_dirichlet_energy(u, n, p)
     c = hardy_constant(p, n, a)
 
-    def integrand(r):
-        return u.profile(r) ** p * r ** (n - 1 - p)
-
-    val, _, _ = split_quad(integrand, 0.0, u.support_radius, points=u.kinks)
+    val, _, _ = route_quad(u.profile, lambda g, r: g**p * r ** (n - 1 - p), 0.0, u.support_radius, u.kinks)
     weighted = n * omega_n(n) * val
     diag = {"profile": u.label, "weighted_lp": weighted}
     if not math.isfinite(weighted) or weighted > 1e15:
@@ -337,15 +334,11 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     won = omega_n(n)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
-    l2sq = n * won * split_quad(
-        lambda r: u.profile(r) ** 2 * r ** (n - 1),
-        0.0, u.support_radius, points=u.kinks,
-    )[0]
+    l2sq = n * won * route_quad(u.profile, lambda g, r: g**2 * r ** (n - 1), 0.0, u.support_radius, u.kinks)[0]
     hardy_term = 0.0
     if mu != 0.0:
-        hardy_term = n * won * split_quad(
-            lambda r: u.profile(r) ** 2 * r ** (n - 3),
-            0.0, u.support_radius, points=u.kinks,
+        hardy_term = n * won * route_quad(
+            u.profile, lambda g, r: g**2 * r ** (n - 3), 0.0, u.support_radius, u.kinks
         )[0]
     lhs = dirichlet - mu * hardy_term
     rhs = s_const * l2sq

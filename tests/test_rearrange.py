@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from finsler_sharp import _util
 from finsler_sharp import rearrange as R
 from finsler_sharp._util import split_quad
 from finsler_sharp.constants import (
@@ -224,7 +225,7 @@ def test_radial_checks_integrate_once(e2, monkeypatch):
     # a radial source is its own rearrangement, so each check takes its one
     # integral once and both sides carry the same bits
     calls = {"energy": 0, "quad": 0}
-    energy, quad = R.radial_dirichlet_energy, R.split_quad
+    energy, quad = R.radial_dirichlet_energy, R.route_quad
 
     def counted_energy(*args):
         calls["energy"] += 1
@@ -235,7 +236,7 @@ def test_radial_checks_integrate_once(e2, monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(R, "radial_dirichlet_energy", counted_energy)
-    monkeypatch.setattr(R, "split_quad", counted_quad)
+    monkeypatch.setattr(R, "route_quad", counted_quad)
     u = R.plateau_profile(inner=0.4, radius=1.2, height=1.5)
     rep = R.polya_szego_check(u, e2, 2.5)
     assert calls == {"energy": 1, "quad": 1} and rep.ratio == 1.0
@@ -382,6 +383,18 @@ def test_split_quad_reports_divergence_without_warning_filters():
     assert converged and err < 1e-12
     assert val == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
     assert warnings.filters == before
+
+
+def test_batched_nodes_live_for_one_quadrature():
+    # route_quad keeps no node values on the profile, which the benchmark
+    # reuses across passes: a second integral makes as many array calls
+    u = R.random_decreasing_profile(np.random.default_rng(3))
+    runs = []
+    for _ in range(2):
+        before = _util.QK21_COUNTS["batches"]
+        energy = R.radial_dirichlet_energy(u, 2, 3.0)
+        runs.append((_util.QK21_COUNTS["batches"] - before, energy))
+    assert runs[0] == runs[1] and runs[0][0] > 0
 
 
 def test_layer_cake_warns_once_on_divergence(e2):

@@ -1,6 +1,7 @@
 """Inequality verification layer: equality cases, sweeps, suites."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -566,6 +567,34 @@ def test_suite_draws_keep_their_pinned_bits(name, e2, l4_2):
         assert [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio)) for r in reps] == SUITE_PINS[name]
 
 
+# the suites whose quadratures integrate a random-cone route by _util.route_quad
+BATCHED_SUITES = ("morrey_support", "morrey_l1", "hardy", "bpv", "polya_szego", "hlp", "layer_cake")
+
+
+def test_qags_is_served_from_batches_bit_for_bit(e2, l4_2, e3, monkeypatch):
+    def run():
+        before = _util.QK21_COUNTS.copy()
+        docs = [json.dumps(r.as_dict(), sort_keys=True)
+                for m in (e2, l4_2, e3) for name in BATCHED_SUITES
+                for r in V.randomized_suite(m, name, n_draws=12, seed=0)]
+        return docs, {k: _util.QK21_COUNTS[k] - before[k] for k in ("batches", "misses")}
+
+    batched, counts = run()
+    # every QAGS call lands on a node of a predicted interval
+    assert counts["misses"] == 0 and counts["batches"] > 1000
+    with monkeypatch.context() as mp:
+        mp.setattr(R, "array_exact", lambda route: route)  # no route opts in: all scalar
+        scalar, counts = run()
+    assert counts == {"batches": 0, "misses": 0} and scalar == batched
+    # one Kronrod abscissa an ulp off, as a change to scipy's node arithmetic
+    # would look: its nodes miss and take the float route, and no bit moves
+    xgk = list(_util.XGK)
+    xgk[3] = math.nextafter(xgk[3], 1.0)
+    monkeypatch.setattr(_util, "XGK", tuple(xgk))
+    planted, counts = run()
+    assert counts["misses"] > 0 and planted == batched
+
+
 # one case of every rearrange.PROFILES family the cases above leave out
 CALLBACK_FAMILY_CASES = [
     "talenti_l1_extremal:p=4,n=2,R=1.3",
@@ -646,6 +675,43 @@ def test_float_route_gives_the_0d_bits_without_warnings(f, pts):
             y = f(x)
             assert isinstance(y, float), (x, type(y))
             assert y.hex() == float(f(np.asarray(x))).hex(), x
+
+
+def _qk21_radii(u):
+    """The QK21 nodes of u's panels on [0, 1.5 R] and of their bisection
+    halves, with 0, the kinks, the support edge R and radii beyond it."""
+    r = u.support_radius
+    pts = [0.0, *u.kinks, r, 1.25 * r, 1.5 * r, 3.0 * r]
+    for lo, hi in _util._panels(0.0, 1.5 * r, u.kinks):
+        mid = 0.5 * (lo + hi)
+        for a, b in ((lo, hi), (lo, mid), (mid, hi)):
+            centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+            pts += [centr, *(centr - hlgth * x for x in _util.XGK), *(centr + hlgth * x for x in _util.XGK)]
+    return pts
+
+
+def test_opted_in_routes_give_their_float_bits_on_the_qk21_nodes():
+    # route_quad hands QAGS array entries in place of float-route calls, so
+    # they must carry the same doubles, signed zeros included
+    for k in range(40):
+        u = random_decreasing_profile(np.random.default_rng(k))
+        pts = _qk21_radii(u)
+        for f in (u.profile, u.derivative):
+            assert f.array_exact
+            batch = np.asarray(f(np.array(pts)), dtype=float)
+            single = np.array([f(x) for x in pts])
+            assert batch.view(np.uint64).tolist() == single.view(np.uint64).tolist(), k
+
+
+def test_only_the_random_cones_opt_in_to_batched_nodes():
+    # the extremals' array loop rounds apart from libm's pow (FLOAT_ROUTE_CASES
+    # covers both), and the closed forms cost less scalar than batched
+    scalar = [
+        *(profile_from_descriptor(d) for d in FLOAT_ROUTE_CASES),
+        scale_profile(random_decreasing_profile(np.random.default_rng(8)), 3.0),
+        V.hardy_test_family(2.0, 3, 0.2),
+    ]
+    assert not [v.label for v in scalar if hasattr(v.profile, "array_exact") or hasattr(v.derivative, "array_exact")]
 
 
 def test_split_rejects_unknown_representation(e2):
