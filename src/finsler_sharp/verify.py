@@ -334,7 +334,9 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     won = omega_n(n)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
-    l2sq = n * won * route_quad(u.profile, lambda g, r: g**2 * r ** (n - 1), 0.0, u.support_radius, u.kinks)[0]
+    l2sq = n * won * route_quad(
+        u.profile, lambda g, r: g**2 * r ** (n - 1), 0.0, u.support_radius, u.kinks
+    )[0]
     hardy_term = 0.0
     if mu != 0.0:
         hardy_term = n * won * route_quad(
