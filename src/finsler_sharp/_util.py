@@ -158,13 +158,14 @@ def split_quad(fn, a, b, points=()):
     """Adaptive quadrature on [a, b] split at interior kink locations.
 
     fn is called with one Python float at a time and should return a
-    float; route_quad serves those calls from batched array evaluations.
-    scipy's QAGS handles integrable endpoint singularities on each panel
-    (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per panel);
-    splitting keeps kinks at panel endpoints where the extrapolation works.
-    Returns (value, summed error estimate, whether every panel converged).
-    QUADPACK's complaints come back in the flag rather than as warnings, so
-    no caller has to touch the process-wide warning filters.
+    float; route_quad builds that fn from an array route and an array
+    integrand.  scipy's QAGS handles integrable endpoint singularities on
+    each panel (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per
+    panel); splitting keeps kinks at panel endpoints where the
+    extrapolation works.  Returns (value, summed error estimate, whether
+    every panel converged).  QUADPACK's complaints come back in the flag
+    rather than as warnings, so no caller has to touch the process-wide
+    warning filters.
     """
     total, error, converged = 0.0, 0.0, True
     for lo, hi in _panels(a, b, points):
@@ -184,46 +185,43 @@ XGK = (
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
 )
-QK21_COUNTS = collections.Counter()  # route_quad's array calls ("batches") and float-route calls ("misses")
-
-
-def array_exact(route):
-    """Mark a profile route whose array route gives, entry for entry, the
-    bits its float route gives, so that route_quad may batch it."""
-    route.array_exact = True
-    return route
+# route_quad's 21-node array calls ("batches") and 1-node array calls ("misses")
+QK21_COUNTS = collections.Counter()
 
 
 def route_quad(route, integrand, a, b, points):
-    """split_quad of r -> integrand(route(r), r) on the same panels.
+    """split_quad of r -> integrand(route(r), r) on the same panels, with
+    route and integrand evaluated on arrays of radii.
 
     QAGS applies the 21-point Kronrod rule to each panel and to bisection
-    halves, calling first at the interval's centre.  For a route marked
-    array_exact, a call at the centre of a panel or of a half of a batched
-    interval evaluates route once on that interval's nodes,
+    halves, calling first at the interval's centre.  A call at the centre
+    of a panel, or of a half of a batched interval, evaluates
+    integrand(route(nodes), nodes) once on that interval's nodes,
     centr -/+ hlgth XGK[j], and QAGS's calls there read the stored values.
-    Any other call, and every call of an unmarked route, takes route's
-    float route, so a node that does not match costs time, never bits.
-    The stored values live for this call only.
+    Any other call evaluates the same expression on a 1-element array, so
+    a node that does not match costs time, never bits.  The stored values
+    live for this call only.
     """
-    if not getattr(route, "array_exact", False):
-        return split_quad(lambda r: integrand(route(r), r), a, b, points)
+    # centr + hlgth * (-x) rounds as dqk21's centr - hlgth * x does, so the nodes match to the bit
+    kronrod = np.array((0.0, *(-x for x in XGK), *XGK))
     values, pending = {}, {0.5 * (lo + hi): (lo, hi) for lo, hi in _panels(a, b, points)}
 
     def fn(r):
-        span = pending.pop(r, None)
-        if span is not None:
-            lo, hi = span
-            centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes = [centr, *(centr - hlgth * x for x in XGK), *(centr + hlgth * x for x in XGK)]
-            values.update(zip(nodes, route(np.array(nodes)).tolist()))
-            pending[0.5 * (lo + centr)], pending[0.5 * (centr + hi)] = (lo, centr), (centr, hi)
-            QK21_COUNTS["batches"] += 1
         v = values.get(r)
-        if v is None:
+        if v is not None:
+            return v
+        span = pending.pop(r, None)
+        if span is None:
             QK21_COUNTS["misses"] += 1
-            v = route(r)
-        return integrand(v, r)
+            x = np.array([r])
+            return float(integrand(route(x), x)[0])
+        lo, hi = span
+        centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = centr + hlgth * kronrod
+        values.update(zip(x.tolist(), integrand(route(x), x).tolist()))
+        pending[0.5 * (lo + centr)], pending[0.5 * (centr + hi)] = (lo, centr), (centr, hi)
+        QK21_COUNTS["batches"] += 1
+        return values[r]
 
     return split_quad(fn, a, b, points)
 

@@ -16,17 +16,13 @@ verification layer leans on.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
-from ._util import (
-    REQUIRED, array_exact, build_from_descriptor, graded_grid, route_quad, warn_unconverged,
-)
+from ._util import REQUIRED, build_from_descriptor, graded_grid, route_quad, warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, avr
 from .report import InequalityReport, make_report
@@ -43,10 +39,9 @@ class RadialTestFunction:
     derivative is the a.e. derivative; it may be unbounded near 0 as long
     as the energies stay integrable.
 
-    profile and derivative take a float or an array.  A float gives a
-    float with the bits of the same radius passed as a 0-d array, without
-    a warning where the array route masks a point; an array gives an
-    array.  The quadratures hand them Python floats.
+    profile and derivative take a float or an array and give the same
+    shape back, without a warning at 0, at a kink or beyond the support.
+    The quadratures hand them arrays of radii (route_quad).
     """
 
     profile: Callable
@@ -84,13 +79,9 @@ def cone_profile(radius: float = 1.0, height: float = 1.0) -> RadialTestFunction
     r, hgt = float(radius), float(height)
 
     def g(rho):
-        if isinstance(rho, float):
-            return hgt * max(1.0 - rho / r, 0.0)
         return hgt * np.clip(1.0 - rho / r, 0.0, None)
 
     def dg(rho):
-        if isinstance(rho, float):
-            return -hgt / r if rho < r else 0.0
         return np.where(rho < r, -hgt / r, 0.0)
 
     return RadialTestFunction(
@@ -109,13 +100,9 @@ def plateau_profile(inner: float = 0.5, radius: float = 1.0, height: float = 1.0
     a, r, hgt = float(inner), float(radius), float(height)
 
     def g(rho):
-        if isinstance(rho, float):
-            return hgt * max(min(1.0, (r - rho) / (r - a)), 0.0)
         return hgt * np.clip(np.minimum(1.0, (r - rho) / (r - a)), 0.0, None)
 
     def dg(rho):
-        if isinstance(rho, float):
-            return -hgt / (r - a) if a < rho < r else 0.0
         return np.where((rho > a) & (rho < r), -hgt / (r - a), 0.0)
 
     return RadialTestFunction(
@@ -131,15 +118,10 @@ def morrey_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTest
     r = float(radius)
 
     def g(rho):
-        if isinstance(rho, float):
-            return max(1.0 - (max(rho, 0.0) / r) ** b, 0.0)
         return np.maximum(1.0 - (np.maximum(rho, 0.0) / r) ** b, 0.0)
 
     def dg(rho):
-        # the 0-d route powers a numpy scalar, as libm does the float's;
         # rho = r stands in off (0, r), so the power never sees 0
-        if isinstance(rho, float):
-            return -(b / r) * (rho / r) ** (b - 1.0) if 0.0 < rho < r else 0.0
         rho = np.asarray(rho, dtype=float)
         inside = (rho > 0) & (rho < r)
         return np.where(inside, -(b / r) * (np.where(inside, rho, r) / r) ** (b - 1.0), 0.0)
@@ -155,11 +137,6 @@ def _l1_seed_integrand(p: float, n: int):
     expo_out = 1.0 / (p - 1.0)
 
     def h(r):
-        if isinstance(r, float):
-            # the 0-d route powers r by numpy's array loop, then a numpy scalar
-            if not 0.0 < r < 1.0:
-                return 0.0
-            return np.power(r, expo_in) * (1.0 - np.power(r, n)) ** expo_out
         r = np.asarray(r, dtype=float)
         inside = (r > 0.0) & (r < 1.0)
         rr = np.where(inside, r, 0.5)
@@ -172,15 +149,13 @@ def _l1_seed_integrand(p: float, n: int):
 def _l1_cumulative(p: float, n: int):
     """Cumulative integral of the L1-extremal seed on a graded grid.
 
-    Panel integrals come from adaptive quadrature, so the cumulative
-    values at the knots are quadrature-exact; between knots a monotone
-    interpolant is used.  The total is the profile height.
+    Panel integrals come from adaptive quadrature (route_quad), so the
+    cumulative values at the knots are quadrature-exact; between knots a
+    monotone interpolant is used.  The total is the profile height.
     """
     h = _l1_seed_integrand(p, n)
     knots = graded_grid(0.0, 1.0, 1025, exponent=2.2)
-    panels = np.empty(len(knots) - 1)
-    for i in range(len(panels)):
-        panels[i], _ = integrate.quad(h, knots[i], knots[i + 1], epsabs=1e-14, epsrel=1e-12)
+    panels = [route_quad(h, lambda v, r: v, lo, hi, ())[0] for lo, hi in zip(knots[:-1], knots[1:])]
     cum = np.concatenate([[0.0], np.cumsum(panels)])
     return knots, cum, h
 
@@ -199,14 +174,10 @@ def l1_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTestFunc
     height = float(cum[-1])
 
     def g(rho):
-        if isinstance(rho, float):
-            return height - np.interp(min(max(rho / r, 0.0), 1.0), knots, cum)
         t = np.clip(np.asarray(rho, dtype=float) / r, 0.0, 1.0)
         return height - np.interp(t, knots, cum)
 
     def dg(rho):
-        if isinstance(rho, float):
-            return -h(rho / r) / r if 0.0 < rho < r else 0.0
         rho = np.asarray(rho, dtype=float)
         return np.where((rho > 0) & (rho < r), -h(rho / r) / r, 0.0)
 
@@ -225,28 +196,12 @@ def random_decreasing_profile(rng) -> RadialTestFunction:
     powers = rng.uniform(0.7, 2.5, size=k)
 
     slopes, dpowers = -coefs * powers / radii, powers - 1.0
-    radii_f, coefs_f, slopes_f = radii.tolist(), coefs.tolist(), slopes.tolist()
 
-    # The float routes take the k powers by numpy's array loop, as the 0-d
-    # and array routes do: libm's pow rounds apart from that loop in about 5%
-    # of cases.  Their sums run left to right from 0, as numpy's does for
-    # k < 8.  So every route carries the same bits, and route_quad batches.
-    @array_exact
     def g(rho):
-        if isinstance(rho, float):
-            t = np.power([max(1.0 - rho / ri, 0.0) for ri in radii_f], powers)
-            return sum(map(operator.mul, coefs_f, t.tolist()))
         base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
         return (coefs * base ** powers).sum(-1)
 
-    @array_exact
     def dg(rho):
-        if isinstance(rho, float):
-            # a zero base is powered as 1 and its term left out: the 0-d
-            # route adds slope * 0 = -0.0 for it, which changes no sum
-            base = [1.0 - rho / ri for ri in radii_f]
-            t = np.power([b if b > 0.0 else 1.0 for b in base], dpowers).tolist()
-            return sum([s * ti for s, ti, b in zip(slopes_f, t, base) if b > 0.0], 0.0)
         base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
         return (slopes * np.power(base, dpowers, out=np.zeros(base.shape), where=base > 0.0)).sum(-1)
 
@@ -261,17 +216,9 @@ def scale_profile(u: RadialTestFunction, factor: float) -> RadialTestFunction:
     if not factor > 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
 
-    def scaled(f):
-        def sf(rho):
-            if isinstance(rho, float):
-                return factor * f(rho)
-            return factor * np.asarray(f(np.asarray(rho, dtype=float)))
-
-        return sf
-
     return RadialTestFunction(
-        profile=scaled(u.profile),
-        derivative=scaled(u.derivative),
+        profile=lambda rho: factor * u.profile(rho),
+        derivative=lambda rho: factor * u.derivative(rho),
         support_radius=u.support_radius,
         kinks=u.kinks,
         label=f"{u.label}*{factor:g}",
@@ -498,24 +445,21 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
         else:
             ratios = np.log(fv[1:] / fv[:-1]) / np.log(probes[1:] / probes[:-1])
             a_hat = float(np.max(-ratios)) if np.all(np.isfinite(ratios)) else float(n)
-    if a_hat >= n - 1e-9:
-        return make_report(
-            "hlp", {"p": p, "n": n, "profile": u.label}, math.inf, math.inf,
-            "upper", rtol, diagnostics={"diverged": True, "weight_exponent": a_hat},
+    weighted = math.inf
+    if a_hat < n - 1e-9:
+        val, _, _ = route_quad(
+            star.profile, lambda g, r: g**p * f(r) * r ** (n - 1), 0.0, star.support_radius, star.kinks
         )
-
-    val, _, _ = route_quad(
-        star.profile, lambda g, r: g**p * f(r) * r ** (n - 1), 0.0, star.support_radius, star.kinks
-    )
-    weighted = n * omega_n(n) * val
+        weighted = n * omega_n(n) * val
+    params = {"p": p, "n": n, "profile": u.label}
     if not math.isfinite(weighted) or weighted > 1e15:
         return make_report(
-            "hlp", {"p": p, "n": n}, math.inf, math.inf, "upper", rtol,
-            diagnostics={"diverged": True},
+            "hlp", params, math.inf, math.inf, "upper", rtol,
+            diagnostics={"diverged": True, "weight_exponent": a_hat},
         )
     return make_report(
         "hlp",
-        {"p": p, "n": n, "profile": u.label},
+        params,
         weighted,
         weighted,
         direction="upper",

@@ -251,19 +251,11 @@ def hardy_test_family(p: float, n: int, delta: float, cap_radius: float = 0.01) 
     amp = cap**-s
 
     def g(rho):
-        if isinstance(rho, float):
-            return (rho ** -s if rho >= cap else amp) * max(1.0 - rho, 0.0)
         rho = np.asarray(rho, dtype=float)
         body = np.where(rho >= cap, np.maximum(rho, cap) ** -s, amp)
         return body * np.clip(1.0 - rho, 0.0, None)
 
     def dg(rho):
-        if isinstance(rho, float):
-            if not 0.0 < rho < 1.0:
-                return 0.0
-            if rho < cap:
-                return -amp
-            return -s * rho ** (-s - 1.0) * (1.0 - rho) - rho ** -s
         rho = np.asarray(rho, dtype=float)
         inner = np.where(
             rho >= cap,
@@ -301,7 +293,7 @@ def verify_hardy(m: FinslerInstance, u: RadialTestFunction, p: float) -> Inequal
     rhs = c * weighted
     return make_report(
         "hardy",
-        {"p": p, "n": n, "avr": a, "x0": [0.0] * n},
+        {"p": p, "n": n, "avr": a},
         lhs,
         rhs,
         direction="lower",
@@ -505,9 +497,6 @@ def _default_hlp_weight(rng, n: int):
     c = float(rng.uniform(0.0, 0.3))
 
     def f(r):
-        # the 0-d route powers a numpy scalar, as libm does the float's
-        if isinstance(r, float):
-            return (r + c) ** -a
         return (np.asarray(r, dtype=float) + c) ** -a
 
     return f, (a, c)

@@ -261,6 +261,18 @@ def test_hlp_divergent_weight_is_vacuous(e3):
     assert rep.diagnostics.get("diverged")
 
 
+def test_hlp_vacuous_reports_keep_one_shape(e3):
+    # a weight exponent >= n is caught before the quadrature, a huge finite
+    # weight after it; both come back as the same vacuous report
+    u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
+    reps = [R.hlp_check(u, e3, f, 2.0) for f in (lambda r: r ** (-3.2), lambda r: 1e20 * np.exp(-r))]
+    for rep in reps:
+        assert rep.passed and math.isinf(rep.lhs) and math.isinf(rep.rhs)
+        assert rep.params == {"p": 2.0, "n": 3, "profile": "plateau"}
+        assert rep.diagnostics["diverged"]
+    assert reps[1].diagnostics["weight_exponent"] < 3
+
+
 def test_random_decreasing_profile_properties(rng):
     for _ in range(20):
         u = R.random_decreasing_profile(rng)

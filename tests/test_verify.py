@@ -211,6 +211,7 @@ def test_hardy_family_approaches_equality(e3):
         rep = V.verify_hardy(e3, V.hardy_test_family(2.0, 3, delta), 2.0)
         assert rep.passed
         assert rep.direction == "lower"
+        assert set(rep.params) == {"p", "n", "avr"}
         ratios.append(rep.ratio)
     # tightening delta drives lhs/rhs down toward 1 without crossing
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
@@ -538,7 +539,7 @@ SUITE_PINS = {
         ("0x1.ed49c14b54f5fp+2", "0x1.5f0957652ad39p+2", "0x1.67bd5bc55a663p+0"),
     ],
     "polya_szego": [
-        ("0x1.9e4b49d481316p+6", "0x1.9e4b49d481316p+6", "0x1.0000000000000p+0"),
+        ("0x1.9e4b49d481268p+6", "0x1.9e4b49d481268p+6", "0x1.0000000000000p+0"),
         ("0x1.e6bb59153bb1dp+5", "0x1.e6bb59153bb1dp+5", "0x1.0000000000000p+0"),
         ("0x1.7704755e2081dp+2", "0x1.7704755e2081dp+2", "0x1.0000000000000p+0"),
     ],
@@ -579,15 +580,24 @@ def test_qags_is_served_from_batches_bit_for_bit(e2, l4_2, e3, monkeypatch):
                 for r in V.randomized_suite(m, name, n_draws=12, seed=0)]
         return docs, {k: _util.QK21_COUNTS[k] - before[k] for k in ("batches", "misses")}
 
+    def per_node(route, integrand, a, b, points):
+        # the same expression, one QAGS radius at a time in a 1-element array
+        def fn(r):
+            x = np.array([r])
+            return float(integrand(route(x), x)[0])
+
+        return _util.split_quad(fn, a, b, points)
+
     batched, counts = run()
     # every QAGS call lands on a node of a predicted interval
     assert counts["misses"] == 0 and counts["batches"] > 1000
     with monkeypatch.context() as mp:
-        mp.setattr(R, "array_exact", lambda route: route)  # no route opts in: all scalar
-        scalar, counts = run()
-    assert counts == {"batches": 0, "misses": 0} and scalar == batched
+        for module in (R, V):
+            mp.setattr(module, "route_quad", per_node)
+        reference, counts = run()
+    assert counts == {"batches": 0, "misses": 0} and reference == batched
     # one Kronrod abscissa an ulp off, as a change to scipy's node arithmetic
-    # would look: its nodes miss and take the float route, and no bit moves
+    # would look: its nodes miss and take 1-element arrays, and no bit moves
     xgk = list(_util.XGK)
     xgk[3] = math.nextafter(xgk[3], 1.0)
     monkeypatch.setattr(_util, "XGK", tuple(xgk))
@@ -607,43 +617,62 @@ CALLBACK_FAMILY_CASES = [
 
 
 # one case of every rearrange.PROFILES family
-FLOAT_ROUTE_CASES = ["morrey_extremal:p=7.5,n=3,R=0.6", *CALLBACK_FAMILY_CASES]
+PROFILE_CASES = ["morrey_extremal:p=7.5,n=3,R=0.6", *CALLBACK_FAMILY_CASES]
 
 
 def test_callback_cases_cover_every_profile_family():
     kinds = {parse_descriptor(d)["kind"] for d in CALLBACK_FAMILY_CASES}
     assert kinds | {"morrey_extremal"} == set(PROFILES)
-    assert {parse_descriptor(d)["kind"] for d in FLOAT_ROUTE_CASES} == set(PROFILES)
+    assert {parse_descriptor(d)["kind"] for d in PROFILE_CASES} == set(PROFILES)
 
 
-@pytest.mark.parametrize("u", [
-    morrey_extremal_profile(4.0, 2, 1.3),
-    morrey_extremal_profile(7.5, 3, 0.6),  # b - 1 < -0.8: dg is singular at 0
-    *(random_decreasing_profile(np.random.default_rng(k)) for k in range(4)),
-    *(profile_from_descriptor(d) for d in CALLBACK_FAMILY_CASES),
-], ids=lambda u: u.label)
-def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(u):
-    r = u.support_radius
-    pts = np.r_[0.0, u.kinks, 1.5 * r, np.linspace(0.0, 1.2 * r, 97)]
+def _callback_cases():
+    """(callbacks, radius from which they vanish, kinks, whether a 0-d input
+    gives the array's bits) of the profile families, two Hardy families, the
+    L1 extremal's seed and four suite hlp weights, which never vanish."""
+    radial = [
+        morrey_extremal_profile(4.0, 2, 1.3),
+        morrey_extremal_profile(7.5, 3, 0.6),  # b - 1 < -0.8: dg is singular at 0
+        *(random_decreasing_profile(np.random.default_rng(k)) for k in range(4)),
+        *(profile_from_descriptor(d) for d in CALLBACK_FAMILY_CASES),
+        V.hardy_test_family(2.0, 3, 0.2),
+        V.hardy_test_family(1.5, 3, 0.1, cap_radius=0.05),
+    ]
+    # numpy's scalar power and its array loop may round apart by an ulp
+    ulp_apart = ("morrey_extremal", "l1_extremal", "hardy_family")
+    cases = [pytest.param((u.profile, u.derivative), u.support_radius, u.kinks,
+                          not u.label.startswith(ulp_apart), id=u.label) for u in radial]
+    for p, n in ((4.0, 2), (7.5, 3)):
+        cases.append(pytest.param((_l1_seed_integrand(p, n),), 1.0, (), False, id=f"l1_seed(p={p},n={n})"))
+    for k in range(4):
+        f, (a, c) = V._default_hlp_weight(np.random.default_rng(k), 2 + k % 2)
+        cases.append(pytest.param((f,), math.inf, (), False, id=f"hlp_weight(a={a:.3f},c={c:.3f})"))
+    return cases
+
+
+@pytest.mark.parametrize("fs,r,kinks,exact", _callback_cases())
+def test_profile_callbacks_agree_on_0d_and_array_input_without_warnings(fs, r, kinks, exact):
+    x = r if math.isfinite(r) else 2.0
+    pts = np.r_[0.0, kinks, 1.5 * x, np.linspace(0.0, 1.2 * x, 97)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (u.profile, u.derivative):
+        for f in fs:
             batch = f(pts)
-            single = np.array([f(np.asarray(x)) for x in pts])
-            assert np.shape(f(np.asarray(0.5 * r))) == ()
-            if not u.label.startswith(("morrey_extremal", "l1_extremal")):
+            single = np.array([f(np.asarray(y)) for y in pts])
+            assert np.shape(f(np.asarray(0.5 * x))) == ()
+            if exact:
                 assert np.array_equal(batch, single)
             else:
-                # numpy's scalar power and its array loop may round apart by an ulp
                 np.testing.assert_allclose(batch, single, rtol=5e-16, atol=5e-16)
             assert np.all(np.isfinite(batch)) and np.all(batch[pts >= r] == 0.0)
 
 
-def _float_route_cases():
-    """(callback, radii as Python floats) for every callback that the
-    quadratures hand a Python float."""
+def _float_input_cases():
+    """(callback, radii as Python floats) for every profile family, random
+    cones, a scaled cone, two Hardy families, two L1 extremal seeds and four
+    suite hlp weights."""
     radial = [
-        *(profile_from_descriptor(d) for d in FLOAT_ROUTE_CASES),
+        *(profile_from_descriptor(d) for d in PROFILE_CASES),
         *(random_decreasing_profile(np.random.default_rng(k)) for k in range(8)),
         scale_profile(random_decreasing_profile(np.random.default_rng(8)), 3.0),
         V.hardy_test_family(2.0, 3, 0.2),
@@ -656,7 +685,7 @@ def _float_route_cases():
         for tag, f in (("g", u.profile), ("dg", u.derivative)):
             cases.append(pytest.param(f, [float(x) for x in pts], id=f"{u.label}-{tag}"))
     pts = [0.0, 0.5, 1.0, 1.5, *np.linspace(0.0, 1.2, 25)[1:]]
-    for p, n in ((4.0, 2), (7.5, 3)):  # the L1 extremal's seed, integrated panel by panel
+    for p, n in ((4.0, 2), (7.5, 3)):
         cases.append(pytest.param(_l1_seed_integrand(p, n), pts, id=f"l1_seed(p={p},n={n})"))
     for k in range(4):
         f, (a, c) = V._default_hlp_weight(np.random.default_rng(k), 2 + k % 2)
@@ -664,55 +693,17 @@ def _float_route_cases():
     return cases
 
 
-@pytest.mark.parametrize("f,pts", _float_route_cases())
+@pytest.mark.parametrize("f,pts", _float_input_cases())
 def test_float_route_gives_the_0d_bits_without_warnings(f, pts):
-    # QUADPACK hands the callbacks Python floats; they must return the
-    # doubles the same radius gives as a 0-d array, numpy's array-loop
-    # powers included, and raise nothing where numpy would only warn
+    # a Python float radius, as layer_cake_integral's f(r_max) passes one,
+    # gives a scalar with the doubles of the same radius as a 0-d array,
+    # and raises nothing where numpy would only warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in pts:
             y = f(x)
-            assert isinstance(y, float), (x, type(y))
-            assert y.hex() == float(f(np.asarray(x))).hex(), x
-
-
-def _qk21_radii(u):
-    """The QK21 nodes of u's panels on [0, 1.5 R] and of their bisection
-    halves, with 0, the kinks, the support edge R and radii beyond it."""
-    r = u.support_radius
-    pts = [0.0, *u.kinks, r, 1.25 * r, 1.5 * r, 3.0 * r]
-    for lo, hi in _util._panels(0.0, 1.5 * r, u.kinks):
-        mid = 0.5 * (lo + hi)
-        for a, b in ((lo, hi), (lo, mid), (mid, hi)):
-            centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-            pts += [centr, *(centr - hlgth * x for x in _util.XGK), *(centr + hlgth * x for x in _util.XGK)]
-    return pts
-
-
-def test_opted_in_routes_give_their_float_bits_on_the_qk21_nodes():
-    # route_quad hands QAGS array entries in place of float-route calls, so
-    # they must carry the same doubles, signed zeros included
-    for k in range(40):
-        u = random_decreasing_profile(np.random.default_rng(k))
-        pts = _qk21_radii(u)
-        for f in (u.profile, u.derivative):
-            assert f.array_exact
-            batch = np.asarray(f(np.array(pts)), dtype=float)
-            single = np.array([f(x) for x in pts])
-            assert batch.view(np.uint64).tolist() == single.view(np.uint64).tolist(), k
-
-
-def test_only_the_random_cones_opt_in_to_batched_nodes():
-    # the extremals' array loop rounds apart from libm's pow (FLOAT_ROUTE_CASES
-    # covers both), and the closed forms cost less scalar than batched
-    scalar = [
-        *(profile_from_descriptor(d) for d in FLOAT_ROUTE_CASES),
-        scale_profile(random_decreasing_profile(np.random.default_rng(8)), 3.0),
-        V.hardy_test_family(2.0, 3, 0.2),
-    ]
-    marked = [v.label for v in scalar for f in (v.profile, v.derivative) if hasattr(f, "array_exact")]
-    assert marked == []
+            assert np.shape(y) == (), (x, type(y))
+            assert float(y).hex() == float(f(np.asarray(x))).hex(), x
 
 
 def test_split_rejects_unknown_representation(e2):
