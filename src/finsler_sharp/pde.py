@@ -18,10 +18,11 @@ continuous output is rebuilt from the steps in one numpy pass (_dense_shot)
 for the profile and the eigen quotient to read.  On the grid, one assembly
 (_RadialFunctional) gives the energy, the exact gradient and the
 tridiagonal Hessian of (1/p) int |u'|^p w + 1/2 int c u^2 - int F(u) w for
-every family, the energy and gradient from one pass, and one projected
-banded Newton loop (_projected_newton) polishes the ground states (no
-bounds, to 1e-13 or the gradient's rounding floor) and the plateau
-profiles (a finite box, to 1e-10), halving each step until it rounds away.
+the ground states and the plateau profiles, the energy and gradient from
+one pass, and one projected banded Newton loop (_projected_newton) polishes
+the ground states (no bounds, to 1e-13 or the gradient's rounding floor)
+and the plateau profiles (a finite box, to 1e-10), halving each step until
+it rounds away.
 """
 
 import bisect
@@ -30,7 +31,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, linalg, optimize
@@ -143,10 +144,6 @@ def _power(q: float):
 class _Assembly(NamedTuple):
     energy: float
     grad: np.ndarray
-    dirichlet: float
-    l2: float
-    hardy: float
-    nonlinear: float
 
 
 class _RadialFunctional:
@@ -156,18 +153,17 @@ class _RadialFunctional:
 
     with w = n omega_n rho^(n-1) and c = lam w - mu n omega_n rho^(n-3),
     under the midpoint rule.  nl = (coef, (F, F'), F', F'') gives the
-    nonlinearity (None for none; F'' may be None when no Hessian is asked
-    for): the pair serves the energy, which reads F and F' at the same panel
-    means, F' alone the gradient.  p = 2 gives the eigen family (no F) and
+    nonlinearity: the pair serves the energy, which reads F and F' at the
+    same panel means, F' alone the gradient, F'' the Hessian.  p = 2 gives
     the ground states (F = u_+^q / q); p > n with c = 0 and coef F' = lam h
     gives the oscillatory family.  gradient(), hessian() (tridiagonal) and
-    assemble() (the energy, its parts and the gradient, from one pass over
-    the panels) keep the products and node sums of the two per-family
-    assemblies this replaced, so the gradients and the oscillatory energy
-    are bit-identical to theirs.
+    assemble() (the energy and the gradient, from one pass over the panels)
+    keep the products and node sums of the two per-family assemblies this
+    replaced, so the gradients and the oscillatory energy are bit-identical
+    to theirs.
     """
 
-    def __init__(self, rho, n: int, p: float, lam: float = 0.0, mu: float = 0.0, nl=None):
+    def __init__(self, rho, n: int, p: float, lam: float, mu: float, nl):
         self.rho, self.n, self.p, self.lam, self.mu, self.nl = rho, n, p, lam, mu, nl
         self.nw = n * omega_n(n)
         self.drho, rbar, self.shell = _panels(rho, n)
@@ -178,26 +174,24 @@ class _RadialFunctional:
         return self.nw * max(1.0, np.max(u) ** (self.p - 1)) * max(1.0, self.rho[-1] ** (self.n - 1))
 
     def _terms(self, u):
-        """(coef, (F, F'), F', F''), panel means and panel slopes of u."""
-        nl = self.nl if self.nl is not None else (0.0, None, None, None)
-        return nl, 0.5 * (u[1:] + u[:-1]), (u[1:] - u[:-1]) / self.drho
+        """Panel means and panel slopes of u."""
+        return 0.5 * (u[1:] + u[:-1]), (u[1:] - u[:-1]) / self.drho
 
     def gradient(self, u) -> np.ndarray:
-        (coef, _, f, _), ubar, slope = self._terms(u)
-        return self._gradient(u, ubar, slope, np.abs(slope), None if f is None else f(ubar))
+        ubar, slope = self._terms(u)
+        return self._gradient(u, ubar, slope, np.abs(slope), self.nl[2](ubar))
 
     def _gradient(self, u, ubar, slope, mag, fbar) -> np.ndarray:
-        """The gradient from the panel means, slopes, |slopes| and F' at the means (None for no F)."""
+        """The gradient from the panel means, slopes, |slopes| and F' at the means."""
         p, drho, shell = self.p, self.drho, self.shell
         mass = []
         if self.lam != 0.0:
             mass.append(self.lam * ubar * shell * drho)
         if self.mu != 0.0:
             mass.append(-self.mu * ubar * self.hardy_w * drho)
-        if fbar is not None:
-            mass.append(-self.nl[0] * fbar * shell * drho)
+        mass.append(-self.nl[0] * fbar * shell * drho)
         flux = mag ** (p - 2) * slope * shell
-        half = 0.5 * sum(mass[1:], mass[0]) if mass else 0.0
+        half = 0.5 * sum(mass[1:], mass[0])
         # (0 + (half - flux)_i) + (flux + half)_(i-1), the sums of zeros and two +=, signed zeros too
         g = np.empty_like(u)
         np.add(half - flux, 0.0, out=g[:-1])
@@ -208,14 +202,14 @@ class _RadialFunctional:
     def hessian(self, u) -> np.ndarray:
         """Hessian rows (upper, main, lower) divided by n omega_n."""
         p, drho, shell = self.p, self.drho, self.shell
-        (coef, _, f, df), ubar, slope = self._terms(u)
+        coef, _, _, df = self.nl
+        ubar, slope = self._terms(u)
         k_diag = (p - 1.0) * np.abs(slope) ** (p - 2) * shell / drho
         curv = []
         if self.lam != 0.0 or self.mu != 0.0:
             curv.append(0.25 * (self.c * drho))
-        if f is not None:
-            curv.append(-coef * np.asarray(df(ubar), dtype=float) * 0.25 * shell * drho)
-        c = sum(curv[1:], curv[0]) if curv else 0.0
+        curv.append(-coef * np.asarray(df(ubar), dtype=float) * 0.25 * shell * drho)
+        c = sum(curv[1:], curv[0])
         band = np.zeros((3, len(u)))
         band[1, :-1] += k_diag + c
         band[1, 1:] += k_diag + c
@@ -224,16 +218,16 @@ class _RadialFunctional:
 
     def assemble(self, u) -> _Assembly:
         p, drho, shell, nw = self.p, self.drho, self.shell, self.nw
-        (coef, pair, f, _), ubar, slope = self._terms(u)
-        prim, fbar = pair(ubar) if f is not None else (None, None)
+        coef, pair, _, _ = self.nl
+        ubar, slope = self._terms(u)
+        prim, fbar = pair(ubar)
         mag = np.abs(slope)
         dirichlet = float(np.sum(mag ** p * shell * drho))
         l2 = float(np.sum(ubar ** 2 * shell * drho))
         hardy = float(np.sum(ubar ** 2 * self.hardy_w * drho)) if self.mu != 0.0 else 0.0
-        nonlinear = float(np.sum(prim * shell * drho)) if f is not None else 0.0
+        nonlinear = float(np.sum(prim * shell * drho))
         energy = nw * (dirichlet / p + 0.5 * (self.lam * l2 - self.mu * hardy) - coef * nonlinear)
-        return _Assembly(energy, self._gradient(u, ubar, slope, mag, fbar), nw * dirichlet, nw * l2,
-                         nw * hardy, nw * nonlinear)
+        return _Assembly(energy, self._gradient(u, ubar, slope, mag, fbar))
 
 
 def _kkt_residual(u, g, lo, hi, scale) -> float:
@@ -590,7 +584,7 @@ def _check_subcritical(n: int, p: float) -> None:
         )
 
 
-def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPassSolution:
+def mountain_pass_solve(bvp: RadialBvp, p: float) -> MountainPassSolution:
     """Nonnegative ground-state profile of the semilinear problem.
 
     Shooting on the initial amplitude places the first zero exactly at R:
@@ -603,12 +597,12 @@ def mountain_pass_solve(bvp: RadialBvp, p: Optional[float] = None) -> MountainPa
     gets no diagonal floor and no Levenberg shift.  The energy level of a
     nontrivial solution is strictly positive.  shooting_gap is the largest
     distance from the shot to the polished profile on rho >= 0.1 R, over
-    max(1, the shot's sup there).
+    max(1, the shot's sup there).  bvp must carry the nonlinearity
+    ("power", p).
     """
-    if p is None:
-        if not (isinstance(bvp.nonlinearity, tuple) and bvp.nonlinearity[0] == "power"):
-            raise ValueError("mountain_pass_solve needs a power nonlinearity")
-        p = bvp.nonlinearity[1]
+    if bvp.nonlinearity != ("power", p):
+        raise ValueError(f"mountain_pass_solve(p={p}) needs the nonlinearity ('power', {p}), "
+                         f"got {bvp.nonlinearity!r}")
     _check_subcritical(bvp.n, p)
     s_bound = bvp.spectral_bound()
     if bvp.lam <= -s_bound:
@@ -725,13 +719,7 @@ class OscillatoryNonlinearity:
         return out if out.ndim else float(out)
 
 
-def multiplicity_explore(
-    bvp: RadialBvp,
-    h: Optional[OscillatoryNonlinearity] = None,
-    lam: Optional[float] = None,
-    k_max: int = 3,
-    p: Optional[float] = None,
-):
+def multiplicity_explore(bvp: RadialBvp, h: OscillatoryNonlinearity, lam: float, k_max: int, p: float):
     """Look for distinct critical profiles of the p-energy with an
     oscillatory nonlinearity by minimizing over nested height truncations.
 
@@ -743,27 +731,26 @@ def multiplicity_explore(
     the minimizer inside the box [0, b_k] to a scaled KKT residual of
     1e-10, with the diagonal floor and the Levenberg backstop that the
     degenerate plateau Hessian needs.  h must provide H_and_h for the
-    energy, h for the gradient and dh for that Hessian.
-    Returns the distinct stationary profiles found; fewer than two distinct
-    hits is a warning, not an error.  No existence claim is made beyond
-    what is found.
+    energy, h for the gradient and dh for that Hessian; bvp must carry the
+    nonlinearity ("general", h) and the coupling lam.  Returns the distinct
+    stationary profiles found; fewer than two distinct hits is a warning,
+    not an error.  No existence claim is made beyond what is found.
     """
-    if p is None:
-        raise ValueError("multiplicity exploration needs the energy exponent p")
     if p <= bvp.n:
         raise ValueError(f"needs p > n, got p = {p}, n = {bvp.n}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if h is None:
-        h = OscillatoryNonlinearity(p)
+    if bvp.nonlinearity != ("general", h) or lam != bvp.lam:
+        raise ValueError(f"h and lam must be the bvp's: {bvp.nonlinearity!r} and {bvp.lam}, "
+                         f"got {h!r} and {lam}")
     if not hasattr(h, "dh"):
         raise ValueError("the Newton polish needs the derivative h.dh of the nonlinearity")
-    lam = bvp.lam if lam is None else float(lam)
+    lam = float(lam)
     # no singular weight here, so a uniform grid keeps the p-energy Hessian
     # well conditioned; graded boundary panels raised to p-1 stall L-BFGS-B
     m = min(bvp.n_nodes, 513)
     rho = np.linspace(0.0, bvp.radius, m)
-    f = _RadialFunctional(rho, bvp.n, p, nl=(lam, h.H_and_h, h.h, h.dh))
+    f = _RadialFunctional(rho, bvp.n, p, 0.0, 0.0, (lam, h.H_and_h, h.h, h.dh))
 
     def objective(u):
         a = f.assemble(u)

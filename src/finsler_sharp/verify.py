@@ -63,74 +63,79 @@ INEQUALITIES = (
 )
 
 
-def _split(u: RadialTestFunction, n: int, p: float):
-    """(sup, support volume, dual gradient energy, diag) of a radial source."""
-    if not isinstance(u, RadialTestFunction):
-        raise TypeError(f"unsupported function representation: {type(u).__name__}")
-    energy = radial_dirichlet_energy(u, n, p)
-    return u.sup(), omega_n(n) * u.support_radius**n, energy, {"path": "radial", "profile": u.label}
+def _sup_norm_check(kind: str, m: FinslerInstance, u: RadialTestFunction, p: float,
+                    bound) -> InequalityReport:
+    """Check sup|u| <= C * X^alpha * energy^(theta/p), the one shape of the
+    two Morrey bounds (X the support volume or the L1 norm), for a radial
+    source at the tight one-sided tolerance rtol 1e-9.
 
-
-def verify_morrey_support(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
-    """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p) for a
-    radial source, at the tight one-sided tolerance rtol 1e-9.
-
-    A divergent gradient energy makes the bound vacuous and is flagged in
-    the diagnostics.
+    kind ("support" or "L1") names the report morrey_<kind>; bound(n, avr)
+    gives C, the params beyond p, n and avr, and the right-hand side as a
+    function of the energy.  A divergent gradient energy makes the bound
+    vacuous and is flagged in the diagnostics.
     """
     n = m.dim
     if not p > n:
-        raise ValueError(f"support bound needs p > n, got p={p}, n={n}")
+        raise ValueError(f"{kind} bound needs p > n, got p={p}, n={n}")
     a = estimate_avr(m).point
-    sup, vol, energy, diag = _split(u, n, p)
-    c = morrey_support_constant(p, n, a)
-    if not math.isfinite(energy):
+    if not isinstance(u, RadialTestFunction):
+        raise TypeError(f"unsupported function representation: {type(u).__name__}")
+    energy = radial_dirichlet_energy(u, n, p)
+    c, params, rhs_of = bound(n, a)
+    diag = {"path": "radial", "profile": u.label}
+    if math.isfinite(energy):
+        rhs = rhs_of(energy)
+    else:
         diag["divergent_energy"] = True
         rhs = math.inf
-    else:
-        rhs = c * vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p)
-    return make_report(
-        "morrey_support",
-        {"p": p, "n": n, "avr": a},
-        sup,
-        rhs,
-        direction="upper",
-        rtol=1e-9,
-        sharp_constant=c,
-        diagnostics=diag,
-    )
+    return make_report(f"morrey_{kind.lower()}", {"p": p, "n": n, "avr": a, **params}, u.sup(), rhs,
+                       direction="upper", rtol=1e-9, sharp_constant=c, diagnostics=diag)
+
+
+def verify_morrey_support(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
+    """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p) (see _sup_norm_check)."""
+
+    def bound(n, a):
+        c, vol = morrey_support_constant(p, n, a), omega_n(n) * u.support_radius**n
+        return c, {}, lambda energy: c * vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p)
+
+    return _sup_norm_check("support", m, u, p, bound)
 
 
 def verify_morrey_l1(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
-    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p) for a radial
-    source, at the rtol of verify_morrey_support."""
-    n = m.dim
-    if not p > n:
-        raise ValueError(f"L1 bound needs p > n, got p={p}, n={n}")
-    a = estimate_avr(m).point
-    sup, _, energy, diag = _split(u, n, p)
-    l1 = lq_norm_radial(u, 1.0, n)
-    c = morrey_l1_constant(p, n, a)
-    e = eta(p, n)
-    if not math.isfinite(energy):
-        diag["divergent_energy"] = True
-        rhs = math.inf
-    else:
-        rhs = c * l1 ** (1.0 - e) * energy ** (e / p)
-    return make_report(
-        "morrey_l1",
-        {"p": p, "n": n, "avr": a, "eta": e},
-        sup,
-        rhs,
-        direction="upper",
-        rtol=1e-9,
-        sharp_constant=c,
-        diagnostics=diag,
-    )
+    """Check sup|u| <= C * ||u||_1^(1-eta) * energy^(eta/p) (see _sup_norm_check)."""
+
+    def bound(n, a):
+        c, e = morrey_l1_constant(p, n, a), eta(p, n)
+        return c, {"eta": e}, lambda energy: c * lq_norm_radial(u, 1.0, n) ** (1.0 - e) * energy ** (e / p)
+
+    return _sup_norm_check("L1", m, u, p, bound)
 
 
 # relative tolerance of both sweeps' limits against their targets
 SWEEP_RTOL = 1e-3
+
+
+def _sweep_domain(kind: str, m: FinslerInstance, p: float, r_grid: Sequence[float]):
+    """(n, avr) of m for a sweep of the kind ("support" or "L1") bound,
+    which needs p > n and a nonempty radius grid."""
+    n = m.dim
+    if not p > n:
+        raise ValueError(f"{kind} sweep needs p > n, got p={p}, n={n}")
+    if len(r_grid) == 0:
+        raise ValueError("radius grid must be nonempty")
+    return n, estimate_avr(m).point
+
+
+def _sweep_result(rows: list, key: str, target: float, holds: bool) -> SweepResult:
+    """The sweep of rows: it passes when the Richardson limit of row[key]
+    lies within SWEEP_RTOL of target and holds, the sweep's own per-row
+    checks, is true."""
+    grid = [row["R"] for row in rows]
+    limit, order = richardson_limit(grid, [row[key] for row in rows])
+    passed = holds and abs(limit - target) <= SWEEP_RTOL * abs(target)
+    return SweepResult(variable="R", grid=grid, rows=rows, limit=float(limit), target=float(target),
+                       order_estimate=order, passed=bool(passed), rtol=SWEEP_RTOL)
 
 
 def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float]) -> SweepResult:
@@ -141,12 +146,7 @@ def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float
     per-R values are already at the limit and extrapolation is a no-op;
     the per-R inferred constant must then match the sharp one.
     """
-    n = m.dim
-    if not p > n:
-        raise ValueError(f"support sweep needs p > n, got p={p}, n={n}")
-    if len(r_grid) == 0:
-        raise ValueError("radius grid must be nonempty")
-    a = estimate_avr(m).point
+    n, a = _sweep_domain("support", m, p, r_grid)
     target = support_energy_limit(p, n, a)
     c_sharp = morrey_support_constant(p, n, a)
     rows = []
@@ -164,19 +164,8 @@ def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float
                 "target": target,
             }
         )
-    limit, order = richardson_limit([row["R"] for row in rows], [row["scaled_energy"] for row in rows])
     finite = all(math.isfinite(row["ratio"]) for row in rows)
-    passed = finite and abs(limit - target) <= SWEEP_RTOL * abs(target)
-    return SweepResult(
-        variable="R",
-        grid=[row["R"] for row in rows],
-        rows=rows,
-        limit=float(limit),
-        target=float(target),
-        order_estimate=order,
-        passed=bool(passed),
-        rtol=SWEEP_RTOL,
-    )
+    return _sweep_result(rows, "scaled_energy", target, finite)
 
 
 def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) -> SweepResult:
@@ -188,12 +177,7 @@ def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) ->
     constant estimate against the sharp constant; the last is the sweep
     limit.
     """
-    n = m.dim
-    if not p > n:
-        raise ValueError(f"L1 sweep needs p > n, got p={p}, n={n}")
-    if len(r_grid) == 0:
-        raise ValueError("radius grid must be nonempty")
-    a = estimate_avr(m).point
+    n, a = _sweep_domain("L1", m, p, r_grid)
     t_l1 = l1_norm_limit(p, n, a)
     t_energy = l1_energy_limit(p, n, a)
     height = l1_extremal_height(p, n)
@@ -218,26 +202,13 @@ def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) ->
                 "ratio": c_est / c_sharp,
             }
         )
-    limit, order = richardson_limit(
-        [row["R"] for row in rows], [row["constant_estimate"] for row in rows]
-    )
-    last, rtol = rows[-1], SWEEP_RTOL
-    passed = (
-        abs(limit - c_sharp) <= rtol * c_sharp
-        and abs(last["scaled_l1"] - t_l1) <= rtol * t_l1
-        and abs(last["scaled_energy"] - t_energy) <= rtol * t_energy
+    last = rows[-1]
+    holds = (
+        abs(last["scaled_l1"] - t_l1) <= SWEEP_RTOL * t_l1
+        and abs(last["scaled_energy"] - t_energy) <= SWEEP_RTOL * t_energy
         and all(row["sup_deviation"] <= 1e-9 * height for row in rows)
     )
-    return SweepResult(
-        variable="R",
-        grid=[row["R"] for row in rows],
-        rows=rows,
-        limit=float(limit),
-        target=float(c_sharp),
-        order_estimate=order,
-        passed=bool(passed),
-        rtol=rtol,
-    )
+    return _sweep_result(rows, "constant_estimate", c_sharp, holds)
 
 
 def hardy_test_family(p: float, n: int, delta: float, cap_radius: float = 0.01) -> RadialTestFunction:
@@ -505,12 +476,10 @@ def _default_hlp_weight(rng, n: int):
 def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityReport:
     n = m.dim
     u = random_decreasing_profile(rng)
-    if inequality == "morrey_support":
+    if inequality in ("morrey_support", "morrey_l1"):
         pp = float(p) if p is not None else n + float(rng.uniform(0.5, 3.0))
-        return verify_morrey_support(m, u, pp)
-    if inequality == "morrey_l1":
-        pp = float(p) if p is not None else n + float(rng.uniform(0.5, 3.0))
-        return verify_morrey_l1(m, u, pp)
+        check = verify_morrey_support if inequality == "morrey_support" else verify_morrey_l1
+        return check(m, u, pp)
     if inequality == "hardy":
         if n < 2:
             raise ValueError("Hardy suite needs n >= 2")

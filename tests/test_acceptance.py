@@ -252,6 +252,32 @@ def test_planted_hardy_coupling_defect_fails_criterion_11(monkeypatch):
     assert [r["shooting_gap"] > 1e-3 for r in rows] == [r["mu"] > 0 for r in rows]
 
 
+def _stub_explorer(monkeypatch, sup):
+    """Stub the plateau explorer with one profile of the given sup under
+    the truncation 4, the top of the first plateau [2, 4]."""
+    import numpy as np
+
+    from finsler_sharp import pde
+
+    prof = pde.CriticalProfile(grid=np.linspace(0.0, 1.0, 3), values=np.array([sup, 1.0, 0.0]),
+                               sup=sup, level=-1.0, residual=1e-11, truncation=4.0)
+    monkeypatch.setattr(cli, "multiplicity_explore", lambda *args, **kwargs: [prof])
+
+
+def test_plateau_sup_outside_its_plateau_fails_criterion_11(monkeypatch):
+    # the former gate, strictly increasing sups, held by construction: the
+    # explorer sorts and deduplicates its profiles, so one profile passed
+    # whatever its sup; a sup below its plateau [a_k, b_k] is no critical
+    # point of the untruncated energy and must turn criterion 11 red
+    _stub_explorer(monkeypatch, 2.5)
+    assert cli._mountain_pass(0)[0]
+    for sup in (1.9, 4.5):
+        _stub_explorer(monkeypatch, sup)
+        passed, detail = cli._mountain_pass(0)
+        assert not passed and detail["multiplicity_sups"] == [sup]
+    assert all(r["residual"] < 1e-10 for r in detail["mountain_pass"])
+
+
 def test_planted_scale_law_defect_fails_criterion_5(monkeypatch):
     # the eigen solver assumes the scale law, lam1 = (z / R)^2 for the first
     # zero z of the lam = 1 shot, so its R = 1 and R = 2 values cannot check

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from finsler_sharp import cli, pde
@@ -485,6 +486,19 @@ def test_pde_multiplicity_finds_three_plateau_sups(tmp_path, capsys):
         assert lo <= sup <= hi
     assert all((tmp_path / f"d_k{i}.csv").exists() for i in (1, 2, 3))
     capsys.readouterr()
+
+
+def test_pde_d_problem_reads_the_criterion_11_verdict(monkeypatch, capsys):
+    # the subcommand gated residuals only; it now applies criterion 11's
+    # plateau verdict, so a sup below its plateau [2, 4] exits 3
+    argv = ["pde", "--problem", "d-problem", "--n", "2", "--lam", "50", "--p", "4"]
+    for sup, code in ((2.5, 0), (1.9, 3)):
+        prof = pde.CriticalProfile(grid=np.linspace(0.0, 1.0, 3), values=np.array([sup, 1.0, 0.0]),
+                                   sup=sup, level=-1.0, residual=1e-11, truncation=4.0)
+        monkeypatch.setattr(cli, "multiplicity_explore", lambda *args, **kwargs: [prof])
+        assert run_cli(argv) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is (code == 0) and doc["summary"]["profiles"][0]["sup"] == sup
 
 
 def test_avr_exact_path(capsys):

@@ -69,9 +69,11 @@ def test_mu_domain_guard():
 def test_radial_energy_eigen_consistency():
     bvp = P.RadialBvp(n=2, radius=1.0)
     lam1, prof = P.first_eigenvalue(bvp)
-    a = P._RadialFunctional(bvp.grid(), bvp.n, 2.0).assemble(prof)
-    # for the eigenprofile, dirichlet = lam1 * l2 on the grid
-    assert a.dirichlet == pytest.approx(lam1 * a.l2, rel=1e-6)
+    # for the eigenprofile, dirichlet = lam1 * l2 under the midpoint rule on the grid
+    drho, _, shell = P._panels(bvp.grid(), bvp.n)
+    dirichlet = np.sum((np.diff(prof) / drho) ** 2 * shell * drho)
+    l2 = np.sum((0.5 * (prof[1:] + prof[:-1])) ** 2 * shell * drho)
+    assert dirichlet == pytest.approx(lam1 * l2, rel=1e-6)
 
 
 MP_SETS = [
@@ -193,11 +195,24 @@ def test_multiplicity_explorer_finds_distinct_plateau_profiles():
         assert any(lo - 1e-3 <= c.sup <= hi + 1e-3 for lo, hi in windows)
 
 
-def test_multiplicity_needs_exponent():
+def test_solvers_refuse_arguments_that_disagree_with_the_bvp():
+    # each solver takes its exponent, nonlinearity and coupling as keywords
+    # and its problem from the bvp: a keyword the bvp disagrees with used
+    # to be solved silently (a power 5 problem at p = 3, an "eigen" bvp as
+    # a power problem), and is now refused before any shot
+    for nonlinearity in (("power", 5.0), "eigen", ("general", P.OscillatoryNonlinearity(3.0))):
+        with pytest.raises(ValueError, match="nonlinearity"):
+            P.mountain_pass_solve(P.RadialBvp(n=3, radius=1.0, nonlinearity=nonlinearity), p=3.0)
     nl = P.OscillatoryNonlinearity(4.0)
     bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
-    with pytest.raises(ValueError):
-        P.multiplicity_explore(bvp, h=nl, lam=50.0, k_max=2)
+    t0 = time.time()
+    for h, lam in ((P.OscillatoryNonlinearity(4.0), 50.0), (nl, 20.0)):
+        with pytest.raises(ValueError, match="bvp's"):
+            P.multiplicity_explore(bvp, h=h, lam=lam, k_max=1, p=4.0)
+    with pytest.raises(ValueError, match="bvp's"):
+        P.multiplicity_explore(P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("power", 4.0)),
+                               h=nl, lam=50.0, k_max=1, p=4.0)
+    assert time.time() - t0 < 0.5  # raised at entry, before any minimization
 
 
 # -- the shared assembly and the projected Newton loop ------------------------
@@ -375,7 +390,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def _eigen_case(rng):
+def _cosine_case(rng):
     rho = P.RadialBvp(n=3, radius=1.0, n_nodes=257).grid()
     u = np.cos(0.5 * math.pi * rho) * (1.0 + 0.3 * rng.uniform(size=rho.size))
     u[-1] = 0.0
@@ -394,12 +409,8 @@ def _rise_case(rng):
 def test_assembly_gradient_matches_reference_bit_for_bit(rng):
     won3, won2 = omega_n(3), omega_n(2)
     for _ in range(5):
-        rho, u = _eigen_case(rng)
+        rho, u = _cosine_case(rng)
         # gradient() alone, as the Newton trials call it
-        eigen = P._RadialFunctional(rho, 3, 2.0, 4.0, 0.2).gradient(u)
-        ref = _ref_grad_quadratic(u, rho, 3, 0.2, 4.0, None, won3)
-        assert np.array_equal(_bits(eigen), _bits(ref))
-
         q = 3.5
         power = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, P._power(q)).gradient(u)
         ref = _ref_grad_quadratic(u, rho, 3, 0.2, -5.0, lambda s: np.maximum(s, 0.0) ** (q - 1), won3)
@@ -407,7 +418,7 @@ def test_assembly_gradient_matches_reference_bit_for_bit(rng):
 
         rho, u = _rise_case(rng)
         h = P.OscillatoryNonlinearity(4.0)
-        a = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H_and_h, h.h, h.dh)).assemble(u)
+        a = P._RadialFunctional(rho, 2, 4.0, 0.0, 0.0, (50.0, h.H_and_h, h.h, h.dh)).assemble(u)
         ref = _ref_grad_plaplace(u, rho, 2, 4.0, 50.0, h.h, won2)
         assert np.any(h.h(0.5 * (u[1:] + u[:-1])) > 0.0)
         assert np.array_equal(_bits(a.grad), _bits(ref))
@@ -424,18 +435,17 @@ def _fd_jacobian(f, u, step=1e-6):
     return jac / f.nw
 
 
-@pytest.mark.parametrize("family", ["eigen", "power", "oscillatory"])
+@pytest.mark.parametrize("family", ["power", "oscillatory"])
 def test_hessian_band_matches_finite_difference_jacobian(family, rng):
     if family == "oscillatory":
         rho, u = _rise_case(rng)
         h = P.OscillatoryNonlinearity(4.0)
-        f = P._RadialFunctional(rho, 2, 4.0, nl=(50.0, h.H_and_h, h.h, h.dh))
+        f = P._RadialFunctional(rho, 2, 4.0, 0.0, 0.0, (50.0, h.H_and_h, h.h, h.dh))
     else:
         rho = P.RadialBvp(n=3, radius=1.0, n_nodes=49).grid()
         u = np.cos(0.5 * math.pi * rho) * (1.0 + 0.3 * rng.uniform(size=rho.size))
         u[-1] = 0.0
-        nl = P._power(3.5) if family == "power" else None
-        f = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, nl)
+        f = P._RadialFunctional(rho, 3, 2.0, -5.0, 0.2, P._power(3.5))
     band = f.hessian(u)
     jac = _fd_jacobian(f, u)
     size = float(np.max(np.abs(band)))
@@ -510,10 +520,11 @@ def test_multiplicity_rejects_nonlinearity_without_dh():
         p = nl.p
         h, H, plateau = nl.h, nl.H, nl.plateau
 
-    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl))
+    h = NoDerivative()
+    bvp = P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", h))
     t0 = time.time()
     with pytest.raises(ValueError, match="dh"):
-        P.multiplicity_explore(bvp, h=NoDerivative(), lam=50.0, k_max=1, p=4.0)
+        P.multiplicity_explore(bvp, h=h, lam=50.0, k_max=1, p=4.0)
     assert time.time() - t0 < 0.5  # raised at entry, before any minimization
 
 

@@ -706,9 +706,10 @@ def test_float_route_gives_the_0d_bits_without_warnings(f, pts):
             assert float(y).hex() == float(f(np.asarray(x))).hex(), x
 
 
-def test_split_rejects_unknown_representation(e2):
-    with pytest.raises(TypeError):
-        V.verify_morrey_support(e2, np.ones(4), 4.0)
+@pytest.mark.parametrize("check", [V.verify_morrey_support, V.verify_morrey_l1])
+def test_sup_norm_checks_reject_unknown_representation(e2, check):
+    with pytest.raises(TypeError, match="unsupported function representation"):
+        check(e2, np.ones(4), 4.0)
 
 
 def test_divergent_energy_is_flagged_vacuous(e2):
