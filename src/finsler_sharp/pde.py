@@ -10,8 +10,9 @@ and v solves the problem without it in dimension d = n + 2s.  Every shot
 runs the compiled DOP853 of scipy's ode, one per thread and tolerance for
 all solves, with right-hand sides in Python floats, each recording its
 accepted steps and stopping at the first that ends with v < 0.  The
-eigenvalue takes one shot of the scale-free lam = 1 problem, whose first
-zero z gives lam1 = (z / R)^2; the amplitude's bracket and brentq read
+eigenvalue takes one lam = 1 shot per regular dimension d per process: the
+shot of the scale-free problem depends on d alone, and its first zero z
+gives lam1 = (z / R)^2 at every R.  The amplitude's bracket and brentq read
 v(R), or v extrapolated to R along the step that crossed zero before R, and
 the profile comes from the steps of brentq's own shot at the root.  DOP853's
 continuous output is rebuilt from the steps in one numpy pass (_dense_shot)
@@ -323,13 +324,14 @@ def _regular_variable(bvp: RadialBvp):
     return s, bvp.n + 2.0 * s
 
 
-def _frobenius_start(bvp: RadialBvp, lam: float, amplitude: float, p, rho):
+def _frobenius_start(regular, lam: float, amplitude: float, p, rho):
     """(v, W = rho^(d-1) v') at rho of the branch v(0) = a of (rho^(d-1) v')'
-    = rho^(d-1) (k v - rho^t v_+^(p-1)), t = s (p - 2): k = -lam and no power
-    term for the eigen problem (p None), k = lam for the ground states.  Two
-    terms, v = a (1 + k rho^2 / 2d) - a^(p-1) rho^(2+t) / ((2+t)(d+t)), the
-    first omitted O(rho^(4+2t)); the shots start on it at eps = 1e-6 R."""
-    s, d = _regular_variable(bvp)
+    = rho^(d-1) (k v - rho^t v_+^(p-1)), t = s (p - 2), (s, d) = regular: k =
+    -lam and no power term (nor s) for the eigen problem (p None), k = lam
+    for the ground states.  Two terms, v = a (1 + k rho^2 / 2d) - a^(p-1)
+    rho^(2+t) / ((2+t)(d+t)), the first omitted O(rho^(4+2t)); the shots
+    start on it at eps = 1e-6 R."""
+    s, d = regular
     c2 = (-lam if p is None else lam) / (2.0 * d)
     v, w = amplitude * (1.0 + c2 * rho ** 2), amplitude * (2.0 * c2 * rho ** d)
     if p is not None:
@@ -390,6 +392,11 @@ class _DenseShot(NamedTuple):
 
         return v
 
+    def frozen(self) -> "_DenseShot":
+        for a in self:
+            a.setflags(write=False)
+        return self
+
     def scaled(self, k: float, w: float) -> "_DenseShot":
         """The same shot in rho = k t, where W is w times the W of t: x is
         scale-free, so the coefficients scale as the rows they belong to."""
@@ -411,15 +418,16 @@ def _dense_shot(field, t, y) -> _DenseShot:
     return _DenseShot(t, y, np.concatenate((low, h * np.tensordot(_DOP.D, k, 1))))
 
 
-def _shooters(bvp: RadialBvp, span, rhs, field, rtol: float, atol: float, p=None):
+def _shooters(regular, span, rhs, field, rtol: float, atol: float, p=None):
     """(endpoint, dense) shots of rhs(rho, y), y = (v, W), on span = (eps,
-    end) from _frobenius_start at (lam, amplitude) and eps.  Each pair is
-    shot once, on this thread's compiled DOP853 (see _integrator), which
-    records the accepted steps and stops at the first that ends with v < 0.
-    endpoint returns the (t, v, W) of the last two steps' ends; dense the
-    _dense_shot of every step, for which field is rhs on arrays of shape
-    (2, m).  Each shot hands rhs to the ode as its .f and its own solout,
-    so the shooters of several solves may interleave."""
+    end) from _frobenius_start at regular = (s, d), (lam, amplitude) and
+    eps.  Each pair is shot once, on this thread's compiled DOP853 (see
+    _integrator), which records the accepted steps and stops at the first
+    that ends with v < 0.  endpoint returns the (t, v, W) of the last two
+    steps' ends; dense the _dense_shot of every step, for which field is
+    rhs on arrays of shape (2, m).  Each shot hands rhs to the ode as its
+    .f and its own solout, so the shooters of several solves may
+    interleave."""
     eps, end = span
     solver = _integrator(rtol, atol)
     shots = {}
@@ -434,7 +442,7 @@ def _shooters(bvp: RadialBvp, span, rhs, field, rtol: float, atol: float, p=None
 
             solver.f = rhs
             solver.set_solout(record)
-            solver.set_initial_value(list(_frobenius_start(bvp, lam, amplitude, p, eps)), eps)
+            solver.set_initial_value(list(_frobenius_start(regular, lam, amplitude, p, eps)), eps)
             solver.integrate(end)
             if not solver.successful():
                 raise RuntimeError(f"shooting failed with DOP853 status {solver.get_return_code()}")
@@ -451,18 +459,11 @@ def _shooters(bvp: RadialBvp, span, rhs, field, rtol: float, atol: float, p=None
     return endpoint, dense
 
 
-def _eigen_solve(bvp: RadialBvp):
-    """(lam1, nodal profile, dense shot in rho) from one shot.  In v the
-    equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so v(rho;
-    lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 = (z / R)^2
-    for its first zero z = j_(d/2-1).  The Rayleigh sums of the Bessel zeros,
-    sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound z^2 <
-    d (d + 2) < (d + 1)^2, so the shot runs from 1e-8 (where the series
-    head's integrals in eigen_quotient omit a relative O(1e-16)) toward
-    d + 1 and stops at the step that crosses z; z is the root of that step's
-    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into
-    (R / z)^(d-2) W."""
-    _, d = _regular_variable(bvp)
+@lru_cache(maxsize=64)
+def _unit_eigen_shot(d: float):
+    """(dense shot, z) of the lam = 1 eigen problem in the regular dimension
+    d and its first zero z, which depend on d alone: one shot per d per
+    process, its arrays read-only, serves every radius (see _eigen_solve)."""
     dm1 = d - 1
 
     def rhs(t, y):
@@ -474,11 +475,26 @@ def _eigen_solve(bvp: RadialBvp):
         r = t ** dm1
         return np.array([y[1] / r, -r * y[0]])
 
-    _, dense = _shooters(bvp, (1e-8, d + 1.0), rhs, field, 1e-13, 1e-15)
+    _, dense = _shooters((None, d), (1e-8, d + 1.0), rhs, field, 1e-13, 1e-15)
     shot = dense(1.0, 1.0)  # lam and amplitude
     if not shot.y[0, -1] < 0.0:
         raise RuntimeError(f"the eigen shot reached t = {shot.t[-1]} without a sign change of v")
-    z = optimize.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], xtol=1e-15)
+    return shot.frozen(), optimize.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], xtol=1e-15)
+
+
+def _eigen_solve(bvp: RadialBvp):
+    """(lam1, nodal profile, dense shot in rho) from the one lam = 1 shot per
+    regular dimension d per process (_unit_eigen_shot), scaled to R per call.
+    In v the equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so
+    v(rho; lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 =
+    (z / R)^2 for its first zero z = j_(d/2-1).  The Rayleigh sums of the
+    Bessel zeros, sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound
+    z^2 < d (d + 2) < (d + 1)^2, so the shot runs from 1e-8 (where the series
+    head's integrals in eigen_quotient omit a relative O(1e-16)) toward d + 1
+    and stops at the step that crosses z; z is the root of that step's
+    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into (R / z)^(d-2) W."""
+    _, d = _regular_variable(bvp)
+    shot, z = _unit_eigen_shot(d)
     k = bvp.radius / z
     sol = shot.scaled(k, k ** (d - 2.0))
     lam1 = 1.0 / (k * k)
@@ -489,8 +505,8 @@ def _eigen_solve(bvp: RadialBvp):
 
 def first_eigenvalue(bvp: RadialBvp):
     """Smallest value of the spectral parameter with a positive radial
-    solution vanishing at R, from one scaled shot (see _eigen_solve).
-    Returns (value, nodal profile)."""
+    solution vanishing at R, from the one lam = 1 shot per regular dimension
+    d per process (see _eigen_solve).  Returns (value, nodal profile)."""
     lam1, prof, _ = _eigen_solve(bvp)
     return lam1, prof
 
@@ -500,11 +516,11 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=
     below the shooting start.  The singular branch (s < 0, mu > 0) is
     unbounded at 0; the origin node gets the first positive node's value,
     which the graded quadratures cannot distinguish."""
-    s, _ = _regular_variable(bvp)
+    s, d = _regular_variable(bvp)
     eps = sol.t[0]
     vals = np.empty_like(rho)
     inner = (rho < eps) & (rho > 0.0)
-    vals[inner] = rho[inner] ** s * _frobenius_start(bvp, lam, amplitude, p, rho[inner])[0]
+    vals[inner] = rho[inner] ** s * _frobenius_start((s, d), lam, amplitude, p, rho[inner])[0]
     outer = rho >= eps
     capped = np.minimum(rho[outer], sol.t[-1])
     vals[outer] = capped ** s * sol(capped)[0]
@@ -514,11 +530,12 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=
 
 def eigen_quotient(bvp: RadialBvp):
     """(lam1, quotient of the eigenprofile, parts with "profile") from
-    first_eigenvalue's dense shot of (v, W): u = rho^s v, and the Dirichlet
-    integral takes the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The
-    tails take 8-point Gauss-Legendre on each step of the shot, cut at R,
-    where the interpolant is one polynomial: in rho for s = 0, and in log
-    rho, where the rho^(d-3) head is smooth, for s != 0."""
+    first_eigenvalue's dense shot of (v, W), one lam = 1 shot per regular
+    dimension d per process: u = rho^s v, and the Dirichlet integral takes
+    the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The tails take
+    8-point Gauss-Legendre on each step of the shot, cut at R, where the
+    interpolant is one polynomial: in rho for s = 0, and in log rho, where
+    the rho^(d-3) head is smooth, for s != 0."""
     lam1, prof, sol = _eigen_solve(bvp)
     n, eps, mu, (s, d) = bvp.n, sol.t[0], bvp.mu, _regular_variable(bvp)
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
@@ -566,7 +583,7 @@ def _ground_shots(bvp: RadialBvp, p: float):
         r = rho ** dm1
         return np.array([y[1] / r, r * (lam * y[0] - rho ** t * np.maximum(y[0], 0.0) ** pm1)])
 
-    endpoint, dense = _shooters(bvp, (1e-6 * bvp.radius, bvp.radius), rhs, field, 1e-11, 1e-13, p)
+    endpoint, dense = _shooters((s, d), (1e-6 * bvp.radius, bvp.radius), rhs, field, 1e-11, 1e-13, p)
 
     def gap(amplitude):
         (t0, v0, _), (t1, v1, _) = endpoint(lam, amplitude)
@@ -743,6 +760,8 @@ def multiplicity_explore(bvp: RadialBvp, h: OscillatoryNonlinearity, lam: float,
     if bvp.nonlinearity != ("general", h) or lam != bvp.lam:
         raise ValueError(f"h and lam must be the bvp's: {bvp.nonlinearity!r} and {bvp.lam}, "
                          f"got {h!r} and {lam}")
+    if p != getattr(h, "p", p):
+        raise ValueError(f"p must be h's own exponent {h.p}, got {p}")
     if not hasattr(h, "dh"):
         raise ValueError("the Newton polish needs the derivative h.dh of the nonlinearity")
     lam = float(lam)

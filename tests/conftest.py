@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finsler_sharp import pde
 from finsler_sharp.manifold import euclidean_instance, f_eps_instance, minkowski_instance
 from finsler_sharp.norms import lp_norm, normalize
 
@@ -26,6 +27,16 @@ def pytest_configure(config):
 def pytest_runtest_setup(item):
     if item.get_closest_marker("pinned_build") is not None and not _on_pinned_build():
         pytest.skip("bits pinned on another build")
+
+
+@pytest.fixture(autouse=True)
+def cold_unit_eigen_shots():
+    """Every test starts and ends with no cached lam = 1 eigen shot, so a test
+    that spies on the shots sees its own, and a shot from a planted route
+    reaches no later test."""
+    pde._unit_eigen_shot.cache_clear()
+    yield
+    pde._unit_eigen_shot.cache_clear()
 
 
 @pytest.fixture(scope="session")

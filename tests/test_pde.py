@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -212,6 +213,11 @@ def test_solvers_refuse_arguments_that_disagree_with_the_bvp():
     with pytest.raises(ValueError, match="bvp's"):
         P.multiplicity_explore(P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("power", 4.0)),
                                h=nl, lam=50.0, k_max=1, p=4.0)
+    # an exponent other than h's own: on 33 nodes p = 6 used to return the
+    # sups 0.000698, 0.00419 and 2.00178 of a p-energy that h does not fit
+    with pytest.raises(ValueError, match="exponent 4.0, got 6.0"):
+        P.multiplicity_explore(P.RadialBvp(n=2, radius=1.0, lam=50.0, nonlinearity=("general", nl), n_nodes=33),
+                               h=nl, lam=50.0, k_max=3, p=6.0)
     assert time.time() - t0 < 0.5  # raised at entry, before any minimization
 
 
@@ -551,13 +557,18 @@ class _RefShot(NamedTuple):
         return _RefShot(k * self.t, np.array([[1.0], [w]]) * self.y,
                         lambda r: (self.sol(r / k).T * [1.0, w]).T)
 
+    def frozen(self):
+        self.t.setflags(write=False)
+        self.y.setflags(write=False)
+        return self
 
-def _ref_shooters(bvp, span, rhs, field, rtol, atol, p=None):
+
+def _ref_shooters(regular, span, rhs, field, rtol, atol, p=None):
     from scipy import integrate
 
     def dense(lam, amplitude):
         eps, end = span
-        y0 = list(P._frobenius_start(bvp, lam, amplitude, p, eps))
+        y0 = list(P._frobenius_start(regular, lam, amplitude, p, eps))
         solver = integrate.DOP853(rhs, eps, y0, end, rtol=rtol, atol=atol)
         t, y, pieces = [eps], [solver.y.copy()], []
         while solver.status == "running" and not y[-1][0] < 0.0:
@@ -574,6 +585,13 @@ def _ref_shooters(bvp, span, rhs, field, rtol, atol, p=None):
     return endpoint, dense
 
 
+def _plant_shooters(monkeypatch, shooters):
+    """Route every shot through shooters, and clear the cached lam = 1 eigen
+    shots so that the eigen solves shoot through it too."""
+    monkeypatch.setattr(P, "_shooters", shooters)
+    P._unit_eigen_shot.cache_clear()
+
+
 def _mp_bvp(n, radius, mu, lam, p, s):
     # R -> sR with lambda -> lambda/s^2 rescales the same ground state
     return P.RadialBvp(n=n, radius=radius * s, mu=mu, lam=lam / s**2, nonlinearity=("power", p))
@@ -584,8 +602,10 @@ def test_eigen_shots_match_the_solve_ivp_reference(monkeypatch):
         bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
         lam1, quotient, parts = P.eigen_quotient(bvp)
         with monkeypatch.context() as m:
-            m.setattr(P, "_shooters", _ref_shooters)
+            _plant_shooters(m, _ref_shooters)
             ref_lam1, ref_quotient, _ = P.eigen_quotient(bvp)
+            assert isinstance(P._unit_eigen_shot(P._regular_variable(bvp)[1])[0], _RefShot)
+        P._unit_eigen_shot.cache_clear()  # the reference shot stays behind
         assert abs(lam1 / ref_lam1 - 1.0) < 1e-12
         assert abs(quotient / ref_quotient - 1.0) < 1e-12
         # eigen_quotient reads first_eigenvalue's own dense shot
@@ -612,8 +632,9 @@ def test_ground_state_shots_match_the_solve_ivp_reference(s, monkeypatch):
         bvp = _mp_bvp(*case, s)
         sol = P.mountain_pass_solve(bvp, p=case[-1])
         with monkeypatch.context() as m:
-            m.setattr(P, "_shooters", _ref_shooters)
+            _plant_shooters(m, _ref_shooters)
             ref = P.mountain_pass_solve(bvp, p=case[-1])
+        P._unit_eigen_shot.cache_clear()
         assert abs(sol.level / ref.level - 1.0) < 1e-14
         assert sol.residual < 1e-11
 
@@ -637,12 +658,15 @@ def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
     # and field, or in the eigen shot's rescaling to rho, leaves u(R) far
     # from 0; the eigen shot's last step ends past the zero, at rho > R
     calls = _spy(monkeypatch, P, "_dense_shot")
+    P._unit_eigen_shot.cache_clear()
     eigen = [(P._eigen_solve(P.RadialBvp(n=n, radius=radius, mu=mu))[2], radius)
              for n, radius, mu in EIGEN_GRID[::3]]
     for case in MP_SETS:
         P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
-    assert len(calls) == 4 + len(MP_SETS)  # one dense shot per solve
-    ground = [(sol, case[1]) for (_, sol), case in zip(calls[4:], MP_SETS)]
+    # one dense shot per ground solve and per regular dimension: the first
+    # two eigen cases, (2, 1, 0) and (2, 1.7, 0), share d = 2
+    assert len(calls) == 3 + len(MP_SETS)
+    ground = [(sol, case[1]) for (_, sol), case in zip(calls[3:], MP_SETS)]
     for sol, radius in eigen + ground:
         assert abs(sol(radius)[0]) < 1e-9 * np.max(np.abs(sol.y[0]))
     for sol, radius in eigen:
@@ -668,7 +692,7 @@ def _dense_pairs(monkeypatch):
 
         return endpoint, both
 
-    monkeypatch.setattr(P, "_shooters", shooters)
+    _plant_shooters(monkeypatch, shooters)
     return pairs
 
 
@@ -683,7 +707,8 @@ def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
         P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
     for case in MP_SETS:
         P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
-    assert len(pairs) == 6 + len(MP_SETS)
+    # one eigen shot per regular dimension: (2, 1, 0) and (2, 2, 0) share d = 2
+    assert len(pairs) == 5 + len(MP_SETS)
     for rho, new, ref in pairs:
         rho = rho[(rho >= new.t[0]) & (rho <= min(new.t[-1], ref.t[-1]))]
         want = ref(rho)
@@ -709,7 +734,7 @@ def _ground_root(monkeypatch, bvp, p):
 
         return spy, dense
 
-    monkeypatch.setattr(P, "_shooters", shooters)
+    _plant_shooters(monkeypatch, shooters)
     return amp, P._ground_shots(bvp, p)[0], ends
 
 
@@ -782,14 +807,56 @@ def test_ground_solves_take_at_most_11_shots(s, monkeypatch):
 def test_eigen_solves_take_one_shot(n, radius, mu, monkeypatch):
     # v(rho; lam) = V(sqrt(lam) rho), so one shot of V to the step that
     # crosses its first zero gives lam1; the secant from the left that this
-    # replaced took 9 to 11 shots per solve
+    # replaced took 9 to 11 shots per solve.  The shot depends on d alone,
+    # so the quotient on the same bvp reads it and shoots none
     shots = _spy(monkeypatch, P.integrate.ode, "integrate")
+    P._unit_eigen_shot.cache_clear()
     bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
     P.first_eigenvalue(bvp)
     assert len(shots) == 1
     P.eigen_quotient(bvp)
+    assert len(shots) == 1
+    assert all(y[0] < 0.0 for _, y in shots)  # stopped past the zero
+
+
+def _eigen_fingerprint(n, radius, mu):
+    bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
+    lam1, prof = P.first_eigenvalue(bvp)
+    _, quotient, parts = P.eigen_quotient(bvp)
+    return lam1.hex(), prof.tobytes(), quotient.hex(), parts["l2"].hex(), parts["profile"].tobytes()
+
+
+def test_unit_eigen_shots_are_kept_per_regular_dimension(monkeypatch):
+    # the lam = 1 shot and its zero depend on d = n + 2s alone: a cold
+    # solve shoots once, the quotient on the same bvp and the same (n, mu)
+    # at another R read the kept shot, and a new mu shoots again
+    shots = _spy(monkeypatch, P.integrate.ode, "integrate")
+    P._unit_eigen_shot.cache_clear()
+    P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.2))
+    assert len(shots) == 1
+    P.eigen_quotient(P.RadialBvp(n=3, radius=1.0, mu=0.2))
+    P.eigen_quotient(P.RadialBvp(n=3, radius=2.5, mu=0.2))
+    P.first_eigenvalue(P.RadialBvp(n=3, radius=0.4, mu=0.2))
+    assert len(shots) == 1
+    P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.1))
     assert len(shots) == 2
-    assert all(y[0] < 0.0 for _, y in shots)  # each stopped past the zero
+    # warm solves give the bits of cold ones, the profiles and parts too
+    cold = []
+    for case in EIGEN_GRID:
+        P._unit_eigen_shot.cache_clear()
+        cold.append(_eigen_fingerprint(*case))
+    shots.clear()
+    P._unit_eigen_shot.cache_clear()
+    for case in EIGEN_GRID:
+        _eigen_fingerprint(*case)
+    assert len(shots) == 9  # EIGEN_GRID's 12 cases have 9 regular dimensions
+    assert [_eigen_fingerprint(*case) for case in EIGEN_GRID] == cold
+    assert len(shots) == 9
+    # every solve shares the kept arrays, so none may write to them
+    shot, _ = P._unit_eigen_shot(P._regular_variable(P.RadialBvp(n=3, radius=1.0, mu=0.2))[1])
+    for a in shot:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.1], ids=["one", "no-root"])
@@ -803,7 +870,7 @@ def test_eigen_secant_that_cannot_converge_raises(weight, monkeypatch):
         return real(bvp, span, lambda t, y: [x * c for x, c in zip(rhs(t, y), (1.0, weight))],
                     lambda t, y: field(t, y) * [[1.0], [weight]], *args)
 
-    monkeypatch.setattr(P, "_shooters", shooters)
+    _plant_shooters(monkeypatch, shooters)
     with pytest.raises(RuntimeError, match="without a sign change"):
         P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.2))
 
@@ -990,7 +1057,7 @@ def test_ground_state_start_matches_a_high_precision_integration(n, radius, mu, 
     # was 7.6e-10 off in u and 3.2e-9 in w at (3, 1, 0.2, -5, 4)
     bvp = P.RadialBvp(n=n, radius=radius, mu=mu, lam=lam, nonlinearity=("power", p))
     eps, s = 1e-6 * radius, bvp.frobenius_exponent()
-    v, w = P._frobenius_start(bvp, lam, 1.0, p, eps)
+    v, w = P._frobenius_start(P._regular_variable(bvp), lam, 1.0, p, eps)
     u0, w0 = eps ** s * v, s * eps ** (n + s - 2) * v + eps ** -s * w
     u_ref, w_ref = _mp_ground_start(n, radius, mu, lam, p)
     assert abs(u0 / u_ref - 1.0) < 1e-12
@@ -1008,6 +1075,7 @@ def test_singular_eigen_shot_takes_few_steps(monkeypatch):
     # the one shot of the lam = 1 problem runs to the step past its zero z
     # at rtol 1e-13 in 53-61 (25-47 for mu = 0)
     calls = _spy(monkeypatch, P, "_dense_shot")
+    P._unit_eigen_shot.cache_clear()
     for n, radius, mu in EIGEN_GRID:
         if mu > 0.0:
             P.first_eigenvalue(P.RadialBvp(n=n, radius=radius, mu=mu))
@@ -1111,6 +1179,7 @@ def test_shots_reuse_one_integrator_per_thread(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(P.integrate.ode, "integrate", spy)
+    P._unit_eigen_shot.cache_clear()
     bvp = P.RadialBvp(n=3, radius=1.0, mu=0.2)
     lam1, _ = P.first_eigenvalue(bvp)
     P.first_eigenvalue(P.RadialBvp(n=4, radius=2.0, mu=0.9))
@@ -1123,6 +1192,7 @@ def test_shots_reuse_one_integrator_per_thread(monkeypatch):
     assert {tid for tid, _ in shots} == {threading.get_ident()}
 
     other = []
+    P._unit_eigen_shot.cache_clear()  # the other thread shoots bvp's d again
     thread = threading.Thread(target=lambda: other.append(P.first_eigenvalue(bvp)[0]))
     thread.start()
     thread.join(timeout=60.0)
@@ -1131,15 +1201,25 @@ def test_shots_reuse_one_integrator_per_thread(monkeypatch):
     assert solver not in eigen | ground
 
 
-def test_concurrent_solves_keep_their_bits():
+def test_concurrent_solves_keep_their_bits(monkeypatch):
     # more threads than cores, switching often, each shooting on its own
-    # integrators: a shot that ran another thread's rhs would move the bits
+    # integrators: a shot that ran another thread's rhs would move the bits.
+    # Each solve clears the cached lam = 1 shots first, and no two cases
+    # share a regular dimension, so every solve shoots on its own thread
     cases = [(3, 1.0, 0.2), (4, 2.0, 0.9), (2, 1.7, 0.0), (3, 0.7, 0.24)]
     expected = [P.first_eigenvalue(P.RadialBvp(*case))[0] for case in cases]
     got = [[] for _ in cases]
+    shooters, real = [], P.integrate.ode.integrate
+
+    def spy(self, *args, **kwargs):
+        shooters.append(threading.current_thread())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(P.integrate.ode, "integrate", spy)
 
     def work(i):
         for _ in range(3):
+            P._unit_eigen_shot.cache_clear()
             got[i].append(P.first_eigenvalue(P.RadialBvp(*cases[i]))[0])
 
     interval = sys.getswitchinterval()
@@ -1154,6 +1234,7 @@ def test_concurrent_solves_keep_their_bits():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[lam1] * 3 for lam1 in expected]
+    assert collections.Counter(shooters) == {thread: 3 for thread in threads}
 
 
 @pytest.mark.parametrize("n,radius,mu,lam,p", [(2, 1.0, 0.0, 0.0, 400.0), (2, 1.0, 0.0, 1e4, 40.0)])
