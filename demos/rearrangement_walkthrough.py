@@ -43,7 +43,7 @@ print(f"gap against the 1% taller profile   = {equimeasurability_gap(u, m, talle
 
 banner("Lq norms by exact radial quadrature")
 for q in (1.0, 2.0, 4.0):
-    print(f"q = {q:3.1f}:  ||u||_q = {lq_norm_radial(u, q, m.dim):.10f}")
+    print(f"q = {q:3.1f}:  ||u||_q = {lq_norm_radial(u, q, m.dim)[0]:.10f}")
 
 banner("Polya-Szego: equality for a radial source")
 rep = polya_szego_check(u, m, 2.0)

@@ -1,9 +1,8 @@
 """Shared small helpers: the descriptor parser, seeded RNG spawning, graded
-grids, Gauss-Legendre nodes, the Monte-Carlo box sampler, panel quadrature."""
+grids, Gauss-Legendre nodes, the Monte-Carlo box sampler, tanh-sinh panel quadrature."""
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
@@ -148,82 +147,95 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
     return scale * phat, scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
-def _panels(a, b, points):
-    """(lo, hi) of each nonempty panel of [a, b] split at the interior points."""
-    pts = sorted(float(p) for p in points if a < p < b)
-    return [(lo, hi) for lo, hi in zip([a] + pts, pts + [b]) if hi > lo]
+# tanh-sinh (Takahashi & Mori 1974) at the steps 2^-level of LEVELS, with t up
+# to T_MAX, where a node lies about 1e-275 half-widths from its panel end
+T_MAX, LEVELS = 6.0, range(2, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int):
+    """(distance to the nearer end, weight) of the nodes a level adds on a panel of half-width 1:
+    t = j 2^-level <= T_MAX, every j >= 0 at the first level (t = 0 from each end at half weight)
+    and odd j after."""
+    first = level == LEVELS[0]
+    t = np.arange(1 - first, int(T_MAX * 2**level) + 1, 2 - first) * 2.0**-level
+    u = 0.5 * math.pi * np.sinh(t)
+    return np.exp(-u) / np.cosh(u), np.where(t > 0, 0.5, 0.25) * math.pi * np.cosh(t) / np.cosh(u) ** 2
+
+
+class Nodes(np.ndarray):
+    """The engine's radii end + off, carrying .end, each node's nearer panel end, and .off, its
+    signed offset from it: a callback with a singular factor at a kink forms the distance to it
+    as (kink - end) - off, which stays exact where end + off rounds."""
+
+
+def panel_quad(fn, lo, hi):
+    """Tanh-sinh quadrature of fn on each panel [lo[i], hi[i]]: per-panel (values, error
+    estimates, converged) arrays.
+
+    fn takes a 1-D Nodes array and returns its values; it runs under np.errstate(all="ignore").
+    Level l makes one call, on the odd nodes at step 2^-l of every panel still open.  A panel
+    closes once two successive levels agree to epsabs 1e-12 or epsrel 1e-10, its terms at
+    T_MAX (the truncation estimate) added to the gap.  A non-finite term is dropped where the
+    finite terms beside it are below 1e-17 of the sum (fn overflowing at an end whose weight
+    vanishes); any other, a truncation estimate above the tolerance, or the last level leaves
+    the panel unconverged.
+    """
+    half = 0.5 * (hi - lo)[:, None, None] * np.array([[1.0], [-1.0]])  # signed, from each end
+    ends = np.stack([lo, hi], axis=1)[:, :, None]
+    values, errors, converged = np.zeros(len(lo)), np.full(len(lo), math.inf), np.zeros(len(lo), bool)
+    open_, terms, previous = np.arange(len(lo)), None, math.inf
+    for level in LEVELS:
+        if not open_.size:
+            break
+        dist, weight = _tanh_sinh_level(level)
+        off = half[open_] * dist
+        end = np.repeat(ends[open_], len(dist), axis=2)
+        nodes = (end + off).ravel().view(Nodes)
+        nodes.end, nodes.off = end.ravel(), off.ravel()
+        with np.errstate(all="ignore"):
+            new = fn(nodes).reshape(off.shape) * np.abs(half[open_]) * weight
+        if terms is None:
+            terms = new
+        else:  # the earlier terms take the even places of the finer step
+            terms, old = np.empty(new.shape[:2] + (2 * new.shape[2] + 1,)), terms
+            terms[..., 0::2], terms[..., 1::2] = old, new
+        finite = np.isfinite(terms)
+        clean = terms if finite.all() else np.where(finite, terms, 0.0)
+        value = 2.0**-level * clean.sum(axis=(1, 2))
+        tol = np.maximum(1e-12, 1e-10 * np.abs(value))
+        lost = np.zeros(len(open_), bool)
+        if clean is not terms:  # the larger finite neighbour of each non-finite term
+            mag, beside = np.abs(clean), np.zeros(clean.shape)
+            beside[..., 1:], beside[..., :-1] = mag[..., :-1], np.maximum(mag[..., :-1], mag[..., 1:])
+            lost = 2.0**-level * np.where(finite, 0.0, beside).max(axis=(1, 2)) > 1e-17 * np.abs(value)
+        tail = np.abs(clean[..., -1]).sum(axis=1)
+        error = np.abs(value - previous) + tail
+        done = (error <= tol) & ~lost
+        values[open_], errors[open_], converged[open_] = value, error, done
+        keep = ~(done | lost | (tail > tol))
+        open_, terms, previous = open_[keep], terms[keep], value[keep]
+    return values, errors, converged
 
 
 def split_quad(fn, a, b, points=()):
-    """Adaptive quadrature on [a, b] split at interior kink locations.
-
-    fn is called with one Python float at a time and should return a
-    float; route_quad builds that fn from an array route and an array
-    integrand.  scipy's QAGS handles integrable endpoint singularities on
-    each panel (epsabs 1e-12, epsrel 1e-10, at most 300 subintervals per
-    panel); splitting keeps kinks at panel endpoints where the
-    extrapolation works.  Returns (value, summed error estimate, whether
-    every panel converged).  QUADPACK's complaints come back in the flag
-    rather than as warnings, so no caller has to touch the process-wide
-    warning filters.
-    """
-    total, error, converged = 0.0, 0.0, True
-    for lo, hi in _panels(a, b, points):
-        # with full_output a complaint arrives as a fourth entry, not a warning
-        val, err, _, *complaint = integrate.quad(
-            fn, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1
-        )
-        total, error, converged = total + val, error + err, converged and not complaint
-    return total, error, converged
-
-
-# the nonzero Kronrod abscissae of QUADPACK's 21-point rule on [-1, 1], as dqk21 holds them
-XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-)
-# route_quad's 21-node array calls ("batches") and 1-node array calls ("misses")
-QK21_COUNTS = collections.Counter()
+    """panel_quad of fn on [a, b] (a <= b) split at the interior points, so that every kink is
+    a panel end: (value, summed error estimate, whether every panel converged).  Nonconvergence
+    comes back in the flag, not as a warning, so no caller touches the process-wide filters."""
+    edges = np.unique(np.array([a, b, *(p for p in points if a < p < b)], dtype=float))
+    values, errors, converged = panel_quad(fn, edges[:-1], edges[1:])
+    return float(values.sum()), float(errors.sum()), bool(converged.all())
 
 
 def route_quad(route, integrand, a, b, points):
-    """split_quad of r -> integrand(route(r), r) on the same panels, with
-    route and integrand evaluated on arrays of radii.
+    """split_quad of r -> integrand(route(r), r): route gets the engine's Nodes, so a profile can
+    read a node's distance to its panel end, and integrand the radii as a plain array."""
+    return split_quad(lambda x: integrand(route(x), x.view(np.ndarray)), a, b, points)
 
-    QAGS applies the 21-point Kronrod rule to each panel and to bisection
-    halves, calling first at the interval's centre.  A call at the centre
-    of a panel, or of a half of a batched interval, evaluates
-    integrand(route(nodes), nodes) once on that interval's nodes,
-    centr -/+ hlgth XGK[j], and QAGS's calls there read the stored values.
-    Any other call evaluates the same expression on a 1-element array, so
-    a node that does not match costs time, never bits.  The stored values
-    live for this call only.
-    """
-    # centr + hlgth * (-x) rounds as dqk21's centr - hlgth * x does, so the nodes match to the bit
-    kronrod = np.array((0.0, *(-x for x in XGK), *XGK))
-    values, pending = {}, {0.5 * (lo + hi): (lo, hi) for lo, hi in _panels(a, b, points)}
 
-    def fn(r):
-        v = values.get(r)
-        if v is not None:
-            return v
-        span = pending.pop(r, None)
-        if span is None:
-            QK21_COUNTS["misses"] += 1
-            x = np.array([r])
-            return float(integrand(route(x), x)[0])
-        lo, hi = span
-        centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x = centr + hlgth * kronrod
-        values.update(zip(x.tolist(), integrand(route(x), x).tolist()))
-        pending[0.5 * (lo + centr)], pending[0.5 * (centr + hi)] = (lo, centr), (centr, hi)
-        QK21_COUNTS["batches"] += 1
-        return values[r]
-
-    return split_quad(fn, a, b, points)
+def unconverged(converged: bool) -> dict:
+    """The diagnostics entry of a report whose quadrature did not converge, else none."""
+    return {} if converged else {"unconverged_quadrature": True}
 
 
 def warn_unconverged(converged: bool, what: str) -> None:

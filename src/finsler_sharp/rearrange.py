@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, graded_grid, route_quad, warn_unconverged
+from ._util import REQUIRED, build_from_descriptor, graded_grid, panel_quad, route_quad, unconverged
+from ._util import warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, avr
 from .report import InequalityReport, make_report
@@ -149,14 +150,13 @@ def _l1_seed_integrand(p: float, n: int):
 def _l1_cumulative(p: float, n: int):
     """Cumulative integral of the L1-extremal seed on a graded grid.
 
-    Panel integrals come from adaptive quadrature (route_quad), so the
+    The 1,024 panel integrals come from one panel_quad call, so the
     cumulative values at the knots are quadrature-exact; between knots a
     monotone interpolant is used.  The total is the profile height.
     """
     h = _l1_seed_integrand(p, n)
     knots = graded_grid(0.0, 1.0, 1025, exponent=2.2)
-    panels = [route_quad(h, lambda v, r: v, lo, hi, ())[0] for lo, hi in zip(knots[:-1], knots[1:])]
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
+    cum = np.concatenate([[0.0], np.cumsum(panel_quad(h, knots[:-1], knots[1:])[0])])
     return knots, cum, h
 
 
@@ -202,7 +202,9 @@ def random_decreasing_profile(rng) -> RadialTestFunction:
         return (coefs * base ** powers).sum(-1)
 
     def dg(rho):
-        base = np.maximum(1.0 - np.asarray(rho, dtype=float)[..., None] / radii, 0.0)
+        # (R_i - end) - off on _util.Nodes: exact at a kink where 1 - rho / R_i rounds to 0
+        gap = radii - np.asarray(getattr(rho, "end", rho), dtype=float)[..., None]
+        base = np.maximum((gap - np.asarray(getattr(rho, "off", 0.0))[..., None]) / radii, 0.0)
         return (slopes * np.power(base, dpowers, out=np.zeros(base.shape), where=base > 0.0)).sum(-1)
 
     return RadialTestFunction(
@@ -350,14 +352,12 @@ def equimeasurability_gap(u: RadialTestFunction, m: FinslerInstance, star: Radia
 # integrals
 
 
-def lq_norm_radial(u: RadialTestFunction, q: float, n: int) -> float:
-    """L^q norm of g(d(x)) in the canonical measure: exact radial quadrature."""
+def lq_norm_radial(u: RadialTestFunction, q: float, n: int):
+    """(L^q norm of g(d(x)) in the canonical measure, whether its quadrature converged)."""
     if q == math.inf:
-        return u.sup()
-    # tabulated profiles are piecewise linear, so quad reports roundoff on
-    # their interior kinks; the panel splitting already contains the error
-    val, _, _ = route_quad(u.profile, lambda g, r: g**q * r ** (n - 1), 0.0, u.support_radius, u.kinks)
-    return (n * omega_n(n) * val) ** (1.0 / q)
+        return u.sup(), True
+    val, _, ok = route_quad(u.profile, lambda g, r: g**q * r ** (n - 1), 0.0, u.support_radius, u.kinks)
+    return (n * omega_n(n) * val) ** (1.0 / q), ok
 
 
 def radial_dirichlet_energy(prof: RadialTestFunction, n: int, p: float) -> float:
@@ -445,9 +445,9 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
         else:
             ratios = np.log(fv[1:] / fv[:-1]) / np.log(probes[1:] / probes[:-1])
             a_hat = float(np.max(-ratios)) if np.all(np.isfinite(ratios)) else float(n)
-    weighted = math.inf
+    weighted, converged = math.inf, True
     if a_hat < n - 1e-9:
-        val, _, _ = route_quad(
+        val, _, converged = route_quad(
             star.profile, lambda g, r: g**p * f(r) * r ** (n - 1), 0.0, star.support_radius, star.kinks
         )
         weighted = n * omega_n(n) * val
@@ -465,5 +465,5 @@ def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> Inequal
         direction="upper",
         rtol=rtol,
         atol=1e-12,
-        diagnostics={"path": "centered"},
+        diagnostics={"path": "centered", **unconverged(converged)},
     )

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, route_quad, spawn_rngs
+from ._util import REQUIRED, build_from_descriptor, route_quad, spawn_rngs, unconverged
 from .constants import (
     bpv_constant,
     eta,
@@ -70,9 +70,9 @@ def _sup_norm_check(kind: str, m: FinslerInstance, u: RadialTestFunction, p: flo
     source at the tight one-sided tolerance rtol 1e-9.
 
     kind ("support" or "L1") names the report morrey_<kind>; bound(n, avr)
-    gives C, the params beyond p, n and avr, and the right-hand side as a
-    function of the energy.  A divergent gradient energy makes the bound
-    vacuous and is flagged in the diagnostics.
+    gives C, the params beyond p, n and avr, and the right-hand side of the
+    energy with whether its quadrature converged.  A divergent gradient energy
+    makes the bound vacuous; both are flagged in the diagnostics.
     """
     n = m.dim
     if not p > n:
@@ -84,7 +84,8 @@ def _sup_norm_check(kind: str, m: FinslerInstance, u: RadialTestFunction, p: flo
     c, params, rhs_of = bound(n, a)
     diag = {"path": "radial", "profile": u.label}
     if math.isfinite(energy):
-        rhs = rhs_of(energy)
+        rhs, converged = rhs_of(energy)
+        diag.update(unconverged(converged))
     else:
         diag["divergent_energy"] = True
         rhs = math.inf
@@ -97,7 +98,7 @@ def verify_morrey_support(m: FinslerInstance, u: RadialTestFunction, p: float) -
 
     def bound(n, a):
         c, vol = morrey_support_constant(p, n, a), omega_n(n) * u.support_radius**n
-        return c, {}, lambda energy: c * vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p)
+        return c, {}, lambda energy: (c * vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p), True)
 
     return _sup_norm_check("support", m, u, p, bound)
 
@@ -107,7 +108,11 @@ def verify_morrey_l1(m: FinslerInstance, u: RadialTestFunction, p: float) -> Ine
 
     def bound(n, a):
         c, e = morrey_l1_constant(p, n, a), eta(p, n)
-        return c, {"eta": e}, lambda energy: c * lq_norm_radial(u, 1.0, n) ** (1.0 - e) * energy ** (e / p)
+
+        def rhs_of(energy):
+            l1, converged = lq_norm_radial(u, 1.0, n)
+            return c * l1 ** (1.0 - e) * energy ** (e / p), converged
+        return c, {"eta": e}, rhs_of
 
     return _sup_norm_check("L1", m, u, p, bound)
 
@@ -187,7 +192,7 @@ def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) ->
     for r in r_grid:
         rr = float(r)
         u = l1_extremal_profile(p, n, rr)
-        l1 = lq_norm_radial(u, 1.0, n)
+        l1 = lq_norm_radial(u, 1.0, n)[0]  # the family's table has kinks the panels leave out
         energy = radial_dirichlet_energy(u, n, p)
         c_est = u.sup() / (l1 ** (1.0 - e) * energy ** (e / p))
         rows.append(
@@ -255,9 +260,9 @@ def verify_hardy(m: FinslerInstance, u: RadialTestFunction, p: float) -> Inequal
     lhs = radial_dirichlet_energy(u, n, p)
     c = hardy_constant(p, n, a)
 
-    val, _, _ = route_quad(u.profile, lambda g, r: g**p * r ** (n - 1 - p), 0.0, u.support_radius, u.kinks)
+    val, _, ok = route_quad(u.profile, lambda g, r: g**p * r ** (n - 1 - p), 0.0, u.support_radius, u.kinks)
     weighted = n * omega_n(n) * val
-    diag = {"profile": u.label, "weighted_lp": weighted}
+    diag = {"profile": u.label, "weighted_lp": weighted, **unconverged(ok)}
     if not math.isfinite(weighted) or weighted > 1e15:
         diag["divergent_weighted_term"] = True
         weighted = math.inf
@@ -295,16 +300,14 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
         )
     a = estimate_avr(m).point
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
-    won = omega_n(n)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
-    l2sq = n * won * route_quad(
-        u.profile, lambda g, r: g**2 * r ** (n - 1), 0.0, u.support_radius, u.kinks
-    )[0]
-    hardy_term = 0.0
-    if mu != 0.0:
-        hardy_term = n * won * route_quad(
-            u.profile, lambda g, r: g**2 * r ** (n - 3), 0.0, u.support_radius, u.kinks
-        )[0]
+
+    def squared(k):  # n omega_n int g^2 r^(n-1-k) dr, and whether it converged
+        val, _, ok = route_quad(u.profile, lambda g, r: g**2 * r ** (n - 1 - k), 0.0,
+                                u.support_radius, u.kinks)
+        return n * omega_n(n) * val, ok
+
+    (l2sq, ok_l2), (hardy_term, ok_hardy) = squared(0), squared(2) if mu != 0.0 else (0.0, True)
     lhs = dirichlet - mu * hardy_term
     rhs = s_const * l2sq
     return make_report(
@@ -321,6 +324,7 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
             "rayleigh": lhs / l2sq if l2sq > 0 else math.inf,
             "dirichlet": dirichlet,
             "l2_sq": l2sq,
+            **unconverged(ok_l2 and ok_hardy),
         },
     )
 

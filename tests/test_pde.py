@@ -957,6 +957,7 @@ def _ref_u_eigen_quotient(bvp):
     s, eps, k = bvp.frobenius_exponent(), sol.t[0], 2.0 * bvp.frobenius_exponent() + n
 
     def tail(g):
+        # split_quad hands the callback an array of radii, and sol.sol(r) gives the (u, w) rows there
         return split_quad(lambda r: g(r, *sol.sol(r)), eps, radius, points=sol.t[1:-1])[0]
 
     # the series head u ~ rho^s below eps

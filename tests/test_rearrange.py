@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from finsler_sharp import _util
 from finsler_sharp import rearrange as R
 from finsler_sharp._util import split_quad
 from finsler_sharp.constants import (
@@ -29,7 +28,7 @@ def test_cone_profile_basics():
 def test_cone_l1_closed_form(e2):
     # 2 pi int_0^1 (1 - rho) rho drho = pi/3
     u = R.cone_profile()
-    assert R.lq_norm_radial(u, 1.0, 2) == pytest.approx(math.pi / 3.0, rel=1e-10)
+    assert R.lq_norm_radial(u, 1.0, 2) == (pytest.approx(math.pi / 3.0, rel=1e-10), True)
 
 
 def test_plateau_lq_closed_form():
@@ -39,7 +38,8 @@ def test_plateau_lq_closed_form():
     inner = 4.0 * math.pi * (2.0**q) * 0.5**3 / 3.0
     from scipy.integrate import quad
     outer = 4.0 * math.pi * quad(lambda r: (2.0 * (1 - r) / 0.5) ** q * r * r, 0.5, 1.0)[0]
-    assert R.lq_norm_radial(u, q, 3) ** q == pytest.approx(inner + outer, rel=1e-9)
+    norm, converged = R.lq_norm_radial(u, q, 3)
+    assert converged and norm**q == pytest.approx(inner + outer, rel=1e-9)
 
 
 def test_morrey_extremal_energy_matches_limit(e2):
@@ -66,8 +66,9 @@ def test_l1_extremal_against_beta_targets():
     for p, n in ((4.0, 2), (5.0, 3)):
         u = R.l1_extremal_profile(p, n)
         assert u.sup() == pytest.approx(l1_extremal_height(p, n), rel=1e-9)
-        # tabulated seed profile: piecewise-linear quadrature floor ~1e-6
-        assert R.lq_norm_radial(u, 1.0, n) == pytest.approx(l1_norm_limit(p, n, 1.0), rel=5e-6)
+        # tabulated seed profile: piecewise-linear quadrature floor ~1e-6; the
+        # table's knots are no kinks of the profile, so the norm is unconverged
+        assert R.lq_norm_radial(u, 1.0, n) == (pytest.approx(l1_norm_limit(p, n, 1.0), rel=5e-6), False)
         assert R.radial_dirichlet_energy(u, n, p) == pytest.approx(
             l1_energy_limit(p, n, 1.0), rel=1e-6)
 
@@ -76,7 +77,7 @@ def test_scale_profile_homogeneity(e2):
     u = R.cone_profile()
     v = R.scale_profile(u, 3.0)
     assert v.sup() == pytest.approx(3.0)
-    assert R.lq_norm_radial(v, 1.0, 2) == pytest.approx(math.pi, rel=1e-10)
+    assert R.lq_norm_radial(v, 1.0, 2) == (pytest.approx(math.pi, rel=1e-10), True)
     assert R.radial_dirichlet_energy(v, 2, 4.0) == pytest.approx(
         81.0 * R.radial_dirichlet_energy(u, 2, 4.0), rel=1e-9)
     with pytest.raises(ValueError):
@@ -190,7 +191,8 @@ def test_lq_norms_bundle(e2):
     u = R.cone_profile()
     rho, gv = R._profile_table(u)
     for q in (1.0, 2.0):
-        a = R.lq_norm_radial(u, q, 2)
+        a, converged = R.lq_norm_radial(u, q, 2)
+        assert converged
         stair = np.sum(gv[:-1] ** q * np.diff(omega_n(2) * rho**2)) ** (1.0 / q)
         assert a <= stair <= a * (1.0 + 2e-3)
 
@@ -388,25 +390,61 @@ def test_equimeasurability_gap_sees_a_scaled_profile(e2, rng):
 
 
 def test_split_quad_reports_divergence_without_warning_filters():
+    # r^-1 and r^-1.5 diverge at the origin: the flag says so, with no
+    # RuntimeWarning from the overflowing nodes and the filters untouched
     before = list(warnings.filters)
-    val, err, converged = split_quad(lambda r: r**-1.5, 0.0, 1.0, points=(0.5,))
-    assert not converged
-    val, err, converged = split_quad(lambda r: math.exp(-r), 0.0, 2.0, points=(1.0,))
-    assert converged and err < 1e-12
-    assert val == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = list(warnings.filters)
+        for e in (-1.0, -1.5):
+            val, err, converged = split_quad(lambda r: r**e, 0.0, 1.0, points=(0.5,))
+            assert not converged
+        val, err, converged = split_quad(lambda r: np.exp(-r), 0.0, 2.0, points=(1.0,))
+        assert warnings.filters == inside
     assert warnings.filters == before
+    assert converged and err < 1e-10
+    assert val == pytest.approx(1.0 - math.exp(-2.0), rel=1e-15)
 
 
-def test_batched_nodes_live_for_one_quadrature():
-    # route_quad keeps no node values on the profile, which the benchmark
-    # reuses across passes: a second integral makes as many array calls
-    u = R.random_decreasing_profile(np.random.default_rng(3))
-    runs = []
-    for _ in range(2):
-        before = _util.QK21_COUNTS["batches"]
-        energy = R.radial_dirichlet_energy(u, 2, 3.0)
-        runs.append((_util.QK21_COUNTS["batches"] - before, energy))
-    assert runs[0] == runs[1] and runs[0][0] > 0
+@pytest.mark.parametrize("e", [-0.5, -0.9, -0.95])
+def test_split_quad_integrates_origin_powers(e):
+    # int_0^1 r^e dr = 1/(e+1): the nodes reach r ~ 1e-275, where the
+    # truncated mass of r^-0.95 is below 1e-13 of the integral
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err, converged = split_quad(lambda r: r**e, 0.0, 1.0)
+    assert converged and val == pytest.approx(1.0 / (e + 1.0), rel=1e-13)
+
+
+class _OneCone:
+    """A generator stand-in under which random_decreasing_profile draws one
+    power cone of the given radius, coefficient and power."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def integers(self, low, high):
+        return 1
+
+    def uniform(self, low, high, size):
+        return np.full(size, next(self.draws))
+
+
+@pytest.mark.parametrize("e", [-0.79, -0.58, -0.38, 0.5])
+def test_power_cone_energy_against_beta(e):
+    # g = c (1 - r/R)^k has |g'| = s (1 - r/R)^(k-1) with s = c k / R, so
+    # int_0^R |g'|^p r^(n-1) dr = s^p R^n B(n, e+1) at the kink exponent
+    # e = (k-1) p: the derivative has to see the distance to the kink R
+    # exactly, which r = R - d rounds away near R
+    from scipy.special import beta
+
+    n, p, radius, coef = 2, 3.0, 1.3, 0.9
+    power = 1.0 + e / p
+    u = R.random_decreasing_profile(_OneCone(radius, coef, power))
+    assert u.kinks == (radius,)
+    slope = coef * power / radius
+    exact = n * omega_n(n) * slope**p * radius**n * beta(n, e + 1.0)
+    assert R.radial_dirichlet_energy(u, n, p) == pytest.approx(exact, rel=1e-13)
 
 
 def test_layer_cake_warns_once_on_divergence(e2):

@@ -1,7 +1,6 @@
 """Inequality verification layer: equality cases, sweeps, suites."""
 
 import dataclasses
-import json
 import math
 import warnings
 
@@ -496,14 +495,15 @@ def test_workers_other_than_one_raise_before_any_draw(monkeypatch, e2):
 
 
 def test_divergent_energy_draws_are_thread_safe(e2):
-    # seed 23 draws three profiles whose energy quadrature does not
-    # converge, so both sides read inf; the flag comes back from
-    # split_quad without touching the process-wide warning filters, so
-    # callers may still run checks on threads of their own
+    # seed 10 draws one profile whose energy quadrature does not converge
+    # (a cone kink exponent of -0.991, whose mass below the engine's last
+    # node is not negligible), so both sides read inf; the flag comes back
+    # from split_quad without touching the process-wide warning filters,
+    # so callers may still run checks on threads of their own
     before = list(warnings.filters)
-    reps = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=23)
+    reps = V.randomized_suite(e2, "polya_szego", n_draws=12, seed=10)
     assert warnings.filters == before
-    assert sum(math.isinf(r.lhs) and math.isinf(r.rhs) for r in reps) == 3
+    assert sum(math.isinf(r.lhs) and math.isinf(r.rhs) for r in reps) == 1
 
 
 def test_suite_rejects_unsupported(e2):
@@ -514,44 +514,45 @@ def test_suite_rejects_unsupported(e2):
 
 
 # float.hex of (lhs, rhs, ratio) of the first three seed-0 draws of every
-# suite, pinned from the np.clip / np.errstate form of the profile families,
-# so a rewrite of their callbacks must keep every bit; the normalized l4
-# plane gives the same doubles as e2
+# suite, pinned from the tanh-sinh engine (_util.panel_quad) and the
+# distance-form random-cone derivative, so a rewrite of the profile
+# callbacks or of the engine must keep every bit; the normalized l4 plane
+# gives the same doubles as e2
 SUITE_PINS = {
     "morrey_support": [
-        ("0x1.4bd1709935304p+1", "inf", "0x0.0p+0"),
+        ("0x1.4bd1709935304p+1", "0x1.053ebb2c46356p+2", "0x1.4527fb458dfa4p-1"),
         ("0x1.607b74d0c2851p+1", "0x1.ca103eb39c668p+1", "0x1.89fc98c96e2efp-1"),
-        ("0x1.fc4c2e56ce55dp+0", "0x1.31cf3f6f51362p+1", "0x1.a981da2622047p-1"),
+        ("0x1.fc4c2e56ce55dp+0", "0x1.31cf3f6f5135dp+1", "0x1.a981da262204ep-1"),
     ],
     "morrey_l1": [
-        ("0x1.4bd1709935304p+1", "inf", "0x0.0p+0"),
-        ("0x1.607b74d0c2851p+1", "0x1.7638ff2898c43p+1", "0x1.e24165c0c838dp-1"),
-        ("0x1.fc4c2e56ce55dp+0", "0x1.39c64fc6da5b9p+1", "0x1.9eb4b1c4a3806p-1"),
+        ("0x1.4bd1709935304p+1", "0x1.67ef9c887d093p+1", "0x1.d800c790bd75bp-1"),
+        ("0x1.607b74d0c2851p+1", "0x1.7638ff2898cc4p+1", "0x1.e24165c0c82e7p-1"),
+        ("0x1.fc4c2e56ce55dp+0", "0x1.39c64fc6da5cbp+1", "0x1.9eb4b1c4a37efp-1"),
     ],
     "hardy": [
-        ("0x1.9292b0035234fp+3", "0x1.1e8c17b3f1ca5p+1", "0x1.67a829d83048cp+2"),
-        ("0x1.61362782d9e2bp+3", "0x1.8342c506e89cdp+1", "0x1.d2fbb51103daep+1"),
-        ("0x1.7b435c8c851f4p+2", "0x1.2abccd45a34e6p+2", "0x1.45016eba1d437p+0"),
+        ("0x1.9292b003506fep+3", "0x1.1e8c17b3e68aap+1", "0x1.67a829d83cd27p+2"),
+        ("0x1.61362782d9e29p+3", "0x1.8342c506e8c1bp+1", "0x1.d2fbb51103ae4p+1"),
+        ("0x1.7b435c8c851f8p+2", "0x1.2abccd45a358ap+2", "0x1.45016eba1d388p+0"),
     ],
     "bpv": [
-        ("0x1.0663508802c34p+4", "0x1.fc887774fc1cfp+1", "0x1.082d4162889fdp+2"),
-        ("0x1.d0d3e8216206dp+3", "0x1.9521bb74d7201p+2", "0x1.25b8b3ab74691p+1"),
-        ("0x1.ed49c14b54f5fp+2", "0x1.5f0957652ad39p+2", "0x1.67bd5bc55a663p+0"),
+        ("0x1.066350880357fp+4", "0x1.fc887774fc1e3p+1", "0x1.082d41628934dp+2"),
+        ("0x1.d0d3e82162068p+3", "0x1.9521bb74d7327p+2", "0x1.25b8b3ab745b9p+1"),
+        ("0x1.ed49c14b54f54p+2", "0x1.5f0957652af86p+2", "0x1.67bd5bc55a400p+0"),
     ],
     "polya_szego": [
-        ("0x1.9e4b49d481268p+6", "0x1.9e4b49d481268p+6", "0x1.0000000000000p+0"),
-        ("0x1.e6bb59153bb1dp+5", "0x1.e6bb59153bb1dp+5", "0x1.0000000000000p+0"),
-        ("0x1.7704755e2081dp+2", "0x1.7704755e2081dp+2", "0x1.0000000000000p+0"),
+        ("0x1.9e4b49d485b0ep+6", "0x1.9e4b49d485b0ep+6", "0x1.0000000000000p+0"),
+        ("0x1.e6bb59153bb1ep+5", "0x1.e6bb59153bb1ep+5", "0x1.0000000000000p+0"),
+        ("0x1.7704755e20824p+2", "0x1.7704755e20824p+2", "0x1.0000000000000p+0"),
     ],
     "hlp": [
-        ("0x1.2a9238a83893fp+1", "0x1.2a9238a83893fp+1", "0x1.0000000000000p+0"),
-        ("0x1.5f51c1d783527p+3", "0x1.5f51c1d783527p+3", "0x1.0000000000000p+0"),
-        ("0x1.3567f9269b67ap+1", "0x1.3567f9269b67ap+1", "0x1.0000000000000p+0"),
+        ("0x1.2a9238a83894fp+1", "0x1.2a9238a83894fp+1", "0x1.0000000000000p+0"),
+        ("0x1.5f51c1d783a44p+3", "0x1.5f51c1d783a44p+3", "0x1.0000000000000p+0"),
+        ("0x1.3567f9269b785p+1", "0x1.3567f9269b785p+1", "0x1.0000000000000p+0"),
     ],
     "layer_cake": [
-        ("0x1.b000000000000p-48", "0x0.0p+0", "inf"),
-        ("0x1.2280000000000p-43", "0x0.0p+0", "inf"),
-        ("0x1.9000000000000p-44", "0x0.0p+0", "inf"),
+        ("0x1.0000000000000p-51", "0x0.0p+0", "inf"),
+        ("0x0.0p+0", "0x0.0p+0", "nan"),
+        ("0x1.0000000000000p-51", "0x0.0p+0", "inf"),
     ],
     "equimeasurability": [
         ("0x0.0p+0", "0x0.0p+0", "nan"),
@@ -568,41 +569,28 @@ def test_suite_draws_keep_their_pinned_bits(name, e2, l4_2):
         assert [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio)) for r in reps] == SUITE_PINS[name]
 
 
-# the suites whose quadratures integrate a random-cone route by _util.route_quad
-BATCHED_SUITES = ("morrey_support", "morrey_l1", "hardy", "bpv", "polya_szego", "hlp", "layer_cake")
+def test_unconverged_quadrature_reaches_the_diagnostics(e2):
+    # the L1 extremal's interpolated seed table has kinks its panels leave
+    # out, so its L1 norm does not converge; a cone's does, and its report
+    # carries no such key
+    flagged = V.verify_morrey_l1(e2, l1_extremal_profile(4.0, 2), 4.0)
+    assert flagged.diagnostics["unconverged_quadrature"] is True
+    for rep in (V.verify_morrey_l1(e2, R.cone_profile(), 4.0), V.verify_hardy(e2, R.cone_profile(), 1.5),
+                V.verify_bpv(e2, 1.0, R.cone_profile()), R.hlp_check(R.cone_profile(), e2, lambda r: np.exp(-r), 2.0)):
+        assert "unconverged_quadrature" not in rep.diagnostics
 
 
-def test_qags_is_served_from_batches_bit_for_bit(e2, l4_2, e3, monkeypatch):
-    def run():
-        before = _util.QK21_COUNTS.copy()
-        docs = [json.dumps(r.as_dict(), sort_keys=True)
-                for m in (e2, l4_2, e3) for name in BATCHED_SUITES
-                for r in V.randomized_suite(m, name, n_draws=12, seed=0)]
-        return docs, {k: _util.QK21_COUNTS[k] - before[k] for k in ("batches", "misses")}
+# draws with a non-finite side among 60 seed-0 draws on (euclidean:n=2,
+# euclidean:n=3); QAGS left 8/11, 8/11, 2/3 and 0/1, most of them finite
+# integrals with a cone kink exponent in (-1, 0)
+VACUOUS_BOUNDS = {"morrey_support": (1, 6), "morrey_l1": (1, 6), "polya_szego": (0, 0), "hardy": (0, 0)}
 
-    def per_node(route, integrand, a, b, points):
-        # the same expression, one QAGS radius at a time in a 1-element array
-        def fn(r):
-            x = np.array([r])
-            return float(integrand(route(x), x)[0])
 
-        return _util.split_quad(fn, a, b, points)
-
-    batched, counts = run()
-    # every QAGS call lands on a node of a predicted interval
-    assert counts["misses"] == 0 and counts["batches"] > 1000
-    with monkeypatch.context() as mp:
-        for module in (R, V):
-            mp.setattr(module, "route_quad", per_node)
-        reference, counts = run()
-    assert counts == {"batches": 0, "misses": 0} and reference == batched
-    # one Kronrod abscissa an ulp off, as a change to scipy's node arithmetic
-    # would look: its nodes miss and take 1-element arrays, and no bit moves
-    xgk = list(_util.XGK)
-    xgk[3] = math.nextafter(xgk[3], 1.0)
-    monkeypatch.setattr(_util, "XGK", tuple(xgk))
-    planted, counts = run()
-    assert counts["misses"] > 0 and planted == batched
+@pytest.mark.parametrize("name", list(VACUOUS_BOUNDS))
+def test_vacuous_draws_stay_few(name, e2, e3):
+    counts = tuple(sum(not (math.isfinite(r.lhs) and math.isfinite(r.rhs))
+                       for r in V.randomized_suite(m, name, n_draws=60, seed=0)) for m in (e2, e3))
+    assert all(c <= bound for c, bound in zip(counts, VACUOUS_BOUNDS[name])), counts
 
 
 # one case of every rearrange.PROFILES family the cases above leave out
