@@ -176,45 +176,49 @@ def panel_quad(fn, lo, hi):
     fn takes a 1-D Nodes array and returns its values; it runs under np.errstate(all="ignore").
     Level l makes one call, on the odd nodes at step 2^-l of every panel still open.  A panel
     closes once two successive levels agree to epsabs 1e-12 or epsrel 1e-10, its terms at
-    T_MAX (the truncation estimate) added to the gap.  A non-finite term is dropped where the
-    finite terms beside it are below 1e-17 of the sum (fn overflowing at an end whose weight
-    vanishes); any other, a truncation estimate above the tolerance, or the last level leaves
-    the panel unconverged.
+    T_MAX (the truncation estimate) added to the gap; its error estimate is the smaller of that
+    gap and the gap squared over the one before, plus the truncation estimate and a rounding
+    floor.  A non-finite term is dropped where the finite terms beside it (either side) are
+    below 1e-17 of the sum (fn overflowing at an end whose weight vanishes); any other, a
+    truncation estimate above the tolerance, or the last level leaves the panel unconverged.
     """
     half = 0.5 * (hi - lo)[:, None, None] * np.array([[1.0], [-1.0]])  # signed, from each end
     ends = np.stack([lo, hi], axis=1)[:, :, None]
     values, errors, converged = np.zeros(len(lo)), np.full(len(lo), math.inf), np.zeros(len(lo), bool)
-    open_, terms, previous = np.arange(len(lo)), None, math.inf
-    for level in LEVELS:
-        if not open_.size:
-            break
-        dist, weight = _tanh_sinh_level(level)
-        off = half[open_] * dist
-        end = np.repeat(ends[open_], len(dist), axis=2)
-        nodes = (end + off).ravel().view(Nodes)
-        nodes.end, nodes.off = end.ravel(), off.ravel()
-        with np.errstate(all="ignore"):
+    open_, terms, previous, gaps = np.arange(len(lo)), None, math.inf, math.inf
+    with np.errstate(all="ignore"):
+        for level in LEVELS:
+            if not open_.size:
+                break
+            dist, weight = _tanh_sinh_level(level)
+            off = half[open_] * dist
+            end = np.repeat(ends[open_], len(dist), axis=2)
+            nodes = (end + off).ravel().view(Nodes)
+            nodes.end, nodes.off = end.ravel(), off.ravel()
             new = fn(nodes).reshape(off.shape) * np.abs(half[open_]) * weight
-        if terms is None:
-            terms = new
-        else:  # the earlier terms take the even places of the finer step
-            terms, old = np.empty(new.shape[:2] + (2 * new.shape[2] + 1,)), terms
-            terms[..., 0::2], terms[..., 1::2] = old, new
-        finite = np.isfinite(terms)
-        clean = terms if finite.all() else np.where(finite, terms, 0.0)
-        value = 2.0**-level * clean.sum(axis=(1, 2))
-        tol = np.maximum(1e-12, 1e-10 * np.abs(value))
-        lost = np.zeros(len(open_), bool)
-        if clean is not terms:  # the larger finite neighbour of each non-finite term
-            mag, beside = np.abs(clean), np.zeros(clean.shape)
-            beside[..., 1:], beside[..., :-1] = mag[..., :-1], np.maximum(mag[..., :-1], mag[..., 1:])
-            lost = 2.0**-level * np.where(finite, 0.0, beside).max(axis=(1, 2)) > 1e-17 * np.abs(value)
-        tail = np.abs(clean[..., -1]).sum(axis=1)
-        error = np.abs(value - previous) + tail
-        done = (error <= tol) & ~lost
-        values[open_], errors[open_], converged[open_] = value, error, done
-        keep = ~(done | lost | (tail > tol))
-        open_, terms, previous = open_[keep], terms[keep], value[keep]
+            if terms is None:
+                terms = new
+            else:  # the earlier terms take the even places of the finer step
+                terms, old = np.empty(new.shape[:2] + (2 * new.shape[2] + 1,)), terms
+                terms[..., 0::2], terms[..., 1::2] = old, new
+            finite = np.isfinite(terms)
+            clean = terms if finite.all() else np.where(finite, terms, 0.0)
+            value = 2.0**-level * clean.sum(axis=(1, 2))
+            tol = np.maximum(1e-12, 1e-10 * np.abs(value))
+            lost = np.zeros(len(open_), bool)
+            if clean is not terms:  # the larger finite neighbour of each non-finite term
+                pad = np.pad(np.abs(clean), [(0, 0), (0, 0), (1, 1)])
+                beside = np.maximum(pad[..., :-2], pad[..., 2:])
+                lost = 2.0**-level * np.where(finite, 0.0, beside).max(axis=(1, 2)) > 1e-17 * np.abs(value)
+            tail, gap = np.abs(clean[..., -1]).sum(axis=1), np.abs(value - previous)
+            done = (gap + tail <= tol) & ~lost
+            # a level doubles the digits, so the gap squared over the gap before bounds the error
+            error = np.fmin(gap, gap * gap / gaps) + tail + 2.0**-52 * np.abs(value)
+            values[open_], errors[open_], converged[open_] = value, error, done
+            if level == LEVELS[0]:  # the gap before the second level is to the sum at twice the step
+                gap = np.abs(value - 2.0 ** (1 - level) * clean[..., 0::2].sum(axis=(1, 2)))
+            keep = ~(done | lost | (tail > tol))
+            open_, terms, previous, gaps = open_[keep], terms[keep], value[keep], gap[keep]
     return values, errors, converged
 
 
