@@ -9,7 +9,7 @@ import numbers
 import warnings
 
 import numpy as np
-from scipy import integrate
+import scipy  # integrate loads on first use, not with the library
 
 REQUIRED = object()  # table default of a key that every descriptor must give
 BLOCK = 16384  # rows of one vectorized norm evaluation, so its arrays stay in cache
@@ -92,6 +92,14 @@ def build_from_descriptor(spec, table: dict, what: str, **context):
     return make(**args)
 
 
+def finite_positive(value, where: str) -> float:
+    """value as a float, or ValueError naming where unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{where} must be finite and positive, got {value!r}")
+    return value
+
+
 def spawn_rngs(seed, n: int):
     """n independent deterministic generators spawned from seed."""
     children = np.random.SeedSequence(seed).spawn(n)
@@ -131,6 +139,10 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     half = np.asarray(half, dtype=float)
+    with np.errstate(over="ignore"):
+        box = float(np.prod(2.0 * half))
+    if not 0.0 < box < math.inf:
+        raise ValueError(f"sampling box of half-widths {half.tolist()} has volume {box}, not finite and positive")
     rng = spawn_rngs(seed, 1)[0]
     buf = np.empty((min(n_samples, BLOCK), len(half)))
     hits = 0
@@ -143,7 +155,7 @@ def box_volume(inside, half, n_samples: int, seed, density: float):
             pts[:, j] *= hj
         hits += int(np.count_nonzero(inside(pts)))
     phat = hits / n_samples
-    scale = density * float(np.prod(2.0 * half))
+    scale = density * box
     return scale * phat, scale * math.sqrt(phat * (1.0 - phat) / n_samples)
 
 
@@ -246,4 +258,4 @@ def warn_unconverged(converged: bool, what: str) -> None:
     """One IntegrationWarning for a quadrature whose panels did not all converge."""
     if not converged:
         msg = f"{what}: quadrature did not converge on every panel"
-        warnings.warn(msg, integrate.IntegrationWarning, stacklevel=3)
+        warnings.warn(msg, scipy.integrate.IntegrationWarning, stacklevel=3)

@@ -11,7 +11,8 @@ or the same keys as a JSON object.  One parser (_util.build_from_descriptor)
 reads them against the tables manifold.INSTANCES, rearrange.PROFILES and
 verify.SHAPES; an extremal profile takes its n from the instance.  A
 malformed descriptor (unknown kind or key, missing key, non-integral
-integer, NaN) and a NaN config value are usage errors.
+integer, NaN), a shape or profile length that is not finite and positive,
+and a NaN config value are usage errors.
 
 Reports are JSON with sorted keys and a null timestamp by default, so a
 fixed seed gives byte-identical bytes; --timestamp opts into a real

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import optimize, special
+import scipy  # optimize loads on first use, not with the library
+from scipy import special
 
 
 def omega_n(n: int) -> float:
@@ -21,6 +22,18 @@ def omega_n(n: int) -> float:
     if n < 1 or n != int(n):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     return math.pi ** (n / 2.0) / special.gamma(1.0 + n / 2.0)
+
+
+def ball_volume(n: int, radius: float) -> float:
+    """omega_n radius^n, the volume of the Euclidean ball of a radius > 0; ValueError unless
+    it is finite and positive, so that a radius whose power overflows or underflows is refused."""
+    try:
+        vol = omega_n(n) * float(radius) ** n
+    except OverflowError:
+        vol = math.inf
+    if not 0.0 < vol < math.inf:
+        raise ValueError(f"ball volume omega_{n} R^{n} at R = {radius!r} is {vol}, not finite and positive")
+    return vol
 
 
 def _check_sup_domain(p: float, n: int) -> None:
@@ -117,7 +130,7 @@ def bessel_first_zero(nu: float) -> float:
         sign_flip = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
         if sign_flip.size:
             k = sign_flip[0]
-            return optimize.brentq(
+            return scipy.optimize.brentq(
                 lambda x: special.jv(nu, x), grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15
             )
         hi = lo + 2.0 * (hi - lo)
@@ -216,7 +229,10 @@ class SharpConstants:
 
 def sharp_constants(p: float, n: int, avr: float, mu: float) -> SharpConstants:
     """Evaluate every constant that applies to (p, n, avr, mu), the
-    shifted Poincare one on the unit ball (vol = omega_n)."""
+    shifted Poincare one on the unit ball (vol = omega_n).  p must be finite:
+    every constant of the sup-norm regime reads nan at p = inf."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     vol = omega_n(n)
     sup_regime = p > n
     hardy_regime = 1.0 < p < n

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import REQUIRED, box_volume, build_from_descriptor
-from .constants import omega_n
+from .constants import ball_volume, omega_n
 from .norms import (
     NORMS,
     MinkowskiNorm,
@@ -135,12 +135,14 @@ def ball_volume_mc(
     indicator of {distance < r} over the dual bounding box.  Every shipped
     instance is translation invariant, so the ball about x0 is sampled
     about the origin.  The sampler runs one stream, so workers accepts
-    only 1.
+    only 1.  A radius whose omega_n r^n or sampling box has no finite
+    positive volume is refused, since its ratio would read 0/0.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
+    ball_volume(m.dim, r)
     half = r * box_half_widths(m.norm) * (1.0 + 1e-9)
     est = box_volume(lambda pts: m.norm(pts) < r, half, n_samples, seed, bh_density(m))
     return VolumeEstimate(*est, "mc")
@@ -164,9 +166,12 @@ def ball_volume_curve(
 
 
 def bishop_gromov_ok(curve: BallVolumeCurve, n: int, sigma_level: float = 3.0) -> bool:
-    """r -> Vol/ (omega_n r^n) nonincreasing within the error bars."""
+    """r -> Vol/ (omega_n r^n) nonincreasing within the error bars; False on
+    a ratio or error bar that is not finite, which no comparison would catch."""
     q = curve.ratios(n)
     e = curve.ratio_stderrs(n)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
+        return False
     for i in range(len(q) - 1):
         if q[i + 1] > q[i] + sigma_level * (e[i] + e[i + 1]):
             return False

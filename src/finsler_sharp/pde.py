@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+import scipy  # integrate, linalg and optimize load on first use, not with the library
 
 from ._util import gauss_legendre, graded_grid
 from .constants import bpv_constant, omega_n
@@ -289,8 +289,8 @@ def _projected_newton(f: _RadialFunctional, u, bounds, tol: float):
         rhs = np.where(fixed, 0.0, -g / (f.nw / units))
         improved = False
         try:
-            step = linalg.solve_banded((1, 1), units * ab, rhs)
-        except linalg.LinAlgError:
+            step = scipy.linalg.solve_banded((1, 1), units * ab, rhs)
+        except scipy.linalg.LinAlgError:
             pass
         else:
             t = 1.0
@@ -350,22 +350,29 @@ def _integrator(rtol: float, atol: float):
     solout."""
     cache = _integrators.__dict__.setdefault("by_key", {})
     if (rtol, atol) not in cache:
-        cache[rtol, atol] = integrate.ode(None).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=10**6)
+        cache[rtol, atol] = scipy.integrate.ode(None).set_integrator(
+            "dop853", rtol=rtol, atol=atol, nsteps=10**6)
     return cache[rtol, atol]
 
 
-# DOP853's 16 stages (Hairer, Norsett & Wanner, Solving ODEs I, II.6) by
-# the public tableau of scipy's DOP853: stage 12 is f at the step's end, and
-# stages 13-15 serve only the continuous output
-_DOP = integrate.DOP853
-_A = np.vstack((np.pad(_DOP.A, ((0, 1), (0, 4))), _DOP.A_EXTRA))
-_C = np.concatenate((_DOP.C, [1.0], _DOP.C_EXTRA))
+@lru_cache(maxsize=None)
+def _dop853_tableau():
+    """(A, C, D) of DOP853's 16 stages (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6) by the public tableau of scipy's DOP853, built on the first
+    _dense_shot: stage 12 is f at the step's end, and stages 13-15 serve only
+    the continuous output, whose coefficients D gives."""
+    dop = scipy.integrate.DOP853
+    a = np.vstack((np.pad(dop.A, ((0, 1), (0, 4))), dop.A_EXTRA))
+    return a, np.concatenate((dop.C, [1.0], dop.C_EXTRA)), dop.D
 
 
 class _DenseShot(NamedTuple):
     """DOP853's continuous output on the accepted steps (t, y) of a shot: on
     step i, y_i plus the degree-7 polynomial in x = (rho - t_i) / h_i with
-    the coefficients coef[:, :, i], evaluated as solve_ivp evaluates it."""
+    the coefficients coef[:, :, i], evaluated as solve_ivp evaluates it,
+    gathering one coefficient row at a time: at 4096 points the gather of
+    all seven at once is a 448 KB temporary, which the allocator may hand
+    back to the system and fault in again on every call."""
 
     t: np.ndarray
     y: np.ndarray
@@ -374,8 +381,8 @@ class _DenseShot(NamedTuple):
     def __call__(self, r) -> np.ndarray:
         i = np.clip(np.searchsorted(self.t, r) - 1, 0, self.t.size - 2)
         x, out = (r - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0
-        for j, c in enumerate(np.take(self.coef[::-1], i, axis=2)):
-            out = (out + c) * (x if j % 2 == 0 else 1.0 - x)
+        for j, c in enumerate(self.coef[::-1]):
+            out = (out + np.take(c, i, axis=1)) * (x if j % 2 == 0 else 1.0 - x)
         return out + np.take(self.y, i, axis=1)
 
     def v_of_float(self):
@@ -408,14 +415,15 @@ def _dense_shot(field, t, y) -> _DenseShot:
     """The continuous output of the steps (t, y), y of shape (2, len(t)),
     that a DOP853 shot of field(rho, y) accepted: every stage of every step,
     one stage at a time across the steps, then solve_ivp's coefficients."""
+    a, c, d = _dop853_tableau()
     h, t0, y0, dy, f = np.diff(t), t[:-1], y[:, :-1], np.diff(y), field(t, y)
     k = np.empty((16, *y0.shape))
     k[0], k[12] = f[:, :-1], f[:, 1:]
     for s in (*range(1, 12), 13, 14, 15):
-        incr = (_A[s, :s] @ k[:s].reshape(s, -1)).reshape(y0.shape)
-        k[s] = field(t0 + _C[s] * h, y0 + h * incr)
+        incr = (a[s, :s] @ k[:s].reshape(s, -1)).reshape(y0.shape)
+        k[s] = field(t0 + c[s] * h, y0 + h * incr)
     low = [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
-    return _DenseShot(t, y, np.concatenate((low, h * np.tensordot(_DOP.D, k, 1))))
+    return _DenseShot(t, y, np.concatenate((low, h * np.tensordot(d, k, 1))))
 
 
 def _shooters(regular, span, rhs, field, rtol: float, atol: float, p=None):
@@ -479,7 +487,7 @@ def _unit_eigen_shot(d: float):
     shot = dense(1.0, 1.0)  # lam and amplitude
     if not shot.y[0, -1] < 0.0:
         raise RuntimeError(f"the eigen shot reached t = {shot.t[-1]} without a sign change of v")
-    return shot.frozen(), optimize.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], xtol=1e-15)
+    return shot.frozen(), scipy.optimize.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], xtol=1e-15)
 
 
 def _eigen_solve(bvp: RadialBvp):
@@ -645,7 +653,7 @@ def mountain_pass_solve(bvp: RadialBvp, p: float) -> MountainPassSolution:
     else:
         raise RuntimeError("no solution found in bracket: amplitude sweep exhausted")
 
-    amp = optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
+    amp = scipy.optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
     sol = dense(amp)
 
     rho = bvp.grid()
@@ -788,7 +796,7 @@ def multiplicity_explore(bvp: RadialBvp, h: OscillatoryNonlinearity, lam: float,
             starts.append(np.minimum(prev * (a_k / max(np.max(prev), 1e-12)), b_k))
         best = None
         for u0 in starts:
-            res = optimize.minimize(
+            res = scipy.optimize.minimize(
                 objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
                 options={"maxiter": 4000, "ftol": 1e-14, "gtol": 1e-12, "maxcor": 40},
             )

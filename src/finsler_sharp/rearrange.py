@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import REQUIRED, build_from_descriptor, graded_grid, panel_quad, route_quad, unconverged
-from ._util import warn_unconverged
+from ._util import finite_positive, warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, avr
 from .report import InequalityReport, make_report
@@ -77,7 +77,7 @@ class DistributionFunction:
 
 
 def cone_profile(radius: float = 1.0, height: float = 1.0) -> RadialTestFunction:
-    r, hgt = float(radius), float(height)
+    r, hgt = finite_positive(radius, "profile radius R"), float(height)
 
     def g(rho):
         return hgt * np.clip(1.0 - rho / r, 0.0, None)
@@ -96,9 +96,10 @@ def cone_profile(radius: float = 1.0, height: float = 1.0) -> RadialTestFunction
 
 def plateau_profile(inner: float = 0.5, radius: float = 1.0, height: float = 1.0) -> RadialTestFunction:
     """Flat top of the given height out to inner, then a linear ramp to 0."""
-    if not 0.0 < inner < radius:
+    r = finite_positive(radius, "profile radius R")
+    if not 0.0 < inner < r:
         raise ValueError("need 0 < inner < radius")
-    a, r, hgt = float(inner), float(radius), float(height)
+    a, hgt = float(inner), float(height)
 
     def g(rho):
         return hgt * np.clip(np.minimum(1.0, (r - rho) / (r - a)), 0.0, None)
@@ -116,7 +117,7 @@ def morrey_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTest
     if not p > n:
         raise ValueError(f"extremal needs p > n, got p={p}, n={n}")
     b = (p - n) / (p - 1.0)
-    r = float(radius)
+    r = finite_positive(radius, "profile radius R")
 
     def g(rho):
         return np.maximum(1.0 - (np.maximum(rho, 0.0) / r) ** b, 0.0)
@@ -169,8 +170,8 @@ def l1_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTestFunc
     """
     if not p > n:
         raise ValueError(f"extremal needs p > n, got p={p}, n={n}")
+    r = finite_positive(radius, "profile radius R")
     knots, cum, h = _l1_cumulative(float(p), int(n))
-    r = float(radius)
     height = float(cum[-1])
 
     def g(rho):

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, route_quad, spawn_rngs, unconverged
+from ._util import REQUIRED, build_from_descriptor, finite_positive, route_quad, spawn_rngs, unconverged
 from .constants import (
+    ball_volume,
     bpv_constant,
     eta,
     hardy_constant,
@@ -97,7 +98,7 @@ def verify_morrey_support(m: FinslerInstance, u: RadialTestFunction, p: float) -
     """Check sup|u| <= C * Vol(supp u)^(1/n - 1/p) * energy^(1/p) (see _sup_norm_check)."""
 
     def bound(n, a):
-        c, vol = morrey_support_constant(p, n, a), omega_n(n) * u.support_radius**n
+        c, vol = morrey_support_constant(p, n, a), ball_volume(n, u.support_radius)
         return c, {}, lambda energy: (c * vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p), True)
 
     return _sup_norm_check("support", m, u, p, bound)
@@ -158,7 +159,7 @@ def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float
     for r in r_grid:
         u = morrey_extremal_profile(p, n, float(r))
         energy = radial_dirichlet_energy(u, n, p)
-        vol = omega_n(n) * u.support_radius**n
+        vol = ball_volume(n, u.support_radius)
         c_est = u.sup() / (vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p))
         rows.append(
             {
@@ -286,14 +287,14 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
         int F*(Du)^2 - mu int u^2/d^2  >=  S * int u^2,
 
     at rtol 1e-9, with S the shifted-Bessel-zero constant for the ball's
-    canonical volume omega_n radius^n.  mu outside the admissible range
-    raises before any quadrature runs.
+    canonical volume omega_n radius^n, which must be finite and positive.
+    mu outside the admissible range raises before any quadrature runs.
     """
     n = m.dim
     radius = float(radius)
-    vol = omega_n(n) * radius**n
     if radius <= 0:
         raise ValueError(f"domain radius must be positive, got {radius}")
+    vol = ball_volume(n, radius)
     if u.support_radius > radius * (1.0 + 1e-12):
         raise ValueError(
             f"u must be supported in the domain: support {u.support_radius} > radius {radius}"
@@ -387,15 +388,20 @@ def _curved_shape(spec: dict, h: MinkowskiNorm, n: int):
     else:  # ball
         r = spec["radius"]
         radius = lambda w: np.full(w.shape[:-1], r)
-        vol = omega_n(n) * r**n
+        vol = ball_volume(n, r)
     return vol, lambda w: radius(w)[..., None] * w
+
+
+def _shape(kind: str, **lengths) -> dict:
+    """The shape descriptor of the given kind, once every length is finite and positive."""
+    return {"kind": kind, **{k: finite_positive(v, f"shape {kind!r}: key {k!r}") for k, v in lengths.items()}}
 
 
 _RADIUS = {"radius": (float, 1.0)}
 _AXES = {"a": (float, REQUIRED), "b": (float, REQUIRED)}
 # a shape is its descriptor with every key filled in
 SHAPES = {
-    kind: (partial(dict, kind=kind), keys)
+    kind: (partial(_shape, kind), keys)
     for kind, keys in (("ball", _RADIUS), ("wulff", _RADIUS), ("rectangle", _AXES),
                        ("ellipse", _AXES), ("ellipsoid", {**_AXES, "c": (float, REQUIRED)}))
 }
@@ -444,6 +450,8 @@ def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None
             diag = {"quadrature": "surface", "n_phi": n_phi}
         perim = perimeter(h, boundary, *fine)
         err_est = abs(perim - perimeter(h, boundary, *half)) / 3.0
+    if not 0.0 < vol < math.inf:
+        raise ValueError(f"shape {kind!r} has volume {vol}, not finite and positive")
 
     diag["quad_error_estimate"] = err_est
     rhs = n * omega_n(n) ** (1.0 / n) * a ** (1.0 / n) * vol ** ((n - 1.0) / n)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +299,68 @@ def test_unknown_subcommand_exit_2(capsys):
     rc = run_cli(["frobnicate"])
     assert rc == 2
     capsys.readouterr()
+
+
+_ISO2 = ["verify", "--instance", "euclidean:n=2", "--inequality", "isoperimetric", "--shape"]
+_SUPPORT2 = ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-support", "--profile"]
+_BPV2 = ["verify", "--instance", "euclidean:n=2", "--inequality", "bpv", "--profile", "cone:R=1", "--radius"]
+_AVR2 = ["avr", "--instance", "euclidean:n=2", "--radii"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_ISO2, "rectangle:a=inf,b=1"],
+    ["verify", "--instance", "f_eps:n=2,eps=1,normalize=true", "--inequality", "isoperimetric",
+     "--shape", "wulff:radius=0"],
+    [*_ISO2, "ellipse:a=0,b=1"],
+    [*_ISO2, "ball:radius=-1"],
+    [*_ISO2, "rectangle:a=-1,b=-1"],
+    ["verify", "--instance", "euclidean:n=3", "--inequality", "isoperimetric",
+     "--shape", "ellipsoid:a=1,b=1,c=inf"],
+    [*_ISO2, "ball:radius=1e-200"],
+    [*_ISO2, "rectangle:a=1e200,b=1e200"],
+    [*_SUPPORT2, "morrey_extremal:p=4,R=0"],
+    [*_SUPPORT2, "morrey_extremal:p=4,R=-1"],
+    [*_SUPPORT2, "morrey_extremal:p=4,R=inf"],
+    [*_SUPPORT2, "morrey_extremal:p=4,R=1e200"],
+    [*_BPV2, "1e300"],
+    [*_BPV2, "inf"],
+    ["constants", "--n", "2", "--p", "inf"],
+    [*_AVR2, "1,inf"],
+    [*_AVR2, "1,1e200"],
+    [*_AVR2, "1e-200,1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
+    # each makes a length, a volume or a constant nan, inf or 0, or overflows a float power
+    assert run_cli(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+# the test modules import scipy's solver modules, so only a fresh interpreter
+# shows which of them the commands load
+_SOLVER_MODULES = """
+import json, sys
+from finsler_sharp import cli, pde
+solvers = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+codes = [
+    cli.main(["verify", "--instance", "f_eps:n=2,eps=1,normalize=true",
+              "--inequality", "isoperimetric", "--shape", "wulff:radius=1"]),
+    cli.main(["avr", "--instance", "f_eps:n=2,eps=1,normalize=true", "--method", "mc"]),
+]
+before = [m for m in solvers if m in sys.modules]
+pde.first_eigenvalue(pde.RadialBvp(n=3, radius=1.0))
+print(json.dumps({"codes": codes, "before": before, "after": [m for m in solvers if m in sys.modules]}))
+"""
+
+
+def test_geometry_commands_load_no_solver_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pde.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_MODULES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0] and doc["before"] == []
+    assert doc["after"] == ["scipy.integrate", "scipy.optimize", "scipy.linalg"]
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -69,6 +69,21 @@ def test_ball_volume_curve_and_bishop_gromov(e2):
         M.ball_volume_curve(e2, [2.0, 1.0], n_samples=1000)
 
 
+def test_bishop_gromov_fails_on_a_non_finite_ratio():
+    # a nan compares false with its neighbours, so no comparison of the curve flags it
+    for bad in ("values", "stderrs"):
+        fields = {"radii": np.array([1.0, 2.0]), "values": np.array([math.pi, 4.0 * math.pi]),
+                  "stderrs": np.zeros(2)}
+        fields[bad][0] = np.nan
+        assert not M.bishop_gromov_ok(M.BallVolumeCurve(**fields), 2)
+
+
+@pytest.mark.parametrize("half", [[1e200, 1e200], [1e-200, 1e-200], [math.inf, 1.0]])
+def test_box_volume_refuses_a_box_without_finite_positive_volume(half):
+    with pytest.raises(ValueError, match="finite and positive"):
+        box_volume(lambda pts: pts[:, 0] < 0.0, half, 100, 0, 1.0)
+
+
 def test_avr_exact_paths(e2, l4_2):
     for m in (e2, l4_2):
         est = M.avr(m)

@@ -9,6 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from finsler_sharp import pde as P
 from finsler_sharp.constants import bessel_first_zero, bpv_constant, omega_n
@@ -564,19 +566,17 @@ class _RefShot(NamedTuple):
 
 
 def _ref_shooters(regular, span, rhs, field, rtol, atol, p=None):
-    from scipy import integrate
-
     def dense(lam, amplitude):
         eps, end = span
         y0 = list(P._frobenius_start(regular, lam, amplitude, p, eps))
-        solver = integrate.DOP853(rhs, eps, y0, end, rtol=rtol, atol=atol)
+        solver = scipy.integrate.DOP853(rhs, eps, y0, end, rtol=rtol, atol=atol)
         t, y, pieces = [eps], [solver.y.copy()], []
         while solver.status == "running" and not y[-1][0] < 0.0:
             solver.step()
             t.append(solver.t)
             y.append(solver.y.copy())
             pieces.append(solver.dense_output())
-        return _RefShot(np.array(t), np.array(y).T, integrate.OdeSolution(t, pieces))
+        return _RefShot(np.array(t), np.array(y).T, scipy.integrate.OdeSolution(t, pieces))
 
     def endpoint(lam, amplitude):
         sol = dense(lam, amplitude)
@@ -719,7 +719,7 @@ def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
 def _ground_root(monkeypatch, bvp, p):
     """The amplitude brentq finds for bvp, and a fresh gap whose shots
     append their (t, y, step before) to the list returned with it."""
-    roots = _spy(monkeypatch, P.optimize, "brentq")
+    roots = _spy(monkeypatch, scipy.optimize, "brentq")
     P.mountain_pass_solve(bvp, p=p)
     # the spectral bound's Bessel zero is found by brentq too
     (amp,) = [root for (f, *_), root in roots if f.__qualname__.startswith("_ground_shots")]
@@ -777,14 +777,14 @@ def test_no_ground_state_amplitude_is_shot_twice(n, radius, mu, lam, p, monkeypa
     # bracket at no cost, and the profile at its root is rebuilt from
     # brentq's own shot: every amplitude is shot once, the root among them,
     # and the dense profile adds no ode.integrate
-    shots = _spy(monkeypatch, P.integrate.ode, "integrate")
-    found, brentq = [], P.optimize.brentq
+    shots = _spy(monkeypatch, scipy.integrate.ode, "integrate")
+    found, brentq = [], scipy.optimize.brentq
 
     def spy(f, *args, **kwargs):
         found.append((f, brentq(f, *args, **kwargs), len(shots)))
         return found[-1][1]
 
-    monkeypatch.setattr(P.optimize, "brentq", spy)
+    monkeypatch.setattr(scipy.optimize, "brentq", spy)
     amplitudes = _ground_shot_amplitudes(monkeypatch, (n, radius, mu, lam, p), 1.0)
     (root, shots_at_root), = [(root, k) for f, root, k in found
                                if f.__qualname__.startswith("_ground_shots")]
@@ -809,7 +809,7 @@ def test_eigen_solves_take_one_shot(n, radius, mu, monkeypatch):
     # crosses its first zero gives lam1; the secant from the left that this
     # replaced took 9 to 11 shots per solve.  The shot depends on d alone,
     # so the quotient on the same bvp reads it and shoots none
-    shots = _spy(monkeypatch, P.integrate.ode, "integrate")
+    shots = _spy(monkeypatch, scipy.integrate.ode, "integrate")
     P._unit_eigen_shot.cache_clear()
     bvp = P.RadialBvp(n=n, radius=radius, mu=mu)
     P.first_eigenvalue(bvp)
@@ -830,7 +830,7 @@ def test_unit_eigen_shots_are_kept_per_regular_dimension(monkeypatch):
     # the lam = 1 shot and its zero depend on d = n + 2s alone: a cold
     # solve shoots once, the quotient on the same bvp and the same (n, mu)
     # at another R read the kept shot, and a new mu shoots again
-    shots = _spy(monkeypatch, P.integrate.ode, "integrate")
+    shots = _spy(monkeypatch, scipy.integrate.ode, "integrate")
     P._unit_eigen_shot.cache_clear()
     P.first_eigenvalue(P.RadialBvp(n=3, radius=1.0, mu=0.2))
     assert len(shots) == 1
@@ -925,14 +925,12 @@ def test_newton_skips_steps_that_round_away(monkeypatch):
 
 
 def _u_shot(bvp, rhs, lam, amplitude, rtol, atol, events=None):
-    from scipy import integrate
-
     n, s, eps = bvp.n, bvp.frobenius_exponent(), 1e-6 * bvp.radius
     c2 = -lam / (2.0 * (2.0 * s + n))
     u0 = amplitude * eps ** s * (1.0 + c2 * eps * eps)
     w0 = amplitude * (s * eps ** (s + n - 2) + c2 * (s + 2.0) * eps ** (s + n))
-    return integrate.solve_ivp(rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol,
-                               atol=atol, dense_output=True, events=events)
+    return scipy.integrate.solve_ivp(rhs, (eps, bvp.radius), [u0, w0], method="DOP853", rtol=rtol,
+                                     atol=atol, dense_output=True, events=events)
 
 
 def _ref_u_eigen_quotient(bvp):
@@ -1173,13 +1171,13 @@ def test_shots_reuse_one_integrator_per_thread(monkeypatch):
     # thread, each ground solve's root among them, run one ode per
     # kind, and another thread gets its own
     shots = []
-    real = P.integrate.ode.integrate
+    real = scipy.integrate.ode.integrate
 
     def spy(self, *args, **kwargs):
         shots.append((threading.get_ident(), self))
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(P.integrate.ode, "integrate", spy)
+    monkeypatch.setattr(scipy.integrate.ode, "integrate", spy)
     P._unit_eigen_shot.cache_clear()
     bvp = P.RadialBvp(n=3, radius=1.0, mu=0.2)
     lam1, _ = P.first_eigenvalue(bvp)
@@ -1210,13 +1208,13 @@ def test_concurrent_solves_keep_their_bits(monkeypatch):
     cases = [(3, 1.0, 0.2), (4, 2.0, 0.9), (2, 1.7, 0.0), (3, 0.7, 0.24)]
     expected = [P.first_eigenvalue(P.RadialBvp(*case))[0] for case in cases]
     got = [[] for _ in cases]
-    shooters, real = [], P.integrate.ode.integrate
+    shooters, real = [], scipy.integrate.ode.integrate
 
     def spy(self, *args, **kwargs):
         shooters.append(threading.current_thread())
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(P.integrate.ode, "integrate", spy)
+    monkeypatch.setattr(scipy.integrate.ode, "integrate", spy)
 
     def work(i):
         for _ in range(3):
