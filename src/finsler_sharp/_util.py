@@ -1,4 +1,4 @@
-"""Shared small helpers: the descriptor parser, seeded RNG spawning, graded
+"""Shared small helpers: the descriptor parser, Brent's root finder, seeded RNG spawning, graded
 grids, Gauss-Legendre nodes, the Monte-Carlo box sampler, tanh-sinh panel quadrature."""
 
 from __future__ import annotations
@@ -98,6 +98,54 @@ def finite_positive(value, where: str) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{where} must be finite and positive, got {value!r}")
     return value
+
+
+# brentq's iteration limit and least rtol, scipy.optimize.brentq's defaults
+BRENTQ_MAXITER, BRENTQ_RTOL = 100, 4 * 2.0**-52
+
+
+def brentq(f, a, b, xtol, rtol):
+    """A zero of f in [a, b], to xtol + rtol |x|, where f(a) and f(b) differ in sign: Brent's method
+    (Brent 1973, ch. 4) as scipy.optimize.brentq's C routine writes it, on Python floats, so f is
+    evaluated at the same points and the root has the same bits.  As there, ValueError for xtol <= 0,
+    rtol < BRENTQ_RTOL, ends of one sign or a NaN value of f; RuntimeError after BRENTQ_MAXITER."""
+    if xtol <= 0 or rtol < BRENTQ_RTOL:
+        raise ValueError(f"brentq needs xtol > 0 and rtol >= {BRENTQ_RTOL:g}, got {xtol:g} and {rtol:g}")
+
+    def value(x):
+        if math.isnan(fx := float(f(x))):
+            raise ValueError(f"the function value at x={x} is NaN; brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f(a) and f(b) must have different signs, got {fpre:g} and {fcur:g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENTQ_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # f changes sign between xpre and xcur
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the end with the smaller |f|
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a bisection unless the interpolation below steps short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a denominator that underflows is C's infinite step
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                if den := dblk * dpre * (fblk - fpre):
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {BRENTQ_MAXITER} iterations, value is {xcur}")
 
 
 def spawn_rngs(seed, n: int):

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy  # optimize loads on first use, not with the library
 from scipy import special
+
+from . import _util
 
 
 def omega_n(n: int) -> float:
@@ -130,9 +131,7 @@ def bessel_first_zero(nu: float) -> float:
         sign_flip = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
         if sign_flip.size:
             k = sign_flip[0]
-            return scipy.optimize.brentq(
-                lambda x: special.jv(nu, x), grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15
-            )
+            return _util.brentq(lambda x: special.jv(nu, x), grid[k], grid[k + 1], 1e-14, 1e-15)
         hi = lo + 2.0 * (hi - lo)
     raise RuntimeError(
         f"no sign change of J_{nu} found on [{lo}, {hi}] after widening"

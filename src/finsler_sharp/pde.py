@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy  # integrate, linalg and optimize load on first use, not with the library
 
-from ._util import gauss_legendre, graded_grid
+from . import _util
+from ._util import finite_positive, gauss_legendre, graded_grid
 from .constants import bpv_constant, omega_n
 
 
@@ -81,8 +82,7 @@ class RadialBvp:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if self.radius <= 0:
-            raise ValueError(f"domain radius must be positive, got {self.radius}")
+        finite_positive(self.radius, "domain radius")
         if self.n_nodes < 16:
             raise ValueError("grid needs at least 16 nodes")
         _check_mu(self.n, self.mu)
@@ -487,7 +487,7 @@ def _unit_eigen_shot(d: float):
     shot = dense(1.0, 1.0)  # lam and amplitude
     if not shot.y[0, -1] < 0.0:
         raise RuntimeError(f"the eigen shot reached t = {shot.t[-1]} without a sign change of v")
-    return shot.frozen(), scipy.optimize.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], xtol=1e-15)
+    return shot.frozen(), _util.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], 1e-15, _util.BRENTQ_RTOL)
 
 
 def _eigen_solve(bvp: RadialBvp):
@@ -504,8 +504,8 @@ def _eigen_solve(bvp: RadialBvp):
     _, d = _regular_variable(bvp)
     shot, z = _unit_eigen_shot(d)
     k = bvp.radius / z
+    lam1 = finite_positive(1.0 / (k * k), f"lambda1 = (z / R)^2 at R = {bvp.radius!r}")
     sol = shot.scaled(k, k ** (d - 2.0))
-    lam1 = 1.0 / (k * k)
     prof = _sample_frobenius(bvp.grid(), sol, bvp, lam1, 1.0)
     prof[-1] = 0.0
     return lam1, prof / np.max(prof), sol
@@ -653,7 +653,7 @@ def mountain_pass_solve(bvp: RadialBvp, p: float) -> MountainPassSolution:
     else:
         raise RuntimeError("no solution found in bracket: amplitude sweep exhausted")
 
-    amp = scipy.optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
+    amp = _util.brentq(gap, a_lo, a_hi, 1e-13 * scale, 1e-14)
     sol = dense(amp)
 
     rho = bvp.grid()

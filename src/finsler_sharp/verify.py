@@ -86,6 +86,7 @@ def _sup_norm_check(kind: str, m: FinslerInstance, u: RadialTestFunction, p: flo
     diag = {"path": "radial", "profile": u.label}
     if math.isfinite(energy):
         rhs, converged = rhs_of(energy)
+        finite_positive(rhs, f"morrey_{kind.lower()} right side of {u.label}")  # not an underflow to 0
         diag.update(unconverged(converged))
     else:
         diag["divergent_energy"] = True
@@ -156,10 +157,10 @@ def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float
     target = support_energy_limit(p, n, a)
     c_sharp = morrey_support_constant(p, n, a)
     rows = []
-    for r in r_grid:
+    vols = [ball_volume(n, float(r)) for r in r_grid]  # every radius refused before any c_est
+    for r, vol in zip(r_grid, vols):
         u = morrey_extremal_profile(p, n, float(r))
         energy = radial_dirichlet_energy(u, n, p)
-        vol = ball_volume(n, u.support_radius)
         c_est = u.sup() / (vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p))
         rows.append(
             {
@@ -384,7 +385,10 @@ def _curved_shape(spec: dict, h: MinkowskiNorm, n: int):
     elif kind == "wulff":
         r = spec["radius"]
         radius = lambda w: r / h(w.reshape(-1, n)).reshape(w.shape[:-1])
-        vol = r**n * wulff_volume(h)
+        try:
+            vol = r**n * wulff_volume(h)
+        except OverflowError:  # refused with every infinite volume by verify_isoperimetric
+            vol = math.inf
     else:  # ball
         r = spec["radius"]
         radius = lambda w: np.full(w.shape[:-1], r)
@@ -432,14 +436,16 @@ def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None
         n_quad = 8192 if h.analytic_dual is not None else 512
     err_est = 0.0
 
+    vol, boundary = (spec["a"] * spec["b"], None) if kind == "rectangle" else _curved_shape(spec, h, n)
+    if not 0.0 < vol < math.inf:  # refused before its perimeter overflows
+        raise ValueError(f"shape {kind!r} has volume {vol}, not finite and positive")
+
     if kind == "rectangle":
         ax, bx = spec["a"], spec["b"]
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         perim = 2.0 * bx * h.dual(e1) + 2.0 * ax * h.dual(e2)
-        vol = ax * bx
         diag = {"quadrature": "exact_sides"}
     else:
-        vol, boundary = _curved_shape(spec, h, n)
         if n == 2:
             k = int(n_quad)
             perimeter, fine, half = _perimeter_polygon, (k,), (k // 2,)
@@ -450,8 +456,6 @@ def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None
             diag = {"quadrature": "surface", "n_phi": n_phi}
         perim = perimeter(h, boundary, *fine)
         err_est = abs(perim - perimeter(h, boundary, *half)) / 3.0
-    if not 0.0 < vol < math.inf:
-        raise ValueError(f"shape {kind!r} has volume {vol}, not finite and positive")
 
     diag["quad_error_estimate"] = err_est
     rhs = n * omega_n(n) ** (1.0 / n) * a ** (1.0 / n) * vol ** ((n - 1.0) / n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -324,14 +325,25 @@ _AVR2 = ["avr", "--instance", "euclidean:n=2", "--radii"]
     [*_SUPPORT2, "morrey_extremal:p=4,R=1e200"],
     [*_BPV2, "1e300"],
     [*_BPV2, "inf"],
+    ["verify", "--instance", "f_eps:n=2,eps=1,normalize=true", "--inequality", "isoperimetric",
+     "--shape", "wulff:radius=1e200"],
+    ["verify", "--instance", "euclidean:n=2", "--inequality", "morrey-l1",
+     "--profile", "talenti_l1_extremal:p=4,R=1e200"],
+    ["pde", "--problem", "ep", "--n", "3", "--radius=inf"],
+    ["pde", "--problem", "ep", "--n", "3", "--radius=1e300"],
+    # the energy underflows to 0 at radii below the first whose ball volume overflows
+    ["sweep", "--kind", "support", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e200:geometric"],
     ["constants", "--n", "2", "--p", "inf"],
     [*_AVR2, "1,inf"],
     [*_AVR2, "1,1e200"],
     [*_AVR2, "1e-200,1"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
-    # each makes a length, a volume or a constant nan, inf or 0, or overflows a float power
-    assert run_cli(argv) == 2
+    # each makes a length, a volume or a constant nan, inf or 0, or overflows a float power,
+    # and is refused before a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(argv) == 2
     assert "finite" in capsys.readouterr().err
 
 
@@ -339,15 +351,18 @@ def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
 # shows which of them the commands load
 _SOLVER_MODULES = """
 import json, sys
-from finsler_sharp import cli, pde
+from finsler_sharp import cli
 solvers = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 codes = [
     cli.main(["verify", "--instance", "f_eps:n=2,eps=1,normalize=true",
               "--inequality", "isoperimetric", "--shape", "wulff:radius=1"]),
     cli.main(["avr", "--instance", "f_eps:n=2,eps=1,normalize=true", "--method", "mc"]),
+    cli.main(["constants", "--p", "4", "--n", "2"]),
+    cli.main(["verify", "--instance", "euclidean:n=2", "--inequality", "bpv", "--profile", "cone:R=1"]),
+    cli.main(["verify", "--instance", "euclidean:n=3", "--inequality", "bpv", "--suite", "3"]),
 ]
 before = [m for m in solvers if m in sys.modules]
-pde.first_eigenvalue(pde.RadialBvp(n=3, radius=1.0))
+codes.append(cli.main(["pde", "--problem", "ep", "--n", "3"]))
 print(json.dumps({"codes": codes, "before": before, "after": [m for m in solvers if m in sys.modules]}))
 """
 
@@ -359,7 +374,7 @@ def test_geometry_commands_load_no_solver_module():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0] and doc["before"] == []
+    assert doc["codes"] == [0] * 6 and doc["before"] == []
     assert doc["after"] == ["scipy.integrate", "scipy.optimize", "scipy.linalg"]
 
 

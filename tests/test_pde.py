@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from finsler_sharp import pde as P
+from finsler_sharp import _util, pde as P
 from finsler_sharp.constants import bessel_first_zero, bpv_constant, omega_n
 
 EIGEN_GRID = [
@@ -719,7 +719,7 @@ def test_rebuilt_interpolant_matches_the_solve_ivp_interpolant(monkeypatch):
 def _ground_root(monkeypatch, bvp, p):
     """The amplitude brentq finds for bvp, and a fresh gap whose shots
     append their (t, y, step before) to the list returned with it."""
-    roots = _spy(monkeypatch, scipy.optimize, "brentq")
+    roots = _spy(monkeypatch, _util, "brentq")
     P.mountain_pass_solve(bvp, p=p)
     # the spectral bound's Bessel zero is found by brentq too
     (amp,) = [root for (f, *_), root in roots if f.__qualname__.startswith("_ground_shots")]
@@ -778,13 +778,13 @@ def test_no_ground_state_amplitude_is_shot_twice(n, radius, mu, lam, p, monkeypa
     # brentq's own shot: every amplitude is shot once, the root among them,
     # and the dense profile adds no ode.integrate
     shots = _spy(monkeypatch, scipy.integrate.ode, "integrate")
-    found, brentq = [], scipy.optimize.brentq
+    found, brentq = [], _util.brentq
 
     def spy(f, *args, **kwargs):
         found.append((f, brentq(f, *args, **kwargs), len(shots)))
         return found[-1][1]
 
-    monkeypatch.setattr(scipy.optimize, "brentq", spy)
+    monkeypatch.setattr(_util, "brentq", spy)
     amplitudes = _ground_shot_amplitudes(monkeypatch, (n, radius, mu, lam, p), 1.0)
     (root, shots_at_root), = [(root, k) for f, root, k in found
                                if f.__qualname__.startswith("_ground_shots")]
@@ -934,8 +934,6 @@ def _u_shot(bvp, rhs, lam, amplitude, rtol, atol, events=None):
 
 
 def _ref_u_eigen_quotient(bvp):
-    from scipy import optimize
-
     from finsler_sharp._util import split_quad
 
     n, mu, radius = bvp.n, bvp.mu, bvp.radius
@@ -950,7 +948,7 @@ def _ref_u_eigen_quotient(bvp):
     assert shot(lam_lo).y[0, -1] > 0.0
     while shot(lam_hi).y[0, -1] >= 0.0:
         lam_hi *= 1.6
-    lam1 = optimize.brentq(lambda lam: shot(lam).y[0, -1], lam_lo, lam_hi, xtol=1e-12, rtol=1e-14)
+    lam1 = scipy.optimize.brentq(lambda lam: shot(lam).y[0, -1], lam_lo, lam_hi, xtol=1e-12, rtol=1e-14)
     sol = shot(lam1)
     s, eps, k = bvp.frobenius_exponent(), sol.t[0], 2.0 * bvp.frobenius_exponent() + n
 
@@ -966,8 +964,6 @@ def _ref_u_eigen_quotient(bvp):
 
 
 def _ref_u_ground_level(bvp, p):
-    from scipy import optimize
-
     n, mu, lam, radius = bvp.n, bvp.mu, bvp.lam, bvp.radius
 
     def rhs(rho, y):
@@ -991,7 +987,7 @@ def _ref_u_ground_level(bvp, p):
     a_hi = max(4.0 * a_lo, scale)
     while gap(a_hi) >= 0.0:
         a_hi *= 2.0
-    amp = optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
+    amp = scipy.optimize.brentq(gap, a_lo, a_hi, xtol=1e-13 * scale, rtol=1e-14)
     sol = _u_shot(bvp, rhs, lam, amp, 1e-11, 1e-13, crossing)
     rho = bvp.grid()
     s, eps = bvp.frobenius_exponent(), sol.t[0]
