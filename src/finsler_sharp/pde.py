@@ -39,7 +39,7 @@ import scipy  # integrate, linalg and optimize load on first use, not with the l
 
 from . import _util
 from ._util import finite_positive, gauss_legendre, graded_grid
-from .constants import bpv_constant, omega_n
+from .constants import ball_volume, bpv_constant, omega_n
 
 
 @lru_cache(maxsize=64)
@@ -103,8 +103,7 @@ class RadialBvp:
     def spectral_bound(self) -> float:
         """Sharp L2 lower bound of the quadratic form on this ball; the
         radial BVP is flat by construction, so its AVR is 1."""
-        vol = omega_n(self.n) * self.radius ** self.n
-        _, s = bpv_constant(self.mu, self.n, 1.0, vol)
+        _, s = bpv_constant(self.mu, self.n, 1.0, ball_volume(self.n, self.radius))
         return s
 
 
@@ -504,8 +503,11 @@ def _eigen_solve(bvp: RadialBvp):
     _, d = _regular_variable(bvp)
     shot, z = _unit_eigen_shot(d)
     k = bvp.radius / z
-    lam1 = finite_positive(1.0 / (k * k), f"lambda1 = (z / R)^2 at R = {bvp.radius!r}")
-    sol = shot.scaled(k, k ** (d - 2.0))
+    kk = finite_positive(k * k, f"(R / z)^2 at R = {bvp.radius!r}")
+    lam1 = finite_positive(1.0 / kk, f"lambda1 = (z / R)^2 at R = {bvp.radius!r}")
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        flux = float(np.float64(k) ** (d - 2.0))
+    sol = shot.scaled(k, finite_positive(flux, f"flux scale (R / z)^(d - 2) at R = {bvp.radius!r}"))
     prof = _sample_frobenius(bvp.grid(), sol, bvp, lam1, 1.0)
     prof[-1] = 0.0
     return lam1, prof / np.max(prof), sol

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
-from ._util import REQUIRED, build_from_descriptor, graded_grid, panel_quad, route_quad, unconverged
+from ._util import REQUIRED, build_from_descriptor, graded_grid, route_quad, split_quad, unconverged
 from ._util import finite_positive, warn_unconverged
 from .constants import omega_n
 from .manifold import FinslerInstance, avr
@@ -147,36 +148,24 @@ def _l1_seed_integrand(p: float, n: int):
     return h
 
 
-@lru_cache(maxsize=64)
-def _l1_cumulative(p: float, n: int):
-    """Cumulative integral of the L1-extremal seed on a graded grid.
-
-    The 1,024 panel integrals come from one panel_quad call, so the
-    cumulative values at the knots are quadrature-exact; between knots a
-    monotone interpolant is used.  The total is the profile height.
-    """
-    h = _l1_seed_integrand(p, n)
-    knots = graded_grid(0.0, 1.0, 1025, exponent=2.2)
-    cum = np.concatenate([[0.0], np.cumsum(panel_quad(h, knots[:-1], knots[1:])[0])])
-    return knots, cum, h
-
-
 def l1_extremal_profile(p: float, n: int, radius: float = 1.0) -> RadialTestFunction:
     """The L1-bound extremal: g(rho) = height - C(rho/R) where C is the
     cumulative of r^((1-n)/(p-1)) (1-r^n)^(1/(p-1)) and height = C(1).
-
-    Scaling the radius dilates the support but keeps the height, which is
-    exactly the sharpness test family for the L1 bound.
+    With s = r^n this is g = height * betaincc(a, p', (rho/R)^n), a =
+    (p-n)/(n(p-1)), p' = p/(p-1); the height is one quadrature of the slope,
+    apart from constants.l1_extremal_height.  Scaling the radius dilates the
+    support but keeps the height: the sharpness test family of the L1 bound.
     """
     if not p > n:
         raise ValueError(f"extremal needs p > n, got p={p}, n={n}")
     r = finite_positive(radius, "profile radius R")
-    knots, cum, h = _l1_cumulative(float(p), int(n))
-    height = float(cum[-1])
+    h = _l1_seed_integrand(p, n)
+    height, _, converged = split_quad(h, 0.0, 1.0)
+    warn_unconverged(converged, "L1 extremal height")
+    a, pp = (p - n) / (n * (p - 1.0)), p / (p - 1.0)
 
     def g(rho):
-        t = np.clip(np.asarray(rho, dtype=float) / r, 0.0, 1.0)
-        return height - np.interp(t, knots, cum)
+        return height * special.betaincc(a, pp, np.clip(np.asarray(rho, dtype=float) / r, 0.0, 1.0) ** n)
 
     def dg(rho):
         rho = np.asarray(rho, dtype=float)

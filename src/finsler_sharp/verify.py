@@ -124,14 +124,24 @@ SWEEP_RTOL = 1e-3
 
 
 def _sweep_domain(kind: str, m: FinslerInstance, p: float, r_grid: Sequence[float]):
-    """(n, avr) of m for a sweep of the kind ("support" or "L1") bound,
-    which needs p > n and a nonempty radius grid."""
+    """(n, avr) of m for a sweep of the kind ("support" or "L1") bound, which needs p > n and
+    a nonempty radius grid, every radius of finite positive ball volume (checked before any row)."""
     n = m.dim
     if not p > n:
         raise ValueError(f"{kind} sweep needs p > n, got p={p}, n={n}")
     if len(r_grid) == 0:
         raise ValueError("radius grid must be nonempty")
+    for r in r_grid:
+        ball_volume(n, float(r))
     return n, estimate_avr(m).point
+
+
+def _sweep_energy(u: RadialTestFunction, n: int, p: float) -> float:
+    """radial_dirichlet_energy of u, refused if finite and not positive (an underflow to 0)."""
+    energy = radial_dirichlet_energy(u, n, p)
+    if math.isfinite(energy):
+        finite_positive(energy, f"energy of {u.label}")
+    return energy
 
 
 def _sweep_result(rows: list, key: str, target: float, holds: bool) -> SweepResult:
@@ -157,11 +167,10 @@ def sharpness_sweep_support(m: FinslerInstance, p: float, r_grid: Sequence[float
     target = support_energy_limit(p, n, a)
     c_sharp = morrey_support_constant(p, n, a)
     rows = []
-    vols = [ball_volume(n, float(r)) for r in r_grid]  # every radius refused before any c_est
-    for r, vol in zip(r_grid, vols):
+    for r in r_grid:
         u = morrey_extremal_profile(p, n, float(r))
-        energy = radial_dirichlet_energy(u, n, p)
-        c_est = u.sup() / (vol ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p))
+        energy = _sweep_energy(u, n, p)
+        c_est = u.sup() / (ball_volume(n, float(r)) ** (1.0 / n - 1.0 / p) * energy ** (1.0 / p))
         rows.append(
             {
                 "R": float(r),
@@ -180,7 +189,7 @@ def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) ->
 
     Checks three things per R: the scaled L1 norm and scaled energy
     against their Beta-function targets, the R-independence of the sup
-    (which equals the closed-form height exactly), and the combined
+    (against the Beta-function height), and the combined
     constant estimate against the sharp constant; the last is the sweep
     limit.
     """
@@ -194,8 +203,8 @@ def sharpness_sweep_l1(m: FinslerInstance, p: float, r_grid: Sequence[float]) ->
     for r in r_grid:
         rr = float(r)
         u = l1_extremal_profile(p, n, rr)
-        l1 = lq_norm_radial(u, 1.0, n)[0]  # the family's table has kinks the panels leave out
-        energy = radial_dirichlet_energy(u, n, p)
+        l1 = lq_norm_radial(u, 1.0, n)[0]
+        energy = _sweep_energy(u, n, p)
         c_est = u.sup() / (l1 ** (1.0 - e) * energy ** (e / p))
         rows.append(
             {

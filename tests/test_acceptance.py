@@ -170,7 +170,8 @@ def test_criterion_12_repro_byte_identity(run, line):
 
 # planted defects: a support constant off by 1e-6 either way must turn both
 # support criteria red, though made too large every report still reads
-# lhs <= rhs; an l1 constant off by 1e-6 either way must fail criterion 3.
+# lhs <= rhs; an l1 constant off by 1e-6, or by 1e-10, either way must fail
+# criterion 3, whose closed-form extremal leaves roundoff only.
 # The pair (index, S) of the shifted Poincare bound is planted where the
 # criteria read it, so the suites keep the true one: S off by 1e-6 fails the
 # eigenprofile equality of criterion 6, and the index off by 1e-6 moves
@@ -188,6 +189,8 @@ SUPPORT = (cli._support_equality, cli._support_sharpness_limit)
     ("bpv_constant", (1.0, 1.0 + 1e-6), (cli._bpv,)),
     ("bpv_constant", (1.0 - 1e-6, 1.0), (cli._eigenvalue_closed_form,)),
     ("bpv_constant", (1.0 + 1e-6, 1.0), (cli._eigenvalue_closed_form,)),
+    ("morrey_l1_constant", 1.0 - 1e-10, (cli._l1_sharpness,)),
+    ("morrey_l1_constant", 1.0 + 1e-10, (cli._l1_sharpness,)),
 ])
 def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, factor, criteria):
     module = cli.C if constant == "bpv_constant" else V

@@ -331,8 +331,19 @@ _AVR2 = ["avr", "--instance", "euclidean:n=2", "--radii"]
      "--profile", "talenti_l1_extremal:p=4,R=1e200"],
     ["pde", "--problem", "ep", "--n", "3", "--radius=inf"],
     ["pde", "--problem", "ep", "--n", "3", "--radius=1e300"],
+    # (R / z)^2 underflows to 0, where lambda1 = 1 / (R / z)^2 would divide by it
+    ["pde", "--problem", "ep", "--n", "3", "--radius=1e-200"],
+    # lambda1 is finite, the flux scale (R / z)^(d - 2) overflows; then the spectral bound's ball volume
+    ["pde", "--problem", "ep", "--n", "8", "--radius=1e100"],
+    ["pde", "--problem", "p-problem", "--n", "3", "--p", "3", "--radius=1e200"],
     # the energy underflows to 0 at radii below the first whose ball volume overflows
     ["sweep", "--kind", "support", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e200:geometric"],
+    pytest.param(["sweep", "--kind", "l1", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e200:geometric"],
+                 id="l1 --sweep R=1:1e200:geometric"),
+    # the energy underflows to 0 while every ball volume stays finite
+    ["sweep", "--kind", "support", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e140:geometric"],
+    pytest.param(["sweep", "--kind", "l1", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e140:geometric"],
+                 id="l1 --sweep R=1:1e140:geometric"),
     ["constants", "--n", "2", "--p", "inf"],
     [*_AVR2, "1,inf"],
     [*_AVR2, "1,1e200"],

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
@@ -66,11 +67,25 @@ def test_l1_extremal_against_beta_targets():
     for p, n in ((4.0, 2), (5.0, 3)):
         u = R.l1_extremal_profile(p, n)
         assert u.sup() == pytest.approx(l1_extremal_height(p, n), rel=1e-9)
-        # tabulated seed profile: piecewise-linear quadrature floor ~1e-6; the
-        # table's knots are no kinks of the profile, so the norm is unconverged
-        assert R.lq_norm_radial(u, 1.0, n) == (pytest.approx(l1_norm_limit(p, n, 1.0), rel=5e-6), False)
+        # the closed-form profile is smooth inside its support: the norm converges at roundoff
+        assert R.lq_norm_radial(u, 1.0, n) == (pytest.approx(l1_norm_limit(p, n, 1.0), rel=1e-12), True)
         assert R.radial_dirichlet_energy(u, n, p) == pytest.approx(
             l1_energy_limit(p, n, 1.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("n, p", [(2, 4.0), (3, 5.0), (4, 7.0), (2, 100.0)])
+def test_l1_extremal_against_mpmath_incomplete_beta(n, p):
+    # g(rho) = (1/n) B(a, p') I_c((rho/R)^n; a, p'), a = (p-n)/(n(p-1)) and
+    # p' = p/(p-1), at 40 digits: near the centre, in the middle and near R
+    radius = 1.3
+    u = R.l1_extremal_profile(p, n, radius)
+    with mp.workdps(40):
+        a, pp = mp.mpf(p - n) / (n * (p - 1)), mp.mpf(p) / (p - 1)
+        height = mp.beta(a, pp) / n
+        for rho in (1e-9 * radius, 0.5 * radius, (1.0 - 1e-6) * radius):
+            t = (mp.mpf(rho) / mp.mpf(radius)) ** n
+            ref = height * mp.betainc(a, pp, t, 1, regularized=True)
+            assert abs(float(u(rho)) - float(ref)) <= 2e-15 * float(height)
 
 
 def test_scale_profile_homogeneity(e2):

@@ -69,8 +69,7 @@ def test_l1_extremal_attains_equality(e2):
     u = l1_extremal_profile(p, 2, 1.0)
     rep = V.verify_morrey_l1(e2, u, p)
     assert rep.passed
-    # profile norm quadrature carries the l1 floor
-    assert rep.ratio == pytest.approx(1.0, rel=5e-6)
+    assert rep.ratio == pytest.approx(1.0, rel=1e-12)
     assert rep.params["eta"] == pytest.approx(eta(p, 2))
 
 
@@ -570,12 +569,18 @@ def test_suite_draws_keep_their_pinned_bits(name, e2, l4_2):
 
 
 def test_unconverged_quadrature_reaches_the_diagnostics(e2):
-    # the L1 extremal's interpolated seed table has kinks its panels leave
-    # out, so its L1 norm does not converge; a cone's does, and its report
-    # carries no such key
-    flagged = V.verify_morrey_l1(e2, l1_extremal_profile(4.0, 2), 4.0)
+    # the L1 extremal interpolated on a coarse table whose knots are no kinks
+    # of the profile: its panels straddle the knots, so its L1 norm does not
+    # converge; the closed-form extremal's and a cone's do, and their reports
+    # carry no such key
+    exact = l1_extremal_profile(4.0, 2)
+    knots = np.linspace(0.0, 1.0, 33)
+    table = exact(knots)
+    planted = dataclasses.replace(exact, profile=lambda rho: np.interp(rho, knots, table))
+    flagged = V.verify_morrey_l1(e2, planted, 4.0)
     assert flagged.diagnostics["unconverged_quadrature"] is True
-    for rep in (V.verify_morrey_l1(e2, R.cone_profile(), 4.0), V.verify_hardy(e2, R.cone_profile(), 1.5),
+    for rep in (V.verify_morrey_l1(e2, exact, 4.0), V.verify_morrey_l1(e2, R.cone_profile(), 4.0),
+                V.verify_hardy(e2, R.cone_profile(), 1.5),
                 V.verify_bpv(e2, 1.0, R.cone_profile()), R.hlp_check(R.cone_profile(), e2, lambda r: np.exp(-r), 2.0)):
         assert "unconverged_quadrature" not in rep.diagnostics
 
