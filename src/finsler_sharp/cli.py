@@ -246,23 +246,6 @@ def _task_constants(cfg: dict) -> int:
     return EXIT_OK
 
 
-# inequality -> (keys its single check reads, keys its suite reads), beyond
-# the instance, the seed and the output keys.  layer_cake and equimeasurability
-# run only as suites, so given a profile they exit 2 as unknown; isoperimetric
-# has no suite, which randomized_suite refuses.
-VERIFY_KEYS = {
-    "morrey_support": (("profile", "p"), ("p",)),
-    "morrey_l1": (("profile", "p"), ("p",)),
-    "hardy": (("profile", "p"), ("p",)),
-    "bpv": (("profile", "mu", "radius"), ("mu",)),
-    "polya_szego": (("profile", "p"), ("p",)),
-    "hlp": (("profile", "p"), ("p",)),
-    "layer_cake": (("profile",), ()),
-    "equimeasurability": (("profile",), ()),
-    "isoperimetric": (("shape",), ()),
-}
-
-
 def _task_verify(cfg: dict) -> int:
     name = cfg.get("inequality")
     if not name:
@@ -270,10 +253,11 @@ def _task_verify(cfg: dict) -> int:
     key = name.replace("-", "_")
     if key not in V.INEQUALITIES:
         raise ConfigError(f"unknown inequality {name!r}")
+    entry = V.INEQUALITIES[key]
     if cfg.get("instance") is None:
         raise ConfigError("verify needs --instance")
     suite = cfg.get("suite")  # 0 and negative counts are usage errors, not "no suite"
-    reads = VERIFY_KEYS[key][suite is not None]
+    reads = entry.suite_keys if suite is not None else entry.keys
     unread = [k for k in ("profile", "shape", "p", "mu", "radius")
               if cfg.get(k) is not None and k not in reads]
     if unread:
@@ -291,40 +275,21 @@ def _task_verify(cfg: dict) -> int:
         })
         _emit(doc, cfg, f"suite_{key}.json")
         return EXIT_OK if n_pass == len(reports) else EXIT_NUMERIC
-    # the extremal families take their n from the instance
-    u = profile_from_descriptor(cfg["profile"], n=m.dim) if cfg.get("profile") else None
-    if "p" in reads:
-        p = cfg.get("p")
-        if p is None and cfg.get("profile"):
-            # inequality exponent defaults to the profile family's p
-            p = parse_descriptor(cfg["profile"]).get("p")
-        if p is None:
-            raise ConfigError(f"{name} needs --p")
-        p = float(p)
-        if u is None:
-            raise ConfigError(f"{name} needs --profile")
-    if key == "morrey_support":
-        rep = V.verify_morrey_support(m, u, p)
-    elif key == "morrey_l1":
-        rep = V.verify_morrey_l1(m, u, p)
-    elif key == "hardy":
-        rep = V.verify_hardy(m, u, p)
-    elif key == "polya_szego":
-        rep = V.polya_szego_check(u, m, p)
-    elif key == "hlp":  # against a Gaussian weight
-        rep = V.hlp_check(u, m, lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2), p)
-    elif key == "bpv":
-        if u is None:
-            raise ConfigError("bpv needs --profile")
-        # the domain is the ball of --radius, by default the profile's support
-        rep = V.verify_bpv(m, float(_value(cfg, "radius", u.support_radius)), u,
-                           float(_value(cfg, "mu", 0.0)))
-    elif key == "isoperimetric":
-        if cfg.get("shape") is None:
-            raise ConfigError("isoperimetric needs --shape")
-        rep = V.verify_isoperimetric(m, cfg["shape"])
-    else:  # layer_cake and equimeasurability run only as suites
-        raise ValueError(f"unknown inequality: {key!r}")
+    if entry.check is None:  # it runs only as a suite
+        raise ConfigError(f"unknown inequality: {key!r}")
+    keys = {k: cfg.get(k) for k in reads}
+    if "profile" in keys:
+        descriptor = keys.pop("profile")
+        # the extremal families take their n from the instance
+        keys["u"] = profile_from_descriptor(descriptor, n=m.dim) if descriptor else None
+        if descriptor and "p" in keys and keys["p"] is None:  # p defaults to the profile family's p
+            keys["p"] = parse_descriptor(descriptor).get("p")
+    for k, flag in (("p", "p"), ("u", "profile"), ("shape", "shape")):  # mu and radius have defaults
+        if k in keys and keys[k] is None:
+            raise ConfigError(f"{name} needs --{flag}")
+    if "p" in keys:
+        keys["p"] = float(keys["p"])
+    rep = entry.check(m, **keys)
     status = "PASS" if rep.passed else "FAIL"
     _say(cfg, f"{key}: lhs={rep.lhs:.10g} rhs={rep.rhs:.10g} ratio={rep.ratio:.10g} {status}")
     _emit(_document(cfg, {"report": rep.as_dict(), "passed": rep.passed}), cfg,
@@ -645,7 +610,7 @@ def _bpv(seed):
     eq_rows = []
     for n, radius, mu in ((2, 1.0, 0.0), (3, 1.0, 0.2)):
         _, quotient, _ = eigen_quotient(RadialBvp(n=n, radius=radius, mu=mu))
-        _, s_const = C.bpv_constant(mu, n, 1.0, C.omega_n(n) * radius**n)
+        _, s_const = C.bpv_constant(mu, n, 1.0, C.ball_volume(n, radius))
         eq_rows.append({"n": n, "mu": mu, "equality_dev": abs(quotient / s_const - 1.0)})
     # seed 0 reads at most 2.3e-15
     ok = all(v == 100 for v in suites.values()) and all(

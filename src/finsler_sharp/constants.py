@@ -26,10 +26,12 @@ def omega_n(n: int) -> float:
 
 
 def ball_volume(n: int, radius: float) -> float:
-    """omega_n radius^n, the volume of the Euclidean ball of a radius > 0; ValueError unless
-    it is finite and positive, so that a radius whose power overflows or underflows is refused."""
+    """omega_n radius^n, the volume of the Euclidean ball of the radius; ValueError unless the
+    radius and the volume are finite and positive, so that a radius whose power overflows or
+    underflows is refused too."""
+    radius = _util.finite_positive(radius, "ball radius")
     try:
-        vol = omega_n(n) * float(radius) ** n
+        vol = omega_n(n) * radius ** n
     except OverflowError:
         vol = math.inf
     if not 0.0 < vol < math.inf:

@@ -140,8 +140,6 @@ def ball_volume_mc(
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
     ball_volume(m.dim, r)
     half = r * box_half_widths(m.norm) * (1.0 + 1e-9)
     est = box_volume(lambda pts: m.norm(pts) < r, half, n_samples, seed, bh_density(m))

@@ -26,7 +26,6 @@ and the plateau profiles (a finite box, to 1e-10), halving each step until
 it rounds away.
 """
 
-import bisect
 import math
 import threading
 import warnings
@@ -384,20 +383,6 @@ class _DenseShot(NamedTuple):
             out = (out + np.take(c, i, axis=1)) * (x if j % 2 == 0 else 1.0 - x)
         return out + np.take(self.y, i, axis=1)
 
-    def v_of_float(self):
-        """v as a function of a Python float, with the bits of self(r)[0]:
-        bisect picks the step searchsorted does (at r = t[i], step i - 1)."""
-        t, v0, coef = self.t.tolist(), self.y[0].tolist(), self.coef[::-1, 0].T.tolist()
-
-        def v(r):
-            i = bisect.bisect_left(t, r, 1, len(t) - 1) - 1
-            x, out = (r - t[i]) / (t[i + 1] - t[i]), 0.0
-            for j, c in enumerate(coef[i]):
-                out = (out + c) * (x if j % 2 == 0 else 1.0 - x)
-            return out + v0[i]
-
-        return v
-
     def frozen(self) -> "_DenseShot":
         for a in self:
             a.setflags(write=False)
@@ -486,28 +471,33 @@ def _unit_eigen_shot(d: float):
     shot = dense(1.0, 1.0)  # lam and amplitude
     if not shot.y[0, -1] < 0.0:
         raise RuntimeError(f"the eigen shot reached t = {shot.t[-1]} without a sign change of v")
-    return shot.frozen(), _util.brentq(shot.v_of_float(), shot.t[-2], shot.t[-1], 1e-15, _util.BRENTQ_RTOL)
+    z = _util.brentq(lambda t: float(shot(t)[0]), shot.t[-2], shot.t[-1], 1e-15, _util.BRENTQ_RTOL)
+    return shot.frozen(), z
+
+
+def _ball_shot(d: float, radius: float):
+    """(lam1, dense shot in rho) of the ball of the radius from the one lam = 1
+    shot per regular dimension d per process (_unit_eigen_shot).  In v the
+    equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so v(rho;
+    lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 = (z / R)^2
+    for its first zero z = j_(d/2-1).  The Rayleigh sums of the Bessel zeros,
+    sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound z^2 < d (d +
+    2) < (d + 1)^2, so the shot runs from 1e-8 (where the series head's
+    integrals in eigen_quotient omit a relative O(1e-16)) toward d + 1 and
+    stops at the step that crosses z; z is the root of that step's
+    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into (R / z)^(d-2) W."""
+    shot, z = _unit_eigen_shot(d)
+    k = radius / z
+    kk = finite_positive(k * k, f"(R / z)^2 at R = {radius!r}")
+    lam1 = finite_positive(1.0 / kk, f"lambda1 = (z / R)^2 at R = {radius!r}")
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        flux = float(np.float64(k) ** (d - 2.0))
+    return lam1, shot.scaled(k, finite_positive(flux, f"flux scale (R / z)^(d - 2) at R = {radius!r}"))
 
 
 def _eigen_solve(bvp: RadialBvp):
-    """(lam1, nodal profile, dense shot in rho) from the one lam = 1 shot per
-    regular dimension d per process (_unit_eigen_shot), scaled to R per call.
-    In v the equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so
-    v(rho; lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 =
-    (z / R)^2 for its first zero z = j_(d/2-1).  The Rayleigh sums of the
-    Bessel zeros, sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound
-    z^2 < d (d + 2) < (d + 1)^2, so the shot runs from 1e-8 (where the series
-    head's integrals in eigen_quotient omit a relative O(1e-16)) toward d + 1
-    and stops at the step that crosses z; z is the root of that step's
-    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into (R / z)^(d-2) W."""
-    _, d = _regular_variable(bvp)
-    shot, z = _unit_eigen_shot(d)
-    k = bvp.radius / z
-    kk = finite_positive(k * k, f"(R / z)^2 at R = {bvp.radius!r}")
-    lam1 = finite_positive(1.0 / kk, f"lambda1 = (z / R)^2 at R = {bvp.radius!r}")
-    with np.errstate(over="ignore"):  # an overflow is inf, refused below
-        flux = float(np.float64(k) ** (d - 2.0))
-    sol = shot.scaled(k, finite_positive(flux, f"flux scale (R / z)^(d - 2) at R = {bvp.radius!r}"))
+    """(lam1, nodal profile, dense shot in rho) of the bvp's ball (see _ball_shot)."""
+    lam1, sol = _ball_shot(_regular_variable(bvp)[1], bvp.radius)
     prof = _sample_frobenius(bvp.grid(), sol, bvp, lam1, 1.0)
     prof[-1] = 0.0
     return lam1, prof / np.max(prof), sol
@@ -540,19 +530,23 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=
 
 def eigen_quotient(bvp: RadialBvp):
     """(lam1, quotient of the eigenprofile, parts with "profile") from
-    first_eigenvalue's dense shot of (v, W), one lam = 1 shot per regular
-    dimension d per process: u = rho^s v, and the Dirichlet integral takes
-    the flux rho^(n-1) u' = s rho^(n+s-2) v + rho^-s W.  The tails take
-    8-point Gauss-Legendre on each step of the shot, cut at R, where the
-    interpolant is one polynomial: in rho for s = 0, and in log rho, where
-    the rho^(d-3) head is smooth, for s != 0."""
-    lam1, prof, sol = _eigen_solve(bvp)
-    n, eps, mu, (s, d) = bvp.n, sol.t[0], bvp.mu, _regular_variable(bvp)
+    first_eigenvalue's solve.  The quotient scales as R^-2, so its integrals
+    run in x = rho / R, on the lam = 1 shot scaled to the unit ball, which no
+    radius overflows or underflows; the dirichlet, hardy and l2 parts are the
+    unit ball's.
+    u = x^s v, and the Dirichlet integral takes the flux x^(n-1) u' = s
+    x^(n+s-2) v + x^-s W.  The tails take 8-point Gauss-Legendre on each step
+    of the shot, cut at 1, where the interpolant is one polynomial: in x for
+    s = 0, and in log x, where the x^(d-3) head is smooth, for s != 0."""
+    lam1, prof, _ = _eigen_solve(bvp)
+    n, mu, (s, d) = bvp.n, bvp.mu, _regular_variable(bvp)
+    _, sol = _ball_shot(d, 1.0)
+    eps = sol.t[0]
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
     if mu != 0.0:
         integrands.append(lambda r, u, flux: u ** 2 * r ** (n - 3))
     x, wx = gauss_legendre(8)
-    edges = np.minimum(sol.t, bvp.radius)  # the last step ends past the zero at R
+    edges = np.minimum(sol.t, 1.0)  # the last step ends past the zero at 1
     steps = np.log(edges) if s != 0.0 else edges
     half = 0.5 * np.diff(steps)[:, None]
     r = (steps[:-1, None] + half * (1.0 + x)).ravel()
@@ -563,12 +557,12 @@ def eigen_quotient(bvp: RadialBvp):
     v, w = sol(r)
     u, flux = r ** s * v, s * r ** (n + s - 2) * v + r ** -s * w
     tails = [float(np.sum(weights * g(r, u, flux))) for g in integrands]
-    # series head u ~ rho^s: analytic leading-order integrals
+    # series head u ~ x^s: analytic leading-order integrals
     nw = n * omega_n(n)
     dirichlet = nw * (tails[0] + (s * s * eps ** (d - 2) / (d - 2) if s != 0.0 else 0.0))
     l2 = nw * (tails[1] + eps ** d / d)
     hardy = nw * (tails[2] + eps ** (d - 2) / (d - 2)) if mu != 0.0 else 0.0
-    quotient = (dirichlet - mu * hardy) / l2
+    quotient = (dirichlet - mu * hardy) / l2 / bvp.radius ** 2
     return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2, "profile": prof}
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,19 +50,6 @@ from .rearrange import (
     rearrange,
 )
 from .report import InequalityReport, SweepResult, make_report, richardson_limit
-
-INEQUALITIES = (
-    "morrey_support",
-    "morrey_l1",
-    "hardy",
-    "bpv",
-    "polya_szego",
-    "hlp",
-    "layer_cake",
-    "equimeasurability",
-    "isoperimetric",
-)
-
 
 def _sup_norm_check(kind: str, m: FinslerInstance, u: RadialTestFunction, p: float,
                     bound) -> InequalityReport:
@@ -302,8 +289,6 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
     """
     n = m.dim
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError(f"domain radius must be positive, got {radius}")
     vol = ball_volume(n, radius)
     if u.support_radius > radius * (1.0 + 1e-12):
         raise ValueError(
@@ -485,63 +470,94 @@ def verify_isoperimetric(m: FinslerInstance, shape, n_quad: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
-# randomized property suites
+# the inequalities of verify and their randomized property suites
 
 
-def _default_hlp_weight(rng, n: int):
-    a = float(rng.uniform(0.2, max(0.3, n - 0.2)))
-    c = float(rng.uniform(0.0, 0.3))
+class Inequality(NamedTuple):
+    """One inequality of verify.  keys and suite_keys are what its single
+    check and its suite read, beyond the instance, the seed and the output
+    keys.  check(m, **keys) takes the built profile as u; it is None for an
+    inequality that runs only as a suite.  draw(m, u, rng, p, mu) is one
+    suite draw on the random profile u, which draws p or mu from rng unless
+    it is given; it is None for an inequality without a suite."""
 
-    def f(r):
-        return (np.asarray(r, dtype=float) + c) ** -a
+    keys: tuple
+    suite_keys: tuple
+    check: Optional[Callable[..., InequalityReport]]
+    draw: Optional[Callable[..., InequalityReport]]
 
-    return f, (a, c)
+
+def _p_bound(check, p_of) -> Inequality:
+    """The inequality check(m, u, p), whose draws take p = p_of(n, rng) unless p is given."""
+    return Inequality(("profile", "p"), ("p",), check,
+                      lambda m, u, rng, p, mu: check(m, u, float(p if p is not None else p_of(m.dim, rng))))
 
 
-def _suite_draw(m: FinslerInstance, inequality: str, rng, p, mu) -> InequalityReport:
+def _check_bpv(m: FinslerInstance, u: RadialTestFunction, mu, radius) -> InequalityReport:
+    """verify_bpv at mu, by default 0, on the ball of radius, by default u's support ball."""
+    return verify_bpv(m, u.support_radius if radius is None else radius, u, 0.0 if mu is None else float(mu))
+
+
+def _draw_bpv(m: FinslerInstance, u: RadialTestFunction, rng, p, mu) -> InequalityReport:
+    """verify_bpv on u's support ball, mu drawn below 0.9 (n - 2)^2 / 4 (0 for n <= 2) unless given."""
     n = m.dim
-    u = random_decreasing_profile(rng)
-    if inequality in ("morrey_support", "morrey_l1"):
-        pp = float(p) if p is not None else n + float(rng.uniform(0.5, 3.0))
-        check = verify_morrey_support if inequality == "morrey_support" else verify_morrey_l1
-        return check(m, u, pp)
-    if inequality == "hardy":
-        if n < 2:
-            raise ValueError("Hardy suite needs n >= 2")
-        pp = float(p) if p is not None else 1.0 + (n - 1.0) * float(rng.uniform(0.25, 0.85))
-        return verify_hardy(m, u, pp)
-    if inequality == "bpv":
-        mu_cap = (n - 2.0) ** 2 / 4.0
-        mm = float(mu) if mu is not None else float(rng.uniform(0.0, 0.9 * mu_cap)) if n > 2 else 0.0
-        return verify_bpv(m, u.support_radius, u, mm)
-    if inequality == "polya_szego":
-        pp = float(p) if p is not None else float(rng.uniform(1.2, 3.5))
-        return polya_szego_check(u, m, pp)
-    if inequality == "hlp":
-        pp = float(p) if p is not None else float(rng.uniform(1.1, 3.0))
-        f, (a, c) = _default_hlp_weight(rng, n)
-        rep = hlp_check(u, m, f, pp)
-        rep.diagnostics.update({"weight_power": a, "weight_shift": c})
-        return rep
-    if inequality == "layer_cake":
-        r_max = u.support_radius * float(rng.uniform(1.0, 1.5))
-        lhs, rhs = layer_cake_integral(m, u.profile, r_max, fprime=u.derivative, points=u.kinks)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return make_report(
-            "layer_cake", {"n": n, "r_max": r_max}, abs(lhs - rhs), 0.0,
-            direction="upper", rtol=0.0, atol=1e-8 * scale,
-            diagnostics={"direct": lhs, "layer_cake": rhs, "profile": u.label},
-        )
-    if inequality == "equimeasurability":
-        star = rearrange(u, m)
-        gap = equimeasurability_gap(u, m, star)
-        vol_scale = max(1.0, omega_n(n) * u.support_radius**n)
-        return make_report(
-            "equimeasurability", {"n": n}, gap, 0.0,
-            direction="upper", rtol=0.0, atol=1e-9 * vol_scale,
-            diagnostics={"profile": u.label},
-        )
-    raise ValueError(f"unknown inequality: {inequality!r}")
+    if mu is None:
+        mu = float(rng.uniform(0.0, 0.9 * ((n - 2.0) ** 2 / 4.0))) if n > 2 else 0.0
+    return _check_bpv(m, u, mu, None)
+
+
+def _gaussian(r):
+    """exp(-r^2 / 2), the weight of hlp's single check."""
+    return np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
+
+
+def _draw_hlp(m: FinslerInstance, u: RadialTestFunction, rng, p, mu) -> InequalityReport:
+    """hlp_check against the weight (r + c)^-a: p, unless given, then a and c are drawn."""
+    p = float(p if p is not None else rng.uniform(1.1, 3.0))
+    a, c = float(rng.uniform(0.2, max(0.3, m.dim - 0.2))), float(rng.uniform(0.0, 0.3))
+    rep = hlp_check(u, m, lambda r: (np.asarray(r, dtype=float) + c) ** -a, p)
+    rep.diagnostics.update({"weight_power": a, "weight_shift": c})
+    return rep
+
+
+def _draw_layer_cake(m: FinslerInstance, u: RadialTestFunction, rng, p, mu) -> InequalityReport:
+    """The layer-cake identity for u on a ball of radius r_max up to 1.5 times its support."""
+    r_max = u.support_radius * float(rng.uniform(1.0, 1.5))
+    lhs, rhs = layer_cake_integral(m, u.profile, r_max, fprime=u.derivative, points=u.kinks)
+    return make_report(
+        "layer_cake", {"n": m.dim, "r_max": r_max}, abs(lhs - rhs), 0.0,
+        direction="upper", rtol=0.0, atol=1e-8 * max(1.0, abs(lhs), abs(rhs)),
+        diagnostics={"direct": lhs, "layer_cake": rhs, "profile": u.label},
+    )
+
+
+def _draw_equimeasurability(m: FinslerInstance, u: RadialTestFunction, rng, p, mu) -> InequalityReport:
+    """The distribution gap of u and its rearrangement, against the volume of its support ball."""
+    gap = equimeasurability_gap(u, m, rearrange(u, m))
+    return make_report(
+        "equimeasurability", {"n": m.dim}, gap, 0.0,
+        direction="upper", rtol=0.0, atol=1e-9 * max(1.0, ball_volume(m.dim, u.support_radius)),
+        diagnostics={"profile": u.label},
+    )
+
+
+# every inequality of verify, by name: the one place that pairs it with its
+# keys, check and draw.  Each check is looked up by name when it runs, so a
+# function patched in this module is the one that runs.
+INEQUALITIES = {
+    "morrey_support": _p_bound(lambda m, u, p: verify_morrey_support(m, u, p),
+                               lambda n, rng: n + rng.uniform(0.5, 3.0)),
+    "morrey_l1": _p_bound(lambda m, u, p: verify_morrey_l1(m, u, p),
+                          lambda n, rng: n + rng.uniform(0.5, 3.0)),
+    "hardy": _p_bound(lambda m, u, p: verify_hardy(m, u, p),
+                      lambda n, rng: 1.0 + (n - 1.0) * rng.uniform(0.25, 0.85)),
+    "bpv": Inequality(("profile", "mu", "radius"), ("mu",), _check_bpv, _draw_bpv),
+    "polya_szego": _p_bound(lambda m, u, p: polya_szego_check(u, m, p), lambda n, rng: rng.uniform(1.2, 3.5)),
+    "hlp": Inequality(("profile", "p"), ("p",), lambda m, u, p: hlp_check(u, m, _gaussian, p), _draw_hlp),
+    "layer_cake": Inequality(("profile",), (), None, _draw_layer_cake),
+    "equimeasurability": Inequality(("profile",), (), None, _draw_equimeasurability),
+    "isoperimetric": Inequality(("shape",), (), lambda m, shape: verify_isoperimetric(m, shape), None),
+}
 
 
 def randomized_suite(
@@ -562,13 +578,14 @@ def randomized_suite(
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    if inequality not in INEQUALITIES or inequality == "isoperimetric":
+    draw = INEQUALITIES[inequality].draw if inequality in INEQUALITIES else None
+    if draw is None:
         raise ValueError(f"no randomized suite for {inequality!r}")
     if n_draws < 1:
         raise ValueError(f"a suite needs at least one draw, got {n_draws}")
     reports = []
     for i, rng in enumerate(spawn_rngs(seed, n_draws)):
-        rep = _suite_draw(m, inequality, rng, p, mu)
+        rep = draw(m, random_decreasing_profile(rng), rng, p, mu)
         rep.diagnostics.update({"seed": seed, "draw": i})
         reports.append(rep)
     return reports

@@ -1,6 +1,7 @@
 """Command line layer: parsing, config merge, exit codes, report bytes."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -356,6 +357,31 @@ def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_tiny_support_extremals_read_their_finite_energy(capsys):
+    # the extremal's energy grows as R^(n - p), to 1.86e20 at R = 1e-10: a
+    # converged quadrature, not a divergent one, so the equality holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([*_SUPPORT2, "morrey_extremal:p=4,R=1e-10"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert "divergent_energy" not in rep["diagnostics"] and abs(rep["ratio"] - 1.0) <= 1e-15
+        assert run_cli(["sweep", "--kind", "support", "--instance", "euclidean:n=2", "--p", "4",
+                        "--sweep", "R=1e-30:1:geometric"]) == 0
+    rows = json.loads(capsys.readouterr().out)["sweep"]["rows"]
+    assert len(rows) == 100 and all(abs(r["ratio"] - 1.0) <= 1e-15 for r in rows)
+
+
+@pytest.mark.parametrize("radius", ["1e30", "1e-30"])
+def test_eigen_quotient_holds_at_extreme_radii(radius, capsys):
+    # the quotient scales as R^-2 and its integrals run on the unit ball,
+    # so no power of R overflows or underflows them
+    for mu in ("0", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["pde", "--problem", "ep", "--n", "8", "--radius", radius, "--mu", mu]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["residual"] <= 1e-13
 
 
 # the test modules import scipy's solver modules, so only a fresh interpreter
@@ -722,7 +748,13 @@ def test_config_key_the_inequality_does_not_read_exit_2(tmp_path, capsys):
 
 
 def test_every_inequality_declares_the_keys_it_reads(capsys):
-    assert set(cli.VERIFY_KEYS) == set(INEQUALITIES)
+    verify_keys = set(cli.TASKS["verify"][2])
+    for name, entry in INEQUALITIES.items():
+        assert set(entry.keys) | set(entry.suite_keys) <= verify_keys, name
+        if entry.check is not None:  # its check takes the keys it reads, the profile as u
+            params = inspect.signature(entry.check).parameters.values()
+            required = {q.name for q in params if q.default is q.empty} - {"m"}
+            assert required == {"u" if k == "profile" else k for k in entry.keys}, name
     base = ["verify", "--instance", "euclidean:n=2", "--inequality"]
     # each suite takes the keys its draws read
     assert run_cli([*base, "bpv", "--suite", "2", "--mu", "0"]) == 0

@@ -192,3 +192,10 @@ def test_sharp_constants_bundle():
     assert sc.hardy == pytest.approx(0.25, rel=1e-14)
     assert sc.talenti_support is None
     assert sc.mu_bar == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_ball_volume_refuses_a_radius_that_is_not_finite_and_positive(radius):
+    # at n = 2 the radius -1 would read omega_2 (-1)^2 = pi
+    with pytest.raises(ValueError, match="finite and positive"):
+        C.ball_volume(2, radius)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -619,6 +620,24 @@ def test_callback_cases_cover_every_profile_family():
     assert {parse_descriptor(d)["kind"] for d in PROFILE_CASES} == set(PROFILES)
 
 
+def _suite_hlp_weights():
+    """(weight, a, c) of four hlp suite draws at n = 2, 3, 2, 3: with p given,
+    generator k draws only the weight's power a and shift c, and the weight
+    is caught on its way into hlp_check."""
+    weights, out = [], []
+
+    def catch(u, m, f, p):
+        weights.append(f)
+        return hlp_check(u, m, f, p)
+
+    with mock.patch.object(V, "hlp_check", catch):
+        for k in range(4):
+            rep = V.INEQUALITIES["hlp"].draw(euclidean_instance(2 + k % 2), R.cone_profile(),
+                                             np.random.default_rng(k), 2.0, None)
+            out.append((weights[-1], rep.diagnostics["weight_power"], rep.diagnostics["weight_shift"]))
+    return out
+
+
 def _callback_cases():
     """(callbacks, radius from which they vanish, kinks, whether a 0-d input
     gives the array's bits) of the profile families, two Hardy families, the
@@ -637,8 +656,7 @@ def _callback_cases():
                           not u.label.startswith(ulp_apart), id=u.label) for u in radial]
     for p, n in ((4.0, 2), (7.5, 3)):
         cases.append(pytest.param((_l1_seed_integrand(p, n),), 1.0, (), False, id=f"l1_seed(p={p},n={n})"))
-    for k in range(4):
-        f, (a, c) = V._default_hlp_weight(np.random.default_rng(k), 2 + k % 2)
+    for f, a, c in _suite_hlp_weights():
         cases.append(pytest.param((f,), math.inf, (), False, id=f"hlp_weight(a={a:.3f},c={c:.3f})"))
     return cases
 
@@ -680,8 +698,7 @@ def _float_input_cases():
     pts = [0.0, 0.5, 1.0, 1.5, *np.linspace(0.0, 1.2, 25)[1:]]
     for p, n in ((4.0, 2), (7.5, 3)):
         cases.append(pytest.param(_l1_seed_integrand(p, n), pts, id=f"l1_seed(p={p},n={n})"))
-    for k in range(4):
-        f, (a, c) = V._default_hlp_weight(np.random.default_rng(k), 2 + k % 2)
+    for f, a, c in _suite_hlp_weights():
         cases.append(pytest.param(f, pts, id=f"hlp_weight(a={a:.3f},c={c:.3f})"))
     return cases
 
