@@ -475,30 +475,27 @@ def _unit_eigen_shot(d: float):
     return shot.frozen(), z
 
 
-def _ball_shot(d: float, radius: float):
-    """(lam1, dense shot in rho) of the ball of the radius from the one lam = 1
-    shot per regular dimension d per process (_unit_eigen_shot).  In v the
-    equation (t^(d-1) v')' = -lam t^(d-1) v has no length scale, so v(rho;
-    lam) = V(sqrt(lam) rho) for the lam = 1 solution V, and lam1 = (z / R)^2
-    for its first zero z = j_(d/2-1).  The Rayleigh sums of the Bessel zeros,
-    sum j^-2 = 1 / 2d and sum j^-4 = 1 / (2 d^2 (d + 2)), bound z^2 < d (d +
-    2) < (d + 1)^2, so the shot runs from 1e-8 (where the series head's
-    integrals in eigen_quotient omit a relative O(1e-16)) toward d + 1 and
-    stops at the step that crosses z; z is the root of that step's
-    polynomial, and rho = t R / z turns W = t^(d-1) dV/dt into (R / z)^(d-2) W."""
-    shot, z = _unit_eigen_shot(d)
-    k = radius / z
-    kk = finite_positive(k * k, f"(R / z)^2 at R = {radius!r}")
-    lam1 = finite_positive(1.0 / kk, f"lambda1 = (z / R)^2 at R = {radius!r}")
-    with np.errstate(over="ignore"):  # an overflow is inf, refused below
-        flux = float(np.float64(k) ** (d - 2.0))
-    return lam1, shot.scaled(k, finite_positive(flux, f"flux scale (R / z)^(d - 2) at R = {radius!r}"))
-
-
 def _eigen_solve(bvp: RadialBvp):
-    """(lam1, nodal profile, dense shot in rho) of the bvp's ball (see _ball_shot)."""
-    lam1, sol = _ball_shot(_regular_variable(bvp)[1], bvp.radius)
-    prof = _sample_frobenius(bvp.grid(), sol, bvp, lam1, 1.0)
+    """(lam1, nodal profile, dense shot in x = rho / R) of the bvp's ball from
+    the one lam = 1 shot per regular dimension d per process
+    (_unit_eigen_shot).  In v the equation (t^(d-1) v')' = -lam t^(d-1) v
+    has no length scale, so v(rho; lam) = V(sqrt(lam) rho) for the lam = 1
+    solution V, and lam1 = (z / R)^2 for its first zero z = j_(d/2-1).  The
+    Rayleigh sums of the Bessel zeros, sum j^-2 = 1 / 2d and sum j^-4 = 1 /
+    (2 d^2 (d + 2)), bound z^2 < d (d + 2) < (d + 1)^2, so the shot runs
+    from 1e-8 (where the series head's integrals in eigen_quotient omit a
+    relative O(1e-16)) toward d + 1 and stops at the step that crosses z; z
+    is the root of that step's polynomial.  x = t / z turns W = t^(d-1)
+    dV/dt into z^(2-d) W: the shot on the unit ball, where no radius
+    overflows or underflows it, sampled at x = rho / R for the profile."""
+    d = _regular_variable(bvp)[1]
+    shot, z = _unit_eigen_shot(d)
+    k = bvp.radius / z
+    kk = finite_positive(k * k, f"(R / z)^2 at R = {bvp.radius!r}")
+    lam1 = finite_positive(1.0 / kk, f"lambda1 = (z / R)^2 at R = {bvp.radius!r}")
+    unit = 1.0 / z
+    sol = shot.scaled(unit, float(np.float64(unit) ** (d - 2.0)))
+    prof = _sample_frobenius(bvp.grid() / bvp.radius, sol, bvp, 1.0 / (unit * unit), 1.0)
     prof[-1] = 0.0
     return lam1, prof / np.max(prof), sol
 
@@ -531,16 +528,15 @@ def _sample_frobenius(rho, sol, bvp: RadialBvp, lam: float, amplitude: float, p=
 def eigen_quotient(bvp: RadialBvp):
     """(lam1, quotient of the eigenprofile, parts with "profile") from
     first_eigenvalue's solve.  The quotient scales as R^-2, so its integrals
-    run in x = rho / R, on the lam = 1 shot scaled to the unit ball, which no
-    radius overflows or underflows; the dirichlet, hardy and l2 parts are the
-    unit ball's.
+    run in x = rho / R, on the solve's shot on the unit ball, and it is
+    divided by R twice; the dirichlet, hardy and l2 parts are the unit
+    ball's.
     u = x^s v, and the Dirichlet integral takes the flux x^(n-1) u' = s
     x^(n+s-2) v + x^-s W.  The tails take 8-point Gauss-Legendre on each step
     of the shot, cut at 1, where the interpolant is one polynomial: in x for
     s = 0, and in log x, where the x^(d-3) head is smooth, for s != 0."""
-    lam1, prof, _ = _eigen_solve(bvp)
+    lam1, prof, sol = _eigen_solve(bvp)
     n, mu, (s, d) = bvp.n, bvp.mu, _regular_variable(bvp)
-    _, sol = _ball_shot(d, 1.0)
     eps = sol.t[0]
     integrands = [lambda r, u, flux: flux ** 2 * r ** (1 - n), lambda r, u, flux: u ** 2 * r ** (n - 1)]
     if mu != 0.0:
@@ -562,7 +558,7 @@ def eigen_quotient(bvp: RadialBvp):
     dirichlet = nw * (tails[0] + (s * s * eps ** (d - 2) / (d - 2) if s != 0.0 else 0.0))
     l2 = nw * (tails[1] + eps ** d / d)
     hardy = nw * (tails[2] + eps ** (d - 2) / (d - 2)) if mu != 0.0 else 0.0
-    quotient = (dirichlet - mu * hardy) / l2 / bvp.radius ** 2
+    quotient = (dirichlet - mu * hardy) / l2 / bvp.radius / bvp.radius  # R * R may overflow
     return lam1, quotient, {"dirichlet": dirichlet, "hardy": hardy, "l2": l2, "profile": prof}
 
 

@@ -334,8 +334,7 @@ _AVR2 = ["avr", "--instance", "euclidean:n=2", "--radii"]
     ["pde", "--problem", "ep", "--n", "3", "--radius=1e300"],
     # (R / z)^2 underflows to 0, where lambda1 = 1 / (R / z)^2 would divide by it
     ["pde", "--problem", "ep", "--n", "3", "--radius=1e-200"],
-    # lambda1 is finite, the flux scale (R / z)^(d - 2) overflows; then the spectral bound's ball volume
-    ["pde", "--problem", "ep", "--n", "8", "--radius=1e100"],
+    # the spectral bound's ball volume
     ["pde", "--problem", "p-problem", "--n", "3", "--p", "3", "--radius=1e200"],
     # the energy underflows to 0 at radii below the first whose ball volume overflows
     ["sweep", "--kind", "support", "--instance", "euclidean:n=2", "--p", "4", "--sweep", "R=1:1e200:geometric"],
@@ -373,14 +372,21 @@ def test_tiny_support_extremals_read_their_finite_energy(capsys):
     assert len(rows) == 100 and all(abs(r["ratio"] - 1.0) <= 1e-15 for r in rows)
 
 
-@pytest.mark.parametrize("radius", ["1e30", "1e-30"])
-def test_eigen_quotient_holds_at_extreme_radii(radius, capsys):
+@pytest.mark.parametrize("n,radius,mus", [
+    ("8", "1e30", ("0", "2")),
+    ("8", "1e-30", ("0", "2")),
+    # (R / z)^(d - 2) overflows, and the unit ball's flux z^(2 - d) takes its place
+    ("8", "1e100", ("0", "2")),
+    # R^2 overflows, (R / z)^2 does not
+    ("2", "2e154", ("0",)),
+])
+def test_eigen_quotient_holds_at_extreme_radii(n, radius, mus, capsys):
     # the quotient scales as R^-2 and its integrals run on the unit ball,
     # so no power of R overflows or underflows them
-    for mu in ("0", "2"):
+    for mu in mus:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert run_cli(["pde", "--problem", "ep", "--n", "8", "--radius", radius, "--mu", mu]) == 0
+            assert run_cli(["pde", "--problem", "ep", "--n", n, "--radius", radius, "--mu", mu]) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["residual"] <= 1e-13
 
 

@@ -639,11 +639,11 @@ def _spy(monkeypatch, module, name):
 def test_dense_shot_at_the_found_root_vanishes_at_R(monkeypatch):
     # each solve's dense shot records its steps and rebuilds their stages
     # from field, the array form of the shots' rhs: a mismatch between rhs
-    # and field, or in the eigen shot's rescaling to rho, leaves u(R) far
-    # from 0; the eigen shot's last step ends past the zero, at rho > R
+    # and field, or in the eigen shot's rescaling to the unit ball, leaves
+    # u(R) far from 0; the eigen shot's last step ends past the zero, at x > 1
     calls = _spy(monkeypatch, P, "_dense_shot")
     P._unit_eigen_shot.cache_clear()
-    eigen = [(P._eigen_solve(P.RadialBvp(n=n, radius=radius, mu=mu))[2], radius)
+    eigen = [(P._eigen_solve(P.RadialBvp(n=n, radius=radius, mu=mu))[2], 1.0)
              for n, radius, mu in EIGEN_GRID[::3]]
     for case in MP_SETS:
         P.mountain_pass_solve(_mp_bvp(*case, 1.0), p=case[-1])
@@ -1095,9 +1095,9 @@ EIGEN_BITS = [  # (lam1, quotient).hex() on EIGEN_GRID
     ("0x1.721fb80462be5p+2", "0x1.721fb80462badp+2"), ("0x1.721fb80462be5p+4", "0x1.721fb80462badp+4"),
     ("0x1.721fb80462be5p+0", "0x1.721fb80462badp+0"), ("0x1.00241fadff3dcp+1", "0x1.00241fadff3b5p+1"),
     ("0x1.3bd3cc9be452bp+3", "0x1.3bd3cc9be4479p+3"), ("0x1.e13049971142ap+2", "0x1.e130499711423p+2"),
-    ("0x1.f964837b159dcp+1", "0x1.f964837b15c04p+1"), ("0x1.ab2369bdf98b4p+3", "0x1.ab2369bdf9881p+3"),
+    ("0x1.f964837b159dcp+1", "0x1.f964837b15c04p+1"), ("0x1.ab2369bdf98b4p+3", "0x1.ab2369bdf9882p+3"),
     ("0x1.d5d2b418982cbp+3", "0x1.d5d2b4189838fp+3"), ("0x1.78dba582490cdp+3", "0x1.78dba582490d0p+3"),
-    ("0x1.0900d92879b69p+1", "0x1.0900d92879c8bp+1"), ("0x1.f88bb719e08cfp+2", "0x1.f88bb719e09f4p+2"),
+    ("0x1.0900d92879b69p+1", "0x1.0900d92879c8bp+1"), ("0x1.f88bb719e08cfp+2", "0x1.f88bb719e09f3p+2"),
 ]
 GROUND_DIGESTS = {  # sha256 of the values, level and residual of the MP_SETS ground states at scale s
     1.0: "f53712061205de48f7a1a96f8380108b351cc41f92f395182d6fe400a58b9e45",
