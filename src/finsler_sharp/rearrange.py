@@ -7,10 +7,11 @@ v(s) = inf {t >= 0 : mu(t) <= s}.  Every source here is radial,
 u(x) = g(d(0, x)) with g nonincreasing, and so is its own rearrangement:
 rearranging checks the profile and returns it.
 
-Dirichlet energies of rearranged profiles reduce to the 1-D integral
+Every integral over the ball is one shell_integral, n omega_n int
+F rho^(n-1-k) drho: a Dirichlet energy of a rearranged profile is
 n omega_n int |g'(rho)|^p rho^(n-1) drho, which depends on the dimension
-only, so no target norm is an input: this is the identity the
-verification layer leans on.
+only, so no target norm is an input.  This module integrates; the checks
+that read its integrals are in verify.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ._util import REQUIRED, build_from_descriptor, graded_grid, route_quad, split_quad, unconverged
+from ._util import REQUIRED, build_from_descriptor, graded_grid, route_quad, split_quad
 from ._util import finite_positive, warn_unconverged
 from .constants import omega_n
-from .manifold import FinslerInstance, avr
-from .report import InequalityReport, make_report
+from .manifold import FinslerInstance
 
 PROFILE_GRID = 2048
 
@@ -342,12 +342,19 @@ def equimeasurability_gap(u: RadialTestFunction, m: FinslerInstance, star: Radia
 # integrals
 
 
+def shell_integral(route, integrand, n: int, k: float, radius: float, kinks):
+    """(n omega_n int_0^radius integrand(route(rho), rho) rho^(n-1-k) drho, whether its quadrature
+    converged), split at the kinks: every integral over the shells of a ball goes through here."""
+    val, _, ok = route_quad(route, lambda v, r: integrand(v, r) * r ** (n - 1 - k), 0.0, radius, kinks)
+    return n * omega_n(n) * val, ok
+
+
 def lq_norm_radial(u: RadialTestFunction, q: float, n: int):
     """(L^q norm of g(d(x)) in the canonical measure, whether its quadrature converged)."""
     if q == math.inf:
         return u.sup(), True
-    val, _, ok = route_quad(u.profile, lambda g, r: g**q * r ** (n - 1), 0.0, u.support_radius, u.kinks)
-    return (n * omega_n(n) * val) ** (1.0 / q), ok
+    val, ok = shell_integral(u.profile, lambda g, r: g**q, n, 0, u.support_radius, u.kinks)
+    return val ** (1.0 / q), ok
 
 
 def radial_dirichlet_energy(prof: RadialTestFunction, n: int, p: float) -> float:
@@ -359,12 +366,10 @@ def radial_dirichlet_energy(prof: RadialTestFunction, n: int, p: float) -> float
     """
     if p <= 1:
         raise ValueError(f"energy exponent must satisfy p > 1, got {p}")
-    val, _, converged = route_quad(
-        prof.derivative, lambda d, r: abs(d) ** p * r ** (n - 1), 0.0, prof.support_radius, prof.kinks
-    )
-    if not converged or not math.isfinite(val):
-        return math.inf
-    return n * omega_n(n) * val
+    val, converged = shell_integral(prof.derivative, lambda d, r: abs(d) ** p, n, 0, prof.support_radius,
+                                    prof.kinks)
+    return val if converged and math.isfinite(val) else math.inf
+
 
 def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
     """Both sides of the radial layer-cake identity on a metric ball about
@@ -375,85 +380,7 @@ def layer_cake_integral(m: FinslerInstance, f, r_max: float, fprime, points=()):
     """
     n = m.dim
     won = omega_n(n)
-    direct, _, ok_direct = route_quad(f, lambda v, r: v * r ** (n - 1), 0.0, r_max, points)
+    direct, ok_direct = shell_integral(f, lambda v, r: v, n, 0, r_max, points)
     layers, _, ok_layers = route_quad(fprime, lambda v, r: v * r**n, 0.0, r_max, points)
     warn_unconverged(ok_direct and ok_layers, "layer-cake integral")
-    return n * won * direct, f(r_max) * won * r_max**n - won * layers
-
-
-# ---------------------------------------------------------------------------
-# inequality checks
-
-
-def polya_szego_check(u: RadialTestFunction, m: FinslerInstance, p: float) -> InequalityReport:
-    """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv, with the
-    instance's AVR, at rtol 1e-6.
-
-    The right side depends on the dimension and the AVR only, for every
-    normalized H.  A radial nonincreasing source is its own rearrangement,
-    so both sides are one energy, computed once.
-    """
-    a = avr(m).point
-    energy = radial_dirichlet_energy(rearrange(u, m), m.dim, p)
-    return make_report(
-        "polya_szego",
-        {"p": p, "n": m.dim, "avr": a, "profile": u.label},
-        energy,
-        a ** (p / m.dim) * energy,
-        direction="lower",
-        rtol=1e-6,
-        atol=1e-12,
-        diagnostics={"path": "radial"},
-    )
-
-
-def hlp_check(u: RadialTestFunction, m: FinslerInstance, f, p: float) -> InequalityReport:
-    """Check int u^p f(d(0, x)) dv <= int (u*)^p f(H(x)) dx at rtol 1e-6.
-
-    The weight's pole is the origin, the centre of the radial source.  A
-    radial source is its own rearrangement, so both sides are one
-    integral, computed once.  f must be nonincreasing on (0, inf); the
-    weight may blow up at 0 provided the integrals stay finite, in which
-    case the quadrature splits at the singularity and the report flags
-    divergence when both sides are infinite (a vacuous pass).
-    """
-    n = m.dim
-    rtol = 1e-6
-    star = rearrange(u, m)
-
-    spot = f(np.array([0.3, 0.7, 1.3, 2.9]))
-    if np.any(np.diff(spot) > 1e-12):
-        raise ValueError("weight f must be nonincreasing")
-
-    # weight exponent near 0: f ~ r^{-a}; the rearranged side has
-    # u*(0) = sup u > 0, so it diverges exactly when a >= n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probes = np.array([1e-4, 1e-5, 1e-6])
-        fv = np.asarray(f(probes), dtype=float)
-        if np.any(~np.isfinite(fv)):
-            a_hat = float(n)
-        else:
-            ratios = np.log(fv[1:] / fv[:-1]) / np.log(probes[1:] / probes[:-1])
-            a_hat = float(np.max(-ratios)) if np.all(np.isfinite(ratios)) else float(n)
-    weighted, converged = math.inf, True
-    if a_hat < n - 1e-9:
-        val, _, converged = route_quad(
-            star.profile, lambda g, r: g**p * f(r) * r ** (n - 1), 0.0, star.support_radius, star.kinks
-        )
-        weighted = n * omega_n(n) * val
-    params = {"p": p, "n": n, "profile": u.label}
-    if not math.isfinite(weighted) or weighted > 1e15:
-        return make_report(
-            "hlp", params, math.inf, math.inf, "upper", rtol,
-            diagnostics={"diverged": True, "weight_exponent": a_hat},
-        )
-    return make_report(
-        "hlp",
-        params,
-        weighted,
-        weighted,
-        direction="upper",
-        rtol=rtol,
-        atol=1e-12,
-        diagnostics={"path": "centered", **unconverged(converged)},
-    )
+    return direct, f(r_max) * won * r_max**n - won * layers

@@ -1,11 +1,12 @@
 """End-to-end verification of the sharp inequalities on shipped instances.
 
-Each check computes both sides of one inequality with independent
-quadratures and returns an InequalityReport; the sharpness sweeps drive
-the extremal families over a radius grid and compare scaled limits
-against their closed-form targets.  Randomized suites draw seeded profile
-families and apply the one-sided violation threshold, so a red report
-means an actual violation beyond tolerance, not quadrature noise.
+Each check takes the instance first, computes both sides of one
+inequality with independent quadratures and returns an InequalityReport;
+every radial integral is a rearrange.shell_integral.  The sharpness
+sweeps drive the extremal families over a radius grid and compare scaled
+limits against their closed-form targets.  Randomized suites draw seeded
+profile families and apply the one-sided violation threshold, so a red
+report means an actual violation beyond tolerance, not quadrature noise.
 
 Anisotropic perimeter uses the dual-normal boundary formula, valid for
 normalized Minkowski instances; the Wulff equality case doubles as its
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._util import REQUIRED, build_from_descriptor, finite_positive, route_quad, spawn_rngs, unconverged
+from ._util import REQUIRED, build_from_descriptor, finite_positive, spawn_rngs, unconverged
 from .constants import (
     ball_volume,
     bpv_constant,
@@ -39,15 +40,14 @@ from .norms import MinkowskiNorm, wulff_volume
 from .rearrange import (
     RadialTestFunction,
     equimeasurability_gap,
-    hlp_check,
     l1_extremal_profile,
     layer_cake_integral,
     lq_norm_radial,
     morrey_extremal_profile,
-    polya_szego_check,
     radial_dirichlet_energy,
     random_decreasing_profile,
     rearrange,
+    shell_integral,
 )
 from .report import InequalityReport, SweepResult, make_report, richardson_limit
 
@@ -258,8 +258,7 @@ def verify_hardy(m: FinslerInstance, u: RadialTestFunction, p: float) -> Inequal
     lhs = radial_dirichlet_energy(u, n, p)
     c = hardy_constant(p, n, a)
 
-    val, _, ok = route_quad(u.profile, lambda g, r: g**p * r ** (n - 1 - p), 0.0, u.support_radius, u.kinks)
-    weighted = n * omega_n(n) * val
+    weighted, ok = shell_integral(u.profile, lambda g, r: g**p, n, p, u.support_radius, u.kinks)
     diag = {"profile": u.label, "weighted_lp": weighted, **unconverged(ok)}
     if not math.isfinite(weighted) or weighted > 1e15:
         diag["divergent_weighted_term"] = True
@@ -297,13 +296,10 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
     a = estimate_avr(m).point
     mu_bar, s_const = bpv_constant(mu, n, a, vol)
     dirichlet = radial_dirichlet_energy(u, n, 2.0)
-
-    def squared(k):  # n omega_n int g^2 r^(n-1-k) dr, and whether it converged
-        val, _, ok = route_quad(u.profile, lambda g, r: g**2 * r ** (n - 1 - k), 0.0,
-                                u.support_radius, u.kinks)
-        return n * omega_n(n) * val, ok
-
-    (l2sq, ok_l2), (hardy_term, ok_hardy) = squared(0), squared(2) if mu != 0.0 else (0.0, True)
+    square = lambda g, r: g**2
+    l2sq, ok_l2 = shell_integral(u.profile, square, n, 0, u.support_radius, u.kinks)
+    hardy_term, ok_hardy = (shell_integral(u.profile, square, n, 2, u.support_radius, u.kinks)
+                            if mu != 0.0 else (0.0, True))
     lhs = dirichlet - mu * hardy_term
     rhs = s_const * l2sq
     return make_report(
@@ -322,6 +318,78 @@ def verify_bpv(m: FinslerInstance, radius: float, u: RadialTestFunction, mu: flo
             "l2_sq": l2sq,
             **unconverged(ok_l2 and ok_hardy),
         },
+    )
+
+
+def polya_szego_check(m: FinslerInstance, u: RadialTestFunction, p: float) -> InequalityReport:
+    """Check int F*(Du)^p dv >= avr^(p/n) int H*(Du*)^p dv, with the
+    instance's AVR, at rtol 1e-6.
+
+    The right side depends on the dimension and the AVR only, for every
+    normalized H.  A radial nonincreasing source is its own rearrangement,
+    so both sides are one energy, computed once.
+    """
+    a = estimate_avr(m).point
+    energy = radial_dirichlet_energy(rearrange(u, m), m.dim, p)
+    return make_report(
+        "polya_szego",
+        {"p": p, "n": m.dim, "avr": a, "profile": u.label},
+        energy,
+        a ** (p / m.dim) * energy,
+        direction="lower",
+        rtol=1e-6,
+        atol=1e-12,
+        diagnostics={"path": "radial"},
+    )
+
+
+def hlp_check(m: FinslerInstance, u: RadialTestFunction, f, p: float) -> InequalityReport:
+    """Check int u^p f(d(0, x)) dv <= int (u*)^p f(H(x)) dx at rtol 1e-6.
+
+    The weight's pole is the origin, the centre of the radial source.  A
+    radial source is its own rearrangement, so both sides are one
+    integral, computed once.  f must be nonincreasing on (0, inf); the
+    weight may blow up at 0 provided the integrals stay finite, in which
+    case the quadrature splits at the singularity and the report flags
+    divergence when both sides are infinite (a vacuous pass).
+    """
+    n = m.dim
+    rtol = 1e-6
+    star = rearrange(u, m)
+
+    spot = f(np.array([0.3, 0.7, 1.3, 2.9]))
+    if np.any(np.diff(spot) > 1e-12):
+        raise ValueError("weight f must be nonincreasing")
+
+    # weight exponent near 0: f ~ r^{-a}; the rearranged side has
+    # u*(0) = sup u > 0, so it diverges exactly when a >= n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probes = np.array([1e-4, 1e-5, 1e-6])
+        fv = np.asarray(f(probes), dtype=float)
+        if np.any(~np.isfinite(fv)):
+            a_hat = float(n)
+        else:
+            ratios = np.log(fv[1:] / fv[:-1]) / np.log(probes[1:] / probes[:-1])
+            a_hat = float(np.max(-ratios)) if np.all(np.isfinite(ratios)) else float(n)
+    weighted, converged = math.inf, True
+    if a_hat < n - 1e-9:
+        weighted, converged = shell_integral(star.profile, lambda g, r: g**p * f(r), n, 0, star.support_radius,
+                                             star.kinks)
+    params = {"p": p, "n": n, "profile": u.label}
+    if not math.isfinite(weighted) or weighted > 1e15:
+        return make_report(
+            "hlp", params, math.inf, math.inf, "upper", rtol,
+            diagnostics={"diverged": True, "weight_exponent": a_hat},
+        )
+    return make_report(
+        "hlp",
+        params,
+        weighted,
+        weighted,
+        direction="upper",
+        rtol=rtol,
+        atol=1e-12,
+        diagnostics={"path": "centered", **unconverged(converged)},
     )
 
 
@@ -515,7 +583,7 @@ def _draw_hlp(m: FinslerInstance, u: RadialTestFunction, rng, p, mu) -> Inequali
     """hlp_check against the weight (r + c)^-a: p, unless given, then a and c are drawn."""
     p = float(p if p is not None else rng.uniform(1.1, 3.0))
     a, c = float(rng.uniform(0.2, max(0.3, m.dim - 0.2))), float(rng.uniform(0.0, 0.3))
-    rep = hlp_check(u, m, lambda r: (np.asarray(r, dtype=float) + c) ** -a, p)
+    rep = hlp_check(m, u, lambda r: (np.asarray(r, dtype=float) + c) ** -a, p)
     rep.diagnostics.update({"weight_power": a, "weight_shift": c})
     return rep
 
@@ -552,8 +620,8 @@ INEQUALITIES = {
     "hardy": _p_bound(lambda m, u, p: verify_hardy(m, u, p),
                       lambda n, rng: 1.0 + (n - 1.0) * rng.uniform(0.25, 0.85)),
     "bpv": Inequality(("profile", "mu", "radius"), ("mu",), _check_bpv, _draw_bpv),
-    "polya_szego": _p_bound(lambda m, u, p: polya_szego_check(u, m, p), lambda n, rng: rng.uniform(1.2, 3.5)),
-    "hlp": Inequality(("profile", "p"), ("p",), lambda m, u, p: hlp_check(u, m, _gaussian, p), _draw_hlp),
+    "polya_szego": _p_bound(lambda m, u, p: polya_szego_check(m, u, p), lambda n, rng: rng.uniform(1.2, 3.5)),
+    "hlp": Inequality(("profile", "p"), ("p",), lambda m, u, p: hlp_check(m, u, _gaussian, p), _draw_hlp),
     "layer_cake": Inequality(("profile",), (), None, _draw_layer_cake),
     "equimeasurability": Inequality(("profile",), (), None, _draw_equimeasurability),
     "isoperimetric": Inequality(("shape",), (), lambda m, shape: verify_isoperimetric(m, shape), None),

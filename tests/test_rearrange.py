@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from finsler_sharp import rearrange as R
+from finsler_sharp import verify as V
 from finsler_sharp._util import split_quad
 from finsler_sharp.constants import (
     l1_energy_limit,
@@ -233,7 +234,7 @@ def test_layer_cake_singular_weight(e3):
 
 def test_polya_szego_radial_equality(e2):
     u = R.morrey_extremal_profile(4.0, 2)
-    rep = R.polya_szego_check(u, e2, 4.0)
+    rep = V.polya_szego_check(e2, u, 4.0)
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, rel=1e-8)
 
@@ -252,19 +253,19 @@ def test_radial_checks_integrate_once(e2, monkeypatch):
         calls["quad"] += 1
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(R, "radial_dirichlet_energy", counted_energy)
+    monkeypatch.setattr(V, "radial_dirichlet_energy", counted_energy)
     monkeypatch.setattr(R, "route_quad", counted_quad)
     u = R.plateau_profile(inner=0.4, radius=1.2, height=1.5)
-    rep = R.polya_szego_check(u, e2, 2.5)
+    rep = V.polya_szego_check(e2, u, 2.5)
     assert calls == {"energy": 1, "quad": 1} and rep.ratio == 1.0
     calls["quad"] = 0
-    rep = R.hlp_check(u, e2, lambda r: np.exp(-r), 2.0)
+    rep = V.hlp_check(e2, u, lambda r: np.exp(-r), 2.0)
     assert calls["quad"] == 1 and rep.ratio == 1.0
 
 
 def test_hlp_gaussian_weight(e2):
     u = R.cone_profile()
-    rep = R.hlp_check(u, e2, lambda r: np.exp(-0.5 * r * r), 2.0)
+    rep = V.hlp_check(e2, u, lambda r: np.exp(-0.5 * r * r), 2.0)
     assert rep.passed
     # centered profile: both sides coincide
     assert rep.ratio == pytest.approx(1.0, rel=1e-7)
@@ -273,7 +274,7 @@ def test_hlp_gaussian_weight(e2):
 def test_hlp_divergent_weight_is_vacuous(e3):
     # weight exponent >= n makes both sides blow up; report flags it
     u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
-    rep = R.hlp_check(u, e3, lambda r: r ** (-3.2), 2.0)
+    rep = V.hlp_check(e3, u, lambda r: r ** (-3.2), 2.0)
     assert rep.passed
     assert rep.diagnostics.get("diverged")
 
@@ -282,7 +283,7 @@ def test_hlp_vacuous_reports_keep_one_shape(e3):
     # a weight exponent >= n is caught before the quadrature, a huge finite
     # weight after it; both come back as the same vacuous report
     u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
-    reps = [R.hlp_check(u, e3, f, 2.0) for f in (lambda r: r ** (-3.2), lambda r: 1e20 * np.exp(-r))]
+    reps = [V.hlp_check(e3, u, f, 2.0) for f in (lambda r: r ** (-3.2), lambda r: 1e20 * np.exp(-r))]
     for rep in reps:
         assert rep.passed and math.isinf(rep.lhs) and math.isinf(rep.rhs)
         assert rep.params == {"p": 2.0, "n": 3, "profile": "plateau"}

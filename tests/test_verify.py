@@ -31,10 +31,8 @@ from finsler_sharp.rearrange import (
     PROFILES,
     RadialTestFunction,
     _l1_seed_integrand,
-    hlp_check,
     l1_extremal_profile,
     morrey_extremal_profile,
-    polya_szego_check,
     profile_from_descriptor,
     random_decreasing_profile,
     scale_profile,
@@ -106,7 +104,7 @@ AVR_SIDES = {
     "sweep_support": (2, lambda m: (V.sharpness_sweep_support(m, 4.0, (1.0, 2.0)).target, None), 1.0),
     "sweep_l1": (2, lambda m: (V.sharpness_sweep_l1(m, 4.0, (1.0, 2.0)).target, None), -eta(4.0, 2) / 2.0),
     "hardy": (3, lambda m: _side(V.verify_hardy(m, V.hardy_test_family(2.0, 3, 0.2), 2.0)), 2.0 / 3.0),
-    "polya_szego": (2, lambda m: _side(polya_szego_check(_U4, m, 4.0)), 4.0 / 2.0),
+    "polya_szego": (2, lambda m: _side(V.polya_szego_check(m, _U4, 4.0)), 4.0 / 2.0),
     "bpv": (2, lambda m: _side(V.verify_bpv(m, 1.0, _U4)), 2.0 / 2.0),
     "isoperimetric": (2, lambda m: _side(V.verify_isoperimetric(m, "rectangle:a=2,b=1")), 1.0 / 2.0),
 }
@@ -120,7 +118,7 @@ def _avr_scaling_gaps(monkeypatch):
     half_avr = lambda m, **kw: dataclasses.replace(real(m, **kw), point=0.5)
     with monkeypatch.context() as mp:
         # each module's binding of manifold.avr
-        for module, attr in ((M, "avr"), (V, "estimate_avr"), (R, "avr")):
+        for module, attr in ((M, "avr"), (V, "estimate_avr")):
             mp.setattr(module, attr, half_avr)
         half = {name: run(euclidean_instance(n)) for name, (n, run, _) in AVR_SIDES.items()}
     gaps = {name: abs(half[name][0] / (full[name][0] * 0.5**k) - 1.0)
@@ -240,8 +238,8 @@ def test_radial_checks_are_blind_to_normalization():
     u = morrey_extremal_profile(4.0, 2)
     checks = (
         lambda m: V.verify_morrey_support(m, u, 4.0),
-        lambda m: polya_szego_check(u, m, 4.0),
-        lambda m: hlp_check(u, m, lambda r: np.exp(-np.asarray(r, dtype=float)), 2.0),
+        lambda m: V.polya_szego_check(m, u, 4.0),
+        lambda m: V.hlp_check(m, u, lambda r: np.exp(-np.asarray(r, dtype=float)), 2.0),
     )
     for check in checks:
         a, b = check(raw), check(normalized)
@@ -582,7 +580,7 @@ def test_unconverged_quadrature_reaches_the_diagnostics(e2):
     assert flagged.diagnostics["unconverged_quadrature"] is True
     for rep in (V.verify_morrey_l1(e2, exact, 4.0), V.verify_morrey_l1(e2, R.cone_profile(), 4.0),
                 V.verify_hardy(e2, R.cone_profile(), 1.5),
-                V.verify_bpv(e2, 1.0, R.cone_profile()), R.hlp_check(R.cone_profile(), e2, lambda r: np.exp(-r), 2.0)):
+                V.verify_bpv(e2, 1.0, R.cone_profile()), V.hlp_check(e2, R.cone_profile(), lambda r: np.exp(-r), 2.0)):
         assert "unconverged_quadrature" not in rep.diagnostics
 
 
@@ -625,10 +623,11 @@ def _suite_hlp_weights():
     generator k draws only the weight's power a and shift c, and the weight
     is caught on its way into hlp_check."""
     weights, out = [], []
+    real = V.hlp_check
 
-    def catch(u, m, f, p):
+    def catch(m, u, f, p):
         weights.append(f)
-        return hlp_check(u, m, f, p)
+        return real(m, u, f, p)
 
     with mock.patch.object(V, "hlp_check", catch):
         for k in range(4):
