@@ -12,7 +12,7 @@ reads them against the tables manifold.INSTANCES, rearrange.PROFILES and
 verify.SHAPES; an extremal profile takes its n from the instance.  A
 malformed descriptor (unknown kind or key, missing key, non-integral
 integer, NaN), a shape or profile length that is not finite and positive,
-and a NaN config value are usage errors.
+a NaN config value and a flag the run would not read are usage errors.
 
 Reports are JSON with sorted keys and a null timestamp by default, so a
 fixed seed gives byte-identical bytes; --timestamp opts into a real
@@ -161,6 +161,13 @@ def _value(cfg: dict, key: str, default):
     return default if cfg.get(key) is None else cfg[key]
 
 
+def _refuse_unread(cfg: dict, what: str, unread) -> None:
+    """ConfigError naming each key of unread that cfg gives: what (a check or a problem) ignores it."""
+    given = ["--" + k.replace("_", "-") for k in unread if cfg.get(k) is not None]
+    if given:
+        raise ConfigError(f"{what} does not read {', '.join(given)}")
+
+
 # ---------------------------------------------------------------------------
 # emission
 
@@ -258,11 +265,8 @@ def _task_verify(cfg: dict) -> int:
         raise ConfigError("verify needs --instance")
     suite = cfg.get("suite")  # 0 and negative counts are usage errors, not "no suite"
     reads = entry.suite_keys if suite is not None else entry.keys
-    unread = [k for k in ("profile", "shape", "p", "mu", "radius")
-              if cfg.get(k) is not None and k not in reads]
-    if unread:
-        flags = ", ".join("--" + k for k in unread)
-        raise ConfigError(f"{key}{' suite' if suite is not None else ''} does not read {flags}")
+    _refuse_unread(cfg, f"{key}{' suite' if suite is not None else ''}",
+                   [k for k in ("profile", "shape", "p", "mu", "radius") if k not in reads])
     m = instance_from_descriptor(cfg["instance"])
     if suite is not None:
         reports = V.randomized_suite(m, key, n_draws=int(suite), seed=int(cfg.get("seed", 0)),
@@ -332,10 +336,15 @@ def _profile_csv(path: str, grid, values) -> None:
     _write_csv(path, ("rho", "u", "du"), zip(map(float, grid), map(float, values), map(float, du)))
 
 
+# the pde keys each problem leaves unread
+_PDE_UNREAD = {"ep": ("lam", "p", "k_max"), "p-problem": ("k_max",), "d-problem": ("mu",)}
+
+
 def _task_pde(cfg: dict) -> int:
     problem = cfg.get("problem")
-    if problem not in ("ep", "p-problem", "d-problem"):
+    if problem not in _PDE_UNREAD:
         raise ConfigError("pde needs --problem ep|p-problem|d-problem")
+    _refuse_unread(cfg, f"pde {problem}", _PDE_UNREAD[problem])
     if cfg.get("n") is None:
         raise ConfigError("pde needs --n")
     n = int(cfg["n"])
@@ -449,8 +458,9 @@ def _avr_verdict(est):
 def _task_avr(cfg: dict) -> int:
     if cfg.get("instance") is None:
         raise ConfigError("avr needs --instance")
-    m = instance_from_descriptor(cfg["instance"])
     method = _value(cfg, "method", "mc")
+    _refuse_unread(cfg, f"avr {method}", ("samples", "radii") if method == "exact" else ())
+    m = instance_from_descriptor(cfg["instance"])
     radii = cfg.get("radii")
     if isinstance(radii, str):
         radii = [float(x) for x in radii.split(",")]

@@ -78,7 +78,7 @@ class DistributionFunction:
 
 
 def cone_profile(radius: float = 1.0, height: float = 1.0) -> RadialTestFunction:
-    r, hgt = finite_positive(radius, "profile radius R"), float(height)
+    r, hgt = finite_positive(radius, "profile radius R"), finite_positive(height, "profile height")
 
     def g(rho):
         return hgt * np.clip(1.0 - rho / r, 0.0, None)
@@ -100,7 +100,7 @@ def plateau_profile(inner: float = 0.5, radius: float = 1.0, height: float = 1.0
     r = finite_positive(radius, "profile radius R")
     if not 0.0 < inner < r:
         raise ValueError("need 0 < inner < radius")
-    a, hgt = float(inner), float(height)
+    a, hgt = float(inner), finite_positive(height, "profile height")
 
     def g(rho):
         return hgt * np.clip(np.minimum(1.0, (r - rho) / (r - a)), 0.0, None)

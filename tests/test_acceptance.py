@@ -203,6 +203,22 @@ def test_planted_constant_defects_fail_their_criteria(monkeypatch, constant, fac
     assert not any(criterion(0)[0] for criterion in criteria)
 
 
+def test_planted_shell_integral_defect_fails_criteria_1_to_3(monkeypatch):
+    # every radial integral is one rearrange.shell_integral, so a shell
+    # measure 1e-6 too large moves every energy and L1 norm by 1e-6: the
+    # 1e-12 equality gates of criteria 1, 2 and 3 each turn red
+    from finsler_sharp import rearrange
+
+    real = rearrange.shell_integral
+
+    def planted(*args):
+        val, converged = real(*args)
+        return (1.0 + 1e-6) * val, converged
+
+    monkeypatch.setattr(rearrange, "shell_integral", planted)
+    assert not any(criterion(0)[0] for criterion in (*SUPPORT, cli._l1_sharpness))
+
+
 def test_planted_density_defect_fails_criterion_10(monkeypatch):
     # a Busemann-Hausdorff density 2% too low keeps every estimate inside
     # the one-sided sandwich and band, which alone passed it; the two-sided

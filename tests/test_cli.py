@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -348,6 +349,17 @@ _AVR2 = ["avr", "--instance", "euclidean:n=2", "--radii"]
     [*_AVR2, "1,inf"],
     [*_AVR2, "1,1e200"],
     [*_AVR2, "1e-200,1"],
+    # a profile height that is not finite and positive, and an hlp exponent p <= 0
+    *[pytest.param(["verify", "--instance", f"euclidean:n={n}", "--inequality", ineq, "--p", p,
+                    "--profile", profile], id=f"{ineq} --p {p} {profile}")
+      for ineq, n, p, profile in (("morrey-support", 2, "4", "cone:R=1,height=-1"),
+                                  ("hardy", 3, "2", "cone:R=1,height=-1"),
+                                  ("hardy", 3, "2", "cone:R=1,height=inf"),
+                                  ("polya-szego", 2, "2", "cone:R=1,height=inf"),
+                                  ("morrey-l1", 2, "4", "plateau:height=-1"),
+                                  ("hlp", 2, "-1", "cone:R=1"),
+                                  ("hlp", 2, "0", "cone:R=1"))],
+    ["verify", "--instance", "euclidean:n=3", "--inequality", "bpv", "--profile", "cone:R=1,height=inf"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
     # each makes a length, a volume or a constant nan, inf or 0, or overflows a float power,
@@ -388,6 +400,38 @@ def test_eigen_quotient_holds_at_extreme_radii(n, radius, mus, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert run_cli(["pde", "--problem", "ep", "--n", n, "--radius", radius, "--mu", mu]) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--inequality", "hardy", "--instance", "euclidean:n=3", "--p", "2"], "divergent_weighted_term"),
+    (["--inequality", "hlp", "--instance", "euclidean:n=2", "--p", "2"], "diverged"),
+], ids=["hardy", "hlp"])
+def test_large_finite_weighted_integrals_are_no_divergence(argv, key, capsys):
+    # a cone of height 1e8 has a weighted integral above 1e15, which is
+    # finite: both checks read it, at the ratio of the unit cone
+    ratios = []
+    for height in ("1", "1e8"):
+        assert run_cli(["verify", *argv, "--profile", f"cone:R=1,height={height}"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert key not in rep["diagnostics"] and math.isfinite(rep["rhs"])
+        ratios.append(rep["ratio"])
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["pde", "--problem", "d-problem", "--n", "2", "--p", "4", "--mu", "0.5"], "--mu"),
+    (["pde", "--problem", "ep", "--n", "2", "--lam", "1", "--p", "3", "--k-max", "2"],
+     "--lam, --p, --k-max"),
+    (["pde", "--problem", "p-problem", "--n", "3", "--p", "3", "--k-max", "2"], "--k-max"),
+    (["avr", "--instance", "euclidean:n=2", "--method", "exact", "--samples", "7"], "--samples"),
+    (["avr", "--instance", "euclidean:n=2", "--method", "exact", "--radii", "1,2"], "--radii"),
+], ids=["d_problem_mu", "ep_lam_p_k_max", "p_problem_k_max", "avr_exact_samples", "avr_exact_radii"])
+def test_flag_the_problem_or_method_does_not_read_exit_2(argv, unread, tmp_path, monkeypatch, capsys):
+    # as in verify, a value the run would ignore is refused by name before it runs
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f" does not read {unread}\n")
 
 
 # the test modules import scipy's solver modules, so only a fresh interpreter

@@ -280,15 +280,18 @@ def test_hlp_divergent_weight_is_vacuous(e3):
 
 
 def test_hlp_vacuous_reports_keep_one_shape(e3):
-    # a weight exponent >= n is caught before the quadrature, a huge finite
-    # weight after it; both come back as the same vacuous report
+    # a weight exponent >= n is caught before the quadrature and comes back
+    # as a vacuous report; a huge finite weight is no divergence, only a
+    # multiple of the same integral at the unit weight
     u = R.plateau_profile(inner=0.4, radius=1.0, height=1.0)
-    reps = [V.hlp_check(e3, u, f, 2.0) for f in (lambda r: r ** (-3.2), lambda r: 1e20 * np.exp(-r))]
-    for rep in reps:
-        assert rep.passed and math.isinf(rep.lhs) and math.isinf(rep.rhs)
-        assert rep.params == {"p": 2.0, "n": 3, "profile": "plateau"}
-        assert rep.diagnostics["diverged"]
-    assert reps[1].diagnostics["weight_exponent"] < 3
+    rep = V.hlp_check(e3, u, lambda r: r ** (-3.2), 2.0)
+    assert rep.passed and math.isinf(rep.lhs) and math.isinf(rep.rhs)
+    assert rep.params == {"p": 2.0, "n": 3, "profile": "plateau"}
+    assert rep.diagnostics["diverged"]
+    huge, unit = (V.hlp_check(e3, u, lambda r: c * np.exp(-r), 2.0) for c in (1e20, 1.0))
+    assert huge.passed and huge.lhs == huge.rhs == pytest.approx(1e20 * unit.lhs, rel=1e-14)
+    assert huge.params == {"p": 2.0, "n": 3, "profile": "plateau"}
+    assert "diverged" not in huge.diagnostics
 
 
 def test_random_decreasing_profile_properties(rng):
