@@ -22,6 +22,7 @@ from .norms import (
     NORMS,
     MinkowskiNorm,
     VolumeEstimate,
+    _difference_gradient,
     box_half_widths,
     dual_norm,
     euclidean_norm,
@@ -223,16 +224,14 @@ def avr(
 
 
 def finsler_gradient(m: FinslerInstance, x, du) -> np.ndarray:
-    """Legendre transform of the covector du at x.
+    """Legendre transform y* = F*(x, du) DF*(x, du) of the covector du at x.
 
-    Computed as the gradient of half the squared dual norm by central
-    differences; the result y* satisfies du(y*) = F*(x, du)^2 and
-    F(x, y*) = F*(x, du).  du = 0 maps to the zero vector.
+    y* satisfies du(y*) = F*(x, du)^2 and F(x, y*) = F*(x, du).  F* and
+    its gradient come from one dual batch of the 2n + 1 covectors of
+    norms._difference_gradient.  du = 0 maps to the zero vector.
     """
     du = np.asarray(du, dtype=float)
     if not np.any(du):
         return np.zeros(m.dim)
-    h = 1e-6 * max(1.0, float(np.linalg.norm(du)))
-    # the 2n shifted covectors du +- h e_j in one batch
-    vals = dual_norm(m.norm, du + h * np.concatenate([np.eye(m.dim), -np.eye(m.dim)]))
-    return (vals[: m.dim] ** 2 - vals[m.dim :] ** 2) / (4.0 * h)
+    fstar, slope = _difference_gradient(lambda a: dual_norm(m.norm, a), du)
+    return fstar * slope

@@ -7,12 +7,13 @@ return shape (...).
 
 The dual (polar) norm is computed analytically when a closed form is
 attached, and otherwise by multi-start projected gradient ascent on the
-Euclidean unit sphere.  dual_norm takes one covector, shape (dim,), or a
-batch, shape (K, dim), and runs the ascent on all rows at once; a row is
-frozen once it settles, so its value does not depend on the batch, and
-the call raises if any row fails to settle.  Unit-ball volumes come from
-a closed form when known, adaptive radial-angular quadrature in
-dimensions 2 and 3, or Monte-Carlo over the dual bounding box.
+Euclidean unit sphere, run for alpha/|alpha| and scaled back by |alpha|.
+dual_norm takes one covector, shape (dim,), or a batch, shape (K, dim),
+and runs the ascent on all rows at once; a row is frozen once it
+settles, so its value does not depend on the batch, and the call raises
+if any row fails to settle.  Unit-ball volumes come from a closed form
+when known, adaptive radial-angular quadrature in dimensions 2 and 3,
+or Monte-Carlo over the dual bounding box.
 
 The shipped evaluators sum a row of coordinates with _row_sum, column by
 column: y[..., 0] + y[..., 1] + ... left to right.  That is the order in
@@ -54,16 +55,15 @@ class MinkowskiNorm:
     """A reversible norm H(y) = scale * base(y) on R^dim.
 
     base must be positively 1-homogeneous, even, convex and positive off
-    the origin; these invariants are testable, not enforced.  analytic_dual,
-    analytic_gradient and analytic_volume all refer to the unscaled base
-    norm; the scale algebra is applied by the accessors here.
+    the origin; these invariants are testable, not enforced.  analytic_dual
+    and analytic_volume refer to the unscaled base norm; the scale algebra
+    is applied by the accessors here.
     """
 
     dim: int
     base: Callable = field(repr=False)
     scale: float = 1.0
     analytic_dual: Optional[Callable] = field(default=None, repr=False)
-    analytic_gradient: Optional[Callable] = field(default=None, repr=False)
     analytic_volume: Optional[float] = None
     label: str = "custom"
     normalized: bool = False
@@ -78,19 +78,22 @@ class MinkowskiNorm:
         return dual_norm(self, alpha)
 
     def gradient(self, y):
-        """Gradient of H at y, shape (dim,) or (K, dim), row by row.
+        """Gradient of H at nonzero y, shape (dim,) or (K, dim), by _difference_gradient."""
+        return _difference_gradient(self, y)[1]
 
-        Analytic when available, else central differences with step
-        1e-6 * max(1, |y|) per row.
-        """
-        y = np.asarray(y, dtype=float)
-        if self.analytic_gradient is not None:
-            return self.scale * np.asarray(self.analytic_gradient(y), dtype=float)
-        # |y| by the same dot product per row as np.linalg.norm of one vector
-        size = np.sqrt(np.matmul(y[..., None, :], y[..., :, None]))[..., 0]
-        h = 1e-6 * np.maximum(1.0, size)
-        shift = h[..., None] * np.eye(self.dim)
-        return (self(y[..., None, :] + shift) - self(y[..., None, :] - shift)) / (2.0 * h)
+
+def _difference_gradient(f, y):
+    """(f(y), gradient of f at y) for nonzero rows y (..., n), by central differences
+    with step 1e-6 |y| per row; one call of f takes the centres and 2n shifts per row."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    size = np.sqrt(np.add.reduce(y * y, axis=-1))
+    if not np.all(size > 0.0):
+        raise ValueError("gradient rows must be nonzero")
+    h = 1e-6 * size
+    shifts = h[..., None, None] * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
+    vals = f((y[..., None, :] + shifts).reshape(-1, n)).reshape(shifts.shape[:-1])
+    return vals[..., 0], (vals[..., 1 : n + 1] - vals[..., n + 1 :]) / (2.0 * h[..., None])
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ def euclidean_norm(n: int) -> MinkowskiNorm:
         dim=n,
         base=lambda y: np.sqrt(_row_sum(y, np.square)),
         analytic_dual=lambda a: np.sqrt(_row_sum(a, np.square)),
-        analytic_gradient=lambda y: y / np.linalg.norm(y, axis=-1, keepdims=True),
         analytic_volume=omega_n(n),
         label="euclidean",
         normalized=True,
@@ -149,25 +151,17 @@ def lp_norm(n: int, p: float) -> MinkowskiNorm:
     if math.isinf(p):
         base = lambda y: np.max(np.abs(y), axis=-1)
         dual = lambda a: _row_sum(a, np.abs)
-        grad = None
     elif p == 1:
         base = lambda y: _row_sum(y, np.abs)
         dual = lambda a: np.max(np.abs(a), axis=-1)
-        grad = None
     else:
         q = p / (p - 1.0)
         base = lambda y: _row_sum(np.abs(y) ** p) ** (1.0 / p)
         dual = lambda a: _row_sum(np.abs(a) ** q) ** (1.0 / q)
-
-        def grad(y, _p=p):
-            r = _row_sum(np.abs(y) ** _p)[..., None] ** (1.0 / _p)
-            return np.sign(y) * np.abs(y) ** (_p - 1.0) / r ** (_p - 1.0)
-
     return MinkowskiNorm(
         dim=n,
         base=base,
         analytic_dual=dual,
-        analytic_gradient=grad,
         analytic_volume=_lp_ball_volume(n, p),
         label=f"l{p}",
     )
@@ -193,9 +187,8 @@ def f_eps_fiber_norm(n: int, eps: float) -> MinkowskiNorm:
     return MinkowskiNorm(dim=n, base=base, label=f"f_eps({eps})")
 
 
-def custom_norm(n, func, dual=None, gradient=None, volume=None, label="custom"):
-    return MinkowskiNorm(dim=n, base=func, analytic_dual=dual, analytic_gradient=gradient,
-                         analytic_volume=volume, label=label)
+def custom_norm(n, func, dual=None, volume=None, label="custom"):
+    return MinkowskiNorm(dim=n, base=func, analytic_dual=dual, analytic_volume=volume, label=label)
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
@@ -233,8 +226,11 @@ def _norm_and_slope(h: MinkowskiNorm, y, offsets):
 
 
 def _dual_ascent(h: MinkowskiNorm, alpha):
-    """H* of nonzero covectors alpha (K, n) by batched multi-start ascent."""
+    """H* of nonzero covectors alpha (K, n) by batched multi-start ascent on
+    the unit covectors alpha/|alpha|, scaled back by |alpha|."""
     k, n = alpha.shape
+    size = np.sqrt(_pair(alpha[:, None, :], alpha))
+    alpha = alpha / size
     offsets = _FD_STEP * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])[:, None, None, :]
     rng = np.random.default_rng(0)
     starts = [np.eye(n), -np.eye(n), np.zeros((1, n)), _unit_rows(rng.standard_normal((_N_RANDOM, n)))]
@@ -278,9 +274,9 @@ def _dual_ascent(h: MinkowskiNorm, alpha):
     else:
         raise DualMaximizerError(
             f"dual-norm ascent did not settle in {_MAX_ITER} iterations",
-            best_value=float(fy[0].max()),
+            best_value=float(fy[0].max() * size[rows[0], 0]),
         )
-    return (_pair(winners, alpha) / _norm_rows(h, winners))[:, 0]
+    return (_pair(winners, alpha) / _norm_rows(h, winners))[:, 0] * size[:, 0]
 
 
 def dual_norm(h: MinkowskiNorm, alpha) -> float | np.ndarray:
@@ -289,15 +285,16 @@ def dual_norm(h: MinkowskiNorm, alpha) -> float | np.ndarray:
     alpha is one covector, shape (dim,), giving a float, or a batch of K
     covectors, shape (K, dim), giving an array of K values; a single
     covector is run as a batch of one.  Uses the attached closed form when
-    present.  Otherwise maximizes the 0-homogeneous ratio alpha.y / H(y)
-    on the unit sphere from 2*dim coordinate starts plus the direction of
-    alpha plus 8 seeded random starts (the same for every row), by
-    projected gradient ascent with per-start adaptive steps, and returns
-    the ratio at each row's best point.  A row is frozen once its best
-    value has stalled 8 times, so its result does not depend on the rest
-    of the batch.  Zero rows give 0.  If any row has not settled within
-    400 iterations, DualMaximizerError is raised with that row's best
-    value.
+    present.  Otherwise H*(alpha) = |alpha| H*(u) for the unit covector
+    u = alpha/|alpha|, so the result scales exactly with alpha: the ascent
+    maximizes the 0-homogeneous ratio u.y / H(y) on the unit sphere from
+    2*dim coordinate starts plus the direction of u plus 8 seeded random
+    starts (the same for every row), by projected gradient ascent with
+    per-start adaptive steps, and returns |alpha| times the ratio at each
+    row's best point.  A row is frozen once its best value has stalled 8
+    times, so its result does not depend on the rest of the batch.  Zero
+    rows give 0.  If any row has not settled within 400 iterations,
+    DualMaximizerError is raised with that row's best value, times |alpha|.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in (1, 2) or alpha.shape[-1] != h.dim:
@@ -426,13 +423,8 @@ NORMS = {
 
 
 def eikonal_residual(h: MinkowskiNorm, samples) -> float:
-    """max over samples of |H*(DH(x)) - 1|.
-
-    DH uses the attached gradient when present, else central differences
-    with step 1e-6 * max(1, |x|).  One gradient call and one dual call
-    serve all samples.
-    """
+    """max over nonzero samples of |H*(DH(x)) - 1|, with DH by
+    MinkowskiNorm.gradient.  One gradient call and one dual call serve
+    all samples."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if not np.all(np.any(samples, axis=-1)):
-        raise ValueError("eikonal samples must avoid the origin")
     return float(np.max(np.abs(dual_norm(h, h.gradient(samples)) - 1.0), initial=0.0))

@@ -313,7 +313,9 @@ def test_batch_dual_matches_per_covector_reference(label, factory):
     alphas = _covectors(h.dim, 10, seed=len(label))
     batch = dual_norm(h, alphas)
     assert isinstance(batch, np.ndarray) and batch.shape == (10,)
-    ref = np.array([_reference_dual(h, a) for a in alphas])
+    # the batch climbs on the unit covector a/|a| and scales back by |a|
+    sizes = np.sqrt(np.matmul(alphas[:, None, :], alphas[:, :, None]))[:, 0, 0]
+    ref = np.array([_reference_dual(h, a / s) * s for a, s in zip(alphas, sizes)])
     if label.startswith("f_eps"):
         # the same arithmetic row by row: only lp's ** may round apart
         # between the batch's arrays and the reference's one-covector ones
@@ -421,14 +423,10 @@ def test_mc_volume_hit_counts_pinned(block_hits, workers, hits, value):
 
 
 def _np_sum_evaluators(n, p=3.7):
-    """(norm, base, closed-form dual, gradient) of each shipped evaluator, the
-    last three in their np.sum form, for the norms of dimension n."""
+    """(norm, base, closed-form dual) of each shipped evaluator, the last two
+    in their np.sum form, for the norms of dimension n."""
     q = p / (p - 1.0)
     euclid = lambda y: np.sqrt(np.sum(np.square(y), axis=-1))
-
-    def lp_grad(y):
-        r = np.sum(np.abs(y) ** p, axis=-1, keepdims=True) ** (1.0 / p)
-        return np.sign(y) * np.abs(y) ** (p - 1.0) / r ** (p - 1.0)
 
     def f_eps(y, e):
         v2 = np.sum(np.square(y[..., :-1]), axis=-1)
@@ -436,17 +434,17 @@ def _np_sum_evaluators(n, p=3.7):
         return np.sqrt(v2 + w2 + e * np.sqrt(v2**2 + w2**2))
 
     rows = [
-        (euclidean_norm(n), euclid, euclid, None),
-        (lp_norm(n, 1.0), lambda y: np.sum(np.abs(y), axis=-1), lambda a: np.max(np.abs(a), axis=-1), None),
-        (lp_norm(n, math.inf), lambda y: np.max(np.abs(y), axis=-1), lambda a: np.sum(np.abs(a), axis=-1), None),
+        (euclidean_norm(n), euclid, euclid),
+        (lp_norm(n, 1.0), lambda y: np.sum(np.abs(y), axis=-1), lambda a: np.max(np.abs(a), axis=-1)),
+        (lp_norm(n, math.inf), lambda y: np.max(np.abs(y), axis=-1), lambda a: np.sum(np.abs(a), axis=-1)),
         (lp_norm(n, p), lambda y: np.sum(np.abs(y) ** p, axis=-1) ** (1.0 / p),
-         lambda a: np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q), lp_grad),
+         lambda a: np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)),
     ]
-    rows += [(normalize(h), base, dual, grad) for h, base, dual, grad in rows[1:]]
+    rows += [(normalize(h), base, dual) for h, base, dual in rows[1:]]
     if n >= 2:
-        rows.append((f_eps_fiber_norm(n, 0.5), lambda y: f_eps(y, 0.5), None, None))
+        rows.append((f_eps_fiber_norm(n, 0.5), lambda y: f_eps(y, 0.5), None))
     if n in (2, 3):  # normalized by quadrature; higher dimensions would need Monte Carlo
-        rows.append((normalize(f_eps_fiber_norm(n, 2.0)), lambda y: f_eps(y, 2.0), None, None))
+        rows.append((normalize(f_eps_fiber_norm(n, 2.0)), lambda y: f_eps(y, 2.0), None))
     return rows
 
 
@@ -458,13 +456,11 @@ def _evaluator_mismatches(n):
     scaled = lambda *shape: rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
     inputs = [scaled(n), scaled(64, n), scaled(4, 5, n), scaled(64, 2 * n)[:, ::2], scaled(n, 64).T]
     bad = []
-    for h, base, dual, grad in _np_sum_evaluators(n):
+    for h, base, dual in _np_sum_evaluators(n):
         pairs = [(h(y), h.scale * base(y)) for y in inputs]
         if dual is not None:
             pairs += [(h.analytic_dual(y), dual(y)) for y in inputs]
             pairs.append((dual_norm(h, inputs[1]), dual(inputs[1]) / h.scale))
-        if grad is not None:
-            pairs += [(h.analytic_gradient(y), grad(y)) for y in inputs]
         if not all(np.array_equal(a, b) and type(a) is type(b) and np.shape(a) == np.shape(b)
                    for a, b in pairs):
             bad.append(h.label)

@@ -416,8 +416,8 @@ ISOPERIMETRIC_BITS = {  # (lhs, rhs, vol, quad_error_estimate).hex() at the defa
     ("l4_3", "wulff:radius=0.7"): ("0x1.8a153e33c82c0p+2", "0x1.8a14d57b373e0p+2", "0x1.6fcf2da6338f3p+0", "0x1.a2d4ab0bd5555p-16"),
     ("l4_3", "ellipsoid:a=0.5,b=1,c=1.5"): ("0x1.8a5dab497d0e2p+3", "0x1.4bf228a05d904p+3", "0x1.921fb54442d18p+1", "0x1.97d84971f5555p-13"),
     ("feps3", "ball:radius=1.3"): ("0x1.55bfcddf52e9fp+4", "0x1.53cb6eee291a0p+4", "0x1.267d1bdf78f47p+3", "0x1.dc51b55cb0aabp-9"),
-    ("feps3", "wulff:radius=0.7"): ("0x1.8a24c1e5d424ep+2", "0x1.8a14d57b373e0p+2", "0x1.6fcf2da6338f3p+0", "0x1.fca7ecec7eaabp-11"),
-    ("feps3", "ellipsoid:a=0.5,b=1,c=1.5"): ("0x1.815c943ca0814p+3", "0x1.4bf228a05d904p+3", "0x1.921fb54442d18p+1", "0x1.2000cc1b64000p-8"),
+    ("feps3", "wulff:radius=0.7"): ("0x1.8a24c1e5d424ep+2", "0x1.8a14d57b373e0p+2", "0x1.6fcf2da6338f3p+0", "0x1.fca7ecec7f555p-11"),
+    ("feps3", "ellipsoid:a=0.5,b=1,c=1.5"): ("0x1.815c943ca0814p+3", "0x1.4bf228a05d904p+3", "0x1.921fb54442d18p+1", "0x1.2000cc1b63aabp-8"),
 }
 
 
