@@ -736,6 +736,10 @@ class OscillatoryNonlinearity:
         return out if out.ndim else float(out)
 
 
+# the explorer's grid: a bvp with more nodes is minimized on this many
+EXPLORER_MAX_NODES = 513
+
+
 def multiplicity_explore(bvp: RadialBvp, h: OscillatoryNonlinearity, lam: float, k_max: int, p: float):
     """Look for distinct critical profiles of the p-energy with an
     oscillatory nonlinearity by minimizing over nested height truncations.
@@ -767,7 +771,7 @@ def multiplicity_explore(bvp: RadialBvp, h: OscillatoryNonlinearity, lam: float,
     lam = float(lam)
     # no singular weight here, so a uniform grid keeps the p-energy Hessian
     # well conditioned; graded boundary panels raised to p-1 stall L-BFGS-B
-    m = min(bvp.n_nodes, 513)
+    m = min(bvp.n_nodes, EXPLORER_MAX_NODES)
     rho = np.linspace(0.0, bvp.radius, m)
     f = _RadialFunctional(rho, bvp.n, p, 0.0, 0.0, (lam, h.H_and_h, h.h, h.dh))
 

@@ -106,8 +106,7 @@ def test_criterion_04_special_functions(run, line):
     oracle_dev = max(abs(_oracle_bessel_zero(float(nu)) - ref)
                      for nu, ref in d["reference_zeros"].items())
     line(4, run.passed[4] and oracle_dev <= 1e-9,
-         f"zero dev {max(d['zero_deviations'].values()):.2e}, oracle dev {oracle_dev:.2e}, "
-         f"beta dev {max(d['identity_deviation'], d['draw_identity_deviation']):.2e}")
+         f"zero dev {max(d['zero_deviations'].values()):.2e}, oracle dev {oracle_dev:.2e}")
 
 
 def test_criterion_05_eigenvalue_closed_form(run, line):
@@ -135,7 +134,8 @@ def test_criterion_09_isoperimetric(run, line):
     d = run.detail[9]
     worst = max(abs(r - 1.0) for r in d["equality_ratios"].values())
     line(9, run.passed[9],
-         f"equality dev {worst:.2e}, rectangle ratio {d['rectangle_ratio']:.3f}")
+         f"equality dev {worst:.2e}, rectangle ratio {d['rectangle_ratio']:.3f}, "
+         f"eikonal residual {d['eikonal_residual']:.2e}")
 
 
 def test_criterion_10_f_eps_avr(run, line):
@@ -247,6 +247,31 @@ def test_planted_dual_defect_fails_criterion_9(monkeypatch):
     assert not passed
     ratios = detail["equality_ratios"]
     assert all(1e-7 < ratios[k] - 1.0 < 1e-3 for k in ("euclidean", "euclidean_wulff", "l4"))
+
+
+def test_planted_ascent_defect_fails_criterion_9(monkeypatch):
+    # an ascent dual 1e-7 too large moves the f_eps Wulff ratio by 1e-7,
+    # inside its 3e-5 gate; the eikonal residual reads it at 1e-7 against
+    # its 1e-8 gate, where the true ascent reads 2.0e-10 at seed 0
+    from finsler_sharp import norms
+
+    assert cli._isoperimetric(0)[1]["eikonal_residual"] < 1e-9
+    real = norms._dual_ascent
+    monkeypatch.setattr(norms, "_dual_ascent", lambda h, alpha: (1.0 + 1e-7) * real(h, alpha))
+    passed, detail = cli._isoperimetric(0)
+    assert not passed
+    assert detail["eikonal_residual"] == pytest.approx(1e-7, rel=0.01)
+    assert abs(detail["equality_ratios"]["f_eps_1"] - 1.0) <= 3e-5
+
+
+def test_planted_bessel_zero_defect_fails_criteria_4_to_6(monkeypatch):
+    # a first zero 1e-10 too large passed the former 1e-9 spot gate of
+    # criterion 4; its 1e-13 gate now reads it, as do the eigenvalue
+    # closed forms of criteria 5 and 6
+    real = cli.C.bessel_first_zero
+    monkeypatch.setattr(cli.C, "bessel_first_zero", lambda nu: (1.0 + 1e-10) * real(nu))
+    for criterion in (cli._special_functions, cli._eigenvalue_closed_form, cli._bpv):
+        assert not criterion(0)[0], criterion.__name__
 
 
 def test_planted_hardy_coupling_defect_fails_criterion_11(monkeypatch):

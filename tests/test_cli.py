@@ -370,6 +370,21 @@ def test_non_finite_or_overflowing_lengths_exit_2(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, radius", [(2, "1e-5"), (2, "1e6"), (3, "1e-6")])
+def test_wulff_balls_of_every_radius_attain_equality(n, radius, capsys):
+    # the perimeter's normals scale with the radius; an ascent on the raw
+    # covectors read ratios 0.9954, 0.9978 and 0.9942 here and exited 3.
+    # On unit covectors each radius reads the unit ball's ratio
+    argv = ["verify", "--instance", f"f_eps:n={n},eps=1,normalize=true", "--inequality", "isoperimetric"]
+    ratios = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in ("1", radius):
+            assert run_cli([*argv, "--shape", f"wulff:radius={r}"]) == 0
+            ratios.append(json.loads(capsys.readouterr().out)["report"]["ratio"])
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+
 def test_tiny_support_extremals_read_their_finite_energy(capsys):
     # the extremal's energy grows as R^(n - p), to 1.86e20 at R = 1e-10: a
     # converged quadrature, not a divergent one, so the equality holds
@@ -432,6 +447,22 @@ def test_flag_the_problem_or_method_does_not_read_exit_2(argv, unread, tmp_path,
     assert run_cli(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f" does not read {unread}\n")
+
+
+def test_d_problem_refuses_nodes_it_does_not_run(tmp_path, monkeypatch, capsys):
+    # the explorer minimizes on at most 513 nodes, so --nodes 4096 wrote
+    # 514-line profiles and exited 0; a given --nodes above the cap exits 2
+    # before it runs, and the default, which the cap applies to, still runs
+    monkeypatch.chdir(tmp_path)
+    argv = ["pde", "--problem", "d-problem", "--n", "2", "--lam", "50", "--p", "4", "--out", "d.csv"]
+    assert run_cli([*argv, "--nodes", "4096"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 513 nodes" in err and "4096" in err
+    assert not any(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "multiplicity_explore", lambda bvp, **kwargs: [])
+    for nodes in ([], ["--nodes", "513"]):
+        run_cli([*argv, *nodes])
+        assert "at most" not in capsys.readouterr().err
 
 
 # the test modules import scipy's solver modules, so only a fresh interpreter

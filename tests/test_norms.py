@@ -392,6 +392,34 @@ def test_eikonal_identity_finite_difference_gradient():
         eikonal_residual(h, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+SCALE_NORMS = [
+    ("f_eps,n=2", lambda: f_eps_fiber_norm(2, 1.0)),
+    ("f_eps,n=3", lambda: f_eps_fiber_norm(3, 0.5)),
+    ("opaque l1.5,n=3", lambda: custom_norm(3, lp_norm(3, 1.5).base)),
+]
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("label,factory", SCALE_NORMS, ids=[b[0] for b in SCALE_NORMS])
+def test_dual_and_gradients_obey_the_scale_rule(label, factory, s):
+    # H* is 1-homogeneous and DH 0-homogeneous, so no scale of the input may
+    # move a relative residual: the ascent climbs on unit covectors and both
+    # difference gradients step 1e-6 |y|.  Before, an absolute stall bound and
+    # a step of 1e-6 max(1, |y|) let H*(s a) / s drift by up to 3.5% and the
+    # eikonal residual read 0.2 at s = 1e-6
+    h = factory()
+    alphas = _covectors(h.dim, 8, seed=7)
+    np.testing.assert_allclose(dual_norm(h, s * alphas), s * dual_norm(h, alphas), rtol=1e-14, atol=0.0)
+    euler = np.sum(h.gradient(s * alphas) * alphas, axis=1) / h(alphas) - 1.0
+    assert np.max(np.abs(euler)) <= 1e-9
+    assert eikonal_residual(h, s * alphas) <= 1e-9
+    m = M.minkowski_instance(h)
+    for du in s * alphas[:3]:
+        y, fstar = M.finsler_gradient(m, np.zeros(h.dim), du), dual_norm(h, du)
+        assert abs(float(du @ y) / fstar**2 - 1.0) <= 1e-9
+        assert abs(float(h(y)) / fstar - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("h", [f_eps_fiber_norm(3, 0.5), lp_norm(3, 4.0)], ids=["f_eps", "l4"])
 def test_banded_quadrature_volume_is_the_one_array_rule(h):
     # the 3-D radial-angular rule on one 400 x 800 x 3 direction array
